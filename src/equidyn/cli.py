@@ -75,10 +75,12 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _need(d: dict, field: str, prefix: str = ""):
-    if not isinstance(d, dict) or field not in d:
+def _need(d: dict, field: str, prefix: str = "", default=None):
+    if isinstance(d, dict) and field in d:
+        return d[field]
+    if default is None:
         raise ConfigInvalid(f"{prefix}{field}", "missing")
-    return d[field]
+    return default
 
 
 def _load_config(path: str) -> dict:
@@ -118,32 +120,36 @@ def _build_measure(cfg: dict, system=None):
         raise ConfigInvalid("measure", str(exc))
 
 
-def _int_param(params: dict, field: str, default=None, minimum=None):
-    if field in params:
-        value = params[field]
-    elif default is not None:
-        value = default
-    else:
-        raise ConfigInvalid(f"params.{field}", "missing")
+def _number(value, field: str, kind=int, minimum=None):
+    """`kind(value)`, or ConfigInvalid naming the dotted `field`."""
     try:
-        value = int(value)
-    except (ValueError, TypeError):
-        raise ConfigInvalid(f"params.{field}", f"not an integer: {value!r}")
+        value = kind(value)
+    except (ValueError, TypeError, OverflowError):
+        raise ConfigInvalid(field, f"not {'an integer' if kind is int else 'a number'}: {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigInvalid(f"params.{field}", f"must be >= {minimum}, got {value}")
+        raise ConfigInvalid(field, f"must be >= {minimum}, got {value}")
     return value
 
 
-def _list_param(params: dict, field: str, default=None):
-    if field in params:
-        value = params[field]
-    elif default is not None:
-        value = default
-    else:
-        raise ConfigInvalid(f"params.{field}", "missing")
+def _param(params: dict, field: str, default=None, minimum=None, kind=int, prefix="params."):
+    return _number(_need(params, field, prefix, default), f"{prefix}{field}", kind, minimum)
+
+
+def _list_param(params: dict, field: str, kind=None, prefix="params."):
+    value = _need(params, field, prefix)
     if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigInvalid(f"params.{field}", "must be a non-empty list")
-    return list(value)
+        raise ConfigInvalid(f"{prefix}{field}", "must be a non-empty list")
+    return [_number(v, f"{prefix}{field}", kind) for v in value] if kind else list(value)
+
+
+def _round_curves(report: dict) -> dict:
+    """Round an equicontinuity report's fraction and curves for output."""
+    report["fraction"] = fmt_prob(report["fraction"])
+    for curve in report["curves"]:
+        curve["ratios"] = [fmt_prob(v) for v in curve["ratios"]]
+        if "stderrs" in curve:
+            curve["stderrs"] = [fmt_prob(v) for v in curve["stderrs"]]
+    return report
 
 
 def _word_config(alphabet, sided, text: str, field: str) -> Configuration:
@@ -166,12 +172,12 @@ def _point_from_params(system, mu, params, radius: int, seed: int):
 # -- subcommand runners --------------------------------------------------------
 
 def _run_density(system, mu, params, seed, threads, cap):
-    m = _int_param(params, "m", minimum=0)
-    horizon = _int_param(params, "T", minimum=0)
-    n_list = sorted(set(int(n) for n in _list_param(params, "n_list")))
+    m = _param(params, "m", minimum=0)
+    horizon = _param(params, "T", minimum=0)
+    n_list = sorted(set(_list_param(params, "n_list", kind=int)))
     if n_list[0] < 1:
         raise ConfigInvalid("params.n_list", "entries must be >= 1")
-    n_samples = _int_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
+    n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
     if isinstance(system, Rotation):
         if m < 1:
             raise ConfigInvalid("params.m", "rotation resolution needs m >= 1")
@@ -210,22 +216,17 @@ def _run_density(system, mu, params, seed, threads, cap):
 def _run_classify(system, mu, params, seed, threads, cap):
     report = mu_equicontinuity_report(
         system, mu,
-        m=_int_param(params, "m", minimum=0),
-        n_list=_list_param(params, "n_list"),
-        horizon=_int_param(params, "T", minimum=0),
-        points=_int_param(params, "points", default=50, minimum=1),
-        n_samples=_int_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
-        delta=float(params.get("delta", DEFAULT_DELTA)),
+        m=_param(params, "m", minimum=0),
+        n_list=_list_param(params, "n_list", kind=int),
+        horizon=_param(params, "T", minimum=0),
+        points=_param(params, "points", default=50, minimum=1),
+        n_samples=_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
+        delta=_param(params, "delta", DEFAULT_DELTA, kind=float),
         seed=seed,
         cap=cap,
         threads=threads,
     )
-    payload = report.to_dict()
-    payload["fraction"] = fmt_prob(payload["fraction"])
-    for curve in payload["curves"]:
-        curve["ratios"] = [fmt_prob(v) for v in curve["ratios"]]
-        if "stderrs" in curve:
-            curve["stderrs"] = [fmt_prob(v) for v in curve["stderrs"]]
+    payload = _round_curves(report.to_dict())
     csv_rows = [
         (i, n, curve["ratios"][j], curve["exact"])
         for i, curve in enumerate(payload["curves"])
@@ -237,24 +238,21 @@ def _run_classify(system, mu, params, seed, threads, cap):
 def _run_lep(system, mu, params, seed, threads, cap):
     report = mu_lep_classify(
         system, mu,
-        m_list=_list_param(params, "m_list"),
-        eps=float(params.get("eps", DEFAULT_DELTA)),
-        n_samples=_int_param(params, "n_samples", default=1000, minimum=1),
-        horizon=_int_param(params, "T", minimum=2),
+        m_list=_list_param(params, "m_list", kind=int),
+        eps=_param(params, "eps", DEFAULT_DELTA, kind=float),
+        n_samples=_param(params, "n_samples", default=1000, minimum=1),
+        horizon=_param(params, "T", minimum=2),
         seed=seed,
         equi_params=params.get("equi"),
         threads=threads,
+        cap=cap,
     )
     payload = report.to_dict()
     for stats in payload["per_m"]:
         stats["certified_fraction"] = fmt_prob(stats["certified_fraction"])
         stats["lp_fraction"] = fmt_prob(stats["lp_fraction"])
     if payload["equicontinuity"]:
-        payload["equicontinuity"]["fraction"] = fmt_prob(payload["equicontinuity"]["fraction"])
-        for curve in payload["equicontinuity"]["curves"]:
-            curve["ratios"] = [fmt_prob(v) for v in curve["ratios"]]
-            if "stderrs" in curve:
-                curve["stderrs"] = [fmt_prob(v) for v in curve["stderrs"]]
+        _round_curves(payload["equicontinuity"])
     csv_rows = [
         (s["m"], s["certified_fraction"], s["lp_fraction"], s["p_quantile"], s["q_quantile"])
         for s in payload["per_m"]
@@ -263,9 +261,9 @@ def _run_lep(system, mu, params, seed, threads, cap):
 
 
 def _run_spectral(system, mu, params, seed, threads, cap):
-    m = _int_param(params, "m", minimum=0)
-    horizon = _int_param(params, "T", minimum=0)
-    cert_horizon = _int_param(params, "cert_T", default=max(horizon, 2), minimum=2)
+    m = _param(params, "m", minimum=0)
+    horizon = _param(params, "T", minimum=0)
+    cert_horizon = _param(params, "cert_T", default=max(horizon, 2), minimum=2)
     sided = system_sided(system)
     if "y" in params:
         y = _word_config(system.alphabet, sided, str(params["y"]), "params.y")
@@ -274,11 +272,11 @@ def _run_spectral(system, mu, params, seed, threads, cap):
         y = mu.sample_config(sided, radius, substream(seed, 9))
     base = build_eigenfunction(system, y, m, 0, cert_horizon)
     p = base.period
-    k_list = [int(k) for k in params.get("k_list", list(range(min(p, 16))))]
+    k_list = _list_param(params, "k_list", kind=int) if "k_list" in params else list(range(min(p, 16)))
     mode = params.get("mode", "exact")
     if mode not in ("exact", "sampled"):
         raise ConfigInvalid("params.mode", "must be 'exact' or 'sampled'")
-    n_samples = _int_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
+    n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
     specs = {k: build_eigenfunction(system, y, m, k, cert_horizon) for k in k_list}
     rows = []
     for k in k_list:
@@ -313,9 +311,9 @@ def _run_spectral(system, mu, params, seed, threads, cap):
 
 
 def _run_sensitivity(system, mu, params, seed, threads, cap):
-    eps_list = _list_param(params, "eps_list")
-    horizon = _int_param(params, "T", minimum=1)
-    n_samples = _int_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
+    eps_list = _list_param(params, "eps_list", kind=float)
+    horizon = _param(params, "T", minimum=1)
+    n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
     rows = []
     for idx, eps in enumerate(eps_list):
         est = mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=seed * 1000 + idx)
@@ -331,37 +329,35 @@ def _run_sensitivity(system, mu, params, seed, threads, cap):
 
 def _equi_params_from(params: dict) -> dict:
     raw = _need(params, "equi", "params.")
+    prefix = "params.equi."
     return {
-        "m": int(_need(raw, "m", "params.equi.")),
-        "n_list": _need(raw, "n_list", "params.equi."),
-        "horizon": int(_need(raw, "T", "params.equi.")),
-        "points": int(raw.get("points", 50)),
-        "n_samples": int(raw.get("n_samples", 2000)),
-        "delta": float(raw.get("delta", DEFAULT_DELTA)),
+        "m": _param(raw, "m", minimum=0, prefix=prefix),
+        "n_list": _list_param(raw, "n_list", kind=int, prefix=prefix),
+        "horizon": _param(raw, "T", minimum=0, prefix=prefix),
+        "points": _param(raw, "points", 50, minimum=1, prefix=prefix),
+        "n_samples": _param(raw, "n_samples", 2000, minimum=1, prefix=prefix),
+        "delta": _param(raw, "delta", DEFAULT_DELTA, kind=float, prefix=prefix),
     }
 
 
 def _run_dichotomy(system, mu, params, seed, threads, cap):
     report = dichotomy_report(
         system, mu,
-        eps_list=_list_param(params, "eps_list"),
-        horizon=_int_param(params, "T", minimum=1),
+        eps_list=_list_param(params, "eps_list", kind=float),
+        horizon=_param(params, "T", minimum=1),
         equi_params=_equi_params_from(params),
-        n_samples=_int_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
-        delta_s=float(params.get("delta_s", DEFAULT_DELTA)),
-        delta_e=float(params.get("delta_e", DEFAULT_DELTA)),
+        n_samples=_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
+        delta_s=_param(params, "delta_s", DEFAULT_DELTA, kind=float),
+        delta_e=_param(params, "delta_e", DEFAULT_DELTA, kind=float),
         seed=seed,
         threads=threads,
+        cap=cap,
     )
     payload = report.to_dict()
     for row in payload["sensitivity"]:
         row["p_hat"] = fmt_prob(row["p_hat"])
         row["stderr"] = fmt_prob(row["stderr"])
-    payload["equicontinuity"]["fraction"] = fmt_prob(payload["equicontinuity"]["fraction"])
-    for curve in payload["equicontinuity"]["curves"]:
-        curve["ratios"] = [fmt_prob(v) for v in curve["ratios"]]
-        if "stderrs" in curve:
-            curve["stderrs"] = [fmt_prob(v) for v in curve["stderrs"]]
+    _round_curves(payload["equicontinuity"])
     csv_rows = [(r["eps"], r["p_hat"], r["stderr"]) for r in payload["sensitivity"]]
     return payload, ("eps", "p_hat", "stderr"), csv_rows
 
@@ -372,14 +368,14 @@ def _run_vitali(mu, params, seed, threads, cap):
     parts = []
     for idx, item in enumerate(raw_parts):
         field = f"params.cylinders[{idx}]"
-        radius = int(_need(item, "radius", field + "."))
+        radius = _param(item, "radius", prefix=field + ".")
         try:
             word = word_from_str(str(_need(item, "word", field + ".")), mu.alphabet)
             parts.append(Cylinder(mu.alphabet, sided, radius, word))
         except ValueError as exc:
             raise ConfigInvalid(field, str(exc))
-    min_radius = _int_param(params, "min_radius", minimum=1)
-    eps = float(params.get("eps", 0.0))
+    min_radius = _param(params, "min_radius", minimum=1)
+    eps = _param(params, "eps", 0.0, kind=float)
     family = vitali_cover(mu, parts, min_radius, eps=eps, cap=cap)
     union_mass = union_probability(mu, parts)
     covered = family.total_mass(mu)
@@ -410,7 +406,7 @@ def run_command(command: str, cfg: dict, seed: int, threads: int, out_path: str)
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigInvalid("params", "must be an object")
-    cap = int(cfg.get("cap", DEFAULT_ENUMERATION_CAP))
+    cap = _number(cfg.get("cap", DEFAULT_ENUMERATION_CAP), "cap")
 
     if command == "vitali":
         mu = _build_measure(cfg)
@@ -468,15 +464,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", minimum=0)
         if args.threads is not None:
             threads = args.threads
         elif os.environ.get("EQUIDYN_THREADS"):
-            threads = int(os.environ["EQUIDYN_THREADS"])
+            threads = os.environ["EQUIDYN_THREADS"]
         else:
-            threads = int(cfg.get("threads", 1))
-        if threads < 1:
-            raise ConfigInvalid("threads", f"must be >= 1, got {threads}")
+            threads = cfg.get("threads", 1)
+        threads = _number(threads, "threads", minimum=1)
         out_path = args.out or cfg.get("out") or f"equidyn-{args.command}.json"
         written = run_command(args.command, cfg, seed, threads, out_path)
     except ConfigInvalid as exc:

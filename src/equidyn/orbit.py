@@ -3,10 +3,12 @@
 The orbit ball B_{m,T}(x) collects the points whose column trace at
 resolution m equals x's for all times 0..T. On configuration spaces it is a
 finite union of cylinders on the dependence window W_rho, so conditional
-measures of the form mu(B_{m,T}(x) | B_n(x)) have an exact path (enumerate
-W_rho words, sum cylinder masses) next to the Monte Carlo path (sample the
-conditioning ball, count trace agreement). Rotations get the analytic arc
-formulas instead; their orbit balls equal plain balls at every horizon.
+measures of the form mu(B_{m,T}(x) | B_n(x)) have an exact path (a pruned
+frontier search over numpy rows; `cap` bounds the nominal W_rho word count
+up front, memory follows the surviving rows) next to the Monte Carlo path
+(sample the conditioning ball, count trace agreement). Rotations get the
+analytic arc formulas instead; their orbit balls equal plain balls at every
+horizon.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
+    TWO_SIDED,
     CirclePoint,
     Configuration,
+    Cylinder,
     ball_cylinder,
     circle_distance,
     count_words,
     iter_words,
     window_cells,
-    Cylinder,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -45,8 +48,11 @@ from .systems import (
     column_trace,
     dependence_radius,
     step,
+    step_batch,
+    step_cost,
     system_sided,
     trace_agreement_batch,
+    window_slice,
 )
 
 
@@ -90,6 +96,40 @@ def orbit_ball_member(system: System, x, y, m: int, horizon: int) -> bool:
     return True
 
 
+def _check_cap(system: CantorSystem, cells, cap: int, what: str) -> None:
+    total = count_words(cell_sizes(system, cells))
+    if total > cap:
+        raise EnumerationTooLarge(total, cap, what)
+
+
+def _trace_frontier(system: CantorSystem, x: Configuration, m: int, horizon: int, k: int) -> np.ndarray:
+    """Rows on W_rho that extend x's word on W_k and reproduce x's trace.
+
+    Time t widens the rows to W_{max(k, m + c t)}, c = step_cost, with every
+    symbol on the new cells, and keeps those whose t-th image matches x's trace
+    on W_m. Widening changes no earlier trace word but forces fresh images.
+    """
+    sided, cost = system_sided(system), step_cost(system)
+    target = column_trace(system, x, m, horizon)
+    rows = cur = np.array([x.window(k)], dtype=np.int64)
+    radius = k
+    for t in range(1, horizon + 1):
+        wider = max(k, m + cost * t)
+        if wider > radius:
+            left = list(range(-wider, -radius)) if sided == TWO_SIDED else []
+            new = left + list(range(radius + 1, wider + 1))
+            combos = np.array(list(iter_words(cell_sizes(system, new))), dtype=np.int64)
+            fresh = np.tile(combos, (len(rows), 1))
+            rows = np.hstack([fresh[:, : len(left)], np.repeat(rows, len(combos), axis=0), fresh[:, len(left) :]])
+            radius, cur = wider, rows
+            for _ in range(t - 1):
+                cur = step_batch(system, cur)
+        cur = step_batch(system, cur)
+        keep = (window_slice(sided, radius - cost * t, m, cur) == target[t]).all(axis=1)
+        rows, cur = rows[keep], cur[keep]
+    return rows
+
+
 def orbit_ball_event(
     system: CantorSystem,
     x: Configuration,
@@ -97,37 +137,20 @@ def orbit_ball_event(
     horizon: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> OrbitBallEvent:
-    """Enumerate the orbit ball as the set of W_rho words reproducing x's trace."""
+    """The orbit ball as the set of W_rho words reproducing x's trace."""
     if isinstance(system, Rotation):
         raise UnsupportedSystem("rotation orbit balls are arcs, not cylinder events")
     rho = dependence_radius(system, m, horizon)
     sided = system_sided(system)
-    cells = list(window_cells(sided, rho))
-    sizes = cell_sizes(system, cells)
-    total = count_words(sizes)
-    if total > cap:
-        raise EnumerationTooLarge(total, cap, "orbit ball enumeration")
-    target = column_trace(system, x, m, horizon)
-    hits = []
-    for word in iter_words(sizes):
-        cfg = Configuration(system.alphabet, sided, word)
-        cur = cfg
-        ok = True
-        for i, want in enumerate(target):
-            if cur.window(m) != want:
-                ok = False
-                break
-            if i < horizon:
-                cur = step(system, cur)
-        if ok:
-            hits.append(word)
+    _check_cap(system, window_cells(sided, rho), cap, "orbit ball enumeration")
+    rows = _trace_frontier(system, x, m, horizon, m)
     return OrbitBallEvent(
         sided=sided,
         m=m,
         horizon=horizon,
         rho=rho,
         base_word=x.window(rho),
-        words=frozenset(hits),
+        words=frozenset(map(tuple, rows.tolist())),
     )
 
 
@@ -170,24 +193,19 @@ def density_ratio_exact(
         if x.radius < rho:
             raise InsufficientRadius(f"need valid radius {rho}, have {x.radius}")
         return 1.0
-    event = orbit_ball_event(system, x, m, horizon, cap=cap)
-    anchor = x.window(n)
-    sided = event.sided
-    hits = 0
-    masses = []
-    for word in event.words:
-        cfg = Configuration(system.alphabet, sided, word)
-        if cfg.window(n) != anchor:
-            continue
-        hits += 1
-        masses.append(mu.cylinder_probability(Cylinder(system.alphabet, sided, rho, word)))
-    inner = set(window_cells(sided, n))
-    free = [i for i in window_cells(sided, rho) if i not in inner]
-    if hits == count_words(cell_sizes(system, free)):
+    sided = system_sided(system)
+    _check_cap(system, window_cells(sided, rho), cap, "orbit ball enumeration")
+    rows = _trace_frontier(system, x, m, horizon, max(m, n))
+    free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
+    if len(rows) == count_words(cell_sizes(system, free)):
         # the event contains every extension of the ball word, so the ratio
         # is 1 by inclusion; skip the float sum, whose rounding can land a
         # hair below
         return 1.0
+    masses = (
+        mu.cylinder_probability(Cylinder(system.alphabet, sided, rho, word))
+        for word in rows.tolist()
+    )
     return math.fsum(masses) / mball
 
 
@@ -280,27 +298,10 @@ def equicontinuity_point_test(
             raise InsufficientRadius(f"need valid radius {rho}, have {x.radius}")
         return True
     sided = system_sided(system)
-    cells = list(window_cells(sided, rho))
-    inner = set(window_cells(sided, n))
-    free = [i for i in cells if i not in inner]
-    sizes = cell_sizes(system, free)
-    total = count_words(sizes)
-    if total > cap:
-        raise EnumerationTooLarge(total, cap, "ball extension enumeration")
-    target = column_trace(system, x, m, horizon)
-    fixed = dict(zip(window_cells(sided, n), x.window(n)))
-    for combo in iter_words(sizes):
-        assign = dict(fixed)
-        assign.update(zip(free, combo))
-        word = tuple(assign[i] for i in cells)
-        cfg = Configuration(system.alphabet, sided, word)
-        cur = cfg
-        for i, want in enumerate(target):
-            if cur.window(m) != want:
-                return False
-            if i < horizon:
-                cur = step(system, cur)
-    return True
+    free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
+    _check_cap(system, free, cap, "ball extension enumeration")
+    rows = _trace_frontier(system, x, m, horizon, max(m, n))
+    return len(rows) == count_words(cell_sizes(system, free))
 
 
 @dataclass(frozen=True)

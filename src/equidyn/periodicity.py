@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Configuration
+from .core import DEFAULT_ENUMERATION_CAP, Configuration
 from .measures import CantorMeasure
 from .rng import derive_seed, pmap, substream
 from .systems import CantorSystem, column_trace, dependence_radius, system_sided
@@ -183,6 +183,7 @@ def mu_lep_classify(
     seed: int = 0,
     equi_params: Optional[dict] = None,
     threads: int = 1,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> LepClassification:
     """Verdict mu-LP / mu-LEP / neither from certificate fractions at every m.
 
@@ -225,7 +226,7 @@ def mu_lep_classify(
             system, mu,
             m=params["m"], n_list=params["n_list"], horizon=params["horizon"],
             points=params["points"], n_samples=params["n_samples"],
-            delta=params["delta"], seed=derive_seed(seed, 1), threads=threads,
+            delta=params["delta"], seed=derive_seed(seed, 1), cap=cap, threads=threads,
         )
     return LepClassification(
         m_list=tuple(ms), eps=eps, verdict=verdict, per_m=per_m, equicontinuity=equi

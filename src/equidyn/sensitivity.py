@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import CirclePoint, check_compatible, circle_distance
+from .core import DEFAULT_ENUMERATION_CAP, CirclePoint, check_compatible, circle_distance
 from .errors import InsufficientRadius, UnsupportedSystem
 from .measures import Measure
 from .orbit import EquicontinuityReport, mu_equicontinuity_report, _require_cantor_measure, _require_lebesgue
@@ -186,6 +186,7 @@ def dichotomy_report(
     delta_e: float = 0.05,
     seed: int = 0,
     threads: int = 1,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DichotomyReport:
     """Run both sides of the dichotomy and pronounce a scale-level verdict.
 
@@ -212,6 +213,7 @@ def dichotomy_report(
         n_samples=equi_params.get("n_samples", n_samples),
         delta=equi_params.get("delta", 0.05),
         seed=derive_seed(seed, 1),
+        cap=cap,
         threads=threads,
     )
     fires = any(e.p_hat >= 1.0 - delta_s for e in estimates)

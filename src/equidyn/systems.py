@@ -8,13 +8,14 @@ R + 1 digits of the successor depend only on the first R + 1 digits of the
 argument. Rotations act on exact circle points.
 
 Scalar dynamics work on Configuration objects; `step_batch` runs the same
-rules over numpy sample matrices for the Monte Carlo paths. The two
-implementations are deliberately independent of each other.
+rules over numpy rows for the exact orbit-ball search and the Monte Carlo
+paths. The two are deliberately independent: the scalar one is the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -97,7 +98,7 @@ class Odometer:
         if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError("need at least one factor, every factor size >= 2")
 
-    @property
+    @cached_property
     def alphabet(self) -> Alphabet:
         return Alphabet(max(self.sizes))
 

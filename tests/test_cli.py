@@ -1,8 +1,11 @@
 """End-to-end runs of the equidyn command line front end."""
 
+import copy
 import csv
 import json
 import os
+
+import pytest
 
 from equidyn.cli import main
 
@@ -223,3 +226,103 @@ class TestOtherCommands:
         results = json.loads(out.read_text())["results"]
         assert results["leftover"] == 0.0
         assert results["union_mass"] == 0.375
+
+
+DICHOTOMY_CFG = {
+    "system": {"type": "eca", "rule": 204},
+    "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
+    "params": {"eps_list": [2], "T": 8, "n_samples": 500,
+               "equi": {"m": 1, "n_list": [1, 2], "T": 3, "points": 4,
+                        "n_samples": 100}},
+    "seed": 2,
+}
+LEP_CFG = {
+    "system": {"type": "odometer", "sizes": [2, 3]},
+    "measure": {"type": "haar", "sizes": [2, 3]},
+    "params": {"m_list": [0, 1], "T": 16, "n_samples": 60},
+    "seed": 3,
+}
+VITALI_CFG = {
+    "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
+    "params": {"cylinders": [{"radius": 1, "word": "00"}], "min_radius": 2},
+}
+SPECTRAL_CFG = {
+    "system": {"type": "odometer", "sizes": [2, 2]},
+    "measure": {"type": "haar", "sizes": [2, 2]},
+    "params": {"m": 1, "T": 2, "cert_T": 8},
+    "seed": 1,
+}
+
+
+def with_field(cfg, path, value):
+    """Deep copy of `cfg` with the dotted `path` set to `value`."""
+    out = copy.deepcopy(cfg)
+    *parents, last = path.split(".")
+    node = out
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+FIELD_ERROR_CASES = [
+    ("density", DENSITY_CFG, "cap", "abc", "cap"),
+    ("density", DENSITY_CFG, "seed", "abc", "seed"),
+    ("density", DENSITY_CFG, "threads", "two", "threads"),
+    ("density", DENSITY_CFG, "params.n_list", [1, "x"], "params.n_list"),
+    ("classify", DENSITY_CFG, "params.n_list", ["x"], "params.n_list"),
+    ("classify", DENSITY_CFG, "params.delta", "abc", "params.delta"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.m", "abc", "params.equi.m"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.T", None, "params.equi.T"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.n_list", [1, "x"], "params.equi.n_list"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.points", "many", "params.equi.points"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.delta", "abc", "params.equi.delta"),
+    ("dichotomy", DICHOTOMY_CFG, "params.delta_s", "abc", "params.delta_s"),
+    ("dichotomy", DICHOTOMY_CFG, "params.eps_list", ["abc"], "params.eps_list"),
+    ("sensitivity", DICHOTOMY_CFG, "params.eps_list", [1, "abc"], "params.eps_list"),
+    ("lep", LEP_CFG, "params.m_list", ["a"], "params.m_list"),
+    ("lep", LEP_CFG, "params.eps", "abc", "params.eps"),
+    ("spectral", SPECTRAL_CFG, "params.k_list", [0, "a"], "params.k_list"),
+    ("spectral", SPECTRAL_CFG, "params.k_list", 3, "params.k_list"),
+    ("vitali", VITALI_CFG, "params.eps", "abc", "params.eps"),
+]
+
+
+class TestConfigFieldErrors:
+    @pytest.mark.parametrize(
+        "command,cfg,path,value,field", FIELD_ERROR_CASES,
+        ids=[f"{case[0]}-{case[2]}" for case in FIELD_ERROR_CASES],
+    )
+    def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, command, cfg, path, value, field):
+        bad = with_field(cfg, path, value)
+        assert run([command, "--config", write_cfg(tmp_path, bad), "--out", tmp_path / "x.json"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_bad_cylinder_radius_names_its_index(self, tmp_path, capsys):
+        bad = copy.deepcopy(VITALI_CFG)
+        bad["params"]["cylinders"][0]["radius"] = "one"
+        assert run(["vitali", "--config", write_cfg(tmp_path, bad), "--out", tmp_path / "x.json"]) == 2
+        assert "'params.cylinders[0].radius'" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, DENSITY_CFG)
+        assert run(["density", "--config", path, "--seed", "-1", "--out", tmp_path / "x.json"]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+
+class TestCapPassThrough:
+    def test_dichotomy_honours_the_config_cap(self, tmp_path):
+        out = tmp_path / "dich.json"
+        path = write_cfg(tmp_path, dict(DICHOTOMY_CFG, cap=1))
+        assert run(["dichotomy", "--config", path, "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["cap"] == 1
+        curves = payload["results"]["equicontinuity"]["curves"]
+        assert curves and not any(c["exact"] for c in curves)
+
+    def test_lep_honours_the_config_cap(self, tmp_path):
+        out = tmp_path / "lep.json"
+        path = write_cfg(tmp_path, dict(LEP_CFG, cap=1))
+        assert run(["lep", "--config", path, "--out", out]) == 0
+        curves = json.loads(out.read_text())["results"]["equicontinuity"]["curves"]
+        assert curves and not any(c["exact"] for c in curves)

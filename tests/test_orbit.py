@@ -1,6 +1,8 @@
 """Orbit balls, density ratios, and the equicontinuity report."""
 
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,13 @@ import pytest
 from equidyn import (
     Alphabet,
     BernoulliMeasure,
+    CARule,
     CirclePoint,
     Configuration,
+    Cylinder,
     EnumerationTooLarge,
     LebesgueMeasure,
+    MarkovMeasure,
     NullBall,
     Odometer,
     ProductMeasure,
@@ -27,9 +32,20 @@ from equidyn import (
     orbit_ball_event,
     orbit_ball_member,
 )
+from equidyn.core import count_words, iter_words, subword, window_cells
+from equidyn.rng import substream
+from equidyn.systems import (
+    cell_sizes,
+    column_trace,
+    dependence_radius,
+    step,
+    system_sided,
+)
 
 A2 = Alphabet(2)
+A3 = Alphabet(3)
 HALF = BernoulliMeasure([0.5, 0.5])
+MARKOV = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
 
 
 def ones_sided(word):
@@ -268,3 +284,90 @@ class TestReport:
         )
         assert not rep.curves[0].exact
         assert rep.curves[0].stderrs is not None
+
+
+# -- scalar oracle -------------------------------------------------------------
+#
+# Brute force over every W_rho word: build a validated Configuration and apply
+# the scalar `step`. It never touches `step_batch`, which the exact engine and
+# the Monte Carlo route share, so acceptance criterion 1 keeps its meaning.
+
+def oracle_event(system, x, m, horizon):
+    sided = system_sided(system)
+    rho = dependence_radius(system, m, horizon)
+    target = column_trace(system, x, m, horizon)
+    hits = set()
+    for word in iter_words(cell_sizes(system, window_cells(sided, rho))):
+        cur = Configuration(system.alphabet, sided, word)
+        for i, want in enumerate(target):
+            if cur.window(m) != want:
+                break
+            if i < horizon:
+                cur = step(system, cur)
+        else:
+            hits.add(word)
+    return hits
+
+
+def oracle_ratio_and_point(system, mu, x, m, n, horizon, words):
+    """(density ratio, point-test verdict) for B_n(x), read off the event words."""
+    sided = system_sided(system)
+    rho = dependence_radius(system, m, horizon)
+    if n >= rho:
+        return 1.0, True
+    inside = [w for w in words if subword(w, sided, rho, n) == x.window(n)]
+    free = [i for i in window_cells(sided, rho) if abs(i) > n]
+    if len(inside) == count_words(cell_sizes(system, free)):
+        return 1.0, True
+    masses = [mu.cylinder_probability(Cylinder(system.alphabet, sided, rho, w)) for w in inside]
+    return math.fsum(masses) / mu.cylinder_probability(ball_cylinder(x, n)), False
+
+
+def assert_engine_matches_oracle(system, mu, ms, seed):
+    sided = system_sided(system)
+    for m, horizon in itertools.product(ms, range(4)):
+        rho = dependence_radius(system, m, horizon)
+        x = mu.sample_config(sided, max(rho, 1), substream(seed, m, horizon))
+        words = oracle_event(system, x, m, horizon)
+        assert orbit_ball_event(system, x, m, horizon).words == words, (m, horizon)
+        for n in range(1, rho + 1):
+            ratio, point = oracle_ratio_and_point(system, mu, x, m, n, horizon, words)
+            assert density_ratio_exact(system, mu, x, m, n, horizon) == ratio, (m, n, horizon)
+            assert equicontinuity_point_test(system, x, m, n, horizon) is point, (m, n, horizon)
+
+
+def seeded_one_sided_ca3():
+    rng = substream(2024, 0)
+    table = {nb: int(rng.integers(3)) for nb in itertools.product(range(3), repeat=2)}
+    return CARule(A3, "one", 1, table)
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("number", range(256))
+    def test_every_eca(self, number):
+        assert_engine_matches_oracle(eca_rule(number), MARKOV, (0, 1), seed=number)
+
+    @pytest.mark.parametrize(
+        "system,mu",
+        [
+            (Shift(A2), BernoulliMeasure([0.3, 0.7])),
+            (Odometer((2, 3)), ProductMeasure((2, 3))),
+            (identity_rule(A2, "two", 1), MARKOV),
+            (seeded_one_sided_ca3(), BernoulliMeasure([0.2, 0.3, 0.5])),
+        ],
+        ids=["shift", "odometer", "identity", "ca3"],
+    )
+    def test_other_systems(self, system, mu):
+        assert_engine_matches_oracle(system, mu, (0, 1, 2), seed=7)
+
+    def test_memory_follows_surviving_rows(self):
+        """2^23 nominal words under the default cap, one survivor, well under 1 MB."""
+        x = ones_sided((0,) * 23)
+        tracemalloc.start()
+        try:
+            ev = orbit_ball_event(Shift(A2), x, 0, 22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ev.words == {(0,) * 23}
+        assert peak < 1 << 20
