@@ -35,6 +35,7 @@ from .measures import (
     LebesgueMeasure,
     measure_from_dict,
     measure_to_dict,
+    uncovered_mass,
     union_probability,
     vitali_cover,
 )
@@ -46,7 +47,7 @@ from .orbit import (
 from .periodicity import mu_lep_classify
 from .rng import substream
 from .sensitivity import dichotomy_report, mu_sensitivity_estimate
-from .spectral import build_eigenfunction, inner_product, koopman_residual
+from .spectral import build_eigenfunction, event_table, inner_product, koopman_residual
 from .systems import (
     Rotation,
     cell_sizes,
@@ -243,7 +244,7 @@ def _run_lep(system, mu, params, seed, threads, cap):
         n_samples=_param(params, "n_samples", default=1000, minimum=1),
         horizon=_param(params, "T", minimum=2),
         seed=seed,
-        equi_params=params.get("equi"),
+        equi_params=_equi_params_from(params, optional=True) if "equi" in params else None,
         threads=threads,
         cap=cap,
     )
@@ -273,17 +274,22 @@ def _run_spectral(system, mu, params, seed, threads, cap):
     base = build_eigenfunction(system, y, m, 0, cert_horizon)
     p = base.period
     k_list = _list_param(params, "k_list", kind=int) if "k_list" in params else list(range(min(p, 16)))
+    if not all(0 <= k < p for k in k_list):
+        raise ConfigInvalid("params.k_list", f"entries must lie in [0, {p}), got {k_list}")
     mode = params.get("mode", "exact")
     if mode not in ("exact", "sampled"):
         raise ConfigInvalid("params.mode", "must be 'exact' or 'sampled'")
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
     specs = {k: build_eigenfunction(system, y, m, k, cert_horizon) for k in k_list}
+    # the ball events depend on y, m and the horizon, not on k: one table serves every f_k
+    table = event_table(base, horizon, cap)
+    shared = dict(mode=mode, n_samples=n_samples, cap=cap, table=table)
     rows = []
     for k in k_list:
         spec = specs[k]
         lam = spec.eigenvalue()
-        residual = koopman_residual(spec, mu, horizon, mode=mode, n_samples=n_samples, seed=seed * 100 + k, cap=cap)
-        norm_sq = inner_product(spec, spec, mu, horizon, mode=mode, n_samples=n_samples, seed=seed * 100 + k, cap=cap)
+        residual = koopman_residual(spec, mu, horizon, seed=seed * 100 + k, **shared)
+        norm_sq = inner_product(spec, spec, mu, horizon, seed=seed * 100 + k, **shared)
         rows.append({
             "k": k,
             "p": p,
@@ -294,7 +300,7 @@ def _run_spectral(system, mu, params, seed, threads, cap):
     max_cross = 0.0
     for i, ka in enumerate(k_list):
         for kb in k_list[i + 1:]:
-            val = inner_product(specs[ka], specs[kb], mu, horizon, mode=mode, n_samples=n_samples, seed=seed, cap=cap)
+            val = inner_product(specs[ka], specs[kb], mu, horizon, seed=seed, **shared)
             max_cross = max(max_cross, abs(val))
     results = {
         "y": word_to_str(y.symbols, y.alphabet),
@@ -327,17 +333,26 @@ def _run_sensitivity(system, mu, params, seed, threads, cap):
     return results, ("eps", "p_hat", "stderr"), csv_rows
 
 
-def _equi_params_from(params: dict) -> dict:
+def _equi_params_from(params: dict, optional: bool = False) -> dict:
+    """Checked `params.equi` under the library's keys (`T` becomes `horizon`).
+
+    With `optional`, only the fields given are returned, so the library's
+    own defaults stand for the rest.
+    """
     raw = _need(params, "equi", "params.")
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("params.equi", "must be an object")
     prefix = "params.equi."
-    return {
-        "m": _param(raw, "m", minimum=0, prefix=prefix),
-        "n_list": _list_param(raw, "n_list", kind=int, prefix=prefix),
-        "horizon": _param(raw, "T", minimum=0, prefix=prefix),
-        "points": _param(raw, "points", 50, minimum=1, prefix=prefix),
-        "n_samples": _param(raw, "n_samples", 2000, minimum=1, prefix=prefix),
-        "delta": _param(raw, "delta", DEFAULT_DELTA, kind=float, prefix=prefix),
+    checks = {
+        "m": lambda: _param(raw, "m", minimum=0, prefix=prefix),
+        "n_list": lambda: _list_param(raw, "n_list", kind=int, prefix=prefix),
+        "T": lambda: _param(raw, "T", minimum=0, prefix=prefix),
+        "points": lambda: _param(raw, "points", 50, minimum=1, prefix=prefix),
+        "n_samples": lambda: _param(raw, "n_samples", 2000, minimum=1, prefix=prefix),
+        "delta": lambda: _param(raw, "delta", DEFAULT_DELTA, kind=float, prefix=prefix),
     }
+    renamed = {"T": "horizon"}
+    return {renamed.get(f, f): check() for f, check in checks.items() if f in raw or not optional}
 
 
 def _run_dichotomy(system, mu, params, seed, threads, cap):
@@ -392,7 +407,7 @@ def _run_vitali(mu, params, seed, threads, cap):
         "balls": balls,
         "union_mass": fmt_prob(union_mass),
         "covered_mass": fmt_prob(covered),
-        "leftover": fmt_prob(union_mass - covered),
+        "leftover": fmt_prob(uncovered_mass(mu, parts, family, min_radius)),
         "eps": eps,
         "min_radius": min_radius,
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -63,7 +63,27 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(out, len(cum) - 1)
 
 
-class BernoulliMeasure:
+class _CylinderMeasure:
+    """What the cylinder measures share; subclasses supply `_conditional_words`."""
+
+    def cell_size(self, i: int) -> int:
+        return self.alphabet.size
+
+    def _check_cylinder(self, c: Cylinder) -> None:
+        if c.alphabet != self.alphabet:
+            raise AlphabetMismatch(
+                f"cylinder over alphabet {c.alphabet.size}, measure over {self.alphabet.size}"
+            )
+
+    def conditional_sample(self, c: Cylinder, radius: int, random_state: RandomState) -> Configuration:
+        word = self._conditional_words(c, radius, 1, as_generator(random_state))[0]
+        return Configuration(self.alphabet, c.sided, tuple(int(s) for s in word))
+
+    def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self._conditional_words(c, radius, n, rng)
+
+
+class BernoulliMeasure(_CylinderMeasure):
     """i.i.d. symbols with the given weights."""
 
     def __init__(self, weights: Sequence[float]):
@@ -81,15 +101,6 @@ class BernoulliMeasure:
     def __repr__(self):
         return f"BernoulliMeasure({list(self.weights)})"
 
-    def cell_size(self, i: int) -> int:
-        return self.alphabet.size
-
-    def _check_cylinder(self, c: Cylinder) -> None:
-        if c.alphabet != self.alphabet:
-            raise AlphabetMismatch(
-                f"cylinder over alphabet {c.alphabet.size}, measure over {self.alphabet.size}"
-            )
-
     def cylinder_probability(self, c: Cylinder) -> float:
         self._check_cylinder(c)
         return _prob_product(self.weights[s] for s in c.word)
@@ -105,13 +116,6 @@ class BernoulliMeasure:
         k = window_size(sided, radius)
         return _inverse_cdf(self._cum, rng.random((n, k)))
 
-    def conditional_sample(self, c: Cylinder, radius: int, random_state: RandomState) -> Configuration:
-        word = self._conditional_words(c, radius, 1, as_generator(random_state))[0]
-        return Configuration(self.alphabet, c.sided, tuple(int(s) for s in word))
-
-    def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._conditional_words(c, radius, n, rng)
-
     def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
         _require_extendable(self, c, radius)
         k = window_size(c.sided, radius)
@@ -120,7 +124,7 @@ class BernoulliMeasure:
         return out
 
 
-class MarkovMeasure:
+class MarkovMeasure(_CylinderMeasure):
     """Stationary Markov chain; two-sided words are anchored by stationarity."""
 
     def __init__(self, transition: Sequence[Sequence[float]], stationary: Sequence[float] | None = None):
@@ -167,15 +171,6 @@ class MarkovMeasure:
     def __repr__(self):
         return f"MarkovMeasure(P={self.transition.tolist()})"
 
-    def cell_size(self, i: int) -> int:
-        return self.alphabet.size
-
-    def _check_cylinder(self, c: Cylinder) -> None:
-        if c.alphabet != self.alphabet:
-            raise AlphabetMismatch(
-                f"cylinder over alphabet {c.alphabet.size}, measure over {self.alphabet.size}"
-            )
-
     def cylinder_probability(self, c: Cylinder) -> float:
         self._check_cylinder(c)
         w = c.word
@@ -204,13 +199,6 @@ class MarkovMeasure:
             )
         return out
 
-    def conditional_sample(self, c: Cylinder, radius: int, random_state: RandomState) -> Configuration:
-        word = self._conditional_words(c, radius, 1, as_generator(random_state))[0]
-        return Configuration(self.alphabet, c.sided, tuple(int(s) for s in word))
-
-    def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._conditional_words(c, radius, n, rng)
-
     def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
         _require_extendable(self, c, radius)
         k = window_size(c.sided, radius)
@@ -233,7 +221,7 @@ class MarkovMeasure:
         return out
 
 
-class ProductMeasure:
+class ProductMeasure(_CylinderMeasure):
     """Independent uniform digits: coordinate i uniform on {0..sizes_at(i)-1}.
 
     One-sided only; the factor list repeats its last entry for coordinates
@@ -260,10 +248,7 @@ class ProductMeasure:
         return self.size_at(i)
 
     def _check_cylinder(self, c: Cylinder) -> None:
-        if c.alphabet != self.alphabet:
-            raise AlphabetMismatch(
-                f"cylinder over alphabet {c.alphabet.size}, measure over {self.alphabet.size}"
-            )
+        super()._check_cylinder(c)
         if c.sided != ONE_SIDED:
             raise AlphabetMismatch("product measures live on one-sided configurations")
 
@@ -288,13 +273,6 @@ class ProductMeasure:
             raise AlphabetMismatch("product measures live on one-sided configurations")
         cols = [rng.integers(0, self.size_at(i), size=n) for i in range(radius + 1)]
         return np.stack(cols, axis=1)
-
-    def conditional_sample(self, c: Cylinder, radius: int, random_state: RandomState) -> Configuration:
-        word = self._conditional_words(c, radius, 1, as_generator(random_state))[0]
-        return Configuration(self.alphabet, ONE_SIDED, tuple(int(s) for s in word))
-
-    def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._conditional_words(c, radius, n, rng)
 
     def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
         _require_extendable(self, c, radius)
@@ -409,6 +387,20 @@ class BallFamily:
         return float(sum(mu.cylinder_probability(c) for c in self.cylinders()))
 
 
+def _refine(mu: CantorMeasure, c: Cylinder, radius: int) -> Iterator[Cylinder]:
+    """c itself if its radius reaches `radius`, else all its extensions at `radius`."""
+    if c.radius >= radius:
+        yield c
+        return
+    cells = list(window_cells(c.sided, radius))
+    fixed = dict(zip(window_cells(c.sided, c.radius), c.word))
+    free = [i for i in cells if i not in fixed]
+    for combo in iter_words([mu.cell_size(i) for i in free]):
+        assign = dict(fixed)
+        assign.update(zip(free, combo))
+        yield Cylinder(mu.alphabet, c.sided, radius, tuple(assign[i] for i in cells))
+
+
 def vitali_cover(
     mu: CantorMeasure,
     parts: Sequence[Cylinder],
@@ -420,41 +412,43 @@ def vitali_cover(
 
     Clopen refinement: every maximal piece either already is a ball of large
     enough radius, or splits into all of its extensions at min_radius. The
-    leftover mu(A minus union of balls) is exactly zero, so any eps >= 0 is met.
+    leftover mu(A minus union of balls), see uncovered_mass, is exactly zero,
+    so any eps >= 0 is met.
     """
     if min_radius < 1:
         raise ValueError("balls need radius >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     pieces = maximal_cylinders(parts)
-    if not pieces:
-        return BallFamily(())
-    sided = pieces[0].sided
     total = 0
     for c in pieces:
-        if c.radius < min_radius:
-            free = [i for i in window_cells(sided, min_radius) if i not in set(window_cells(sided, c.radius))]
-            total += count_words([mu.cell_size(i) for i in free])
-        else:
-            total += 1
+        inner = set(window_cells(c.sided, c.radius))
+        total += count_words([mu.cell_size(i) for i in window_cells(c.sided, min_radius) if i not in inner])
     if total > cap:
         raise EnumerationTooLarge(total, cap, "clopen refinement")
-    balls: list[tuple[Configuration, int]] = []
-    for c in pieces:
-        if c.radius >= min_radius:
-            balls.append((c.as_configuration(), c.radius))
-            continue
-        cells = list(window_cells(sided, min_radius))
-        inner = set(window_cells(sided, c.radius))
-        free = [i for i in cells if i not in inner]
-        fixed = dict(zip(window_cells(sided, c.radius), c.word))
-        for combo in iter_words([mu.cell_size(i) for i in free]):
-            assign = dict(fixed)
-            assign.update(zip(free, combo))
-            word = tuple(assign[i] for i in cells)
-            center = Configuration(mu.alphabet, sided, word)
-            balls.append((center, min_radius))
+    balls = [(e.as_configuration(), e.radius) for c in pieces for e in _refine(mu, c, min_radius)]
     return BallFamily(tuple(balls))
+
+
+def uncovered_mass(
+    mu: CantorMeasure, parts: Sequence[Cylinder], family: BallFamily, min_radius: int
+) -> float:
+    """mu(A minus the family's balls) for A a finite union of cylinders.
+
+    Sums the mass of each extension at min_radius of a maximal piece of A
+    (a piece that fine is its own extension) that no ball contains, so a
+    cover reads exactly 0.0. Exact when no ball is finer than these
+    extensions, as in the families vitali_cover builds.
+    """
+    words: dict[int, set] = {}
+    for ball in family.cylinders():
+        words.setdefault(ball.radius, set()).add(ball.word)
+    total = 0.0
+    for piece in maximal_cylinders(parts):
+        for e in _refine(mu, piece, min_radius):
+            if not any(r <= e.radius and e.subword(r) in ws for r, ws in words.items()):
+                total += mu.cylinder_probability(e)
+    return total
 
 
 # -- external interface --------------------------------------------------------

@@ -9,7 +9,10 @@ with the orbit balls taken at a finite horizon. The composition relation
 f_k(Tx) = lambda^k f_k(x) holds exactly for isometric systems and is
 measured, not assumed, everywhere else: residuals and inner products are
 integrated exactly over the coarsest cylinder partition that refines every
-ball event, or sampled when that partition is too large.
+ball event, or sampled when that partition is too large. Both quantities go
+through one integration path, `_integrate`. The ball events depend on y, m
+and the horizon but not on k, so one `event_table` serves every f_k; the
+`spectral` command builds it once per run and passes it to every call.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ class _EvalTable:
     """word on W_rho -> orbit index j, for the p pairwise disjoint ball events."""
 
     rho: int
-    period: int
     index: dict
 
     def lookup(self, x: Configuration) -> Optional[int]:
@@ -141,7 +143,7 @@ def event_table(
                     f"at horizon {horizon}; the horizon is too short to separate them"
                 )
             index[word] = j
-    return _EvalTable(rho=rho, period=spec.period, index=index)
+    return _EvalTable(rho=rho, index=index)
 
 
 def eigenfunction_eval(
@@ -159,14 +161,29 @@ def eigenfunction_eval(
     return root_of_unity(spec.period, j * spec.k)
 
 
-def _partition_sizes(system: CantorSystem, radius: int, cap: int):
+def _integrate(system, mu, radius, integrand, mode, n_samples, seed, cap):
+    """Integral of `integrand` over configurations on W_radius.
+
+    Exact mode sums each nonzero value times the mass of its cylinder over
+    the W_radius partition; sampled mode averages over n_samples draws.
+    """
     sided = system_sided(system)
-    cells = list(window_cells(sided, radius))
-    sizes = cell_sizes(system, cells)
-    total = count_words(sizes)
-    if total > cap:
-        raise EnumerationTooLarge(total, cap, "cylinder partition")
-    return sided, sizes
+    acc = 0.0
+    if mode == "exact":
+        sizes = cell_sizes(system, list(window_cells(sided, radius)))
+        total = count_words(sizes)
+        if total > cap:
+            raise EnumerationTooLarge(total, cap, "cylinder partition")
+        for word in iter_words(sizes):
+            v = integrand(Configuration(system.alphabet, sided, word))
+            if v != 0:
+                acc += v * mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, word))
+        return acc
+    if mode == "sampled":
+        for row in mu.sample_batch(sided, radius, n_samples, substream(seed, 0)):
+            acc += integrand(Configuration(system.alphabet, sided, tuple(int(s) for s in row)))
+        return acc / n_samples
+    raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
 
 def koopman_residual(
@@ -177,42 +194,26 @@ def koopman_residual(
     n_samples: int = 10_000,
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    table: Optional[_EvalTable] = None,
 ) -> float:
     """L2(mu) norm of f_k(T x) - lambda^k f_k(x) at this horizon.
 
     Exact mode integrates over the cylinder partition at the dependence
-    radius of x -> (f(x), f(Tx)); sampled mode draws x from mu.
+    radius of x -> (f(x), f(Tx)); sampled mode draws x from mu. A given
+    `table` (for the same y and m, any k) changes no result.
     """
-    tab = event_table(spec, horizon, cap)
+    tab = table if table is not None else event_table(spec, horizon, cap)
     lam = spec.eigenvalue()
     system = spec.system
-    part_radius = tab.rho + step_cost(system)
 
-    def defect(x: Configuration) -> complex:
+    def defect_sq(x: Configuration) -> float:
         fx = eigenfunction_eval(spec, x, horizon, table=tab)
         ftx = eigenfunction_eval(spec, step(system, x), horizon, table=tab)
-        return ftx - lam * fx
+        v = ftx - lam * fx
+        return v.real * v.real + v.imag * v.imag
 
-    if mode == "exact":
-        sided, sizes = _partition_sizes(system, part_radius, cap)
-        total = 0.0
-        for word in iter_words(sizes):
-            cfg = Configuration(system.alphabet, sided, word)
-            v = defect(cfg)
-            if v != 0:
-                mass = mu.cylinder_probability(Cylinder(system.alphabet, sided, part_radius, word))
-                total += (v.real * v.real + v.imag * v.imag) * mass
-        return math.sqrt(total)
-    if mode == "sampled":
-        sided = system_sided(system)
-        batch = mu.sample_batch(sided, part_radius, n_samples, substream(seed, 0))
-        acc = 0.0
-        for row in batch:
-            cfg = Configuration(system.alphabet, sided, tuple(int(s) for s in row))
-            v = defect(cfg)
-            acc += v.real * v.real + v.imag * v.imag
-        return math.sqrt(acc / n_samples)
-    raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    radius = tab.rho + step_cost(system)
+    return math.sqrt(_integrate(system, mu, radius, defect_sq, mode, n_samples, seed, cap))
 
 
 def inner_product(
@@ -224,15 +225,16 @@ def inner_product(
     n_samples: int = 10_000,
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    table: Optional[_EvalTable] = None,
 ) -> complex:
-    """<f_a, f_b> in L2(mu), integrating f_a conj(f_b) at this horizon."""
+    """<f_a, f_b> in L2(mu), integrating f_a conj(f_b) at this horizon.
+
+    A given `table` serves both, so a and b must share y and m.
+    """
     if a.system != b.system:
         raise ValueError("inner products need eigenfunctions over the same system")
-    tab_a = event_table(a, horizon, cap)
-    tab_b = event_table(b, horizon, cap)
-    system = a.system
-    radius = max(tab_a.rho, tab_b.rho)
-    sided = system_sided(system)
+    tab_a = table if table is not None else event_table(a, horizon, cap)
+    tab_b = table if table is not None else event_table(b, horizon, cap)
 
     def value(cfg: Configuration) -> complex:
         fa = eigenfunction_eval(a, cfg, horizon, table=tab_a)
@@ -241,22 +243,5 @@ def inner_product(
         fb = eigenfunction_eval(b, cfg, horizon, table=tab_b)
         return fa * fb.conjugate()
 
-    if mode == "exact":
-        sided2, sizes = _partition_sizes(system, radius, cap)
-        total = 0j
-        for word in iter_words(sizes):
-            cfg = Configuration(system.alphabet, sided2, word)
-            v = value(cfg)
-            if v != 0:
-                total += v * mu.cylinder_probability(
-                    Cylinder(system.alphabet, sided2, radius, word)
-                )
-        return total
-    if mode == "sampled":
-        batch = mu.sample_batch(sided, radius, n_samples, substream(seed, 0))
-        total = 0j
-        for row in batch:
-            cfg = Configuration(system.alphabet, sided, tuple(int(s) for s in row))
-            total += value(cfg)
-        return total / n_samples
-    raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    radius = max(tab_a.rho, tab_b.rho)
+    return complex(_integrate(a.system, mu, radius, value, mode, n_samples, seed, cap))

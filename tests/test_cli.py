@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+import equidyn.cli
+import equidyn.spectral
 from equidyn.cli import main
 
 DENSITY_CFG = {
@@ -242,6 +244,7 @@ LEP_CFG = {
     "params": {"m_list": [0, 1], "T": 16, "n_samples": 60},
     "seed": 3,
 }
+LEP_EQUI_CFG = {**LEP_CFG, "params": {**LEP_CFG["params"], "equi": {}}}
 VITALI_CFG = {
     "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
     "params": {"cylinders": [{"radius": 1, "word": "00"}], "min_radius": 2},
@@ -284,6 +287,14 @@ FIELD_ERROR_CASES = [
     ("lep", LEP_CFG, "params.eps", "abc", "params.eps"),
     ("spectral", SPECTRAL_CFG, "params.k_list", [0, "a"], "params.k_list"),
     ("spectral", SPECTRAL_CFG, "params.k_list", 3, "params.k_list"),
+    ("spectral", SPECTRAL_CFG, "params.k_list", [0, 9], "params.k_list"),
+    ("spectral", SPECTRAL_CFG, "params.k_list", [-1], "params.k_list"),
+    ("lep", LEP_EQUI_CFG, "params.equi.m", "abc", "params.equi.m"),
+    ("lep", LEP_EQUI_CFG, "params.equi.n_list", [1, "x"], "params.equi.n_list"),
+    ("lep", LEP_EQUI_CFG, "params.equi.T", "abc", "params.equi.T"),
+    ("lep", LEP_EQUI_CFG, "params.equi.points", "many", "params.equi.points"),
+    ("lep", LEP_EQUI_CFG, "params.equi.delta", "abc", "params.equi.delta"),
+    ("lep", LEP_CFG, "params.equi", [3], "params.equi"),
     ("vitali", VITALI_CFG, "params.eps", "abc", "params.eps"),
 ]
 
@@ -326,3 +337,33 @@ class TestCapPassThrough:
         assert run(["lep", "--config", path, "--out", out]) == 0
         curves = json.loads(out.read_text())["results"]["equicontinuity"]["curves"]
         assert curves and not any(c["exact"] for c in curves)
+
+
+class TestLepEquiParams:
+    def test_cli_horizon_key_reaches_the_report(self, tmp_path):
+        out = tmp_path / "lep.json"
+        path = write_cfg(tmp_path, with_field(LEP_EQUI_CFG, "params.equi.T", 3))
+        assert run(["lep", "--config", path, "--out", out]) == 0
+        equi = json.loads(out.read_text())["results"]["equicontinuity"]
+        assert equi["horizon"] == 3
+        assert equi["points"] == 20  # the library default stands for fields not given
+
+
+class TestSpectralSharesOneTable:
+    def test_one_event_table_per_command(self, tmp_path, monkeypatch):
+        real = equidyn.spectral.event_table
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equidyn.cli, "event_table", counting)
+        monkeypatch.setattr(equidyn.spectral, "event_table", counting)
+        for mode in ("exact", "sampled"):
+            calls.clear()
+            cfg = with_field(SPECTRAL_CFG, "params.mode", mode)
+            cfg["params"]["n_samples"] = 200
+            path = write_cfg(tmp_path, cfg)
+            assert run(["spectral", "--config", path, "--out", tmp_path / f"{mode}.json"]) == 0
+            assert len(calls) == 1

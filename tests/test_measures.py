@@ -27,6 +27,7 @@ from equidyn import (
     vitali_cover,
     window_size,
 )
+from equidyn.measures import uncovered_mass
 from equidyn.rng import substream
 
 A2 = Alphabet(2)
@@ -269,6 +270,40 @@ class TestVitali:
                 for j in range(i + 1, len(cs)):
                     assert compare_cylinders(cs[i], cs[j]) == "disjoint"
             assert union_probability(mu, parts) - fam.total_mass(mu) == 0.0
+
+
+# the five-cylinder Markov union that refines to 1856 balls at min_radius 10
+MARKOV_UNION = [cyl(w) for w in ((0, 0), (0, 1, 1), (1, 0, 1, 1), (1,), (0, 1, 0, 1, 0))]
+
+
+@pytest.fixture(scope="module")
+def markov_cover():
+    mu = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
+    return mu, vitali_cover(mu, MARKOV_UNION, 10)
+
+
+class TestUncoveredMass:
+    def test_markov_union_leftover_is_exactly_zero(self, markov_cover):
+        mu, fam = markov_cover
+        assert len(fam.balls) == 1856
+        assert union_probability(mu, MARKOV_UNION) - fam.total_mass(mu) != 0.0
+        assert uncovered_mass(mu, MARKOV_UNION, fam, 10) == 0.0
+
+    def test_one_ball_removed_leaves_its_mass(self, markov_cover):
+        mu, fam = markov_cover
+        drop = 700
+        rest = BallFamily(fam.balls[:drop] + fam.balls[drop + 1:])
+        want = mu.cylinder_probability(fam.cylinders()[drop])
+        assert uncovered_mass(mu, MARKOV_UNION, rest, 10) == want
+
+    def test_piece_that_is_a_ball(self):
+        mu = BernoulliMeasure([0.25, 0.75])
+        parts = [cyl((0, 1, 1)), cyl((1, 0))]
+        fam = vitali_cover(mu, parts, 2)
+        assert uncovered_mass(mu, parts, fam, 2) == 0.0
+        rest = BallFamily(tuple(b for b in fam.balls if b[0].symbols != (0, 1, 1)))
+        assert len(rest.balls) == 2
+        assert uncovered_mass(mu, parts, rest, 2) == mu.cylinder_probability(cyl((0, 1, 1)))
 
 
 def test_measure_dict_roundtrip():

@@ -208,3 +208,32 @@ def test_sampled_mode_tracks_exact():
     sampled = inner_product(spec, spec, mu, 2, mode="sampled", n_samples=4000, seed=3)
     assert abs(sampled - exact) <= 0.05
     assert koopman_residual(spec, mu, 2, mode="sampled", n_samples=2000, seed=3) <= 1e-12
+
+
+def _odometer_case():
+    od = Odometer((2, 3))
+    return od, ProductMeasure((2, 3)), Configuration(od.alphabet, "one", (0, 0)), 1, 12, 2
+
+
+def _shift_case():
+    # LP-certified from time 0 (period 2); the shift's residuals are nonzero
+    return Shift(A2), BernoulliMeasure([0.3, 0.7]), dyadic_point(tuple([0, 1] * 8)), 1, 4, 4
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("case", [_odometer_case, _shift_case], ids=["odometer", "shift"])
+def test_shared_table_gives_equal_results(case, mode):
+    """One event table serves every k: results == those that build their own."""
+    system, mu, y, m, cert_horizon, horizon = case()
+    base = build_eigenfunction(system, y, m, 0, cert_horizon)
+    specs = [build_eigenfunction(system, y, m, k, cert_horizon) for k in range(base.period)]
+    table = event_table(base, horizon)
+    opts = dict(mode=mode, n_samples=300, seed=5)
+    for spec in specs:
+        assert koopman_residual(spec, mu, horizon, table=table, **opts) == koopman_residual(
+            spec, mu, horizon, **opts
+        )
+    for a, b in itertools.product(specs, repeat=2):
+        assert inner_product(a, b, mu, horizon, table=table, **opts) == inner_product(
+            a, b, mu, horizon, **opts
+        )
