@@ -57,6 +57,11 @@ def _prob_product(factors: Iterable[float]) -> float:
     return math.exp(math.fsum(math.log(f) for f in fs))
 
 
+def _uniform_rows(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:
+    """Row i holds k uniforms from rngs[i], drawn in one call."""
+    return np.array([rng.random(k) for rng in rngs]).reshape(len(rngs), k)
+
+
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Symbols drawn by inverting the cumulative row `cum` at uniforms `u`."""
     out = np.searchsorted(cum, u, side="right")
@@ -64,7 +69,12 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class _CylinderMeasure:
-    """What the cylinder measures share; subclasses supply `_conditional_words`."""
+    """What the cylinder measures share.
+
+    Subclasses supply `_conditional_words` and `sample_rows(sided, radius,
+    rngs)`, whose row i is the word on W_radius drawn from rngs[i] alone;
+    `sample_config` is its one-row call.
+    """
 
     def cell_size(self, i: int) -> int:
         return self.alphabet.size
@@ -74,6 +84,10 @@ class _CylinderMeasure:
             raise AlphabetMismatch(
                 f"cylinder over alphabet {c.alphabet.size}, measure over {self.alphabet.size}"
             )
+
+    def sample_config(self, sided: str, radius: int, random_state: RandomState) -> Configuration:
+        row = self.sample_rows(sided, radius, [as_generator(random_state)])[0]
+        return Configuration(self.alphabet, sided, row)
 
     def conditional_sample(self, c: Cylinder, radius: int, random_state: RandomState) -> Configuration:
         word = self._conditional_words(c, radius, 1, as_generator(random_state))[0]
@@ -105,12 +119,8 @@ class BernoulliMeasure(_CylinderMeasure):
         self._check_cylinder(c)
         return _prob_product(self.weights[s] for s in c.word)
 
-    def sample_config(self, sided: str, radius: int, random_state: RandomState) -> Configuration:
-        check_sided(sided)
-        rng = as_generator(random_state)
-        k = window_size(sided, radius)
-        word = tuple(int(s) for s in _inverse_cdf(self._cum, rng.random(k)))
-        return Configuration(self.alphabet, sided, word)
+    def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return _inverse_cdf(self._cum, _uniform_rows(rngs, window_size(check_sided(sided), radius)))
 
     def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
         k = window_size(sided, radius)
@@ -178,26 +188,23 @@ class MarkovMeasure(_CylinderMeasure):
         factors.extend(float(self.transition[a, b]) for a, b in zip(w, w[1:]))
         return _prob_product(factors)
 
-    def sample_config(self, sided: str, radius: int, random_state: RandomState) -> Configuration:
-        check_sided(sided)
-        rng = as_generator(random_state)
-        k = window_size(sided, radius)
-        word = self._chain_words(k, 1, rng)[0]
-        return Configuration(self.alphabet, sided, tuple(int(s) for s in word))
+    def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return self._chain_words(_uniform_rows(rngs, window_size(check_sided(sided), radius)))
 
     def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._chain_words(window_size(sided, radius), n, rng)
+        return self._chain_words(rng.random((window_size(sided, radius), n)).T)
 
-    def _chain_words(self, k: int, n: int, rng) -> np.ndarray:
-        out = np.empty((n, k), dtype=np.int64)
-        out[:, 0] = _inverse_cdf(self._cum_pi, rng.random(n))
-        for j in range(1, k):
-            u = rng.random(n)
-            rows = self._cum_rows[out[:, j - 1]]
-            out[:, j] = np.minimum(
-                (u[:, None] >= rows).sum(axis=1), self.alphabet.size - 1
-            )
+    def _chain_words(self, u: np.ndarray) -> np.ndarray:
+        """Chains read left to right off the uniforms `u`, one row per chain."""
+        out = np.empty(u.shape, dtype=np.int64)
+        out[:, 0] = _inverse_cdf(self._cum_pi, u[:, 0])
+        for j in range(1, u.shape[1]):
+            out[:, j] = self._kernel_column(self._cum_rows, out[:, j - 1], u[:, j])
         return out
+
+    def _kernel_column(self, cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next symbols after `prev`, inverting the cumulative kernel rows `cum` at `u`."""
+        return np.minimum((u[:, None] >= cum[prev]).sum(axis=1), self.alphabet.size - 1)
 
     def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
         _require_extendable(self, c, radius)
@@ -211,13 +218,9 @@ class MarkovMeasure(_CylinderMeasure):
             lo = radius - c.radius
             hi = lo + fixed
         for j in range(hi, k):  # extend rightward with the forward kernel
-            u = rng.random(n)
-            rows = self._cum_rows[out[:, j - 1]]
-            out[:, j] = np.minimum((u[:, None] >= rows).sum(axis=1), self.alphabet.size - 1)
+            out[:, j] = self._kernel_column(self._cum_rows, out[:, j - 1], rng.random(n))
         for j in range(lo - 1, -1, -1):  # extend leftward with the reversed kernel
-            u = rng.random(n)
-            rows = self._cum_rev[out[:, j + 1]]
-            out[:, j] = np.minimum((u[:, None] >= rows).sum(axis=1), self.alphabet.size - 1)
+            out[:, j] = self._kernel_column(self._cum_rev, out[:, j + 1], rng.random(n))
         return out
 
 
@@ -261,12 +264,12 @@ class ProductMeasure(_CylinderMeasure):
             factors.append(1.0 / self.size_at(i))
         return _prob_product(factors)
 
-    def sample_config(self, sided: str, radius: int, random_state: RandomState) -> Configuration:
+    def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         if check_sided(sided) != ONE_SIDED:
             raise AlphabetMismatch("product measures live on one-sided configurations")
-        rng = as_generator(random_state)
-        word = tuple(int(rng.integers(0, self.size_at(i))) for i in range(radius + 1))
-        return Configuration(self.alphabet, ONE_SIDED, word)
+        sizes = [self.size_at(i) for i in window_cells(ONE_SIDED, radius)]
+        rows = [rng.integers(0, sizes) for rng in rngs]
+        return np.array(rows, dtype=np.int64).reshape(len(rngs), len(sizes))
 
     def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
         if sided != ONE_SIDED:
@@ -365,6 +368,13 @@ def lebesgue_density_ratio(
     return num / mball
 
 
+def _words_by_radius(cyls: Sequence[Cylinder]) -> dict[int, set]:
+    words: dict[int, set] = {}
+    for c in cyls:
+        words.setdefault(c.radius, set()).add(c.word)
+    return words
+
+
 @dataclass(frozen=True)
 class BallFamily:
     """Pairwise disjoint balls, each given as (center configuration, radius)."""
@@ -373,6 +383,16 @@ class BallFamily:
 
     def __post_init__(self):
         cyls = self.cylinders()
+        # Two balls meet iff the coarser word is the finer ball's subword at
+        # that radius; one word set per radius finds whether any pair meets,
+        # and the pairwise scan below runs only then, to name the first pair.
+        words = _words_by_radius(cyls)
+        if (
+            len({(c.alphabet, c.sided) for c in cyls}) < 2
+            and sum(len(ws) for ws in words.values()) == len(cyls)
+            and not any(c.subword(r) in words[r] for c in cyls for r in words if r < c.radius)
+        ):
+            return
         for i in range(len(cyls)):
             for j in range(i + 1, len(cyls)):
                 if compare_cylinders(cyls[i], cyls[j]) != "disjoint":
@@ -440,9 +460,7 @@ def uncovered_mass(
     cover reads exactly 0.0. Exact when no ball is finer than these
     extensions, as in the families vitali_cover builds.
     """
-    words: dict[int, set] = {}
-    for ball in family.cylinders():
-        words.setdefault(ball.radius, set()).add(ball.word)
+    words = _words_by_radius(family.cylinders())
     total = 0.0
     for piece in maximal_cylinders(parts):
         for e in _refine(mu, piece, min_radius):

@@ -5,6 +5,12 @@ q <= i <= T - p, with at least two full periods of evidence after the
 preperiod (T - q >= 2p). Detection returns the smallest p admitting any
 valid q, then the smallest q for that p. A certificate only ever claims
 periodicity at the certified (resolution, horizon) scale.
+
+`lep_statistics` draws point i from its own substream(seed, 0, i) and
+certifies the points in fixed-size blocks: one `sample_rows` call, one
+batched column trace and one vectorized period search per block. So memory
+follows the block rather than the sample count, and no number depends on
+the thread count.
 """
 
 from __future__ import annotations
@@ -13,10 +19,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import DEFAULT_ENUMERATION_CAP, Configuration
 from .measures import CantorMeasure
-from .rng import derive_seed, pmap, substream
-from .systems import CantorSystem, column_trace, dependence_radius, system_sided
+from .rng import derive_seed, substream
+from .systems import CantorSystem, column_codes, column_trace, dependence_radius, system_sided
+
+# Points certified per vectorized pass in lep_statistics; its memory follows
+# this block, not the sample count.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -53,20 +65,43 @@ def certificate_holds(trace: Sequence, p: int, q: int) -> bool:
     return all(trace[i] == trace[i + p] for i in range(q, horizon - p + 1))
 
 
-def detect_eventual_period(trace: Sequence, m: Optional[int] = None) -> Optional[PeriodCertificate]:
-    """Smallest p with a valid preperiod, then smallest q for that p; or None."""
-    horizon = len(trace) - 1
+def detect_eventual_periods(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, certified) for every row of a (rows x T+1) matrix of trace codes.
+
+    Per row: the smallest p with a valid preperiod, then the smallest q for
+    that p; p and q read 0 where `certified` is False.
+    """
+    codes = np.asarray(codes)
+    horizon = codes.shape[1] - 1
     if horizon < 0:
         raise ValueError("empty trace")
-    for p in range(1, horizon // 2 + 1):
-        q_min = 0
-        for i in range(horizon - p, -1, -1):
-            if trace[i] != trace[i + p]:
-                q_min = i + 1
-                break
-        if horizon - q_min >= 2 * p:
-            return PeriodCertificate(p=p, q=q_min, horizon=horizon, m=m)
-    return None
+    p = np.zeros(codes.shape[0], dtype=np.int64)
+    q = np.zeros(codes.shape[0], dtype=np.int64)
+    found = np.zeros(codes.shape[0], dtype=bool)
+    for period in range(1, horizon // 2 + 1):
+        if found.all():
+            break
+        clash = codes[:, period:] != codes[:, :-period]
+        # one past the last i with t_i != t_{i+p}, or 0 if there is none
+        q_min = np.where(clash.any(axis=1), clash.shape[1] - clash[:, ::-1].argmax(axis=1), 0)
+        new = ~found & (horizon - q_min >= 2 * period)
+        p[new] = period
+        q[new] = q_min[new]
+        found |= new
+    return p, q, found
+
+
+def detect_eventual_period(trace: Sequence, m: Optional[int] = None) -> Optional[PeriodCertificate]:
+    """Smallest p with a valid preperiod, then smallest q for that p; or None.
+
+    Symbols may be any hashable values; they are numbered by first occurrence.
+    """
+    numbers: dict = {}
+    row = [numbers.setdefault(s, len(numbers)) for s in trace]
+    p, q, found = detect_eventual_periods(np.array([row], dtype=np.int64))
+    if not found[0]:
+        return None
+    return PeriodCertificate(p=int(p[0]), q=int(q[0]), horizon=len(row) - 1, m=m)
 
 
 def lep_certificate(
@@ -118,7 +153,8 @@ def lep_statistics(
     """Sample points from mu and certify each; report fraction and quantiles.
 
     The (p, q) bounds are the empirical 1-eps quantiles over the certified
-    subsample, each coordinate on its own.
+    subsample, each coordinate on its own. `threads` is accepted and unused:
+    the blocks run on one thread.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -126,18 +162,26 @@ def lep_statistics(
         raise ValueError("need at least one sample")
     sided = system_sided(system)
     radius = dependence_radius(system, m, horizon)
-
-    def one(i: int) -> Optional[PeriodCertificate]:
-        x = mu.sample_config(sided, radius, substream(seed, 0, i))
-        return lep_certificate(system, x, m, horizon)
-
-    certs = [c for c in pmap(one, range(n_samples), threads) if c is not None]
-    fraction = len(certs) / n_samples
-    lp_fraction = sum(1 for c in certs if c.q == 0) / n_samples
-    if certs:
-        k = math.ceil((1.0 - eps) * len(certs))
-        p_q = sorted(c.p for c in certs)[k - 1]
-        q_q = sorted(c.q for c in certs)[k - 1]
+    if mu.alphabet != system.alphabet:
+        raise ValueError(
+            f"measure over alphabet {mu.alphabet.size}, system over {system.alphabet.size}"
+        )
+    p_counts = np.zeros(horizon // 2 + 1, dtype=np.int64)
+    q_counts = np.zeros(horizon + 1, dtype=np.int64)
+    for start in range(0, n_samples, _BLOCK):
+        rngs = [substream(seed, 0, i) for i in range(start, min(start + _BLOCK, n_samples))]
+        codes = column_codes(system, mu.sample_rows(sided, radius, rngs), m, horizon)
+        p, q, found = detect_eventual_periods(codes)
+        p_counts += np.bincount(p[found], minlength=len(p_counts))
+        q_counts += np.bincount(q[found], minlength=len(q_counts))
+    certified = int(p_counts.sum())
+    fraction = certified / n_samples
+    lp_fraction = int(q_counts[0]) / n_samples
+    if certified:
+        k = math.ceil((1.0 - eps) * certified)
+        # the k-th smallest value is the first whose running count reaches k
+        p_q = int(np.searchsorted(np.cumsum(p_counts), k))
+        q_q = int(np.searchsorted(np.cumsum(q_counts), k))
     else:
         p_q = q_q = None
     return LepStatistics(

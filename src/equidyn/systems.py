@@ -28,6 +28,8 @@ from .core import (
     CirclePoint,
     Configuration,
     check_sided,
+    window_cells,
+    window_size,
     word_from_str,
     word_to_str,
 )
@@ -339,6 +341,35 @@ def window_slice(sided: str, covered_radius: int, m: int, arr: np.ndarray) -> np
         return arr[:, : m + 1]
     mid = covered_radius
     return arr[:, mid - m : mid + m + 1]
+
+
+def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) -> np.ndarray:
+    """Batched column_trace: entry (i, t) is one integer naming (T^t x_i)_{W_m}.
+
+    Row i of `arr` is x_i on W_rho, rho the dependence radius for (m,
+    horizon). Equal integers mean equal words: a base-|A| number while the
+    words fit in int64, the word's rank among all words seen otherwise.
+    """
+    if m < 0 or horizon < 0:
+        raise ValueError("resolution and horizon must be >= 0")
+    sided = system_sided(system)
+    radius = dependence_radius(system, m, horizon)
+    cells = window_cells(sided, radius)
+    if arr.shape[1] != len(cells):
+        raise InsufficientRadius(f"rows have {arr.shape[1]} cells, W_{radius} has {len(cells)}")
+    if (arr >= np.asarray(cell_sizes(system, cells))).any():
+        raise ValueError(f"row symbols outside the cells of {system!r}")
+    wins = np.empty((arr.shape[0], horizon + 1, window_size(sided, m)), dtype=np.int64)
+    cur = arr
+    for t in range(horizon + 1):
+        wins[:, t] = window_slice(sided, radius - step_cost(system) * t, m, cur)
+        if t < horizon:
+            cur = step_batch(system, cur)
+    size, width = system.alphabet.size, wins.shape[2]
+    if size ** width <= 2 ** 63:
+        return wins @ size ** np.arange(width, dtype=np.int64)
+    _, codes = np.unique(wins.reshape(-1, width), axis=0, return_inverse=True)
+    return codes.reshape(arr.shape[0], horizon + 1)
 
 
 def trace_agreement_batch(

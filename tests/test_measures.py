@@ -322,3 +322,163 @@ def test_measure_dict_roundtrip():
 def test_measure_from_dict_unknown_type():
     with pytest.raises(ValueError):
         measure_from_dict({"type": "gibbs"})
+
+
+# -- row sampler and its bits ---------------------------------------------------
+
+def invert(cum, u):
+    """Scalar inverse CDF: the count of cumulative entries <= u, capped at the last symbol."""
+    return min(int((cum <= u).sum()), len(cum) - 1)
+
+
+def chain_oracle(mu, us):
+    """Scalar Markov chain read off the uniforms `us`, one per cell."""
+    cum_rows = np.cumsum(mu.transition, axis=1)
+    out = [invert(np.cumsum(mu.stationary), us[0])]
+    for u in us[1:]:
+        out.append(invert(cum_rows[out[-1]], u))
+    return out
+
+
+SAMPLERS = [
+    BernoulliMeasure([0.3, 0.7]),
+    BernoulliMeasure([0.2, 0.5, 0.3]),
+    MarkovMeasure(P_LOPSIDED),
+    MarkovMeasure([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]),
+    ProductMeasure((2, 3)),
+    ProductMeasure((3, 2, 5)),
+]
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("mu", SAMPLERS, ids=repr)
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    @pytest.mark.parametrize("radius", [0, 1, 4, 9])
+    def test_rows_equal_sample_config(self, mu, sided, radius):
+        rngs = [substream(41, radius, i) for i in range(7)]
+        if isinstance(mu, ProductMeasure) and sided == "two":
+            with pytest.raises(AlphabetMismatch):
+                mu.sample_rows(sided, radius, rngs)
+            with pytest.raises(AlphabetMismatch):
+                mu.sample_config(sided, radius, substream(41, radius, 0))
+            return
+        rows = mu.sample_rows(sided, radius, rngs)
+        assert rows.shape == (7, window_size(sided, radius)) and rows.dtype == np.int64
+        for i, row in enumerate(rows):
+            x = mu.sample_config(sided, radius, substream(41, radius, i))
+            assert x.symbols == tuple(int(s) for s in row)
+
+    def test_no_generators_gives_no_rows(self):
+        for mu in SAMPLERS:
+            assert mu.sample_rows("one", 3, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_bernoulli_config_matches_per_cell_draws(self, sided):
+        mu = BernoulliMeasure([0.2, 0.5, 0.3])
+        k = window_size(sided, 6)
+        for i in range(20):
+            rng = substream(8, i)
+            us = [float(rng.random(1)[0]) for _ in range(k)]
+            want = tuple(invert(np.cumsum(mu.weights), u) for u in us)
+            assert mu.sample_config(sided, 6, substream(8, i)).symbols == want
+
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_markov_config_matches_per_cell_draws(self, sided):
+        mu = MarkovMeasure([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]])
+        k = window_size(sided, 6)
+        for i in range(20):
+            rng = substream(9, i)
+            want = tuple(chain_oracle(mu, [float(rng.random(1)[0]) for _ in range(k)]))
+            assert mu.sample_config(sided, 6, substream(9, i)).symbols == want
+
+    def test_haar_config_matches_per_digit_draws(self):
+        mu = ProductMeasure((3, 2, 5))
+        for i in range(20):
+            rng = substream(10, i)
+            want = tuple(int(rng.integers(0, mu.size_at(j))) for j in range(8))
+            assert mu.sample_config("one", 7, substream(10, i)).symbols == want
+
+    def test_markov_batch_matches_column_draws(self):
+        mu = MarkovMeasure([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]])
+        n, k = 50, 9
+        rng = substream(12, 0)
+        columns = [rng.random(n) for _ in range(k)]  # column j is the j-th call of random(n)
+        want = [chain_oracle(mu, [col[i] for col in columns]) for i in range(n)]
+        got = mu.sample_batch("two", 4, n, substream(12, 0))
+        assert got.tolist() == want
+
+    def test_markov_conditional_matches_column_draws(self):
+        mu = MarkovMeasure(P_LOPSIDED)
+        c = cyl((1, 0, 1), sided="two")
+        n, radius = 40, 4
+        rng = substream(13, 0)
+        forward = np.cumsum(mu.transition, axis=1)
+        pi = mu.stationary
+        reverse = np.cumsum((pi[None, :] * mu.transition.T) / pi[:, None], axis=1)
+        rows = [[None] * 3 + [1, 0, 1] + [None] * 3 for _ in range(n)]
+        for j in range(6, 9):  # rightward first, then leftward, one random(n) per column
+            u = rng.random(n)
+            for i in range(n):
+                rows[i][j] = invert(forward[rows[i][j - 1]], u[i])
+        for j in range(2, -1, -1):
+            u = rng.random(n)
+            for i in range(n):
+                rows[i][j] = invert(reverse[rows[i][j + 1]], u[i])
+        assert mu.conditional_batch(c, radius, n, substream(13, 0)).tolist() == rows
+
+
+# -- disjointness check -----------------------------------------------------------
+
+def first_clash(family):
+    """Oracle: the first pair (i, j), i < j, that compare_cylinders says meets."""
+    cs = [ball_cylinder(x, n) for x, n in family]
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            if compare_cylinders(cs[i], cs[j]) != "disjoint":
+                return i, j
+    return None
+
+
+class TestBallFamilyDisjointness:
+    def test_random_families_name_the_first_clash(self):
+        rng = substream(51, 0)
+        clashes = 0
+        for trial in range(300):
+            balls = []
+            for _ in range(int(rng.integers(1, 9))):
+                n = int(rng.integers(1, 4))
+                word = tuple(int(s) for s in rng.integers(0, 2, size=n + 2))
+                balls.append((Configuration(A2, "one", word), n))
+            want = first_clash(balls)
+            if want is None:
+                BallFamily(tuple(balls))
+                continue
+            clashes += 1
+            with pytest.raises(ValueError, match=rf"^balls {want[0]} and {want[1]} are not disjoint"):
+                BallFamily(tuple(balls))
+        assert 0 < clashes < 300
+
+    def test_duplicate_ball_at_equal_radius(self):
+        a = Configuration(A2, "two", (0, 1, 1, 0, 1))
+        b = Configuration(A2, "two", (1, 1, 1, 0, 0))  # same W_1 word as a
+        c = Configuration(A2, "two", (0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="^balls 0 and 2 are not disjoint"):
+            BallFamily(((a, 1), (c, 2), (b, 1)))
+
+    def test_mixed_spaces_still_raise_incompatible(self):
+        from equidyn import IncompatibleConfigurations
+
+        one = Configuration(A2, "one", (0, 1))
+        two = Configuration(A2, "two", (1, 0, 1))
+        with pytest.raises(IncompatibleConfigurations):
+            BallFamily(((one, 1), (two, 1)))
+
+    def test_valid_family_makes_no_pairwise_comparisons(self, markov_cover, monkeypatch):
+        import equidyn.measures as measures
+
+        calls = []
+        real = measures.compare_cylinders
+        monkeypatch.setattr(measures, "compare_cylinders", lambda a, b: calls.append(1) or real(a, b))
+        _, fam = markov_cover
+        BallFamily(fam.balls)
+        assert calls == []

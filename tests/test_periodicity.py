@@ -1,25 +1,37 @@
 """Eventual-periodicity certificates, their minimality, and sampled statistics."""
 
 
+import json
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equidyn import (
     Alphabet,
     BernoulliMeasure,
     Configuration,
+    LepStatistics,
+    MarkovMeasure,
     Odometer,
     PeriodCertificate,
     ProductMeasure,
     Shift,
     certificate_holds,
+    column_trace,
+    dependence_radius,
     detect_eventual_period,
+    eca_rule,
     identity_rule,
     lep_certificate,
     lep_statistics,
     mu_lep_classify,
+    system_sided,
 )
+from equidyn.periodicity import _BLOCK, detect_eventual_periods
 from equidyn.rng import substream
 
 A2 = Alphabet(2)
@@ -233,3 +245,159 @@ class TestClassify:
         assert d["verdict"] == "mu-LP"
         assert d["per_m"][0]["T"] == 8
         assert "equicontinuity" in d
+
+
+# -- the batched certificate pass against scalar oracles -------------------------
+
+def scalar_period(trace):
+    """Oracle: per p, scan back for the last mismatch; the first p with room wins."""
+    horizon = len(trace) - 1
+    for p in range(1, horizon // 2 + 1):
+        q_min = 0
+        for i in range(horizon - p, -1, -1):
+            if trace[i] != trace[i + p]:
+                q_min = i + 1
+                break
+        if horizon - q_min >= 2 * p:
+            return p, q_min
+    return None
+
+
+def scalar_lep_statistics(system, mu, m, eps, n_samples, horizon, seed):
+    """Oracle: certify point by point through sample_config, column_trace and scalar_period."""
+    radius = dependence_radius(system, m, horizon)
+    certs = []
+    for i in range(n_samples):
+        x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
+        cert = scalar_period(column_trace(system, x, m, horizon))
+        if cert is not None:
+            certs.append(cert)
+    if certs:
+        k = math.ceil((1.0 - eps) * len(certs))
+        p_q = sorted(p for p, _ in certs)[k - 1]
+        q_q = sorted(q for _, q in certs)[k - 1]
+    else:
+        p_q = q_q = None
+    return LepStatistics(
+        m=m, eps=eps, horizon=horizon, n_samples=n_samples, seed=seed,
+        certified_fraction=len(certs) / n_samples,
+        lp_fraction=sum(1 for _, q in certs if q == 0) / n_samples,
+        p_quantile=p_q, q_quantile=q_q,
+    )
+
+
+def trace_rows(width):
+    return st.lists(st.lists(st.integers(0, 2), min_size=width, max_size=width), min_size=1, max_size=6)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 14).flatmap(trace_rows))
+@example([[0]])  # T = 0
+@example([[0, 1], [1, 1]])  # T = 1
+@example([[0, 0, 0], [0, 1, 0], [1, 0, 0]])  # T = 2
+@example([[2] * 13, [1] * 13])  # constant traces
+@example([[0, 1, 0, 2, 0, 1, 0, 2, 1], [0, 1, 2, 0, 1, 1, 2, 2, 0]])  # no certificate
+def test_batch_detector_matches_scalar_oracle(rows):
+    p, q, found = detect_eventual_periods(np.array(rows))
+    for i, trace in enumerate(rows):
+        want = scalar_period(trace)
+        assert bool(found[i]) == (want is not None)
+        if want is not None:
+            assert (int(p[i]), int(q[i])) == want
+
+
+@settings(max_examples=100)
+@given(st.text(alphabet="abc", min_size=1, max_size=12))
+def test_symbol_traces_number_by_first_occurrence(text):
+    as_tuples = [(ord(ch), "x") for ch in text]
+    want = scalar_period(text)
+    for trace in (text, as_tuples):
+        cert = detect_eventual_period(trace)
+        assert (None if cert is None else (cert.p, cert.q)) == want
+
+
+def test_empty_code_matrix_rejected():
+    with pytest.raises(ValueError):
+        detect_eventual_periods(np.zeros((3, 0), dtype=np.int64))
+
+
+BERNOULLI = BernoulliMeasure([0.3, 0.7])
+MARKOV = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
+
+
+def assert_matches_oracle(system, mu, m, n_samples, horizon, seed, eps=0.1):
+    got = lep_statistics(system, mu, m, eps=eps, n_samples=n_samples, horizon=horizon, seed=seed)
+    assert got == scalar_lep_statistics(system, mu, m, eps, n_samples, horizon, seed)
+    return got
+
+
+def test_every_eca_matches_oracle():
+    certified = 0
+    for rule in range(256):
+        mu = (BERNOULLI, MARKOV)[rule % 2]
+        got = assert_matches_oracle(eca_rule(rule), mu, rule % 4, 10, 8, seed=rule)
+        certified += got.certified_fraction > 0
+    assert 0 < certified < 256
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "system, mu, horizon",
+    [
+        (Shift(A2), BERNOULLI, 8),
+        (Shift(A2), MARKOV, 8),
+        (Odometer((2, 3)), ProductMeasure((2, 3)), 16),
+        (identity_rule(A2), BERNOULLI, 6),
+        (identity_rule(A2, "two", 1), MARKOV, 6),
+    ],
+    ids=["shift-bernoulli", "shift-markov", "odometer-haar", "identity-bernoulli", "identity2-markov"],
+)
+def test_systems_match_oracle(system, mu, horizon, m):
+    assert_matches_oracle(system, mu, m, 24, horizon, seed=m)
+
+
+def test_window_too_wide_for_one_integer_matches_oracle():
+    # W_70 of the one-sided binary shift has 71 cells: 2^71 words overflow int64
+    got = assert_matches_oracle(Shift(A2), BERNOULLI, 70, 12, 6, seed=4)
+    assert got.certified_fraction == 0.0
+
+
+@pytest.mark.parametrize("rule", [110, 204])
+def test_block_boundary_matches_oracle(rule):
+    got = assert_matches_oracle(eca_rule(rule), MARKOV, 1, _BLOCK + 3, 8, seed=6, eps=0.05)
+    assert got.certified_fraction > 0
+
+
+def test_report_types_unchanged():
+    stats = lep_statistics(eca_rule(110), MARKOV, 2, n_samples=300, horizon=16, seed=3)
+    assert type(stats.certified_fraction) is float and type(stats.lp_fraction) is float
+    assert type(stats.p_quantile) is int and type(stats.q_quantile) is int
+    want = scalar_lep_statistics(eca_rule(110), MARKOV, 2, 0.05, 300, 16, 3)
+    assert json.dumps(stats.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_incompatible_inputs_rejected():
+    from fractions import Fraction
+
+    from equidyn import Rotation, UnsupportedSystem
+
+    with pytest.raises(UnsupportedSystem):
+        lep_statistics(Rotation(Fraction(1, 3)), BERNOULLI, 1, n_samples=4, horizon=4)
+    with pytest.raises(ValueError):
+        lep_statistics(eca_rule(110), BernoulliMeasure([0.2, 0.3, 0.5]), 1, n_samples=4, horizon=4)
+    with pytest.raises(ValueError):  # digit 2 does not exist at coordinate 0
+        lep_statistics(Odometer((2, 3)), BernoulliMeasure([0.2, 0.3, 0.5]), 1, n_samples=4, horizon=4)
+
+
+def test_memory_follows_the_block_not_the_sample_count():
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            lep_statistics(
+                Shift(A2), BernoulliMeasure([0.5, 0.5]), 0, n_samples=n_samples, horizon=128, seed=1
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16_384) <= 1.5 * peak(4_096)

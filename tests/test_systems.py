@@ -29,7 +29,7 @@ from equidyn import (
     wolfram_number,
 )
 from equidyn.rng import substream
-from equidyn.systems import cell_sizes, step_batch, trace_agreement_batch
+from equidyn.systems import cell_sizes, column_codes, step_batch, trace_agreement_batch
 
 A2 = Alphabet(2)
 
@@ -216,6 +216,41 @@ class TestBatch:
         for word, flag in zip(words, agree):
             y = Configuration(A2, "two", word)
             assert bool(flag) == orbit_ball_member(rule, x, y, m, horizon)
+
+
+class TestColumnCodes:
+    """Codes at times s and t of one row agree exactly when the W_m words do."""
+
+    def assert_codes_name_words(self, system, rows, m, horizon):
+        sided = "one" if not isinstance(system, CARule) else system.sided
+        codes = column_codes(system, np.array(rows, dtype=np.int64), m, horizon)
+        assert codes.shape == (len(rows), horizon + 1)
+        for row, code in zip(rows, codes):
+            trace = column_trace(system, Configuration(system.alphabet, sided, row), m, horizon)
+            for s, t in itertools.combinations(range(horizon + 1), 2):
+                assert (code[s] == code[t]) == (trace[s] == trace[t])
+
+    @pytest.mark.parametrize("system,m", [
+        (eca_rule(110), 1), (eca_rule(90), 2), (Shift(A2), 3), (Odometer((2, 3)), 2),
+    ])
+    def test_random_rows(self, system, m):
+        horizon = 6
+        rho = dependence_radius(system, m, horizon)
+        cells = range(rho + 1) if isinstance(system, (Shift, Odometer)) else range(-rho, rho + 1)
+        rng = substream(6, m)
+        rows = [[int(rng.integers(0, s)) for s in cell_sizes(system, cells)] for _ in range(30)]
+        self.assert_codes_name_words(system, rows, m, horizon)
+
+    def test_words_past_63_bits(self):
+        # W_70 has 71 cells; these rows differ between times only in the top cells
+        rows = [[0] * 70 + [1] + [0] * 4, [0] * 74 + [1], [1, 0] * 37 + [1]]
+        self.assert_codes_name_words(Shift(A2), rows, 70, 4)
+
+    def test_rejects_symbols_outside_the_cells(self):
+        with pytest.raises(ValueError):
+            column_codes(Odometer((2, 3)), np.array([[2, 0]]), 1, 2)
+        with pytest.raises(InsufficientRadius):
+            column_codes(Shift(A2), np.array([[0, 1]]), 0, 2)
 
 
 def test_rotation_is_an_exact_isometry():
