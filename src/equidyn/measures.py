@@ -196,20 +196,27 @@ class MarkovMeasure(_CylinderMeasure):
 
     def _chain_words(self, u: np.ndarray) -> np.ndarray:
         """Chains read left to right off the uniforms `u`, one row per chain."""
-        out = np.empty(u.shape, dtype=np.int64)
+        out = np.empty(u.shape[::-1], dtype=np.int64).T  # column-major: each step writes one column
         out[:, 0] = _inverse_cdf(self._cum_pi, u[:, 0])
         for j in range(1, u.shape[1]):
             out[:, j] = self._kernel_column(self._cum_rows, out[:, j - 1], u[:, j])
         return out
 
     def _kernel_column(self, cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next symbols after `prev`, inverting the cumulative kernel rows `cum` at `u`."""
-        return np.minimum((u[:, None] >= cum[prev]).sum(axis=1), self.alphabet.size - 1)
+        """Next symbols after `prev`, inverting the cumulative kernel rows `cum` at `u`.
+
+        Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
+        j < |A| - 1 is the inverse CDF capped at the last symbol.
+        """
+        out = np.zeros(len(prev), dtype=np.int64)
+        for j in range(self.alphabet.size - 1):
+            out += u >= cum[:, j].take(prev)
+        return out
 
     def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
         _require_extendable(self, c, radius)
         k = window_size(c.sided, radius)
-        out = np.empty((n, k), dtype=np.int64)
+        out = np.empty((k, n), dtype=np.int64).T  # column-major, as in _chain_words
         _paste_word(out, c, radius)
         fixed = window_size(c.sided, c.radius)
         if c.sided == ONE_SIDED:

@@ -24,7 +24,14 @@ import numpy as np
 from .core import DEFAULT_ENUMERATION_CAP, Configuration
 from .measures import CantorMeasure
 from .rng import derive_seed, substream
-from .systems import CantorSystem, column_codes, column_trace, dependence_radius, system_sided
+from .systems import (
+    CantorSystem,
+    check_measure_alphabet,
+    column_codes,
+    column_trace,
+    dependence_radius,
+    system_sided,
+)
 
 # Points certified per vectorized pass in lep_statistics; its memory follows
 # this block, not the sample count.
@@ -162,10 +169,7 @@ def lep_statistics(
         raise ValueError("need at least one sample")
     sided = system_sided(system)
     radius = dependence_radius(system, m, horizon)
-    if mu.alphabet != system.alphabet:
-        raise ValueError(
-            f"measure over alphabet {mu.alphabet.size}, system over {system.alphabet.size}"
-        )
+    check_measure_alphabet(system, mu)
     p_counts = np.zeros(horizon // 2 + 1, dtype=np.int64)
     q_counts = np.zeros(horizon + 1, dtype=np.int64)
     for start in range(0, n_samples, _BLOCK):

@@ -23,10 +23,14 @@ from .rng import derive_seed, substream
 from .systems import (
     Rotation,
     System,
+    check_measure_alphabet,
+    pack_bits,
+    pack_planes,
     step,
-    step_batch,
     step_cost,
+    step_planes,
     system_sided,
+    unpack_bits,
     window_slice,
 )
 
@@ -121,24 +125,25 @@ def mu_sensitivity_estimate(
         p_hat = float((dist >= float(eps)).mean())
     else:
         cantor_mu = _require_cantor_measure(mu)
+        check_measure_alphabet(system, cantor_mu)
         sided = system_sided(system)
         w = separation_window(eps)
         cost = step_cost(system)
         radius = w + cost * horizon
-        bx = cantor_mu.sample_batch(sided, radius, n_samples, substream(seed, 0))
-        by = cantor_mu.sample_batch(sided, radius, n_samples, substream(seed, 1))
-        separated = np.zeros(n_samples, dtype=bool)
+        px = pack_planes(system, cantor_mu.sample_batch(sided, radius, n_samples, substream(seed, 0)))
+        py = pack_planes(system, cantor_mu.sample_batch(sided, radius, n_samples, substream(seed, 1)))
+        everyone = pack_bits(np.ones(n_samples, dtype=bool))  # padding bits clear
+        separated = np.zeros_like(everyone)
         cur = radius
         for _ in range(horizon):
-            bx = step_batch(system, bx)
-            by = step_batch(system, by)
+            px = step_planes(system, px)
+            py = step_planes(system, py)
             cur -= cost
-            wx = window_slice(sided, cur, w, bx)
-            wy = window_slice(sided, cur, w, by)
-            separated |= (wx != wy).any(axis=1)
-            if separated.all():
+            diff = window_slice(sided, cur, w, px) ^ window_slice(sided, cur, w, py)
+            separated |= np.bitwise_or.reduce(diff.reshape(-1, diff.shape[-1]), axis=0)
+            if (separated == everyone).all():
                 break
-        p_hat = float(separated.mean())
+        p_hat = float(unpack_bits(separated, n_samples).mean())
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
     return SensitivityEstimate(
         eps=float(eps), horizon=horizon, p_hat=p_hat, stderr=stderr,

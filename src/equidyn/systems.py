@@ -7,9 +7,13 @@ image, and nothing is ever padded. Odometers act on one-sided digit strings
 R + 1 digits of the successor depend only on the first R + 1 digits of the
 argument. Rotations act on exact circle points.
 
-Scalar dynamics work on Configuration objects; `step_batch` runs the same
-rules over numpy rows for the exact orbit-ball search and the Monte Carlo
-paths. The two are deliberately independent: the scalar one is the oracle.
+Three steppers implement the same rules. Scalar `step` works on
+Configuration objects and is the oracle. `step_batch` steps int64 rows; it
+serves the exact route (the orbit-ball frontier search) and `column_codes`
+(`lep`). `step_planes` steps one-hot bit planes, 64 rows to a uint64 word;
+it serves the Monte Carlo route: `trace_agreement_batch` (sampled density
+ratios) and the separation test of `sensitivity`. So the exact and the
+sampled routes share no stepper.
 """
 
 from __future__ import annotations
@@ -276,6 +280,14 @@ def cell_sizes(system: CantorSystem, cells) -> list[int]:
     return [system.alphabet.size for _ in cells]
 
 
+def check_measure_alphabet(system: CantorSystem, mu) -> None:
+    """ValueError unless the measure `mu` draws symbols of the system's alphabet."""
+    if mu.alphabet != system.alphabet:
+        raise ValueError(
+            f"measure over alphabet {mu.alphabet.size}, system over {system.alphabet.size}"
+        )
+
+
 def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -> list[tuple[int, ...]]:
     """Words (T^i x)_{W_m} for i = 0..horizon."""
     if isinstance(system, Rotation):
@@ -372,6 +384,69 @@ def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) ->
     return codes.reshape(arr.shape[0], horizon + 1)
 
 
+# -- bit-sliced dynamics -------------------------------------------------------
+#
+# A batch of n rows over C cells becomes planes[a, c]: a packed uint64 vector
+# whose bit i is set when row i holds symbol a at cell c. Bits past n (the
+# padding of the last word) are clear in every plane, and every step keeps
+# them clear.
+
+def pack_bits(flags: np.ndarray) -> np.ndarray:
+    """Pack booleans along the last axis into uint64 words; bit i is flag i."""
+    n = flags.shape[-1]
+    buf = np.zeros(flags.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    buf[..., : -(-n // 8)] = np.packbits(flags, axis=-1, bitorder="little")
+    return buf.view(np.uint64)
+
+
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n flags of a packed vector, as booleans."""
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(bool)
+
+
+def pack_planes(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
+    """One-hot bit planes (|A| x cells x words) of the int rows of `arr`."""
+    # only odometer cell sizes vary, and its cells run 0, 1, ..
+    sizes = np.asarray(cell_sizes(system, range(arr.shape[1])))
+    if arr.size and (arr.min() < 0 or (arr.max(axis=0) >= sizes).any()):
+        kind = type(system).__name__
+        raise ValueError(f"row symbols outside the cells of the {kind} over {system.alphabet.size} symbols")
+    return np.stack([pack_bits(np.ascontiguousarray((arr == a).T)) for a in range(system.alphabet.size)])
+
+
+def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
+    """`step_batch` on bit planes: the same rows, 64 to a word."""
+    if isinstance(system, CARule):
+        width = system.neighborhood_size
+        cells = planes.shape[1] - width + 1
+        if cells < 1:
+            raise InsufficientRadius("batch window narrower than one neighborhood")
+        out = np.zeros_like(planes[:, :cells])
+        # output plane b: OR over neighborhoods w with f(w) = b of AND_k (plane w_k at offset k)
+        for nb, b in system.table.items():
+            term = planes[nb[0], :cells].copy()
+            for k in range(1, width):
+                term &= planes[nb[k], k : k + cells]
+            out[b] |= term
+        return out
+    if isinstance(system, Shift):
+        if planes.shape[1] < 2:
+            raise InsufficientRadius("batch window narrower than two cells")
+        return planes[:, 1:]
+    if isinstance(system, Odometer):
+        out = planes.copy()
+        carry = np.full(planes.shape[2:], ~np.uint64(0))
+        for i in range(planes.shape[1]):
+            if not carry.any():
+                break
+            s, col = system.size_at(i), planes[:, i]
+            for a in range(s):
+                out[a, i] = (col[a] & ~carry) | (col[(a - 1) % s] & carry)
+            carry &= col[s - 1]
+        return out
+    raise UnsupportedSystem(f"no batch stepper for {system!r}")
+
+
 def trace_agreement_batch(
     system: CantorSystem,
     trace_words: Sequence[tuple[int, ...]],
@@ -391,17 +466,21 @@ def trace_agreement_batch(
         raise InsufficientRadius(
             f"batch covers radius {covered_radius}, trace needs {need}"
         )
-    alive = np.ones(arr.shape[0], dtype=bool)
-    cur = arr
+    planes = pack_planes(system, arr)
+    alive = pack_bits(np.ones(arr.shape[0], dtype=bool))  # padding bits start, and stay, clear
     radius = covered_radius
     for i, target in enumerate(trace_words):
-        win = window_slice(sided, radius, m, cur)
-        alive &= (win == np.asarray(target)).all(axis=1)
+        target = np.asarray(target, dtype=np.int64)
+        if ((target < 0) | (target >= len(planes))).any():
+            alive[:] = 0  # a symbol no row can hold
+            break
+        win = window_slice(sided, radius, m, planes)
+        alive &= np.bitwise_and.reduce(win[target, np.arange(len(target))], axis=0)
         if not alive.any() or i == horizon:
             break
-        cur = step_batch(system, cur)
+        planes = step_planes(system, planes)
         radius -= step_cost(system)
-    return alive
+    return unpack_bits(alive, arr.shape[0])
 
 
 # -- external interface --------------------------------------------------------

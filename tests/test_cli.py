@@ -367,3 +367,22 @@ class TestSpectralSharesOneTable:
             path = write_cfg(tmp_path, cfg)
             assert run(["spectral", "--config", path, "--out", tmp_path / f"{mode}.json"]) == 0
             assert len(calls) == 1
+
+
+class TestAlphabetMismatch:
+    @pytest.mark.parametrize("command,params", [
+        ("sensitivity", {"eps_list": [1], "T": 4, "n_samples": 100}),
+        ("dichotomy", {"eps_list": [1], "T": 4, "n_samples": 100,
+                       "equi": {"m": 1, "n_list": [1], "T": 2, "points": 2}}),
+    ])
+    def test_three_symbols_on_an_eca_exit_4(self, tmp_path, capsys, command, params):
+        cfg = write_cfg(tmp_path, {
+            "system": {"type": "eca", "rule": 110},
+            "measure": {"type": "bernoulli", "weights": [0.2, 0.3, 0.5]},
+            "params": params,
+            "seed": 1,
+        })
+        out = tmp_path / "x.json"
+        assert run([command, "--config", cfg, "--out", out]) == 4
+        assert "alphabet" in capsys.readouterr().err
+        assert not out.exists()

@@ -482,3 +482,44 @@ class TestBallFamilyDisjointness:
         _, fam = markov_cover
         BallFamily(fam.balls)
         assert calls == []
+
+
+def kernel_2d(cum, prev, u, size):
+    """The (n x |A|) comparison the 1-D kernel replaced, kept as its oracle."""
+    return np.minimum((u[:, None] >= cum[prev]).sum(axis=1), size - 1)
+
+
+class TestKernelColumn:
+    @pytest.mark.parametrize("P", [
+        P_LOPSIDED,
+        [[0.5, 0.25, 0.25], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]],
+        [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],  # repeated cumulative entries
+    ])
+    def test_matches_the_two_dimensional_sum(self, P):
+        mu = MarkovMeasure(P)
+        size = mu.alphabet.size
+        rng = np.random.default_rng(size)
+        prev = rng.integers(0, size, 5000)
+        u = rng.random(5000)
+        for cum in (mu._cum_rows, mu._cum_rev):
+            # ties: uniforms landing exactly on a cumulative entry, and on 0
+            u[:size * size] = cum[np.repeat(np.arange(size), size), np.tile(np.arange(size), size)]
+            u[size * size] = 0.0
+            prev[:size * size] = np.repeat(np.arange(size), size)
+            got = mu._kernel_column(cum, prev, u)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, kernel_2d(cum, prev, u, size))
+
+    def test_tie_goes_to_the_next_symbol(self):
+        mu = MarkovMeasure([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
+        prev = np.array([0, 0, 1, 2])
+        u = np.array([0.5, 0.75, 0.1, 0.6])
+        assert mu._kernel_column(mu._cum_rows, prev, u).tolist() == [1, 2, 1, 2]
+
+    def test_uniform_past_a_short_last_entry_takes_the_last_symbol(self):
+        mu = MarkovMeasure(P_LOPSIDED)
+        cum = np.array([[0.4, 0.9], [0.2, 0.9]])  # rounding can leave the total below 1
+        prev = np.array([0, 1, 0])
+        u = np.array([0.95, 0.9, 0.1])
+        assert mu._kernel_column(cum, prev, u).tolist() == [1, 1, 0]
+        assert np.array_equal(mu._kernel_column(cum, prev, u), kernel_2d(cum, prev, u, 2))
