@@ -76,7 +76,7 @@ from .periodicity import (
     lep_statistics,
     mu_lep_classify,
 )
-from .rng import derive_seed, pmap, substream
+from .rng import derive_seed, substream
 from .sensitivity import (
     DichotomyReport,
     SensitivityEstimate,

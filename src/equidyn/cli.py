@@ -4,7 +4,8 @@ Every subcommand reads a JSON config, resolves defaults, runs the
 experiment, and atomically writes a JSON report (plus a CSV sibling for
 tabular results). Reports contain no timestamps and all sampling is keyed
 by (seed, index) substreams, so identical configs give byte-identical
-reports regardless of thread count.
+reports. `--threads` is still validated, but every command runs on one
+thread.
 
 Exit codes: 0 success, 2 invalid config, 3 enumeration over the cap,
 4 domain failure / invariant violation.
@@ -172,7 +173,7 @@ def _point_from_params(system, mu, params, radius: int, seed: int):
 
 # -- subcommand runners --------------------------------------------------------
 
-def _run_density(system, mu, params, seed, threads, cap):
+def _run_density(system, mu, params, seed, cap):
     m = _param(params, "m", minimum=0)
     horizon = _param(params, "T", minimum=0)
     n_list = sorted(set(_list_param(params, "n_list", kind=int)))
@@ -214,7 +215,7 @@ def _run_density(system, mu, params, seed, threads, cap):
     return results, ("n", "exact", "p_hat", "stderr"), csv_rows
 
 
-def _run_classify(system, mu, params, seed, threads, cap):
+def _run_classify(system, mu, params, seed, cap):
     report = mu_equicontinuity_report(
         system, mu,
         m=_param(params, "m", minimum=0),
@@ -225,7 +226,6 @@ def _run_classify(system, mu, params, seed, threads, cap):
         delta=_param(params, "delta", DEFAULT_DELTA, kind=float),
         seed=seed,
         cap=cap,
-        threads=threads,
     )
     payload = _round_curves(report.to_dict())
     csv_rows = [
@@ -236,7 +236,7 @@ def _run_classify(system, mu, params, seed, threads, cap):
     return payload, ("point_index", "n", "ratio", "exact"), csv_rows
 
 
-def _run_lep(system, mu, params, seed, threads, cap):
+def _run_lep(system, mu, params, seed, cap):
     report = mu_lep_classify(
         system, mu,
         m_list=_list_param(params, "m_list", kind=int),
@@ -245,7 +245,6 @@ def _run_lep(system, mu, params, seed, threads, cap):
         horizon=_param(params, "T", minimum=2),
         seed=seed,
         equi_params=_equi_params_from(params, optional=True) if "equi" in params else None,
-        threads=threads,
         cap=cap,
     )
     payload = report.to_dict()
@@ -261,7 +260,7 @@ def _run_lep(system, mu, params, seed, threads, cap):
     return payload, ("m", "certified_fraction", "lp_fraction", "p_quantile", "q_quantile"), csv_rows
 
 
-def _run_spectral(system, mu, params, seed, threads, cap):
+def _run_spectral(system, mu, params, seed, cap):
     m = _param(params, "m", minimum=0)
     horizon = _param(params, "T", minimum=0)
     cert_horizon = _param(params, "cert_T", default=max(horizon, 2), minimum=2)
@@ -316,7 +315,7 @@ def _run_spectral(system, mu, params, seed, threads, cap):
     return results, ("k", "p", "residual", "norm"), csv_rows
 
 
-def _run_sensitivity(system, mu, params, seed, threads, cap):
+def _run_sensitivity(system, mu, params, seed, cap):
     eps_list = _list_param(params, "eps_list", kind=float)
     horizon = _param(params, "T", minimum=1)
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
@@ -355,7 +354,7 @@ def _equi_params_from(params: dict, optional: bool = False) -> dict:
     return {renamed.get(f, f): check() for f, check in checks.items() if f in raw or not optional}
 
 
-def _run_dichotomy(system, mu, params, seed, threads, cap):
+def _run_dichotomy(system, mu, params, seed, cap):
     report = dichotomy_report(
         system, mu,
         eps_list=_list_param(params, "eps_list", kind=float),
@@ -365,7 +364,6 @@ def _run_dichotomy(system, mu, params, seed, threads, cap):
         delta_s=_param(params, "delta_s", DEFAULT_DELTA, kind=float),
         delta_e=_param(params, "delta_e", DEFAULT_DELTA, kind=float),
         seed=seed,
-        threads=threads,
         cap=cap,
     )
     payload = report.to_dict()
@@ -377,7 +375,7 @@ def _run_dichotomy(system, mu, params, seed, threads, cap):
     return payload, ("eps", "p_hat", "stderr"), csv_rows
 
 
-def _run_vitali(mu, params, seed, threads, cap):
+def _run_vitali(mu, params, seed, cap):
     sided = params.get("sided", "one")
     raw_parts = _list_param(params, "cylinders")
     parts = []
@@ -417,7 +415,7 @@ def _run_vitali(mu, params, seed, threads, cap):
 
 # -- orchestration --------------------------------------------------------------
 
-def run_command(command: str, cfg: dict, seed: int, threads: int, out_path: str) -> str:
+def run_command(command: str, cfg: dict, seed: int, out_path: str) -> str:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigInvalid("params", "must be an object")
@@ -425,7 +423,7 @@ def run_command(command: str, cfg: dict, seed: int, threads: int, out_path: str)
 
     if command == "vitali":
         mu = _build_measure(cfg)
-        results, header, rows = _run_vitali(mu, params, seed, threads, cap)
+        results, header, rows = _run_vitali(mu, params, seed, cap)
         resolved_system = cfg.get("system")
     else:
         system = _build_system(cfg)
@@ -438,7 +436,7 @@ def run_command(command: str, cfg: dict, seed: int, threads: int, out_path: str)
             "sensitivity": _run_sensitivity,
             "dichotomy": _run_dichotomy,
         }[command]
-        results, header, rows = runner(system, mu, params, seed, threads, cap)
+        results, header, rows = runner(system, mu, params, seed, cap)
         resolved_system = system_to_dict(system)
 
     payload = {
@@ -474,7 +472,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="report path (default from config or derived)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (or EQUIDYN_THREADS)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="validated (>= 1), unused: all work runs on one thread (or EQUIDYN_THREADS)")
     args = parser.parse_args(argv)
 
     try:
@@ -486,9 +485,9 @@ def main(argv=None) -> int:
             threads = os.environ["EQUIDYN_THREADS"]
         else:
             threads = cfg.get("threads", 1)
-        threads = _number(threads, "threads", minimum=1)
+        _number(threads, "threads", minimum=1)  # a bad value still exits 2
         out_path = args.out or cfg.get("out") or f"equidyn-{args.command}.json"
-        written = run_command(args.command, cfg, seed, threads, out_path)
+        written = run_command(args.command, cfg, seed, out_path)
     except ConfigInvalid as exc:
         print(f"equidyn: {exc}", file=sys.stderr)
         return 2

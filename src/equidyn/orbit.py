@@ -31,6 +31,7 @@ from .core import (
     count_words,
     iter_words,
     window_cells,
+    word_to_str,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -39,7 +40,7 @@ from .errors import (
     UnsupportedSystem,
 )
 from .measures import CantorMeasure, LebesgueMeasure, Measure
-from .rng import derive_seed, pmap, substream
+from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
     Rotation,
@@ -359,14 +360,13 @@ def mu_equicontinuity_report(
     delta: float = 0.05,
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> EquicontinuityReport:
     """Sample base points from mu and chart their density ratio curves.
 
     A point counts as equicontinuous at this scale when its ratio at the
     largest n reaches 1 - delta. Exact enumeration is used whenever the
     dependence window fits under the cap; otherwise each (point, n) cell is
-    estimated with its own derived seed, so thread count never changes output.
+    estimated with its own derived seed, so no cell's draws depend on another's.
     """
     if points < 1:
         raise ValueError("need at least one base point")
@@ -380,13 +380,9 @@ def mu_equicontinuity_report(
         _require_lebesgue(mu)
         if m < 1:
             raise ValueError("circle resolution needs m >= 1")
-
-        def rotation_curve(i: int) -> PointCurve:
-            angle = mu.sample_point(substream(seed, 0, i))
-            ratios = tuple(_rotation_ratio(m, n) for n in ns)
-            return PointCurve(point=str(float(angle.angle)), ratios=ratios, exact=True, stderrs=None)
-
-        curves = pmap(rotation_curve, range(points), threads)
+        ratios = tuple(_rotation_ratio(m, n) for n in ns)
+        angles = (mu.sample_point(substream(seed, 0, i)).angle for i in range(points))
+        curves = [PointCurve(point=str(float(a)), ratios=ratios, exact=True, stderrs=None) for a in angles]
     else:
         cantor_mu = _require_cantor_measure(mu)
         sided = system_sided(system)
@@ -394,7 +390,6 @@ def mu_equicontinuity_report(
         radius = max(max(ns), rho)
         enum_total = count_words(cell_sizes(system, window_cells(sided, rho)))
         use_exact = enum_total <= cap
-        from .core import word_to_str
 
         def cantor_curve(i: int) -> PointCurve:
             x = cantor_mu.sample_config(sided, radius, substream(seed, 0, i))
@@ -418,7 +413,7 @@ def mu_equicontinuity_report(
                 stderrs=tuple(e.stderr for e in ests),
             )
 
-        curves = pmap(cantor_curve, range(points), threads)
+        curves = [cantor_curve(i) for i in range(points)]
 
     hits = sum(1 for c in curves if c.ratios[-1] >= 1.0 - delta)
     return EquicontinuityReport(

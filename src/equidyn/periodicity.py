@@ -10,7 +10,7 @@ periodicity at the certified (resolution, horizon) scale.
 certifies the points in fixed-size blocks: one `sample_rows` call, one
 batched column trace and one vectorized period search per block. So memory
 follows the block rather than the sample count, and no number depends on
-the thread count.
+the block size.
 """
 
 from __future__ import annotations
@@ -155,13 +155,11 @@ def lep_statistics(
     n_samples: int = 1000,
     horizon: int = 16,
     seed: int = 0,
-    threads: int = 1,
 ) -> LepStatistics:
     """Sample points from mu and certify each; report fraction and quantiles.
 
     The (p, q) bounds are the empirical 1-eps quantiles over the certified
-    subsample, each coordinate on its own. `threads` is accepted and unused:
-    the blocks run on one thread.
+    subsample, each coordinate on its own.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -230,7 +228,6 @@ def mu_lep_classify(
     horizon: int = 16,
     seed: int = 0,
     equi_params: Optional[dict] = None,
-    threads: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> LepClassification:
     """Verdict mu-LP / mu-LEP / neither from certificate fractions at every m.
@@ -246,7 +243,7 @@ def mu_lep_classify(
         lep_statistics(
             system, mu, m,
             eps=eps, n_samples=n_samples, horizon=horizon,
-            seed=derive_seed(seed, 0, idx), threads=threads,
+            seed=derive_seed(seed, 0, idx),
         )
         for idx, m in enumerate(ms)
     )
@@ -274,7 +271,7 @@ def mu_lep_classify(
             system, mu,
             m=params["m"], n_list=params["n_list"], horizon=params["horizon"],
             points=params["points"], n_samples=params["n_samples"],
-            delta=params["delta"], seed=derive_seed(seed, 1), cap=cap, threads=threads,
+            delta=params["delta"], seed=derive_seed(seed, 1), cap=cap,
         )
     return LepClassification(
         m_list=tuple(ms), eps=eps, verdict=verdict, per_m=per_m, equicontinuity=equi

@@ -190,7 +190,6 @@ def dichotomy_report(
     delta_s: float = 0.05,
     delta_e: float = 0.05,
     seed: int = 0,
-    threads: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DichotomyReport:
     """Run both sides of the dichotomy and pronounce a scale-level verdict.
@@ -219,7 +218,6 @@ def dichotomy_report(
         delta=equi_params.get("delta", 0.05),
         seed=derive_seed(seed, 1),
         cap=cap,
-        threads=threads,
     )
     fires = any(e.p_hat >= 1.0 - delta_s for e in estimates)
     if fires and equi.fraction <= delta_e:

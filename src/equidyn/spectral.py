@@ -10,17 +10,22 @@ f_k(Tx) = lambda^k f_k(x) holds exactly for isometric systems and is
 measured, not assumed, everywhere else: residuals and inner products are
 integrated exactly over the coarsest cylinder partition that refines every
 ball event, or sampled when that partition is too large. Both quantities go
-through one integration path, `_integrate`. The ball events depend on y, m
-and the horizon but not on k, so one `event_table` serves every f_k; the
-`spectral` command builds it once per run and passes it to every call.
+through one integration path, `_integrate`, over int rows: a row's W_rho
+word gives its orbit index j(x) in the event table, and one `step_batch` of
+the rows gives j(Tx). The ball events depend on y, m and the horizon but
+not on k, so one `event_table` serves every f_k; the `spectral` command
+builds it once per run and passes it to every call.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
@@ -37,11 +42,18 @@ from .rng import substream
 from .systems import (
     CantorSystem,
     cell_sizes,
+    check_cells,
     dependence_radius,
     step,
+    step_batch,
     step_cost,
     system_sided,
+    window_slice,
 )
+
+# Words per block in exact integration; memory follows the block, not the
+# partition size.
+_BLOCK = 4096
 
 
 def root_of_unity(p: int, j: int) -> complex:
@@ -101,16 +113,6 @@ class _EvalTable:
     rho: int
     index: dict
 
-    def lookup(self, x: Configuration) -> Optional[int]:
-        if x.radius < self.rho:
-            raise InsufficientRadius(
-                f"evaluation needs valid radius {self.rho}, have {x.radius}"
-            )
-        return self.index.get(x.window(self.rho))
-
-    def lookup_word(self, word: tuple) -> Optional[int]:
-        return self.index.get(word)
-
 
 def _orbit_points(spec: EigenfunctionSpec, rho: int) -> list[Configuration]:
     pts = [spec.y]
@@ -155,17 +157,24 @@ def eigenfunction_eval(
 ) -> complex:
     """f_k(x): lambda^{j k} on the j-th orbit ball, 0 outside all of them."""
     tab = table if table is not None else event_table(spec, horizon, cap)
-    j = tab.lookup(x)
-    if j is None:
-        return 0j
-    return root_of_unity(spec.period, j * spec.k)
+    j = tab.index.get(x.window(tab.rho))  # InsufficientRadius below rho
+    return 0j if j is None else root_of_unity(spec.period, j * spec.k)
+
+
+def _values(spec: EigenfunctionSpec, tab: _EvalTable, sided: str, radius: int, rows: np.ndarray) -> list[complex]:
+    """f_k on every int row of `rows`, which cover W_radius."""
+    roots = [root_of_unity(spec.period, j * spec.k) for j in range(spec.period)]
+    js = (tab.index.get(tuple(w)) for w in window_slice(sided, radius, tab.rho, rows).tolist())
+    return [0j if j is None else roots[j] for j in js]
 
 
 def _integrate(system, mu, radius, integrand, mode, n_samples, seed, cap):
-    """Integral of `integrand` over configurations on W_radius.
+    """Integral of `integrand`, which maps int rows on W_radius to one value each.
 
     Exact mode sums each nonzero value times the mass of its cylinder over
-    the W_radius partition; sampled mode averages over n_samples draws.
+    the W_radius partition, walking the words in blocks; sampled mode
+    averages over n_samples draws. Values are added one at a time in row
+    order either way.
     """
     sided = system_sided(system)
     acc = 0.0
@@ -174,14 +183,17 @@ def _integrate(system, mu, radius, integrand, mode, n_samples, seed, cap):
         total = count_words(sizes)
         if total > cap:
             raise EnumerationTooLarge(total, cap, "cylinder partition")
-        for word in iter_words(sizes):
-            v = integrand(Configuration(system.alphabet, sided, word))
-            if v != 0:
-                acc += v * mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, word))
+        words = iter_words(sizes)
+        while block := list(itertools.islice(words, _BLOCK)):
+            for word, v in zip(block, integrand(np.array(block, dtype=np.int64))):
+                if v != 0:
+                    acc += v * mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, word))
         return acc
     if mode == "sampled":
-        for row in mu.sample_batch(sided, radius, n_samples, substream(seed, 0)):
-            acc += integrand(Configuration(system.alphabet, sided, tuple(int(s) for s in row)))
+        rows = mu.sample_batch(sided, radius, n_samples, substream(seed, 0))
+        check_cells(system, rows)
+        for v in integrand(rows):
+            acc += v
         return acc / n_samples
     raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
@@ -205,14 +217,18 @@ def koopman_residual(
     tab = table if table is not None else event_table(spec, horizon, cap)
     lam = spec.eigenvalue()
     system = spec.system
-
-    def defect_sq(x: Configuration) -> float:
-        fx = eigenfunction_eval(spec, x, horizon, table=tab)
-        ftx = eigenfunction_eval(spec, step(system, x), horizon, table=tab)
-        v = ftx - lam * fx
-        return v.real * v.real + v.imag * v.imag
-
+    sided = system_sided(system)
     radius = tab.rho + step_cost(system)
+
+    def defect_sq(rows: np.ndarray) -> list[float]:
+        fx = _values(spec, tab, sided, radius, rows)
+        ftx = _values(spec, tab, sided, tab.rho, step_batch(system, rows))
+        out = []
+        for a, b in zip(ftx, fx):
+            v = a - lam * b
+            out.append(v.real * v.real + v.imag * v.imag)
+        return out
+
     return math.sqrt(_integrate(system, mu, radius, defect_sq, mode, n_samples, seed, cap))
 
 
@@ -235,13 +251,12 @@ def inner_product(
         raise ValueError("inner products need eigenfunctions over the same system")
     tab_a = table if table is not None else event_table(a, horizon, cap)
     tab_b = table if table is not None else event_table(b, horizon, cap)
-
-    def value(cfg: Configuration) -> complex:
-        fa = eigenfunction_eval(a, cfg, horizon, table=tab_a)
-        if fa == 0:
-            return 0j
-        fb = eigenfunction_eval(b, cfg, horizon, table=tab_b)
-        return fa * fb.conjugate()
-
+    sided = system_sided(a.system)
     radius = max(tab_a.rho, tab_b.rho)
+
+    def value(rows: np.ndarray) -> list[complex]:
+        fa = _values(a, tab_a, sided, radius, rows)
+        fb = _values(b, tab_b, sided, radius, rows)
+        return [0j if va == 0 else va * vb.conjugate() for va, vb in zip(fa, fb)]
+
     return complex(_integrate(a.system, mu, radius, value, mode, n_samples, seed, cap))

@@ -7,13 +7,13 @@ image, and nothing is ever padded. Odometers act on one-sided digit strings
 R + 1 digits of the successor depend only on the first R + 1 digits of the
 argument. Rotations act on exact circle points.
 
-Three steppers implement the same rules. Scalar `step` works on
-Configuration objects and is the oracle. `step_batch` steps int64 rows; it
-serves the exact route (the orbit-ball frontier search) and `column_codes`
-(`lep`). `step_planes` steps one-hot bit planes, 64 rows to a uint64 word;
-it serves the Monte Carlo route: `trace_agreement_batch` (sampled density
-ratios) and the separation test of `sensitivity`. So the exact and the
-sampled routes share no stepper.
+Two steppers implement the same rules. `step_batch` steps int64 rows; it
+serves the exact route (the orbit-ball frontier search), `column_codes`
+(`lep`), spectral integration, and the one-row `step` and `column_trace`.
+`step_planes` steps one-hot bit planes, 64 rows to a uint64 word; it serves
+the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
+the separation test of `sensitivity`. So the exact and the sampled routes
+share no stepper; the scalar per-rule loops live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ class CARule:
     def neighborhood_size(self) -> int:
         return self.radius + 1 if self.sided == ONE_SIDED else 2 * self.radius + 1
 
+    @cached_property
     def flat_table(self) -> np.ndarray:
-        """Outputs indexed by the neighborhood word read as a base-|A| number."""
+        """Outputs indexed by the neighborhood word read as a base-|A| number (cached, read-only)."""
         size = self.alphabet.size
         width = self.neighborhood_size
         flat = np.zeros(size ** width, dtype=np.int64)
@@ -83,6 +84,7 @@ class CARule:
             for s in nb:
                 code = code * size + s
             flat[code] = out
+        flat.flags.writeable = False
         return flat
 
 
@@ -186,69 +188,34 @@ def _all_words(size: int, width: int):
     return itertools.product(range(size), repeat=width)
 
 
-# -- scalar dynamics -----------------------------------------------------------
+# -- one-row dynamics ----------------------------------------------------------
 
 def step(system: System, x):
     """One application of the map; CA output loses r of valid radius."""
-    if isinstance(system, CARule):
-        return _step_ca(system, x)
-    if isinstance(system, Shift):
-        return _step_shift(system, x)
-    if isinstance(system, Odometer):
-        return _step_odometer(system, x)
     if isinstance(system, Rotation):
         if not isinstance(x, CirclePoint):
             raise UnsupportedSystem("rotations act on circle points")
         return CirclePoint(x.angle + system.alpha)
-    raise UnsupportedSystem(f"unknown system {system!r}")
+    if not isinstance(system, (CARule, Shift, Odometer)):
+        raise UnsupportedSystem(f"unknown system {system!r}")
+    out = step_batch(system, _checked_row(system, x))
+    return Configuration(x.alphabet, x.sided, out[0].tolist())
 
 
-def _check_cantor_arg(system: CantorSystem, x: Configuration, sided: str) -> None:
+def _checked_row(system: CantorSystem, x: Configuration) -> np.ndarray:
+    """x's symbols as one int64 row, once x fits the system's space and cells."""
     if not isinstance(x, Configuration):
         raise UnsupportedSystem(f"{type(system).__name__} acts on configurations")
     if x.alphabet != system.alphabet:
         raise ValueError(
             f"configuration over alphabet {x.alphabet.size}, system over {system.alphabet.size}"
         )
+    sided = system_sided(system)
     if x.sided != sided:
         raise ValueError(f"system needs {sided!r}-sided configurations, got {x.sided!r}")
-
-
-def _step_ca(rule: CARule, x: Configuration) -> Configuration:
-    _check_cantor_arg(rule, x, rule.sided)
-    r = rule.radius
-    R = x.radius
-    if R - r < 0:
-        raise InsufficientRadius(
-            f"radius-{r} rule needs valid radius >= {r}, configuration has {R}"
-        )
-    w = x.symbols
-    width = rule.neighborhood_size
-    out = tuple(
-        rule.table[w[j : j + width]] for j in range(len(w) - width + 1)
-    )
-    return Configuration(x.alphabet, x.sided, out)
-
-
-def _step_shift(system: Shift, x: Configuration) -> Configuration:
-    _check_cantor_arg(system, x, ONE_SIDED)
-    if x.radius < 1:
-        raise InsufficientRadius("shifting needs valid radius >= 1")
-    return Configuration(x.alphabet, ONE_SIDED, x.symbols[1:])
-
-
-def _step_odometer(system: Odometer, x: Configuration) -> Configuration:
-    _check_cantor_arg(system, x, ONE_SIDED)
-    digits = list(x.symbols)
-    for i, d in enumerate(digits):
-        if d >= system.size_at(i):
-            raise ValueError(f"digit {d} at coordinate {i} exceeds factor size {system.size_at(i)}")
-    for i in range(len(digits)):
-        if digits[i] + 1 < system.size_at(i):
-            digits[i] += 1
-            break
-        digits[i] = 0  # carry rolls rightward; past the window it is invisible here
-    return Configuration(x.alphabet, ONE_SIDED, tuple(digits))
+    row = np.array([x.symbols], dtype=np.int64)
+    check_cells(system, row)
+    return row
 
 
 def system_sided(system: CantorSystem) -> str:
@@ -288,6 +255,21 @@ def check_measure_alphabet(system: CantorSystem, mu) -> None:
         )
 
 
+def check_cells(system: CantorSystem, arr: np.ndarray) -> None:
+    """ValueError unless every symbol of the int rows `arr` fits its cell.
+
+    Rows list window cells ascending. Only odometer cell sizes vary, and its
+    cells run 0, 1, .., so column j is cell j wherever the size matters.
+    """
+    sizes = np.asarray(cell_sizes(system, range(arr.shape[1])))
+    if arr.size and (arr.min() < 0 or (arr.max(axis=0) >= sizes).any()):
+        row, col = np.argwhere((arr < 0) | (arr >= sizes))[0]
+        raise ValueError(
+            f"symbol {arr[row, col]} in column {col} outside the {sizes[col]} symbols "
+            f"of that cell of the {type(system).__name__}"
+        )
+
+
 def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -> list[tuple[int, ...]]:
     """Words (T^i x)_{W_m} for i = 0..horizon."""
     if isinstance(system, Rotation):
@@ -300,12 +282,13 @@ def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -
             f"trace to horizon {horizon} at resolution {m} needs valid radius {need}, "
             f"configuration has {x.radius}"
         )
+    sided, cost = system_sided(system), step_cost(system)
+    row = _checked_row(system, x)
     words = []
-    cur = x
-    for i in range(horizon + 1):
-        words.append(cur.window(m))
-        if i < horizon:
-            cur = step(system, cur)
+    for t in range(horizon + 1):
+        words.append(tuple(window_slice(sided, x.radius - cost * t, m, row)[0].tolist()))
+        if t < horizon:
+            row = step_batch(system, row)
     return words
 
 
@@ -315,14 +298,14 @@ def step_batch(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
     """Apply the map to every row of `arr` (rows list window cells ascending).
 
     Output rows cover a window narrower by step_cost(system) cells per side
-    that the dynamics consumes, exactly matching the scalar `step`.
+    that the dynamics consumes. Symbols are not checked (see `check_cells`).
     """
     if isinstance(system, CARule):
         size = system.alphabet.size
         width = system.neighborhood_size
         if arr.shape[1] < width:
             raise InsufficientRadius("batch window narrower than one neighborhood")
-        flat = system.flat_table()
+        flat = system.flat_table
         code = np.zeros((arr.shape[0], arr.shape[1] - width + 1), dtype=np.int64)
         for k in range(width):
             code = code * size + arr[:, k : arr.shape[1] - width + 1 + k]
@@ -369,8 +352,7 @@ def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) ->
     cells = window_cells(sided, radius)
     if arr.shape[1] != len(cells):
         raise InsufficientRadius(f"rows have {arr.shape[1]} cells, W_{radius} has {len(cells)}")
-    if (arr >= np.asarray(cell_sizes(system, cells))).any():
-        raise ValueError(f"row symbols outside the cells of {system!r}")
+    check_cells(system, arr)
     wins = np.empty((arr.shape[0], horizon + 1, window_size(sided, m)), dtype=np.int64)
     cur = arr
     for t in range(horizon + 1):
@@ -406,11 +388,7 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
 
 def pack_planes(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
     """One-hot bit planes (|A| x cells x words) of the int rows of `arr`."""
-    # only odometer cell sizes vary, and its cells run 0, 1, ..
-    sizes = np.asarray(cell_sizes(system, range(arr.shape[1])))
-    if arr.size and (arr.min() < 0 or (arr.max(axis=0) >= sizes).any()):
-        kind = type(system).__name__
-        raise ValueError(f"row symbols outside the cells of the {kind} over {system.alphabet.size} symbols")
+    check_cells(system, arr)
     return np.stack([pack_bits(np.ascontiguousarray((arr == a).T)) for a in range(system.alphabet.size)])
 
 

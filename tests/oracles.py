@@ -1,0 +1,132 @@
+"""Scalar oracles: the per-rule loops and per-configuration integrands that the
+batch engines replaced.
+
+They work on validated `Configuration` objects one at a time and never call
+`step_batch`, `step_planes` or the spectral row lookup, so a test that checks
+an engine against them compares two independent implementations.
+"""
+
+import math
+
+from equidyn import Configuration, InsufficientRadius, UnsupportedSystem
+from equidyn.core import DEFAULT_ENUMERATION_CAP, ONE_SIDED, Cylinder, count_words, iter_words, window_cells
+from equidyn.errors import EnumerationTooLarge
+from equidyn.rng import substream
+from equidyn.spectral import event_table, root_of_unity
+from equidyn.systems import (
+    CARule,
+    Odometer,
+    Shift,
+    cell_sizes,
+    dependence_radius,
+    step_cost,
+    system_sided,
+)
+
+
+def _check_arg(system, x, sided):
+    if not isinstance(x, Configuration):
+        raise UnsupportedSystem(f"{type(system).__name__} acts on configurations")
+    if x.alphabet != system.alphabet:
+        raise ValueError(f"configuration over alphabet {x.alphabet.size}, system over {system.alphabet.size}")
+    if x.sided != sided:
+        raise ValueError(f"system needs {sided!r}-sided configurations, got {x.sided!r}")
+
+
+def scalar_step(system, x):
+    """One application of a CA rule, the shift or an odometer, cell by cell."""
+    if isinstance(system, CARule):
+        _check_arg(system, x, system.sided)
+        if x.radius < system.radius:
+            raise InsufficientRadius(f"radius-{system.radius} rule, configuration has {x.radius}")
+        w, width = x.symbols, system.neighborhood_size
+        out = tuple(system.table[w[j : j + width]] for j in range(len(w) - width + 1))
+        return Configuration(x.alphabet, x.sided, out)
+    if isinstance(system, Shift):
+        _check_arg(system, x, ONE_SIDED)
+        if x.radius < 1:
+            raise InsufficientRadius("shifting needs valid radius >= 1")
+        return Configuration(x.alphabet, ONE_SIDED, x.symbols[1:])
+    if isinstance(system, Odometer):
+        _check_arg(system, x, ONE_SIDED)
+        digits = list(x.symbols)
+        for i, d in enumerate(digits):
+            if d >= system.size_at(i):
+                raise ValueError(f"digit {d} at coordinate {i} exceeds factor size {system.size_at(i)}")
+        for i in range(len(digits)):
+            if digits[i] + 1 < system.size_at(i):
+                digits[i] += 1
+                break
+            digits[i] = 0  # the carry rolls rightward, out of the window
+        return Configuration(x.alphabet, ONE_SIDED, tuple(digits))
+    raise UnsupportedSystem(f"no scalar oracle for {system!r}")
+
+
+def scalar_column_trace(system, x, m, horizon):
+    """Words (T^i x)_{W_m} for i = 0..horizon, through `scalar_step`."""
+    need = dependence_radius(system, m, horizon)
+    if x.radius < need:
+        raise InsufficientRadius(f"trace needs valid radius {need}, configuration has {x.radius}")
+    words, cur = [], x
+    for i in range(horizon + 1):
+        words.append(cur.window(m))
+        if i < horizon:
+            cur = scalar_step(system, cur)
+    return words
+
+
+def _scalar_integrate(system, mu, radius, integrand, mode, n_samples, seed, cap):
+    """Integral of `integrand` over one Configuration per word or per draw."""
+    sided = system_sided(system)
+    acc = 0.0
+    if mode == "exact":
+        sizes = cell_sizes(system, list(window_cells(sided, radius)))
+        total = count_words(sizes)
+        if total > cap:
+            raise EnumerationTooLarge(total, cap, "cylinder partition")
+        for word in iter_words(sizes):
+            v = integrand(Configuration(system.alphabet, sided, word))
+            if v != 0:
+                acc += v * mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, word))
+        return acc
+    for row in mu.sample_batch(sided, radius, n_samples, substream(seed, 0)):
+        acc += integrand(Configuration(system.alphabet, sided, tuple(int(s) for s in row)))
+    return acc / n_samples
+
+
+def _scalar_f(spec, tab, x):
+    """f_k(x) from x's own word on W_rho."""
+    j = tab.index.get(x.window(tab.rho))
+    return 0j if j is None else root_of_unity(spec.period, j * spec.k)
+
+
+def scalar_koopman_residual(spec, mu, horizon, mode="exact", n_samples=10_000, seed=0,
+                            cap=DEFAULT_ENUMERATION_CAP, table=None):
+    """`koopman_residual` with f_k(x) and f_k(Tx) evaluated per configuration."""
+    tab = table if table is not None else event_table(spec, horizon, cap)
+    lam = spec.eigenvalue()
+
+    def defect_sq(x):
+        fx = _scalar_f(spec, tab, x)
+        ftx = _scalar_f(spec, tab, scalar_step(spec.system, x))
+        v = ftx - lam * fx
+        return v.real * v.real + v.imag * v.imag
+
+    radius = tab.rho + step_cost(spec.system)
+    return math.sqrt(_scalar_integrate(spec.system, mu, radius, defect_sq, mode, n_samples, seed, cap))
+
+
+def scalar_inner_product(a, b, mu, horizon, mode="exact", n_samples=10_000, seed=0,
+                         cap=DEFAULT_ENUMERATION_CAP, table=None):
+    """`inner_product` with f_a conj(f_b) evaluated per configuration."""
+    tab_a = table if table is not None else event_table(a, horizon, cap)
+    tab_b = table if table is not None else event_table(b, horizon, cap)
+
+    def value(x):
+        fa = _scalar_f(a, tab_a, x)
+        if fa == 0:
+            return 0j
+        return fa * _scalar_f(b, tab_b, x).conjugate()
+
+    radius = max(tab_a.rho, tab_b.rho)
+    return complex(_scalar_integrate(a.system, mu, radius, value, mode, n_samples, seed, cap))

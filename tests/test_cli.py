@@ -117,6 +117,19 @@ class TestExitCodes:
         assert run(["spectral", "--config", path, "--out", tmp_path / "x.json"]) == 4
         assert "certificate" in capsys.readouterr().err
 
+    def test_odometer_digit_outside_its_cell_exits_4(self, tmp_path, capsys):
+        # digit 2 fits the 3-symbol alphabet but not cell 0, which has two values
+        cfg = write_cfg(tmp_path, {
+            "system": {"type": "odometer", "sizes": [2, 3]},
+            "measure": {"type": "haar", "sizes": [2, 3]},
+            "params": {"m": 1, "T": 2, "cert_T": 8, "y": "2000000"},
+            "seed": 1,
+        })
+        out = tmp_path / "x.json"
+        assert run(["spectral", "--config", cfg, "--out", out]) == 4
+        assert "symbol 2 in column 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_threads_value(self, tmp_path):
         path = write_cfg(tmp_path, DENSITY_CFG)
         assert run(["density", "--config", path, "--threads", "0",

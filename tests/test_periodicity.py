@@ -21,7 +21,6 @@ from equidyn import (
     ProductMeasure,
     Shift,
     certificate_holds,
-    column_trace,
     dependence_radius,
     detect_eventual_period,
     eca_rule,
@@ -33,6 +32,7 @@ from equidyn import (
 )
 from equidyn.periodicity import _BLOCK, detect_eventual_periods
 from equidyn.rng import substream
+from oracles import scalar_column_trace
 
 A2 = Alphabet(2)
 
@@ -190,13 +190,6 @@ class TestLepStatistics:
         assert stats.lp_fraction == 1.0
         assert stats.p_quantile == 6 and stats.q_quantile == 0
 
-    def test_thread_count_does_not_change_numbers(self):
-        od = Odometer((2, 2))
-        kwargs = dict(m=1, eps=0.1, n_samples=40, horizon=12, seed=8)
-        a = lep_statistics(od, ProductMeasure((2, 2)), threads=1, **kwargs)
-        b = lep_statistics(od, ProductMeasure((2, 2)), threads=8, **kwargs)
-        assert a.to_dict() == b.to_dict()
-
     def test_nothing_certified_gives_empty_quantiles(self):
         sh = Shift(A2)
         stats = lep_statistics(
@@ -264,12 +257,12 @@ def scalar_period(trace):
 
 
 def scalar_lep_statistics(system, mu, m, eps, n_samples, horizon, seed):
-    """Oracle: certify point by point through sample_config, column_trace and scalar_period."""
+    """Oracle: certify point by point through sample_config, scalar_column_trace and scalar_period."""
     radius = dependence_radius(system, m, horizon)
     certs = []
     for i in range(n_samples):
         x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
-        cert = scalar_period(column_trace(system, x, m, horizon))
+        cert = scalar_period(scalar_column_trace(system, x, m, horizon))
         if cert is not None:
             certs.append(cert)
     if certs:

@@ -1,8 +1,8 @@
-"""Seed derivation and order-preserving parallel map."""
+"""Seeded substreams and seed derivation."""
 
 import numpy as np
 
-from equidyn.rng import derive_seed, pmap, substream
+from equidyn.rng import derive_seed, substream
 
 
 def test_substream_reproducible():
@@ -23,15 +23,3 @@ def test_derive_seed_stable():
     assert derive_seed(7, 1) != derive_seed(7, 2)
     assert 0 <= derive_seed(123, 4, 5) < 2**64
 
-
-def test_pmap_preserves_order():
-    items = list(range(50))
-    assert pmap(lambda v: v * v, items, threads=1) == [v * v for v in items]
-    assert pmap(lambda v: v * v, items, threads=8) == [v * v for v in items]
-
-
-def test_pmap_thread_count_invisible():
-    def draw(i):
-        return int(substream(9, i).integers(0, 10**9))
-
-    assert pmap(draw, range(20), threads=1) == pmap(draw, range(20), threads=7)

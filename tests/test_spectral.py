@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from equidyn import (
     ProductMeasure,
     Shift,
     build_eigenfunction,
+    eca_rule,
     eigenfunction_eval,
     identity_rule,
     inner_product,
@@ -23,6 +25,8 @@ from equidyn import (
     root_of_unity,
 )
 from equidyn.spectral import event_table
+from equidyn.systems import system_sided
+from oracles import scalar_inner_product, scalar_koopman_residual
 
 A2 = Alphabet(2)
 
@@ -134,8 +138,9 @@ def test_partition_of_unity():
     y = Configuration(od.alphabet, "one", (0, 0, 0, 0))
     spec = build_eigenfunction(od, y, 1, 0, 8)
     tab = event_table(spec, 4)
-    for word in itertools.product(range(2), repeat=tab.rho + 1):
-        assert tab.lookup_word(word) is not None
+    words = list(itertools.product(range(2), repeat=tab.rho + 1))
+    assert set(words) <= tab.index.keys()
+    for word in words:
         x = Configuration(od.alphabet, "one", word)
         assert eigenfunction_eval(spec, x, 4, table=tab) == 1
 
@@ -237,3 +242,70 @@ def test_shared_table_gives_equal_results(case, mode):
         assert inner_product(a, b, mu, horizon, table=table, **opts) == inner_product(
             a, b, mu, horizon, **opts
         )
+
+
+
+# -- row integration against the per-configuration oracle ------------------------
+
+ORACLE_CASES = {
+    # system, measure, base word, m, certificate horizon, horizon
+    "Odometer((2,))/Haar": (Odometer((2,)), ProductMeasure((2,)), (0, 0, 0), 2, 16, 2),
+    "Odometer((2,3))/Haar": (Odometer((2, 3)), ProductMeasure((2, 3)), (0, 0), 1, 12, 2),
+    "shift period 3/Bernoulli(0.3,0.7)": (Shift(A2), BernoulliMeasure([0.3, 0.7]), (0, 0, 1) * 6, 1, 6, 4),
+    # two-sided: the ball words sit in the middle of the rows
+    "ECA 170 period 2/Bernoulli(0.3,0.7)": (
+        eca_rule(170), BernoulliMeasure([0.3, 0.7]), (0, 1) * 8 + (0,), 1, 4, 3,
+    ),
+}
+
+
+def oracle_specs(name):
+    system, mu, word, m, cert_horizon, horizon = ORACLE_CASES[name]
+    y = Configuration(system.alphabet, system_sided(system), word)
+    base = build_eigenfunction(system, y, m, 0, cert_horizon)
+    specs = [build_eigenfunction(system, y, m, k, cert_horizon) for k in range(base.period)]
+    return specs, mu, horizon
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_row_integration_equals_the_per_configuration_oracle(name, mode):
+    """Same values, same summation order: every residual and inner product keeps its bits."""
+    specs, mu, horizon = oracle_specs(name)
+    for k, spec in enumerate(specs):
+        opts = dict(mode=mode, n_samples=500, seed=k)
+        assert koopman_residual(spec, mu, horizon, **opts) == scalar_koopman_residual(spec, mu, horizon, **opts)
+    for a, b in itertools.product(specs, repeat=2):
+        opts = dict(mode=mode, n_samples=500, seed=3)
+        assert inner_product(a, b, mu, horizon, **opts) == scalar_inner_product(a, b, mu, horizon, **opts)
+
+
+def test_exact_memory_follows_the_block_not_the_partition():
+    """2^13 against 2^16 words on the residual's window: the same peak."""
+    spec = build_eigenfunction(Shift(A2), dyadic_point((0, 1) * 10), 1, 1, 4)
+    mu = BernoulliMeasure([0.3, 0.7])
+    peaks = []
+    for horizon in (10, 13):
+        table = event_table(spec, horizon)
+        tracemalloc.start()
+        try:
+            residual = koopman_residual(spec, mu, horizon, mode="exact", table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual > 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("integral", ["residual", "inner product"])
+def test_sampled_rows_outside_the_odometer_cells_raise(integral):
+    """Haar on (3, 3) draws digit 2 at cell 0, which Odometer((2, 3)) does not have."""
+    od = Odometer((2, 3))
+    spec = build_eigenfunction(od, Configuration(od.alphabet, "one", (0, 0)), 1, 1, 12)
+    mu = ProductMeasure((3, 3))
+    with pytest.raises(ValueError, match="column 0"):
+        if integral == "residual":
+            koopman_residual(spec, mu, 2, mode="sampled", n_samples=200)
+        else:
+            inner_product(spec, spec, mu, 2, mode="sampled", n_samples=200)

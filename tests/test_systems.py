@@ -29,7 +29,8 @@ from equidyn import (
     wolfram_number,
 )
 from equidyn.rng import substream
-from equidyn.systems import cell_sizes, column_codes, step_batch, trace_agreement_batch
+from equidyn.systems import cell_sizes, check_cells, column_codes, step_batch, trace_agreement_batch
+from oracles import scalar_column_trace, scalar_step
 
 A2 = Alphabet(2)
 
@@ -74,6 +75,8 @@ def test_step_requires_radius():
     x = Configuration(A2, "two", (1,))
     with pytest.raises(InsufficientRadius):
         step(rule, x)
+    with pytest.raises(InsufficientRadius):
+        step(Shift(A2), Configuration(A2, "one", (1,)))
 
 
 def test_shift_primitive_matches_shift_as_ca():
@@ -199,7 +202,7 @@ class TestBatch:
         out = step_batch(system, arr)
         for row_in, row_out in zip(arr, out):
             x = Configuration(alpha, sided, tuple(int(v) for v in row_in))
-            assert tuple(int(v) for v in row_out) == step(system, x).symbols
+            assert tuple(int(v) for v in row_out) == scalar_step(system, x).symbols
 
     def test_trace_agreement_batch_matches_scalar(self):
         from equidyn import orbit_ball_member
@@ -226,7 +229,7 @@ class TestColumnCodes:
         codes = column_codes(system, np.array(rows, dtype=np.int64), m, horizon)
         assert codes.shape == (len(rows), horizon + 1)
         for row, code in zip(rows, codes):
-            trace = column_trace(system, Configuration(system.alphabet, sided, row), m, horizon)
+            trace = scalar_column_trace(system, Configuration(system.alphabet, sided, row), m, horizon)
             for s, t in itertools.combinations(range(horizon + 1), 2):
                 assert (code[s] == code[t]) == (trace[s] == trace[t])
 
@@ -251,6 +254,84 @@ class TestColumnCodes:
             column_codes(Odometer((2, 3)), np.array([[2, 0]]), 1, 2)
         with pytest.raises(InsufficientRadius):
             column_codes(Shift(A2), np.array([[0, 1]]), 0, 2)
+
+
+# -- the one-row step and trace against the scalar oracles -------------------------
+
+def seeded_three_symbol_rule():
+    rng = np.random.default_rng(33)
+    table = {nb: int(rng.integers(3)) for nb in itertools.product(range(3), repeat=3)}
+    return CARule(Alphabet(3), "two", 1, table)
+
+
+def random_configs(system, radius, count, seed):
+    sided = system.sided if isinstance(system, CARule) else "one"
+    width = radius + 1 if sided == "one" else 2 * radius + 1
+    rng = np.random.default_rng(seed)
+    sizes = cell_sizes(system, range(width))  # only odometer sizes vary, and it is one-sided
+    return [Configuration(system.alphabet, sided, [int(rng.integers(s)) for s in sizes]) for _ in range(count)]
+
+
+def assert_one_row_matches_oracle(system, seed):
+    for horizon, m in itertools.product(range(4), (0, 1)):
+        radius = dependence_radius(system, m, horizon) + 1
+        for x in random_configs(system, radius, 4, seed=(seed, horizon, m)):
+            assert column_trace(system, x, m, horizon) == scalar_column_trace(system, x, m, horizon)
+            got = want = x
+            for _ in range(horizon):
+                got, want = step(system, got), scalar_step(system, want)
+                assert got == want
+
+
+class TestOneRowMatchesOracle:
+    def test_every_eca(self):
+        for number in range(256):
+            assert_one_row_matches_oracle(eca_rule(number), seed=number)
+
+    @pytest.mark.parametrize("system", [
+        seeded_three_symbol_rule(), Shift(A2), Odometer((2, 3)),
+    ], ids=["three-symbol two-sided", "shift", "odometer"])
+    def test_other_systems(self, system):
+        assert_one_row_matches_oracle(system, seed=5)
+
+    def test_odometer_carry_leaves_the_window_like_the_oracle(self):
+        od = Odometer((2, 3))
+        x = Configuration(od.alphabet, "one", (1, 2, 2, 2))
+        assert step(od, x) == scalar_step(od, x) == Configuration(od.alphabet, "one", (0, 0, 0, 0))
+
+
+class TestCellRangeCheck:
+    """Digit 2 at cell 0 of Odometer((2, 3)) fits the alphabet but not the cell."""
+
+    OD = Odometer((2, 3))
+    BAD = Configuration(Alphabet(3), "one", (2, 0, 0))
+
+    def test_column_trace(self):
+        for horizon in (0, 2):
+            with pytest.raises(ValueError, match="column 0"):
+                column_trace(self.OD, self.BAD, 1, horizon)
+
+    def test_sensitive_pair_test(self):
+        from equidyn import sensitive_pair_test
+
+        good = Configuration(Alphabet(3), "one", (0, 0, 0))
+        with pytest.raises(ValueError, match="column 0"):
+            sensitive_pair_test(self.OD, self.BAD, good, 1, 1)
+        with pytest.raises(ValueError, match="column 0"):
+            sensitive_pair_test(self.OD, good, self.BAD, 1, 1)
+
+    @pytest.mark.parametrize("system,bad", [
+        (eca_rule(110), [[0, -1, 1]]),
+        (eca_rule(110), [[0, 2, 1]]),
+        (OD, [[1, 1, 3]]),
+    ])
+    def test_rows_outside_their_cells(self, system, bad):
+        with pytest.raises(ValueError, match="outside"):
+            check_cells(system, np.array(bad))
+
+    def test_rows_inside_their_cells_pass(self):
+        check_cells(self.OD, np.array([[1, 2, 2], [0, 0, 1]]))
+        check_cells(eca_rule(110), np.zeros((0, 3), dtype=np.int64))
 
 
 def test_rotation_is_an_exact_isometry():
