@@ -125,16 +125,26 @@ def _build_measure(cfg: dict, system=None):
 def _number(value, field: str, kind=int, minimum=None):
     """`kind(value)`, or ConfigInvalid naming the dotted `field`."""
     try:
-        value = kind(value)
+        number = kind(value)
+        if isinstance(value, bool) or (isinstance(value, float) and number != value):
+            raise ValueError  # a bool is no number, and 2.5 no integer (1e3 is one)
     except (ValueError, TypeError, OverflowError):
         raise ConfigInvalid(field, f"not {'an integer' if kind is int else 'a number'}: {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigInvalid(field, f"must be >= {minimum}, got {value}")
-    return value
+    if minimum is not None and number < minimum:
+        raise ConfigInvalid(field, f"must be >= {minimum}, got {number}")
+    return number
 
 
 def _param(params: dict, field: str, default=None, minimum=None, kind=int, prefix="params."):
     return _number(_need(params, field, prefix, default), f"{prefix}{field}", kind, minimum)
+
+
+def _delta_param(params: dict, field: str, prefix="params."):
+    """A tolerance such as `delta`: a number strictly between 0 and 1."""
+    value = _param(params, field, DEFAULT_DELTA, kind=float, prefix=prefix)
+    if not 0 < value < 1:
+        raise ConfigInvalid(f"{prefix}{field}", f"must lie in (0, 1), got {value}")
+    return value
 
 
 def _list_param(params: dict, field: str, kind=None, prefix="params."):
@@ -223,7 +233,7 @@ def _run_classify(system, mu, params, seed, cap):
         horizon=_param(params, "T", minimum=0),
         points=_param(params, "points", default=50, minimum=1),
         n_samples=_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
-        delta=_param(params, "delta", DEFAULT_DELTA, kind=float),
+        delta=_delta_param(params, "delta"),
         seed=seed,
         cap=cap,
     )
@@ -348,7 +358,7 @@ def _equi_params_from(params: dict, optional: bool = False) -> dict:
         "T": lambda: _param(raw, "T", minimum=0, prefix=prefix),
         "points": lambda: _param(raw, "points", 50, minimum=1, prefix=prefix),
         "n_samples": lambda: _param(raw, "n_samples", 2000, minimum=1, prefix=prefix),
-        "delta": lambda: _param(raw, "delta", DEFAULT_DELTA, kind=float, prefix=prefix),
+        "delta": lambda: _delta_param(raw, "delta", prefix=prefix),
     }
     renamed = {"T": "horizon"}
     return {renamed.get(f, f): check() for f, check in checks.items() if f in raw or not optional}
@@ -361,8 +371,8 @@ def _run_dichotomy(system, mu, params, seed, cap):
         horizon=_param(params, "T", minimum=1),
         equi_params=_equi_params_from(params),
         n_samples=_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
-        delta_s=_param(params, "delta_s", DEFAULT_DELTA, kind=float),
-        delta_e=_param(params, "delta_e", DEFAULT_DELTA, kind=float),
+        delta_s=_delta_param(params, "delta_s"),
+        delta_e=_delta_param(params, "delta_e"),
         seed=seed,
         cap=cap,
     )

@@ -6,6 +6,14 @@ conditional sampling are deterministic given a generator or seed. Finite
 unions of cylinders support exact density ratios and exact Vitali covers by
 clopen refinement, because two cylinders over the same space either nest or
 are disjoint.
+
+Batch draws come as pieces (first_row, first_cell, block) in the order the
+generator makes them: `block` holds rows first_row.. on cells first_cell..
+of W_radius. Markov (one `random(n)` per cell) and Haar (one `integers` call
+per cell) give one column of all n rows per piece; Bernoulli (row-major
+`random((n, k))`) gives blocks of `ROW_BLOCK` rows. `sample_batch` and
+`conditional_batch` write the pieces into int rows; `systems.pack_planes`
+packs them into bit planes as they arrive, without an n x |W| array.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ from .errors import AlphabetMismatch, EnumerationTooLarge, NullBall, NullCylinde
 from .rng import substream
 
 RandomState = Union[int, np.random.Generator]
+Piece = tuple[int, int, np.ndarray]
+
+ROW_BLOCK = 2048  # rows per Bernoulli piece: a multiple of 64, so pieces fill whole plane words
 
 
 def as_generator(random_state: RandomState) -> np.random.Generator:
@@ -71,9 +82,10 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _CylinderMeasure:
     """What the cylinder measures share.
 
-    Subclasses supply `_conditional_words` and `sample_rows(sided, radius,
-    rngs)`, whose row i is the word on W_radius drawn from rngs[i] alone;
-    `sample_config` is its one-row call.
+    Subclasses supply `_pieces(sided, radius, n, rng, given)`, the one
+    generator of batch draws (conditioned on the cylinder `given` unless it
+    is None), and `sample_rows(sided, radius, rngs)`, whose row i is the word
+    on W_radius drawn from rngs[i] alone; `sample_config` is its one-row call.
     """
 
     def cell_size(self, i: int) -> int:
@@ -90,11 +102,22 @@ class _CylinderMeasure:
         return Configuration(self.alphabet, sided, row)
 
     def conditional_sample(self, c: Cylinder, radius: int, random_state: RandomState) -> Configuration:
-        word = self._conditional_words(c, radius, 1, as_generator(random_state))[0]
+        word = self.conditional_batch(c, radius, 1, as_generator(random_state))[0]
         return Configuration(self.alphabet, c.sided, tuple(int(s) for s in word))
 
+    def pieces(self, sided: str, radius: int, n: int, rng: np.random.Generator, given: Cylinder | None = None):
+        """n words on W_radius from `rng`, given the cylinder `given` if any, as pieces in draw order."""
+        if given is not None:
+            _require_extendable(self, given, radius)
+            if given.sided != sided:
+                raise ValueError(f"{given.sided!r}-sided cylinder, {sided!r}-sided draws")
+        return self._pieces(check_sided(sided), radius, n, rng, given)
+
+    def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return _rows(self.pieces(sided, radius, n, rng), n, window_size(sided, radius))
+
     def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._conditional_words(c, radius, n, rng)
+        return _rows(self.pieces(c.sided, radius, n, rng, c), n, window_size(c.sided, radius))
 
 
 class BernoulliMeasure(_CylinderMeasure):
@@ -122,16 +145,13 @@ class BernoulliMeasure(_CylinderMeasure):
     def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return _inverse_cdf(self._cum, _uniform_rows(rngs, window_size(check_sided(sided), radius)))
 
-    def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
         k = window_size(sided, radius)
-        return _inverse_cdf(self._cum, rng.random((n, k)))
-
-    def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
-        _require_extendable(self, c, radius)
-        k = window_size(c.sided, radius)
-        out = _inverse_cdf(self._cum, rng.random((n, k)))
-        _paste_word(out, c, radius)
-        return out
+        blocks = (
+            (r0, 0, _inverse_cdf(self._cum, rng.random((min(ROW_BLOCK, n - r0), k))))
+            for r0 in range(0, n, ROW_BLOCK)
+        )
+        return blocks if given is None else _pasted(blocks, given, radius)
 
 
 class MarkovMeasure(_CylinderMeasure):
@@ -191,9 +211,6 @@ class MarkovMeasure(_CylinderMeasure):
     def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return self._chain_words(_uniform_rows(rngs, window_size(check_sided(sided), radius)))
 
-    def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._chain_words(rng.random((window_size(sided, radius), n)).T)
-
     def _chain_words(self, u: np.ndarray) -> np.ndarray:
         """Chains read left to right off the uniforms `u`, one row per chain."""
         out = np.empty(u.shape[::-1], dtype=np.int64).T  # column-major: each step writes one column
@@ -208,27 +225,25 @@ class MarkovMeasure(_CylinderMeasure):
         Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
         j < |A| - 1 is the inverse CDF capped at the last symbol.
         """
-        out = np.zeros(len(prev), dtype=np.int64)
-        for j in range(self.alphabet.size - 1):
+        out = (u >= cum[:, 0].take(prev)).astype(np.int64)
+        for j in range(1, self.alphabet.size - 1):
             out += u >= cum[:, j].take(prev)
         return out
 
-    def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
-        _require_extendable(self, c, radius)
-        k = window_size(c.sided, radius)
-        out = np.empty((k, n), dtype=np.int64).T  # column-major, as in _chain_words
-        _paste_word(out, c, radius)
-        fixed = window_size(c.sided, c.radius)
-        if c.sided == ONE_SIDED:
-            lo, hi = 0, fixed  # occupied slots [lo, hi)
-        else:
-            lo = radius - c.radius
-            hi = lo + fixed
-        for j in range(hi, k):  # extend rightward with the forward kernel
-            out[:, j] = self._kernel_column(self._cum_rows, out[:, j - 1], rng.random(n))
-        for j in range(lo - 1, -1, -1):  # extend leftward with the reversed kernel
-            out[:, j] = self._kernel_column(self._cum_rev, out[:, j + 1], rng.random(n))
-        return out
+    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
+        """Columns: the given word (or a stationary first cell), then the
+        forward kernel rightward and the reversed kernel leftward."""
+        lo, hi = (0, 1) if given is None else _fixed_span(given, radius)
+        for j in range(lo, hi):
+            right = _inverse_cdf(self._cum_pi, rng.random(n)) if given is None else np.full(n, given.word[j - lo])
+            yield 0, j, right[:, None]
+        for j in range(hi, window_size(sided, radius)):
+            right = self._kernel_column(self._cum_rows, right, rng.random(n))
+            yield 0, j, right[:, None]
+        left = np.full(n, given.word[0]) if lo else None
+        for j in range(lo - 1, -1, -1):
+            left = self._kernel_column(self._cum_rev, left, rng.random(n))
+            yield 0, j, left[:, None]
 
 
 class ProductMeasure(_CylinderMeasure):
@@ -278,19 +293,11 @@ class ProductMeasure(_CylinderMeasure):
         rows = [rng.integers(0, sizes) for rng in rngs]
         return np.array(rows, dtype=np.int64).reshape(len(rngs), len(sizes))
 
-    def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
         if sided != ONE_SIDED:
             raise AlphabetMismatch("product measures live on one-sided configurations")
-        cols = [rng.integers(0, self.size_at(i), size=n) for i in range(radius + 1)]
-        return np.stack(cols, axis=1)
-
-    def _conditional_words(self, c: Cylinder, radius: int, n: int, rng) -> np.ndarray:
-        _require_extendable(self, c, radius)
-        out = np.empty((n, radius + 1), dtype=np.int64)
-        for i in range(radius + 1):
-            out[:, i] = rng.integers(0, self.size_at(i), size=n)
-        _paste_word(out, c, radius)
-        return out
+        cols = ((0, i, rng.integers(0, self.size_at(i), size=n)[:, None]) for i in range(radius + 1))
+        return cols if given is None else _pasted(cols, given, radius)
 
 
 class LebesgueMeasure:
@@ -321,14 +328,29 @@ def _require_extendable(mu: CantorMeasure, c: Cylinder, radius: int) -> None:
         raise NullCylinder(f"cylinder {c.word} has measure zero; cannot condition on it")
 
 
-def _paste_word(batch: np.ndarray, c: Cylinder, radius: int) -> None:
-    """Overwrite the conditioned window inside rows covering W_radius."""
-    fixed = len(c.word)
-    if c.sided == ONE_SIDED:
-        batch[:, :fixed] = np.asarray(c.word)
-    else:
-        lo = radius - c.radius
-        batch[:, lo : lo + fixed] = np.asarray(c.word)
+def _fixed_span(c: Cylinder, radius: int) -> tuple[int, int]:
+    """Columns [lo, hi) that c's word occupies in rows covering W_radius."""
+    lo = 0 if c.sided == ONE_SIDED else radius - c.radius
+    return lo, lo + len(c.word)
+
+
+def _pasted(pieces: Iterator[Piece], c: Cylinder, radius: int) -> Iterator[Piece]:
+    """The pieces with c's word written over the conditioned window."""
+    lo, hi = _fixed_span(c, radius)
+    word = np.asarray(c.word)
+    for r0, c0, block in pieces:
+        a, b = max(lo, c0), min(hi, c0 + block.shape[1])
+        if a < b:
+            block[:, a - c0 : b - c0] = word[a - lo : b - lo]
+        yield r0, c0, block
+
+
+def _rows(pieces: Iterator[Piece], n: int, k: int) -> np.ndarray:
+    """The n x k int rows that the pieces tile."""
+    out = np.empty((n, k), dtype=np.int64)
+    for r0, c0, block in pieces:
+        out[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+    return out
 
 
 # -- cylinder-set algebra ------------------------------------------------------

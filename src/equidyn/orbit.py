@@ -31,6 +31,7 @@ from .core import (
     count_words,
     iter_words,
     window_cells,
+    window_size,
     word_to_str,
 )
 from .errors import (
@@ -51,6 +52,7 @@ from .systems import (
     step,
     step_batch,
     step_cost,
+    pack_planes,
     system_sided,
     trace_agreement_batch,
     window_slice,
@@ -103,18 +105,17 @@ def _check_cap(system: CantorSystem, cells, cap: int, what: str) -> None:
         raise EnumerationTooLarge(total, cap, what)
 
 
-def _trace_frontier(system: CantorSystem, x: Configuration, m: int, horizon: int, k: int) -> np.ndarray:
-    """Rows on W_rho that extend x's word on W_k and reproduce x's trace.
+def _trace_frontier(system: CantorSystem, x: Configuration, m: int, k: int, target) -> np.ndarray:
+    """Rows on W_rho that extend x's word on W_k and reproduce x's trace `target`.
 
     Time t widens the rows to W_{max(k, m + c t)}, c = step_cost, with every
     symbol on the new cells, and keeps those whose t-th image matches x's trace
     on W_m. Widening changes no earlier trace word but forces fresh images.
     """
     sided, cost = system_sided(system), step_cost(system)
-    target = column_trace(system, x, m, horizon)
     rows = cur = np.array([x.window(k)], dtype=np.int64)
     radius = k
-    for t in range(1, horizon + 1):
+    for t in range(1, len(target)):
         wider = max(k, m + cost * t)
         if wider > radius:
             left = list(range(-wider, -radius)) if sided == TWO_SIDED else []
@@ -144,7 +145,7 @@ def orbit_ball_event(
     rho = dependence_radius(system, m, horizon)
     sided = system_sided(system)
     _check_cap(system, window_cells(sided, rho), cap, "orbit ball enumeration")
-    rows = _trace_frontier(system, x, m, horizon, m)
+    rows = _trace_frontier(system, x, m, m, column_trace(system, x, m, horizon))
     return OrbitBallEvent(
         sided=sided,
         m=m,
@@ -179,6 +180,11 @@ def density_ratio_exact(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """mu(B_{m,horizon}(x) intersect B_n(x)) / mu(B_n(x)), computed exactly."""
+    return _ratio_exact(system, mu, x, m, n, horizon, cap, None)
+
+
+def _ratio_exact(system, mu, x, m, n, horizon, cap, target) -> float:
+    """density_ratio_exact, given x's column trace (None: traced here if needed)."""
     if isinstance(system, Rotation):
         _require_lebesgue(mu)
         return _rotation_ratio(m, n)
@@ -196,7 +202,7 @@ def density_ratio_exact(
         return 1.0
     sided = system_sided(system)
     _check_cap(system, window_cells(sided, rho), cap, "orbit ball enumeration")
-    rows = _trace_frontier(system, x, m, horizon, max(m, n))
+    rows = _trace_frontier(system, x, m, max(m, n), target or column_trace(system, x, m, horizon))
     free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
     if len(rows) == count_words(cell_sizes(system, free)):
         # the event contains every extension of the ball word, so the ratio
@@ -249,6 +255,11 @@ def density_ratio_estimate(
     seed: int = 0,
 ) -> RatioEstimate:
     """Sample the conditioning ball and count trace agreement with x."""
+    return _ratio_estimate(system, mu, x, m, n, horizon, n_samples, seed, None)
+
+
+def _ratio_estimate(system, mu, x, m, n, horizon, n_samples, seed, target) -> RatioEstimate:
+    """density_ratio_estimate, given x's column trace (None: traced here)."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if isinstance(system, Rotation):
@@ -273,10 +284,10 @@ def density_ratio_estimate(
     radius = max(n, rho)
     if x.radius < radius:
         raise InsufficientRadius(f"need valid radius {radius}, have {x.radius}")
-    target = column_trace(system, x, m, horizon)
-    batch = mu.conditional_batch(ball, radius, n_samples, substream(seed, 0))
-    mask = trace_agreement_batch(system, target, batch, m, radius)
-    p_hat = float(mask.mean())
+    target = target or column_trace(system, x, m, horizon)
+    pieces = mu.pieces(x.sided, radius, n_samples, substream(seed, 0), ball)
+    planes = pack_planes(system, pieces, (n_samples, window_size(x.sided, radius)))
+    p_hat = float(trace_agreement_batch(system, target, planes, n_samples, m, radius).mean())
     return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
 
 
@@ -301,7 +312,7 @@ def equicontinuity_point_test(
     sided = system_sided(system)
     free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
     _check_cap(system, free, cap, "ball extension enumeration")
-    rows = _trace_frontier(system, x, m, horizon, max(m, n))
+    rows = _trace_frontier(system, x, m, max(m, n), column_trace(system, x, m, horizon))
     return len(rows) == count_words(cell_sizes(system, free))
 
 
@@ -367,6 +378,7 @@ def mu_equicontinuity_report(
     largest n reaches 1 - delta. Exact enumeration is used whenever the
     dependence window fits under the cap; otherwise each (point, n) cell is
     estimated with its own derived seed, so no cell's draws depend on another's.
+    Each point's column trace is computed once and serves all its cells.
     """
     if points < 1:
         raise ValueError("need at least one base point")
@@ -394,16 +406,12 @@ def mu_equicontinuity_report(
         def cantor_curve(i: int) -> PointCurve:
             x = cantor_mu.sample_config(sided, radius, substream(seed, 0, i))
             label = word_to_str(x.symbols, x.alphabet)
+            target = column_trace(system, x, m, horizon)
             if use_exact:
-                ratios = tuple(
-                    density_ratio_exact(system, cantor_mu, x, m, n, horizon, cap=cap) for n in ns
-                )
+                ratios = tuple(_ratio_exact(system, cantor_mu, x, m, n, horizon, cap, target) for n in ns)
                 return PointCurve(point=label, ratios=ratios, exact=True, stderrs=None)
             ests = [
-                density_ratio_estimate(
-                    system, cantor_mu, x, m, n, horizon,
-                    n_samples=n_samples, seed=derive_seed(seed, 1, i, j),
-                )
+                _ratio_estimate(system, cantor_mu, x, m, n, horizon, n_samples, derive_seed(seed, 1, i, j), target)
                 for j, n in enumerate(ns)
             ]
             return PointCurve(

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_ENUMERATION_CAP, CirclePoint, check_compatible, circle_distance
+from .core import DEFAULT_ENUMERATION_CAP, CirclePoint, check_compatible, circle_distance, window_size
 from .errors import InsufficientRadius, UnsupportedSystem
 from .measures import Measure
 from .orbit import EquicontinuityReport, mu_equicontinuity_report, _require_cantor_measure, _require_lebesgue
@@ -130,8 +130,9 @@ def mu_sensitivity_estimate(
         w = separation_window(eps)
         cost = step_cost(system)
         radius = w + cost * horizon
-        px = pack_planes(system, cantor_mu.sample_batch(sided, radius, n_samples, substream(seed, 0)))
-        py = pack_planes(system, cantor_mu.sample_batch(sided, radius, n_samples, substream(seed, 1)))
+        shape = (n_samples, window_size(sided, radius))
+        px = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, substream(seed, 0)), shape)
+        py = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, substream(seed, 1)), shape)
         everyone = pack_bits(np.ones(n_samples, dtype=bool))  # padding bits clear
         separated = np.zeros_like(everyone)
         cur = radius

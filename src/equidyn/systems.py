@@ -14,6 +14,11 @@ serves the exact route (the orbit-ball frontier search), `column_codes`
 the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
 share no stepper; the scalar per-rule loops live in the tests as oracles.
+
+`pack_planes` packs the pieces a measure draws (see `measures`) as they
+arrive, checking each against its cells: columns of all rows for Markov and
+Haar, blocks of whole rows for Bernoulli. So the Monte Carlo route holds the
+planes (|A| * cells * n / 8 bytes) and one piece, never an int batch.
 """
 
 from __future__ import annotations
@@ -255,17 +260,22 @@ def check_measure_alphabet(system: CantorSystem, mu) -> None:
         )
 
 
-def check_cells(system: CantorSystem, arr: np.ndarray) -> None:
+def check_cells(system: CantorSystem, arr: np.ndarray, first: int = 0) -> None:
     """ValueError unless every symbol of the int rows `arr` fits its cell.
 
-    Rows list window cells ascending. Only odometer cell sizes vary, and its
-    cells run 0, 1, .., so column j is cell j wherever the size matters.
+    Rows list window cells ascending; column j is column first + j of the
+    window. Only odometer cell sizes vary, and its cells run 0, 1, .., so
+    window column j is cell j wherever the size matters.
     """
-    sizes = np.asarray(cell_sizes(system, range(arr.shape[1])))
-    if arr.size and (arr.min() < 0 or (arr.max(axis=0) >= sizes).any()):
-        row, col = np.argwhere((arr < 0) | (arr >= sizes))[0]
+    cells = range(first, first + arr.shape[1])
+    if not arr.size or (arr.min() >= 0 and arr.max() < min(cell_sizes(system, cells))):
+        return
+    sizes = np.asarray(cell_sizes(system, cells))
+    bad = (arr < 0) | (arr >= sizes)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
         raise ValueError(
-            f"symbol {arr[row, col]} in column {col} outside the {sizes[col]} symbols "
+            f"symbol {arr[row, col]} in column {first + col} outside the {sizes[col]} symbols "
             f"of that cell of the {type(system).__name__}"
         )
 
@@ -386,10 +396,20 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(bool)
 
 
-def pack_planes(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
-    """One-hot bit planes (|A| x cells x words) of the int rows of `arr`."""
-    check_cells(system, arr)
-    return np.stack([pack_bits(np.ascontiguousarray((arr == a).T)) for a in range(system.alphabet.size)])
+def pack_planes(system: CantorSystem, rows, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """One-hot bit planes (|A| x cells x words) of int rows, or of the pieces
+    (first_row, first_cell, block) of rows of `shape` (first rows a multiple of 8)."""
+    if isinstance(rows, np.ndarray):
+        rows, shape = [(0, 0, rows)], rows.shape
+    n, cells = shape
+    symbols = np.arange(system.alphabet.size)[:, None, None]
+    planes = np.zeros((len(symbols), cells, -(-n // 64)), dtype=np.uint64)
+    octets = planes.view(np.uint8)  # bit i of a word is bit i % 8 of its octet i // 8, as in pack_bits
+    for r0, c0, block in rows:
+        check_cells(system, block, c0)
+        (h, w), by_cell = block.shape, np.ascontiguousarray(block.T) == symbols  # packbits runs along rows
+        octets[:, c0 : c0 + w, r0 // 8 : (r0 + h + 7) // 8] = np.packbits(by_cell, axis=-1, bitorder="little")
+    return planes
 
 
 def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
@@ -428,14 +448,15 @@ def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
 def trace_agreement_batch(
     system: CantorSystem,
     trace_words: Sequence[tuple[int, ...]],
-    arr: np.ndarray,
+    planes: np.ndarray,
+    n: int,
     m: int,
     covered_radius: int,
 ) -> np.ndarray:
-    """Boolean row mask: does the row's column trace equal `trace_words`?
+    """Boolean mask over the n rows of `planes`: does the row's column trace equal `trace_words`?
 
-    `arr` rows must cover W_covered_radius with covered_radius at least the
-    dependence radius for (m, len(trace_words) - 1).
+    The planes (`pack_planes`) must cover W_covered_radius with covered_radius
+    at least the dependence radius for (m, len(trace_words) - 1).
     """
     horizon = len(trace_words) - 1
     sided = system_sided(system)
@@ -444,8 +465,7 @@ def trace_agreement_batch(
         raise InsufficientRadius(
             f"batch covers radius {covered_radius}, trace needs {need}"
         )
-    planes = pack_planes(system, arr)
-    alive = pack_bits(np.ones(arr.shape[0], dtype=bool))  # padding bits start, and stay, clear
+    alive = pack_bits(np.ones(n, dtype=bool))  # padding bits start, and stay, clear
     radius = covered_radius
     for i, target in enumerate(trace_words):
         target = np.asarray(target, dtype=np.int64)
@@ -458,7 +478,7 @@ def trace_agreement_batch(
             break
         planes = step_planes(system, planes)
         radius -= step_cost(system)
-    return unpack_bits(alive, arr.shape[0])
+    return unpack_bits(alive, n)
 
 
 # -- external interface --------------------------------------------------------

@@ -4,12 +4,19 @@ batch engines replaced.
 They work on validated `Configuration` objects one at a time and never call
 `step_batch`, `step_planes` or the spectral row lookup, so a test that checks
 an engine against them compares two independent implementations.
+
+The batch samplers below are the whole-array formulas that the piece
+generators of `equidyn.measures` replaced: each draws one n x |W| array in
+the same stream order, so equal rows mean equal draws.
 """
 
 import math
 
+import numpy as np
+
 from equidyn import Configuration, InsufficientRadius, UnsupportedSystem
-from equidyn.core import DEFAULT_ENUMERATION_CAP, ONE_SIDED, Cylinder, count_words, iter_words, window_cells
+from equidyn.core import DEFAULT_ENUMERATION_CAP, ONE_SIDED, Cylinder, count_words, iter_words, window_cells, window_size
+from equidyn.measures import BernoulliMeasure, MarkovMeasure, ProductMeasure
 from equidyn.errors import EnumerationTooLarge
 from equidyn.rng import substream
 from equidyn.spectral import event_table, root_of_unity
@@ -130,3 +137,54 @@ def scalar_inner_product(a, b, mu, horizon, mode="exact", n_samples=10_000, seed
 
     radius = max(tab_a.rho, tab_b.rho)
     return complex(_scalar_integrate(a.system, mu, radius, value, mode, n_samples, seed, cap))
+
+
+# -- whole-array batch samplers -----------------------------------------------
+
+def _invert(cum, u):
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _chain_step(cum, prev, u):
+    """Next Markov symbols: the inverse CDF of the kernel row of `prev` at `u`."""
+    return np.array([_invert(cum[p], v) for p, v in zip(prev, u)], dtype=np.int64)
+
+
+def _paste(out, c, radius):
+    lo = 0 if c.sided == ONE_SIDED else radius - c.radius
+    out[:, lo : lo + len(c.word)] = c.word
+    return out
+
+
+def oracle_sample_batch(mu, sided, radius, n, rng):
+    """n x |W_radius| rows: Bernoulli row-major, Markov and Haar one call per cell."""
+    k = window_size(sided, radius)
+    if isinstance(mu, BernoulliMeasure):
+        return _invert(np.cumsum(mu.weights), rng.random((n, k)))
+    if isinstance(mu, MarkovMeasure):
+        u = rng.random((k, n))
+        cols = [_invert(np.cumsum(mu.stationary), u[0])]
+        for j in range(1, k):
+            cols.append(_chain_step(np.cumsum(mu.transition, axis=1), cols[-1], u[j]))
+        return np.stack(cols, axis=1)
+    assert isinstance(mu, ProductMeasure) and sided == ONE_SIDED
+    return np.stack([rng.integers(0, mu.size_at(i), size=n) for i in range(radius + 1)], axis=1)
+
+
+def oracle_conditional_batch(mu, c, radius, n, rng):
+    """Rows on W_radius given the cylinder c: Bernoulli and Haar draw the whole
+    window and paste c's word; Markov extends the word rightward, then leftward."""
+    if not isinstance(mu, MarkovMeasure):
+        return _paste(oracle_sample_batch(mu, c.sided, radius, n, rng), c, radius)
+    k = window_size(c.sided, radius)
+    out = _paste(np.zeros((n, k), dtype=np.int64), c, radius)
+    lo = 0 if c.sided == ONE_SIDED else radius - c.radius
+    hi = lo + len(c.word)
+    pi = mu.stationary
+    forward = np.cumsum(mu.transition, axis=1)
+    reverse = np.cumsum((pi[None, :] * mu.transition.T) / pi[:, None], axis=1)
+    for j in range(hi, k):
+        out[:, j] = _chain_step(forward, out[:, j - 1], rng.random(n))
+    for j in range(lo - 1, -1, -1):
+        out[:, j] = _chain_step(reverse, out[:, j + 1], rng.random(n))
+    return out

@@ -309,18 +309,41 @@ FIELD_ERROR_CASES = [
     ("lep", LEP_EQUI_CFG, "params.equi.delta", "abc", "params.equi.delta"),
     ("lep", LEP_CFG, "params.equi", [3], "params.equi"),
     ("vitali", VITALI_CFG, "params.eps", "abc", "params.eps"),
+    # numbers of the wrong kind or range; the last entry keeps their test ids apart
+    ("density", DENSITY_CFG, "params.n_samples", 2.5, "params.n_samples", "fraction"),
+    ("density", DENSITY_CFG, "params.n_list", [1.9], "params.n_list", "fraction"),
+    ("density", DENSITY_CFG, "params.m", True, "params.m", "bool"),
+    ("classify", DENSITY_CFG, "params.points", True, "params.points", "bool"),
+    ("density", DENSITY_CFG, "cap", True, "cap", "bool"),
+    ("density", DENSITY_CFG, "seed", False, "seed", "bool"),
+    ("classify", DENSITY_CFG, "params.delta", 1.5, "params.delta", "above-1"),
+    ("classify", DENSITY_CFG, "params.delta", 0, "params.delta", "zero"),
+    ("classify", DENSITY_CFG, "params.delta", True, "params.delta", "bool"),
+    ("dichotomy", DICHOTOMY_CFG, "params.delta_s", 1.5, "params.delta_s", "above-1"),
+    ("dichotomy", DICHOTOMY_CFG, "params.delta_e", -0.1, "params.delta_e", "negative"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.delta", 1, "params.equi.delta", "one"),
+    ("lep", LEP_EQUI_CFG, "params.equi.delta", 0.0, "params.equi.delta", "zero"),
 ]
 
 
 class TestConfigFieldErrors:
     @pytest.mark.parametrize(
-        "command,cfg,path,value,field", FIELD_ERROR_CASES,
-        ids=[f"{case[0]}-{case[2]}" for case in FIELD_ERROR_CASES],
+        "command,cfg,path,value,field", [case[:5] for case in FIELD_ERROR_CASES],
+        ids=["-".join((case[0], case[2]) + case[5:]) for case in FIELD_ERROR_CASES],
     )
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, command, cfg, path, value, field):
         bad = with_field(cfg, path, value)
         assert run([command, "--config", write_cfg(tmp_path, bad), "--out", tmp_path / "x.json"]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        reports = []
+        for n_samples, n_list in ((400, [1, 2, 3]), (4e2, [1.0, 2, 3e0])):
+            out = tmp_path / f"{n_samples!r}.json"
+            cfg = with_field(with_field(DENSITY_CFG, "params.n_samples", n_samples), "params.n_list", n_list)
+            assert run(["density", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+            reports.append(json.loads(out.read_text())["results"])
+        assert reports[0] == reports[1] and reports[1]["n_samples"] == 400
 
     def test_bad_cylinder_radius_names_its_index(self, tmp_path, capsys):
         bad = copy.deepcopy(VITALI_CFG)

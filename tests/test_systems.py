@@ -29,7 +29,7 @@ from equidyn import (
     wolfram_number,
 )
 from equidyn.rng import substream
-from equidyn.systems import cell_sizes, check_cells, column_codes, step_batch, trace_agreement_batch
+from equidyn.systems import cell_sizes, check_cells, column_codes, pack_planes, step_batch, trace_agreement_batch
 from oracles import scalar_column_trace, scalar_step
 
 A2 = Alphabet(2)
@@ -215,7 +215,7 @@ class TestBatch:
         trace = column_trace(rule, x, m, horizon)
         words = list(itertools.product(range(2), repeat=2 * rho + 1))
         arr = np.array(words, dtype=np.int64)
-        agree = trace_agreement_batch(rule, trace, arr, m, rho)
+        agree = trace_agreement_batch(rule, trace, pack_planes(rule, arr), len(arr), m, rho)
         for word, flag in zip(words, agree):
             y = Configuration(A2, "two", word)
             assert bool(flag) == orbit_ball_member(rule, x, y, m, horizon)
