@@ -92,6 +92,7 @@ from .spectral import (
     inner_product,
     koopman_residual,
     root_of_unity,
+    spectral_family,
 )
 from .systems import (
     CARule,

@@ -48,7 +48,7 @@ from .orbit import (
 from .periodicity import mu_lep_classify
 from .rng import substream
 from .sensitivity import dichotomy_report, mu_sensitivity_estimate
-from .spectral import build_eigenfunction, event_table, inner_product, koopman_residual
+from .spectral import build_eigenfunction, spectral_family
 from .systems import (
     Rotation,
     cell_sizes,
@@ -154,6 +154,14 @@ def _list_param(params: dict, field: str, kind=None, prefix="params."):
     return [_number(v, f"{prefix}{field}", kind) for v in value] if kind else list(value)
 
 
+def _eps_list_param(params: dict):
+    """`eps_list`: distances, each in (0, 2]."""
+    eps_list = _list_param(params, "eps_list", kind=float)
+    if not all(0 < eps <= 2 for eps in eps_list):
+        raise ConfigInvalid("params.eps_list", f"entries must lie in (0, 2], got {eps_list}")
+    return eps_list
+
+
 def _round_curves(report: dict) -> dict:
     """Round an equicontinuity report's fraction and curves for output."""
     report["fraction"] = fmt_prob(report["fraction"])
@@ -250,7 +258,7 @@ def _run_lep(system, mu, params, seed, cap):
     report = mu_lep_classify(
         system, mu,
         m_list=_list_param(params, "m_list", kind=int),
-        eps=_param(params, "eps", DEFAULT_DELTA, kind=float),
+        eps=_delta_param(params, "eps"),
         n_samples=_param(params, "n_samples", default=1000, minimum=1),
         horizon=_param(params, "T", minimum=2),
         seed=seed,
@@ -289,28 +297,17 @@ def _run_spectral(system, mu, params, seed, cap):
     if mode not in ("exact", "sampled"):
         raise ConfigInvalid("params.mode", "must be 'exact' or 'sampled'")
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
-    specs = {k: build_eigenfunction(system, y, m, k, cert_horizon) for k in k_list}
-    # the ball events depend on y, m and the horizon, not on k: one table serves every f_k
-    table = event_table(base, horizon, cap)
-    shared = dict(mode=mode, n_samples=n_samples, cap=cap, table=table)
-    rows = []
-    for k in k_list:
-        spec = specs[k]
-        lam = spec.eigenvalue()
-        residual = koopman_residual(spec, mu, horizon, seed=seed * 100 + k, **shared)
-        norm_sq = inner_product(spec, spec, mu, horizon, seed=seed * 100 + k, **shared)
-        rows.append({
-            "k": k,
+    family, max_cross = spectral_family(base, mu, horizon, k_list, mode, n_samples, seed, cap)
+    rows = [
+        {
+            "k": spec.k,
             "p": p,
-            "eigenvalue": [lam.real, lam.imag],
+            "eigenvalue": [spec.eigenvalue().real, spec.eigenvalue().imag],
             "residual": residual,
             "norm": abs(norm_sq) ** 0.5,
-        })
-    max_cross = 0.0
-    for i, ka in enumerate(k_list):
-        for kb in k_list[i + 1:]:
-            val = inner_product(specs[ka], specs[kb], mu, horizon, seed=seed, **shared)
-            max_cross = max(max_cross, abs(val))
+        }
+        for spec, residual, norm_sq in family
+    ]
     results = {
         "y": word_to_str(y.symbols, y.alphabet),
         "m": m,
@@ -326,7 +323,7 @@ def _run_spectral(system, mu, params, seed, cap):
 
 
 def _run_sensitivity(system, mu, params, seed, cap):
-    eps_list = _list_param(params, "eps_list", kind=float)
+    eps_list = _eps_list_param(params)
     horizon = _param(params, "T", minimum=1)
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
     rows = []
@@ -367,7 +364,7 @@ def _equi_params_from(params: dict, optional: bool = False) -> dict:
 def _run_dichotomy(system, mu, params, seed, cap):
     report = dichotomy_report(
         system, mu,
-        eps_list=_list_param(params, "eps_list", kind=float),
+        eps_list=_eps_list_param(params),
         horizon=_param(params, "T", minimum=1),
         equi_params=_equi_params_from(params),
         n_samples=_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
@@ -398,17 +395,18 @@ def _run_vitali(mu, params, seed, cap):
         except ValueError as exc:
             raise ConfigInvalid(field, str(exc))
     min_radius = _param(params, "min_radius", minimum=1)
-    eps = _param(params, "eps", 0.0, kind=float)
+    eps = _param(params, "eps", 0.0, kind=float, minimum=0)
     family = vitali_cover(mu, parts, min_radius, eps=eps, cap=cap)
     union_mass = union_probability(mu, parts)
-    covered = family.total_mass(mu)
+    masses = [mu.cylinder_probability(cyl) for cyl in family.cylinders()]
+    covered = float(sum(masses))  # family.total_mass(mu), summed in the same order
     balls = [
         {
             "radius": n,
             "word": word_to_str(center.symbols, center.alphabet),
-            "mass": fmt_prob(mu.cylinder_probability(cyl)),
+            "mass": fmt_prob(mass),
         }
-        for (center, n), cyl in zip(family.balls, family.cylinders())
+        for (center, n), mass in zip(family.balls, masses)
     ]
     results = {
         "count": len(balls),

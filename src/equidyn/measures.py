@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -429,8 +430,12 @@ class BallFamily:
                         f"balls {i} and {j} are not disjoint (words clash on the shorter radius)"
                     )
 
+    @cached_property
+    def _cylinders(self) -> tuple[Cylinder, ...]:
+        return tuple(ball_cylinder(center, n) for center, n in self.balls)
+
     def cylinders(self) -> list[Cylinder]:
-        return [ball_cylinder(center, n) for center, n in self.balls]
+        return list(self._cylinders)
 
     def total_mass(self, mu: CantorMeasure) -> float:
         return float(sum(mu.cylinder_probability(c) for c in self.cylinders()))

@@ -9,20 +9,27 @@ with the orbit balls taken at a finite horizon. The composition relation
 f_k(Tx) = lambda^k f_k(x) holds exactly for isometric systems and is
 measured, not assumed, everywhere else: residuals and inner products are
 integrated exactly over the coarsest cylinder partition that refines every
-ball event, or sampled when that partition is too large. Both quantities go
-through one integration path, `_integrate`, over int rows: a row's W_rho
-word gives its orbit index j(x) in the event table, and one `step_batch` of
-the rows gives j(Tx). The ball events depend on y, m and the horizon but
-not on k, so one `event_table` serves every f_k; the `spectral` command
-builds it once per run and passes it to every call.
+ball event, or sampled when that partition is too large.
+
+Both quantities see x only through its orbit indices j(x) and j(Tx), the
+balls that hold x's and Tx's words on W_rho (-1 outside every ball). One
+`np.searchsorted` of the rows' word codes among the codes of the event
+table's sorted ball words gives j(x), and one `step_batch` gives j(Tx).
+Each integral gathers its (p+1) x (p+1) values, made by the same scalar
+expressions as f_k, at the index vectors and adds them one at a time in
+row (or word) order, so every result keeps its bits. `spectral_family`
+certifies y once, builds one event table for every k, and finds the index
+vectors once per radius (exact) or per distinct (radius, seed), one draw
+per seed (sampled).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +56,7 @@ from .systems import (
     step_cost,
     system_sided,
     window_slice,
+    word_codes,
 )
 
 # Words per block in exact integration; memory follows the block, not the
@@ -108,10 +116,21 @@ def build_eigenfunction(
 
 @dataclass(frozen=True)
 class _EvalTable:
-    """word on W_rho -> orbit index j, for the p pairwise disjoint ball events."""
+    """word on W_rho -> orbit index j, for the p pairwise disjoint ball events;
+    `words` lists the words as ascending int rows and `js` their indices."""
 
     rho: int
     index: dict
+    size: int
+    words: np.ndarray = field(compare=False)  # derived from `index`
+    js: np.ndarray = field(compare=False)
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Orbit index of every int row on W_rho, -1 outside every ball."""
+        codes = word_codes(np.concatenate((self.words, rows)), self.size)
+        keys, codes = codes[: len(self.js)], codes[len(self.js) :]  # keys ascend, as the words do
+        at = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+        return np.where(keys[at] == codes, self.js[at], -1)
 
 
 def _orbit_points(spec: EigenfunctionSpec, rho: int) -> list[Configuration]:
@@ -145,7 +164,9 @@ def event_table(
                     f"at horizon {horizon}; the horizon is too short to separate them"
                 )
             index[word] = j
-    return _EvalTable(rho=rho, index=index)
+    words = sorted(index)
+    ordered = np.array(words, dtype=np.int64).reshape(len(words), -1)
+    return _EvalTable(rho, index, spec.system.alphabet.size, ordered, np.array([index[w] for w in words]))
 
 
 def eigenfunction_eval(
@@ -157,45 +178,88 @@ def eigenfunction_eval(
 ) -> complex:
     """f_k(x): lambda^{j k} on the j-th orbit ball, 0 outside all of them."""
     tab = table if table is not None else event_table(spec, horizon, cap)
-    j = tab.index.get(x.window(tab.rho))  # InsufficientRadius below rho
-    return 0j if j is None else root_of_unity(spec.period, j * spec.k)
+    word = x.window(tab.rho)  # InsufficientRadius below rho
+    return _f_values(spec)[tab.lookup(np.array([word], dtype=np.int64))[0]]
 
 
-def _values(spec: EigenfunctionSpec, tab: _EvalTable, sided: str, radius: int, rows: np.ndarray) -> list[complex]:
-    """f_k on every int row of `rows`, which cover W_radius."""
-    roots = [root_of_unity(spec.period, j * spec.k) for j in range(spec.period)]
-    js = (tab.index.get(tuple(w)) for w in window_slice(sided, radius, tab.rho, rows).tolist())
-    return [0j if j is None else roots[j] for j in js]
+def _f_values(spec: EigenfunctionSpec) -> list[complex]:
+    """f_k on the orbit balls j = 0..p-1, then 0j for orbit index -1."""
+    return [root_of_unity(spec.period, j * spec.k) for j in range(spec.period)] + [0j]
 
 
-def _integrate(system, mu, radius, integrand, mode, n_samples, seed, cap):
-    """Integral of `integrand`, which maps int rows on W_radius to one value each.
+def _orbit_indices(system, mu, radius, lookups, mode, n_samples, seed, cap):
+    """One orbit-index vector per (table, stepped) of `lookups`, j(Tx) if
+    stepped and j(x) otherwise, over W_radius, and the masses to weigh them.
 
-    Exact mode sums each nonzero value times the mass of its cylinder over
-    the W_radius partition, walking the words in blocks; sampled mode
-    averages over n_samples draws. Values are added one at a time in row
-    order either way.
+    Sampled: n_samples rows from substream(seed, 0), masses None. Exact: the
+    W_radius partition in `_BLOCK`-word blocks, keeping the words some lookup
+    puts in a ball (no integral here sees the rest), so memory follows the
+    block plus those words.
     """
-    sided = system_sided(system)
-    acc = 0.0
-    if mode == "exact":
-        sizes = cell_sizes(system, list(window_cells(sided, radius)))
-        total = count_words(sizes)
-        if total > cap:
-            raise EnumerationTooLarge(total, cap, "cylinder partition")
-        words = iter_words(sizes)
-        while block := list(itertools.islice(words, _BLOCK)):
-            for word, v in zip(block, integrand(np.array(block, dtype=np.int64))):
-                if v != 0:
-                    acc += v * mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, word))
-        return acc
+    sided, cost = system_sided(system), step_cost(system)
+
+    def index(rows: np.ndarray) -> list[np.ndarray]:
+        images = step_batch(system, rows) if any(stepped for _, stepped in lookups) else None
+        return [tab.lookup(window_slice(sided, radius - cost, tab.rho, images) if stepped
+                           else window_slice(sided, radius, tab.rho, rows)) for tab, stepped in lookups]
+
     if mode == "sampled":
         rows = mu.sample_batch(sided, radius, n_samples, substream(seed, 0))
         check_cells(system, rows)
-        for v in integrand(rows):
-            acc += v
-        return acc / n_samples
-    raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+        return index(rows), None
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    sizes = cell_sizes(system, list(window_cells(sided, radius)))
+    total = count_words(sizes)
+    if total > cap:
+        raise EnumerationTooLarge(total, cap, "cylinder partition")
+    words, kept, masses = iter_words(sizes), [], []
+    while block := list(itertools.islice(words, _BLOCK)):
+        vectors = index(np.array(block, dtype=np.int64))
+        hits = np.flatnonzero(np.max(vectors, axis=0) >= 0)
+        kept.append([v[hits] for v in vectors])
+        masses += [mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, block[i])) for i in hits]
+    return [np.concatenate(v) for v in zip(*kept)], np.array(masses, dtype=float)
+
+
+def _running_sum(values: np.ndarray, masses: Optional[np.ndarray] = None) -> complex:
+    """`acc = 0.0; for v in values: acc += v` (with masses: `if v != 0: acc +=
+    v * mass`) bit for bit: parts summed apart from 0.0 in order, never
+    pairwise, and v * mass as CPython's (vr*m - vi*0.0, vr*0.0 + vi*m)."""
+    re, im = values.real, values.imag
+    if masses is not None:
+        keep = values != 0
+        re, im, m = re[keep], im[keep], masses[keep]
+        re, im = re * m - im * 0.0, re * 0.0 + im * m
+    return complex(*(np.add.accumulate(np.concatenate(([0.0], part)))[-1] for part in (re, im)))
+
+
+def _integral(value, f, g, i, j, masses, n_samples: int) -> complex:
+    """Integral of value(f[i(x)], g[j(x)]) by `_running_sum`: `value` runs once
+    per pair of indices that occurs (only (s, s) when i is j), and index -1
+    picks the trailing 0j of f and g."""
+    if i is j:
+        values, at = [value(a, b) for a, b in zip(f, g)], i
+    else:
+        pairs, at = np.unique(i % len(f) * len(g) + j % len(g), return_inverse=True)
+        values = [value(f[s], g[t]) for s, t in (divmod(int(c), len(g)) for c in pairs)]
+    acc = _running_sum(np.array(values, dtype=complex)[at], masses)
+    return acc if masses is not None else acc / n_samples
+
+
+def _residual(spec: EigenfunctionSpec, jx, jtx, masses, n_samples: int) -> float:
+    lam, f = spec.eigenvalue(), _f_values(spec)
+
+    def defect_sq(ftx: complex, fx: complex) -> float:
+        v = ftx - lam * fx
+        return v.real * v.real + v.imag * v.imag
+
+    # the imaginary part sums to +0.0, so dividing by n_samples leaves the real part's bits
+    return math.sqrt(_integral(defect_sq, f, f, jtx, jx, masses, n_samples).real)
+
+
+def _conj_product(va: complex, vb: complex) -> complex:
+    return 0j if va == 0 else va * vb.conjugate()
 
 
 def koopman_residual(
@@ -215,21 +279,9 @@ def koopman_residual(
     `table` (for the same y and m, any k) changes no result.
     """
     tab = table if table is not None else event_table(spec, horizon, cap)
-    lam = spec.eigenvalue()
-    system = spec.system
-    sided = system_sided(system)
-    radius = tab.rho + step_cost(system)
-
-    def defect_sq(rows: np.ndarray) -> list[float]:
-        fx = _values(spec, tab, sided, radius, rows)
-        ftx = _values(spec, tab, sided, tab.rho, step_batch(system, rows))
-        out = []
-        for a, b in zip(ftx, fx):
-            v = a - lam * b
-            out.append(v.real * v.real + v.imag * v.imag)
-        return out
-
-    return math.sqrt(_integrate(system, mu, radius, defect_sq, mode, n_samples, seed, cap))
+    radius = tab.rho + step_cost(spec.system)
+    (jx, jtx), masses = _orbit_indices(spec.system, mu, radius, [(tab, False), (tab, True)], mode, n_samples, seed, cap)
+    return _residual(spec, jx, jtx, masses, n_samples)
 
 
 def inner_product(
@@ -251,12 +303,47 @@ def inner_product(
         raise ValueError("inner products need eigenfunctions over the same system")
     tab_a = table if table is not None else event_table(a, horizon, cap)
     tab_b = table if table is not None else event_table(b, horizon, cap)
-    sided = system_sided(a.system)
-    radius = max(tab_a.rho, tab_b.rho)
+    lookups = [(tab_a, False)] if tab_a is tab_b else [(tab_a, False), (tab_b, False)]
+    js, masses = _orbit_indices(a.system, mu, max(tab_a.rho, tab_b.rho), lookups, mode, n_samples, seed, cap)
+    return _integral(_conj_product, _f_values(a), _f_values(b), js[0], js[-1], masses, n_samples)
 
-    def value(rows: np.ndarray) -> list[complex]:
-        fa = _values(a, tab_a, sided, radius, rows)
-        fb = _values(b, tab_b, sided, radius, rows)
-        return [0j if va == 0 else va * vb.conjugate() for va, vb in zip(fa, fb)]
 
-    return complex(_integrate(a.system, mu, radius, value, mode, n_samples, seed, cap))
+def spectral_family(
+    base: EigenfunctionSpec,
+    mu: CantorMeasure,
+    horizon: int,
+    k_list: list[int],
+    mode: str = "exact",
+    n_samples: int = 10_000,
+    seed: int = 0,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[list[tuple[EigenfunctionSpec, float, complex]], float]:
+    """[(f_k, residual, <f_k, f_k>) for k in k_list], and max |<f_a, f_b>|
+    over the pairs with a before b in k_list.
+
+    Every f_k shares the certificate of `base` (y's spec, any k) and one
+    event table. Each number equals its `koopman_residual` or
+    `inner_product` call: sampled mode draws f_k's residual and norm from
+    seed * 100 + k and the cross products from `seed`, once per (radius, seed).
+    """
+    if not all(0 <= k < base.period for k in k_list):
+        raise ValueError(f"k must lie in [0, {base.period}), got {k_list}")
+    specs = [replace(base, k=k) for k in k_list]
+    fs = [_f_values(spec) for spec in specs]
+    table = event_table(base, horizon, cap)
+    cost = step_cost(base.system)
+
+    @functools.lru_cache(maxsize=2)  # exact: at most two radii; sampled: one k's draws at a time
+    def indices(radius: int, s: Optional[int]):
+        lookups = [(table, False), (table, True)][: 1 + (radius >= table.rho + cost)]
+        return _orbit_indices(base.system, mu, radius, lookups, mode, n_samples, s, cap)
+
+    sampled, rows = mode == "sampled", []  # exact mode draws nothing: one domain per radius
+    for spec, f in zip(specs, fs):
+        (jx, jtx), masses = indices(table.rho + cost, seed * 100 + spec.k if sampled else None)
+        (j, *_), weights = indices(table.rho, seed * 100 + spec.k if sampled else None)
+        norm_sq = _integral(_conj_product, f, f, j, j, weights, n_samples)
+        rows.append((spec, _residual(spec, jx, jtx, masses, n_samples), norm_sq))
+    (j, *_), weights = indices(table.rho, seed if sampled else None)
+    pairs = [(fa, fb) for i, fa in enumerate(fs) for fb in fs[i + 1 :]]
+    return rows, max([0.0] + [abs(_integral(_conj_product, fa, fb, j, j, weights, n_samples)) for fa, fb in pairs])

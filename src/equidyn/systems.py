@@ -352,8 +352,7 @@ def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) ->
     """Batched column_trace: entry (i, t) is one integer naming (T^t x_i)_{W_m}.
 
     Row i of `arr` is x_i on W_rho, rho the dependence radius for (m,
-    horizon). Equal integers mean equal words: a base-|A| number while the
-    words fit in int64, the word's rank among all words seen otherwise.
+    horizon). Equal integers mean equal words (see `word_codes`).
     """
     if m < 0 or horizon < 0:
         raise ValueError("resolution and horizon must be >= 0")
@@ -369,11 +368,21 @@ def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) ->
         wins[:, t] = window_slice(sided, radius - step_cost(system) * t, m, cur)
         if t < horizon:
             cur = step_batch(system, cur)
-    size, width = system.alphabet.size, wins.shape[2]
+    return word_codes(wins, system.alphabet.size)
+
+
+def word_codes(words: np.ndarray, size: int) -> np.ndarray:
+    """One integer per word (last axis of the int array `words`), ascending as
+    the words are lexicographically, equal exactly when the words are.
+
+    A base-`size` number, first cell most significant, while the words fit
+    in int64; the word's rank among the distinct words of `words` otherwise.
+    """
+    width = words.shape[-1]
     if size ** width <= 2 ** 63:
-        return wins @ size ** np.arange(width, dtype=np.int64)
-    _, codes = np.unique(wins.reshape(-1, width), axis=0, return_inverse=True)
-    return codes.reshape(arr.shape[0], horizon + 1)
+        return words @ size ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    _, codes = np.unique(words.reshape(-1, width), axis=0, return_inverse=True)
+    return codes.reshape(words.shape[:-1])
 
 
 # -- bit-sliced dynamics -------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import equidyn.cli
 import equidyn.spectral
 from equidyn.cli import main
+from equidyn.measures import ProductMeasure
 
 DENSITY_CFG = {
     "system": {"type": "eca", "rule": 90},
@@ -323,6 +324,13 @@ FIELD_ERROR_CASES = [
     ("dichotomy", DICHOTOMY_CFG, "params.delta_e", -0.1, "params.delta_e", "negative"),
     ("dichotomy", DICHOTOMY_CFG, "params.equi.delta", 1, "params.equi.delta", "one"),
     ("lep", LEP_EQUI_CFG, "params.equi.delta", 0.0, "params.equi.delta", "zero"),
+    ("lep", LEP_CFG, "params.eps", 7, "params.eps", "above-1"),
+    ("lep", LEP_CFG, "params.eps", -1, "params.eps", "negative"),
+    ("vitali", VITALI_CFG, "params.eps", -1, "params.eps", "negative"),
+    ("sensitivity", DICHOTOMY_CFG, "params.eps_list", [1, 0], "params.eps_list", "zero"),
+    ("sensitivity", DICHOTOMY_CFG, "params.eps_list", [3], "params.eps_list", "above-2"),
+    ("dichotomy", DICHOTOMY_CFG, "params.eps_list", [0], "params.eps_list", "zero"),
+    ("dichotomy", DICHOTOMY_CFG, "params.eps_list", [2, 3], "params.eps_list", "above-2"),
 ]
 
 
@@ -394,7 +402,6 @@ class TestSpectralSharesOneTable:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(equidyn.cli, "event_table", counting)
         monkeypatch.setattr(equidyn.spectral, "event_table", counting)
         for mode in ("exact", "sampled"):
             calls.clear()
@@ -403,6 +410,34 @@ class TestSpectralSharesOneTable:
             path = write_cfg(tmp_path, cfg)
             assert run(["spectral", "--config", path, "--out", tmp_path / f"{mode}.json"]) == 0
             assert len(calls) == 1
+
+    # p = 16 on the 2-adic odometer, so the default k_list holds 16 values
+    P16_CFG = {
+        "system": {"type": "odometer", "sizes": [2]},
+        "measure": {"type": "haar", "sizes": [2]},
+        "params": {"m": 3, "T": 3, "y": "0000000000", "cert_T": 64, "mode": "sampled", "n_samples": 200},
+        "seed": 1,
+    }
+
+    def counted_run(self, tmp_path, monkeypatch, owner, name):
+        real = getattr(owner, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        assert run(["spectral", "--config", write_cfg(tmp_path, self.P16_CFG), "--out", tmp_path / "x.json"]) == 0
+        return calls
+
+    def test_one_certificate_per_command(self, tmp_path, monkeypatch):
+        """The 16 eigenfunctions share the base point's certificate."""
+        assert len(self.counted_run(tmp_path, monkeypatch, equidyn.spectral, "lep_certificate")) == 1
+
+    def test_one_draw_per_distinct_seed(self, tmp_path, monkeypatch):
+        """Seeds 100..115 for the residuals and norms, seed 1 for all 120 cross products."""
+        assert len(self.counted_run(tmp_path, monkeypatch, ProductMeasure, "sample_batch")) == 17
 
 
 class TestAlphabetMismatch:

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from equidyn import (
@@ -12,6 +13,7 @@ from equidyn import (
     BernoulliMeasure,
     Configuration,
     InsufficientRadius,
+    MarkovMeasure,
     Odometer,
     OverlappingBalls,
     ProductMeasure,
@@ -23,8 +25,10 @@ from equidyn import (
     inner_product,
     koopman_residual,
     root_of_unity,
+    spectral_family,
 )
-from equidyn.spectral import event_table
+from equidyn.rng import substream
+from equidyn.spectral import _running_sum, event_table
 from equidyn.systems import system_sided
 from oracles import scalar_inner_product, scalar_koopman_residual
 
@@ -309,3 +313,81 @@ def test_sampled_rows_outside_the_odometer_cells_raise(integral):
             koopman_residual(spec, mu, 2, mode="sampled", n_samples=200)
         else:
             inner_product(spec, spec, mu, 2, mode="sampled", n_samples=200)
+
+
+def test_sampled_integrals_past_int64_word_codes():
+    """W_64 of the shift has 65 binary cells, so the ball lookup ranks words
+    instead of reading them as int64 numbers; the results still equal the
+    per-configuration oracle, and about a quarter of the rows hit a ball."""
+    system, mu = Shift(A2), MarkovMeasure([[0.02, 0.98], [0.98, 0.02]])
+    y = dyadic_point((0, 1) * 40)
+    base = build_eigenfunction(system, y, 1, 0, 4)
+    specs = [build_eigenfunction(system, y, 1, k, 4) for k in range(base.period)]
+    horizon, cap = 63, 2 ** 70  # the ball search prunes; only the nominal window passes 2^24
+    table = event_table(base, horizon, cap)
+    assert 2 ** (table.rho + 1) > 2 ** 63
+    opts = dict(mode="sampled", n_samples=500, seed=4, cap=cap)
+    for spec in specs:
+        assert koopman_residual(spec, mu, horizon, **opts) == scalar_koopman_residual(spec, mu, horizon, **opts)
+    for a, b in itertools.product(specs, repeat=2):
+        assert inner_product(a, b, mu, horizon, **opts) == scalar_inner_product(a, b, mu, horizon, **opts)
+    assert 0.1 < inner_product(specs[0], specs[0], mu, horizon, **opts).real < 0.5
+
+
+def bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def loop_sum(values, masses=None):
+    acc = 0.0
+    for idx, v in enumerate(values.tolist()):
+        if masses is None:
+            acc += v
+        elif v != 0:
+            acc += v * float(masses[idx])
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["float", "complex"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["sampled", "exact"])
+def test_running_sum_is_the_python_loop_bit_for_bit(kind, weighted):
+    """Sequential from 0.0, parts apart, CPython's complex-by-float product,
+    zeros skipped when weighted; signed zeros and wide magnitudes included."""
+    rng = substream(21, 0)
+    n = 2000
+    parts = [rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, size=n) for _ in range(2)]
+    for part in parts:
+        part[rng.integers(0, n, size=200)] = 0.0
+        part[rng.integers(0, n, size=200)] = -0.0
+    values = parts[0] if kind == "float" else parts[0] + 1j * parts[1]
+    masses = rng.random(n) * 10.0 ** rng.integers(-30, 0, size=n) if weighted else None
+    assert bits(_running_sum(values, masses)) == bits(loop_sum(values, masses))
+    assert bits(_running_sum(values[:0], masses if masses is None else masses[:0])) == bits(0.0)
+    zeros = np.array([-0.0, 0.0, -0.0]) if kind == "float" else np.array([complex(-0.0, -0.0), complex(0.0, -0.0)])
+    weights = None if masses is None else np.ones(len(zeros))
+    assert bits(_running_sum(zeros, weights)) == bits(loop_sum(zeros, weights))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_family_equals_one_call_per_integral(name, mode):
+    """spectral_family shares one certificate, table and draw per seed, and
+    changes no bit of any residual, norm or cross product."""
+    specs, mu, horizon = oracle_specs(name)
+    k_list = list(range(len(specs))) + [0]
+    opts = dict(mode=mode, n_samples=300)
+    rows, max_cross = spectral_family(specs[0], mu, horizon, k_list, seed=2, **opts)
+    assert [spec for spec, _, _ in rows] == [specs[k] for k in k_list]
+    for spec, residual, norm_sq in rows:
+        assert residual == koopman_residual(spec, mu, horizon, seed=200 + spec.k, **opts)
+        assert norm_sq == inner_product(spec, spec, mu, horizon, seed=200 + spec.k, **opts)
+    cross = [abs(inner_product(specs[a], specs[b], mu, horizon, seed=2, **opts))
+             for i, a in enumerate(k_list) for b in k_list[i + 1:]]
+    assert max_cross == max([0.0] + cross)
+
+
+def test_family_rejects_k_outside_the_period():
+    specs, mu, horizon = oracle_specs("Odometer((2,))/Haar")
+    with pytest.raises(ValueError, match="k must lie"):
+        spectral_family(specs[0], mu, horizon, [0, len(specs)])
