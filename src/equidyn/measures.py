@@ -38,6 +38,7 @@ from .core import (
     compare_cylinders,
     count_words,
     iter_words,
+    subword,
     window_cells,
     window_size,
 )
@@ -311,9 +312,6 @@ class LebesgueMeasure:
         rng = as_generator(random_state)
         return CirclePoint(Fraction(float(rng.random())))
 
-    def sample_angles(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(n)
-
 
 CantorMeasure = Union[BernoulliMeasure, MarkovMeasure, ProductMeasure]
 Measure = Union[CantorMeasure, LebesgueMeasure]
@@ -441,10 +439,11 @@ class BallFamily:
         return float(sum(mu.cylinder_probability(c) for c in self.cylinders()))
 
 
-def _refine(mu: CantorMeasure, c: Cylinder, radius: int) -> Iterator[Cylinder]:
-    """c itself if its radius reaches `radius`, else all its extensions at `radius`."""
+def _refine(mu: CantorMeasure, c: Cylinder, radius: int) -> Iterator[tuple[int, ...]]:
+    """c's word if its radius reaches `radius`, else the words of all its
+    extensions at `radius` (on W_max(c.radius, radius) either way)."""
     if c.radius >= radius:
-        yield c
+        yield c.word
         return
     cells = list(window_cells(c.sided, radius))
     fixed = dict(zip(window_cells(c.sided, c.radius), c.word))
@@ -452,7 +451,7 @@ def _refine(mu: CantorMeasure, c: Cylinder, radius: int) -> Iterator[Cylinder]:
     for combo in iter_words([mu.cell_size(i) for i in free]):
         assign = dict(fixed)
         assign.update(zip(free, combo))
-        yield Cylinder(mu.alphabet, c.sided, radius, tuple(assign[i] for i in cells))
+        yield tuple(assign[i] for i in cells)
 
 
 def vitali_cover(
@@ -480,7 +479,8 @@ def vitali_cover(
         total += count_words([mu.cell_size(i) for i in window_cells(c.sided, min_radius) if i not in inner])
     if total > cap:
         raise EnumerationTooLarge(total, cap, "clopen refinement")
-    balls = [(e.as_configuration(), e.radius) for c in pieces for e in _refine(mu, c, min_radius)]
+    balls = [(Configuration(mu.alphabet, c.sided, w), max(c.radius, min_radius))
+             for c in pieces for w in _refine(mu, c, min_radius)]
     return BallFamily(tuple(balls))
 
 
@@ -497,9 +497,10 @@ def uncovered_mass(
     words = _words_by_radius(family.cylinders())
     total = 0.0
     for piece in maximal_cylinders(parts):
-        for e in _refine(mu, piece, min_radius):
-            if not any(r <= e.radius and e.subword(r) in ws for r, ws in words.items()):
-                total += mu.cylinder_probability(e)
+        radius = max(piece.radius, min_radius)
+        for w in _refine(mu, piece, min_radius):
+            if not any(r <= radius and subword(w, piece.sided, radius, r) in ws for r, ws in words.items()):
+                total += mu.cylinder_probability(Cylinder(mu.alphabet, piece.sided, radius, w))
     return total
 
 

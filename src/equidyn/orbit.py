@@ -49,7 +49,6 @@ from .systems import (
     cell_sizes,
     column_trace,
     dependence_radius,
-    step,
     step_batch,
     step_cost,
     pack_planes,
@@ -89,14 +88,7 @@ def orbit_ball_member(system: System, x, y, m: int, horizon: int) -> bool:
             raise ValueError("circle resolution needs m >= 1")
         # rigid rotations are isometries, so the horizon does not matter
         return circle_distance(x, y) <= Fraction(1, m)
-    target = column_trace(system, x, m, horizon)
-    cur = y
-    for i, want in enumerate(target):
-        if cur.window(m) != want:
-            return False
-        if i < horizon:
-            cur = step(system, cur)
-    return True
+    return column_trace(system, x, m, horizon) == column_trace(system, y, m, horizon)
 
 
 def _check_cap(system: CantorSystem, cells, cap: int, what: str) -> None:

@@ -24,9 +24,9 @@ from .systems import (
     Rotation,
     System,
     check_measure_alphabet,
+    column_trace,
     pack_bits,
     pack_planes,
-    step,
     step_cost,
     step_planes,
     system_sided,
@@ -72,13 +72,7 @@ def sensitive_pair_test(system: System, x, y, eps: EpsLike, horizon: int) -> boo
             f"horizon {horizon} at eps={eps} needs valid radius {need}, "
             f"have {x.radius} and {y.radius}"
         )
-    cx, cy = x, y
-    for _ in range(horizon):
-        cx = step(system, cx)
-        cy = step(system, cy)
-        if cx.window(w) != cy.window(w):
-            return True
-    return False
+    return column_trace(system, x, w, horizon)[1:] != column_trace(system, y, w, horizon)[1:]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .core import (
     iter_words,
     window_cells,
 )
-from .errors import EnumerationTooLarge, InsufficientRadius, OverlappingBalls
+from .errors import EnumerationTooLarge, OverlappingBalls
 from .measures import CantorMeasure
 from .periodicity import lep_certificate
 from .rng import substream
@@ -50,8 +50,8 @@ from .systems import (
     CantorSystem,
     cell_sizes,
     check_cells,
+    column_trace,
     dependence_radius,
-    step,
     step_batch,
     step_cost,
     system_sided,
@@ -134,17 +134,9 @@ class _EvalTable:
 
 
 def _orbit_points(spec: EigenfunctionSpec, rho: int) -> list[Configuration]:
-    pts = [spec.y]
-    cost = step_cost(spec.system)
-    need = rho + cost * (spec.period - 1)
-    if spec.y.radius < need:
-        raise InsufficientRadius(
-            f"base point needs valid radius {need} to trace its whole cycle, "
-            f"have {spec.y.radius}"
-        )
-    for _ in range(spec.period - 1):
-        pts.append(step(spec.system, pts[-1]))
-    return pts
+    """T^j y on W_rho for j = 0..p-1."""
+    y = spec.y
+    return [Configuration(y.alphabet, y.sided, w) for w in column_trace(spec.system, y, rho, spec.period - 1)]
 
 
 def event_table(

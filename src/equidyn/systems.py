@@ -2,14 +2,18 @@
 
 A radius-r cellular automaton maps a configuration of valid radius R to one
 of valid radius R - r: only cells whose full neighborhood is known get an
-image, and nothing is ever padded. Odometers act on one-sided digit strings
-(add one, carry to the right) and keep the valid radius, since the first
-R + 1 digits of the successor depend only on the first R + 1 digits of the
-argument. Rotations act on exact circle points.
+image, and nothing is ever padded. The shift is the radius-1 one-sided rule
+(a, b) -> b: a `Shift` is a `CARule` built from that table (so, like every
+rule, it is unhashable) and steps through the rule paths. Odometers act on
+one-sided digit strings (add one, carry to the right) and keep the valid
+radius, since the first R + 1 digits of the successor depend only on the
+first R + 1 digits of the argument. Rotations act on exact circle points.
 
 Two steppers implement the same rules. `step_batch` steps int64 rows; it
 serves the exact route (the orbit-ball frontier search), `column_codes`
-(`lep`), spectral integration, and the one-row `step` and `column_trace`.
+(`lep`), spectral integration, and the one-row `step` and `column_trace`,
+through which every question about one configuration (orbit-ball
+membership, pair separation, the orbit of a spectral base point) goes.
 `step_planes` steps one-hot bit planes, 64 rows to a uint64 word; it serves
 the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
@@ -93,11 +97,11 @@ class CARule:
         return flat
 
 
-@dataclass(frozen=True)
-class Shift:
-    """The one-sided shift as a primitive: (Tx)_i = x_{i+1}."""
+class Shift(CARule):
+    """The one-sided shift (Tx)_i = x_{i+1}: the radius-1 one-sided table of `shift_as_ca`."""
 
-    alphabet: Alphabet = Alphabet(2)
+    def __init__(self, alphabet: Alphabet = Alphabet(2)):
+        super().__init__(alphabet, ONE_SIDED, 1, shift_as_ca(alphabet).table)
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,8 @@ class Rotation:
             raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
 
 
-System = Union[CARule, Shift, Odometer, Rotation]
-CantorSystem = Union[CARule, Shift, Odometer]
+System = Union[CARule, Odometer, Rotation]
+CantorSystem = Union[CARule, Odometer]
 
 
 # -- rule constructors ---------------------------------------------------------
@@ -201,7 +205,7 @@ def step(system: System, x):
         if not isinstance(x, CirclePoint):
             raise UnsupportedSystem("rotations act on circle points")
         return CirclePoint(x.angle + system.alpha)
-    if not isinstance(system, (CARule, Shift, Odometer)):
+    if not isinstance(system, (CARule, Odometer)):
         raise UnsupportedSystem(f"unknown system {system!r}")
     out = step_batch(system, _checked_row(system, x))
     return Configuration(x.alphabet, x.sided, out[0].tolist())
@@ -231,11 +235,7 @@ def system_sided(system: CantorSystem) -> str:
 
 def step_cost(system: CantorSystem) -> int:
     """Valid radius lost per application of the map."""
-    if isinstance(system, CARule):
-        return system.radius
-    if isinstance(system, Shift):
-        return 1
-    return 0
+    return system.radius if isinstance(system, CARule) else 0
 
 
 def dependence_radius(system: CantorSystem, m: int, horizon: int) -> int:
@@ -292,14 +292,7 @@ def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -
             f"trace to horizon {horizon} at resolution {m} needs valid radius {need}, "
             f"configuration has {x.radius}"
         )
-    sided, cost = system_sided(system), step_cost(system)
-    row = _checked_row(system, x)
-    words = []
-    for t in range(horizon + 1):
-        words.append(tuple(window_slice(sided, x.radius - cost * t, m, row)[0].tolist()))
-        if t < horizon:
-            row = step_batch(system, row)
-    return words
+    return [tuple(w) for w in _windows(system, _checked_row(system, x), x.radius, m, horizon)[0].tolist()]
 
 
 # -- vectorized dynamics -------------------------------------------------------
@@ -320,10 +313,6 @@ def step_batch(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
         for k in range(width):
             code = code * size + arr[:, k : arr.shape[1] - width + 1 + k]
         return flat[code]
-    if isinstance(system, Shift):
-        if arr.shape[1] < 2:
-            raise InsufficientRadius("batch window narrower than two cells")
-        return arr[:, 1:]
     if isinstance(system, Odometer):
         out = arr.copy()
         carry = np.ones(arr.shape[0], dtype=bool)
@@ -356,19 +345,24 @@ def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) ->
     """
     if m < 0 or horizon < 0:
         raise ValueError("resolution and horizon must be >= 0")
-    sided = system_sided(system)
     radius = dependence_radius(system, m, horizon)
-    cells = window_cells(sided, radius)
+    cells = window_cells(system_sided(system), radius)
     if arr.shape[1] != len(cells):
         raise InsufficientRadius(f"rows have {arr.shape[1]} cells, W_{radius} has {len(cells)}")
     check_cells(system, arr)
+    return word_codes(_windows(system, arr, radius, m, horizon), system.alphabet.size)
+
+
+def _windows(system: CantorSystem, arr: np.ndarray, radius: int, m: int, horizon: int) -> np.ndarray:
+    """(rows, horizon + 1, |W_m|) array: entry (i, t) is (T^t x_i)_{W_m}, row i of
+    `arr` being x_i on W_radius, radius at least the dependence radius."""
+    sided = system_sided(system)
     wins = np.empty((arr.shape[0], horizon + 1, window_size(sided, m)), dtype=np.int64)
-    cur = arr
     for t in range(horizon + 1):
-        wins[:, t] = window_slice(sided, radius - step_cost(system) * t, m, cur)
+        wins[:, t] = window_slice(sided, radius - step_cost(system) * t, m, arr)
         if t < horizon:
-            cur = step_batch(system, cur)
-    return word_codes(wins, system.alphabet.size)
+            arr = step_batch(system, arr)
+    return wins
 
 
 def word_codes(words: np.ndarray, size: int) -> np.ndarray:
@@ -436,10 +430,6 @@ def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
                 term &= planes[nb[k], k : k + cells]
             out[b] |= term
         return out
-    if isinstance(system, Shift):
-        if planes.shape[1] < 2:
-            raise InsufficientRadius("batch window narrower than two cells")
-        return planes[:, 1:]
     if isinstance(system, Odometer):
         out = planes.copy()
         carry = np.full(planes.shape[2:], ~np.uint64(0))
@@ -514,6 +504,8 @@ def system_from_dict(d: dict) -> System:
 
 
 def system_to_dict(system: System) -> dict:
+    if isinstance(system, Shift):  # a Shift is a CARule too
+        return {"type": "shift", "alphabet": system.alphabet.size}
     if isinstance(system, CARule):
         w = wolfram_number(system) if (
             system.alphabet.size == 2 and system.sided == TWO_SIDED and system.radius == 1
@@ -529,8 +521,6 @@ def system_to_dict(system: System) -> dict:
                 word_to_str(nb, system.alphabet): out for nb, out in sorted(system.table.items())
             },
         }
-    if isinstance(system, Shift):
-        return {"type": "shift", "alphabet": system.alphabet.size}
     if isinstance(system, Odometer):
         return {"type": "odometer", "sizes": list(system.sizes)}
     if isinstance(system, Rotation):

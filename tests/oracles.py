@@ -42,6 +42,12 @@ def _check_arg(system, x, sided):
 
 def scalar_step(system, x):
     """One application of a CA rule, the shift or an odometer, cell by cell."""
+    # a Shift is a CARule: slice it here, so the engines' shift table meets an independent oracle
+    if isinstance(system, Shift):
+        _check_arg(system, x, ONE_SIDED)
+        if x.radius < 1:
+            raise InsufficientRadius("shifting needs valid radius >= 1")
+        return Configuration(x.alphabet, ONE_SIDED, x.symbols[1:])
     if isinstance(system, CARule):
         _check_arg(system, x, system.sided)
         if x.radius < system.radius:
@@ -49,11 +55,6 @@ def scalar_step(system, x):
         w, width = x.symbols, system.neighborhood_size
         out = tuple(system.table[w[j : j + width]] for j in range(len(w) - width + 1))
         return Configuration(x.alphabet, x.sided, out)
-    if isinstance(system, Shift):
-        _check_arg(system, x, ONE_SIDED)
-        if x.radius < 1:
-            raise InsufficientRadius("shifting needs valid radius >= 1")
-        return Configuration(x.alphabet, ONE_SIDED, x.symbols[1:])
     if isinstance(system, Odometer):
         _check_arg(system, x, ONE_SIDED)
         digits = list(x.symbols)

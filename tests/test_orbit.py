@@ -15,6 +15,7 @@ from equidyn import (
     Configuration,
     Cylinder,
     EnumerationTooLarge,
+    InsufficientRadius,
     LebesgueMeasure,
     MarkovMeasure,
     NullBall,
@@ -76,6 +77,15 @@ class TestOrbitBallEvent:
         for w in ev.words:
             y = Configuration(A2, "two", w)
             assert orbit_ball_member(rule, x, y, 1, 2)
+
+    def test_member_needs_y_traced_to_the_horizon(self):
+        # y's W_1 word already differs from x's, but y is too short to trace: no verdict
+        rule = eca_rule(90)
+        x = Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0))
+        y = Configuration(A2, "two", (1, 1, 1))
+        assert x.window(1) != y.window(1)
+        with pytest.raises(InsufficientRadius):
+            orbit_ball_member(rule, x, y, 1, 2)
 
     def test_horizon_zero_is_the_plain_ball(self):
         rule = eca_rule(110)

@@ -353,6 +353,7 @@ def test_rotation_orbit_returns():
 @pytest.mark.parametrize("d", [
     {"type": "eca", "rule": 30},
     {"type": "shift", "alphabet": 2},
+    {"type": "shift", "alphabet": 3},
     {"type": "odometer", "sizes": [2, 3]},
     {"type": "rotation", "alpha": "1/3"},
 ])
