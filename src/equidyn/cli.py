@@ -46,7 +46,7 @@ from .orbit import (
     mu_equicontinuity_report,
 )
 from .periodicity import mu_lep_classify
-from .rng import substream
+from .rng import derive_seed, substream
 from .sensitivity import dichotomy_report, mu_sensitivity_estimate
 from .spectral import build_eigenfunction, spectral_family
 from .systems import (
@@ -221,7 +221,7 @@ def _run_density(system, mu, params, seed, cap):
     rows = []
     for j, n in enumerate(n_list):
         exact = density_ratio_exact(system, mu, x, m, n, horizon, cap=cap) if feasible else None
-        est = density_ratio_estimate(system, mu, x, m, n, horizon, n_samples=n_samples, seed=seed * 1000 + j)
+        est = density_ratio_estimate(system, mu, x, m, n, horizon, n_samples=n_samples, seed=derive_seed(seed, j))
         rows.append({
             "n": n,
             "exact": fmt_prob(exact) if exact is not None else None,
@@ -328,7 +328,7 @@ def _run_sensitivity(system, mu, params, seed, cap):
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
     rows = []
     for idx, eps in enumerate(eps_list):
-        est = mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=seed * 1000 + idx)
+        est = mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=derive_seed(seed, idx))
         rows.append({
             "eps": float(eps),
             "p_hat": fmt_prob(est.p_hat),

@@ -1,19 +1,23 @@
-"""Product-type measures on configuration spaces, with exact cylinder algebra.
+"""Cantor measures as chains over the cells of a window, with exact cylinder algebra.
 
-Bernoulli, stationary Markov, and per-coordinate uniform (Haar on a product
-of cyclic groups) measures give exact cylinder probabilities; sampling and
-conditional sampling are deterministic given a generator or seed. Finite
+Bernoulli, stationary Markov and per-coordinate uniform (Haar on a product
+of cyclic groups) measures are one chain whose law may vary from cell to
+cell: a first-cell row, a forward kernel (a cell given its left neighbour)
+and a reversed kernel (a cell given its right neighbour). Bernoulli's rows
+all equal its weights, Markov's are (pi, P, its time reversal), and Haar's
+row at cell i is uniform on its size_at(i) digits. A cylinder's probability
+is the first-cell factor times the forward steps, left to right. Finite
 unions of cylinders support exact density ratios and exact Vitali covers by
 clopen refinement, because two cylinders over the same space either nest or
 are disjoint.
 
-Batch draws come as pieces (first_row, first_cell, block) in the order the
-generator makes them: `block` holds rows first_row.. on cells first_cell..
-of W_radius. Markov (one `random(n)` per cell) and Haar (one `integers` call
-per cell) give one column of all n rows per piece; Bernoulli (row-major
-`random((n, k))`) gives blocks of `ROW_BLOCK` rows. `sample_batch` and
-`conditional_batch` write the pieces into int rows; `systems.pack_planes`
-packs them into bit planes as they arrive, without an n x |W| array.
+Batch draws come as pieces (cell, column of all n rows) in the order the
+generator makes them, one `random(n)` per cell: unconditioned draws run
+rightward from the first cell; draws given a cylinder keep its word, then
+run rightward and leftward from it. So a one-row draw reads its uniforms in
+the order of `random(k)`. `sample_batch` and `conditional_batch` write the
+pieces into int rows; `systems.pack_planes` packs them into bit planes as
+they arrive, without an n x |W| array.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -43,24 +47,13 @@ from .core import (
     window_size,
 )
 from .errors import AlphabetMismatch, EnumerationTooLarge, NullBall, NullCylinder
-from .rng import substream
 
-RandomState = Union[int, np.random.Generator]
-Piece = tuple[int, int, np.ndarray]
-
-ROW_BLOCK = 2048  # rows per Bernoulli piece: a multiple of 64, so pieces fill whole plane words
+Piece = tuple[int, np.ndarray]  # (window column, that column's symbols in every row)
 
 
-def as_generator(random_state: RandomState) -> np.random.Generator:
-    if isinstance(random_state, np.random.Generator):
-        return random_state
-    return substream(int(random_state))
-
-
-def _prob_product(factors: Iterable[float]) -> float:
+def _prob_product(fs: list[float]) -> float:
     """Product of probabilities; log-space once the factor count passes 64."""
-    fs = [float(f) for f in factors]
-    if any(f == 0.0 for f in fs):
+    if 0.0 in fs:
         return 0.0
     if len(fs) <= 64:
         out = 1.0
@@ -70,9 +63,13 @@ def _prob_product(factors: Iterable[float]) -> float:
     return math.exp(math.fsum(math.log(f) for f in fs))
 
 
-def _uniform_rows(rngs: Sequence[np.random.Generator], k: int) -> np.ndarray:
-    """Row i holds k uniforms from rngs[i], drawn in one call."""
-    return np.array([rng.random(k) for rng in rngs]).reshape(len(rngs), k)
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """Cumulative rows of `probs`, exactly 1.0 from each row's last positive entry
+    on: six sixths sum to 0.9999999999999999, and a uniform above that must not
+    draw a symbol of probability zero."""
+    k = probs.shape[-1]
+    last = k - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    return np.where(np.arange(k) >= np.expand_dims(last, -1), 1.0, np.cumsum(probs, axis=-1))
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -81,39 +78,95 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(out, len(cum) - 1)
 
 
-class _CylinderMeasure:
-    """What the cylinder measures share.
+def _kernel_column(cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next symbols after `prev`, inverting the cumulative kernel rows `cum` at `u`.
 
-    Subclasses supply `_pieces(sided, radius, n, rng, given)`, the one
-    generator of batch draws (conditioned on the cylinder `given` unless it
-    is None), and `sample_rows(sided, radius, rngs)`, whose row i is the word
-    on W_radius drawn from rngs[i] alone; `sample_config` is its one-row call.
+    Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
+    j < |A| - 1 is the inverse CDF capped at the last symbol.
     """
+    out = (u >= cum[:, 0].take(prev)).astype(np.int64)
+    for j in range(1, cum.shape[1] - 1):
+        out += u >= cum[:, j].take(prev)
+    return out
+
+
+@dataclass(frozen=True)
+class _CellLaw:
+    """One cell of the chain: the first-cell row and forward kernel as Python
+    floats for exact products, and the cumulative rows of all three for draws."""
+
+    first: list
+    forward: list
+    cum_first: np.ndarray
+    cum_forward: np.ndarray
+    cum_reverse: np.ndarray
+
+    @classmethod
+    def of(cls, first, forward, reverse) -> "_CellLaw":
+        first, forward, reverse = (np.asarray(a, dtype=float) for a in (first, forward, reverse))
+        return cls(first.tolist(), forward.tolist(), _cumulative(first), _cumulative(forward), _cumulative(reverse))
+
+
+class _CylinderMeasure:
+    """A chain over the cells of a window. Subclasses set `alphabet` and
+    `_law`, the law of every cell, or give `_laws`, the law of each cell."""
 
     def cell_size(self, i: int) -> int:
         return self.alphabet.size
+
+    def _check_sided(self, sided: str) -> str:
+        return check_sided(sided)
 
     def _check_cylinder(self, c: Cylinder) -> None:
         if c.alphabet != self.alphabet:
             raise AlphabetMismatch(
                 f"cylinder over alphabet {c.alphabet.size}, measure over {self.alphabet.size}"
             )
+        self._check_sided(c.sided)
 
-    def sample_config(self, sided: str, radius: int, random_state: RandomState) -> Configuration:
-        row = self.sample_rows(sided, radius, [as_generator(random_state)])[0]
-        return Configuration(self.alphabet, sided, row)
+    def _laws(self, sided: str, radius: int) -> list[_CellLaw]:
+        return [self._law] * window_size(sided, radius)
 
-    def conditional_sample(self, c: Cylinder, radius: int, random_state: RandomState) -> Configuration:
-        word = self.conditional_batch(c, radius, 1, as_generator(random_state))[0]
-        return Configuration(self.alphabet, c.sided, tuple(int(s) for s in word))
+    def cylinder_probability(self, c: Cylinder) -> float:
+        """The first cell's probability times the forward steps, left to right."""
+        self._check_cylinder(c)
+        laws, w = self._laws(c.sided, c.radius), c.word
+        factors = [laws[0].first[w[0]]]
+        factors.extend(law.forward[a][b] for law, a, b in zip(laws[1:], w, w[1:]))
+        return _prob_product(factors)
+
+    def sample_config(self, sided: str, radius: int, rng: np.random.Generator) -> Configuration:
+        """A one-row `sample_batch`."""
+        return Configuration(self.alphabet, sided, self.sample_batch(sided, radius, 1, rng)[0])
 
     def pieces(self, sided: str, radius: int, n: int, rng: np.random.Generator, given: Cylinder | None = None):
         """n words on W_radius from `rng`, given the cylinder `given` if any, as pieces in draw order."""
         if given is not None:
-            _require_extendable(self, given, radius)
+            self._check_cylinder(given)
+            if radius < given.radius:
+                raise ValueError(f"target radius {radius} smaller than the conditioning radius {given.radius}")
+            if self.cylinder_probability(given) == 0.0:
+                raise NullCylinder(f"cylinder {given.word} has measure zero; cannot condition on it")
             if given.sided != sided:
                 raise ValueError(f"{given.sided!r}-sided cylinder, {sided!r}-sided draws")
-        return self._pieces(check_sided(sided), radius, n, rng, given)
+        return self._pieces(self._check_sided(sided), radius, n, rng, given)
+
+    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
+        """Columns: the given word (or the first cell's row), then the
+        forward kernels rightward and the reversed kernels leftward."""
+        laws = self._laws(sided, radius)
+        lo = 0 if given is None or sided == ONE_SIDED else radius - given.radius  # given's first column
+        hi = lo + (1 if given is None else len(given.word))
+        for j in range(lo, hi):
+            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else np.full(n, given.word[j - lo])
+            yield j, right
+        for j in range(hi, len(laws)):
+            right = _kernel_column(laws[j].cum_forward, right, rng.random(n))
+            yield j, right
+        left = np.full(n, given.word[0]) if lo else None
+        for j in range(lo - 1, -1, -1):
+            left = _kernel_column(laws[j].cum_reverse, left, rng.random(n))
+            yield j, left
 
     def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return _rows(self.pieces(sided, radius, n, rng), n, window_size(sided, radius))
@@ -123,7 +176,7 @@ class _CylinderMeasure:
 
 
 class BernoulliMeasure(_CylinderMeasure):
-    """i.i.d. symbols with the given weights."""
+    """i.i.d. symbols with the given weights: every row of the chain is `weights`."""
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
@@ -135,25 +188,11 @@ class BernoulliMeasure(_CylinderMeasure):
             raise ValueError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
         self.alphabet = Alphabet(len(w))
         self.weights = tuple(float(p) for p in w)
-        self._cum = np.cumsum(w)
+        rows = np.tile(w, (len(w), 1))
+        self._law = _CellLaw.of(w, rows, rows)
 
     def __repr__(self):
         return f"BernoulliMeasure({list(self.weights)})"
-
-    def cylinder_probability(self, c: Cylinder) -> float:
-        self._check_cylinder(c)
-        return _prob_product(self.weights[s] for s in c.word)
-
-    def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        return _inverse_cdf(self._cum, _uniform_rows(rngs, window_size(check_sided(sided), radius)))
-
-    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
-        k = window_size(sided, radius)
-        blocks = (
-            (r0, 0, _inverse_cdf(self._cum, rng.random((min(ROW_BLOCK, n - r0), k))))
-            for r0 in range(0, n, ROW_BLOCK)
-        )
-        return blocks if given is None else _pasted(blocks, given, radius)
 
 
 class MarkovMeasure(_CylinderMeasure):
@@ -183,13 +222,10 @@ class MarkovMeasure(_CylinderMeasure):
         self.alphabet = Alphabet(P.shape[0])
         self.transition = P
         self.stationary = pi
-        # time reversal: probability of seeing b one step to the left of a
-        self._reverse = (pi[None, :] * P.T) / pi[:, None]
-        self._cum_pi = np.cumsum(pi)
-        self._cum_rows = np.cumsum(P, axis=1)
-        self._cum_rev = np.cumsum(self._reverse, axis=1)
-        for M in (self.transition, self.stationary, self._reverse):
+        for M in (self.transition, self.stationary):
             M.setflags(write=False)
+        # time reversal: probability of seeing b one step to the left of a
+        self._law = _CellLaw.of(pi, P, (pi[None, :] * P.T) / pi[:, None])
 
     @staticmethod
     def _solve_stationary(P: np.ndarray) -> np.ndarray:
@@ -203,57 +239,14 @@ class MarkovMeasure(_CylinderMeasure):
     def __repr__(self):
         return f"MarkovMeasure(P={self.transition.tolist()})"
 
-    def cylinder_probability(self, c: Cylinder) -> float:
-        self._check_cylinder(c)
-        w = c.word
-        factors = [float(self.stationary[w[0]])]
-        factors.extend(float(self.transition[a, b]) for a, b in zip(w, w[1:]))
-        return _prob_product(factors)
-
-    def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        return self._chain_words(_uniform_rows(rngs, window_size(check_sided(sided), radius)))
-
-    def _chain_words(self, u: np.ndarray) -> np.ndarray:
-        """Chains read left to right off the uniforms `u`, one row per chain."""
-        out = np.empty(u.shape[::-1], dtype=np.int64).T  # column-major: each step writes one column
-        out[:, 0] = _inverse_cdf(self._cum_pi, u[:, 0])
-        for j in range(1, u.shape[1]):
-            out[:, j] = self._kernel_column(self._cum_rows, out[:, j - 1], u[:, j])
-        return out
-
-    def _kernel_column(self, cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next symbols after `prev`, inverting the cumulative kernel rows `cum` at `u`.
-
-        Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
-        j < |A| - 1 is the inverse CDF capped at the last symbol.
-        """
-        out = (u >= cum[:, 0].take(prev)).astype(np.int64)
-        for j in range(1, self.alphabet.size - 1):
-            out += u >= cum[:, j].take(prev)
-        return out
-
-    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
-        """Columns: the given word (or a stationary first cell), then the
-        forward kernel rightward and the reversed kernel leftward."""
-        lo, hi = (0, 1) if given is None else _fixed_span(given, radius)
-        for j in range(lo, hi):
-            right = _inverse_cdf(self._cum_pi, rng.random(n)) if given is None else np.full(n, given.word[j - lo])
-            yield 0, j, right[:, None]
-        for j in range(hi, window_size(sided, radius)):
-            right = self._kernel_column(self._cum_rows, right, rng.random(n))
-            yield 0, j, right[:, None]
-        left = np.full(n, given.word[0]) if lo else None
-        for j in range(lo - 1, -1, -1):
-            left = self._kernel_column(self._cum_rev, left, rng.random(n))
-            yield 0, j, left[:, None]
-
 
 class ProductMeasure(_CylinderMeasure):
     """Independent uniform digits: coordinate i uniform on {0..sizes_at(i)-1}.
 
     One-sided only; the factor list repeats its last entry for coordinates
     past its end. This is Haar measure on the matching product of cyclic
-    groups, the natural invariant measure of the matching odometer.
+    groups, the natural invariant measure of the matching odometer. As a
+    chain, every row at cell i is uniform on its size_at(i) digits.
     """
 
     def __init__(self, sizes: Sequence[int]):
@@ -262,6 +255,10 @@ class ProductMeasure(_CylinderMeasure):
             raise ValueError("need at least one factor, every factor size >= 2")
         self.sizes = sz
         self.alphabet = Alphabet(max(sz))
+        self._laws_by_size = {}
+        for s in set(sz):
+            row = [1.0 / s] * s + [0.0] * (self.alphabet.size - s)
+            self._laws_by_size[s] = _CellLaw.of(row, [row] * self.alphabet.size, [row] * self.alphabet.size)
 
     def __repr__(self):
         return f"ProductMeasure(sizes={list(self.sizes)})"
@@ -274,32 +271,13 @@ class ProductMeasure(_CylinderMeasure):
     def cell_size(self, i: int) -> int:
         return self.size_at(i)
 
-    def _check_cylinder(self, c: Cylinder) -> None:
-        super()._check_cylinder(c)
-        if c.sided != ONE_SIDED:
-            raise AlphabetMismatch("product measures live on one-sided configurations")
+    def _laws(self, sided: str, radius: int) -> list[_CellLaw]:
+        return [self._laws_by_size[self.size_at(i)] for i in window_cells(sided, radius)]
 
-    def cylinder_probability(self, c: Cylinder) -> float:
-        self._check_cylinder(c)
-        factors = []
-        for i, s in zip(window_cells(ONE_SIDED, c.radius), c.word):
-            if s >= self.size_at(i):
-                return 0.0  # outside the digit carrier
-            factors.append(1.0 / self.size_at(i))
-        return _prob_product(factors)
-
-    def sample_rows(self, sided: str, radius: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    def _check_sided(self, sided: str) -> str:
         if check_sided(sided) != ONE_SIDED:
             raise AlphabetMismatch("product measures live on one-sided configurations")
-        sizes = [self.size_at(i) for i in window_cells(ONE_SIDED, radius)]
-        rows = [rng.integers(0, sizes) for rng in rngs]
-        return np.array(rows, dtype=np.int64).reshape(len(rngs), len(sizes))
-
-    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
-        if sided != ONE_SIDED:
-            raise AlphabetMismatch("product measures live on one-sided configurations")
-        cols = ((0, i, rng.integers(0, self.size_at(i), size=n)[:, None]) for i in range(radius + 1))
-        return cols if given is None else _pasted(cols, given, radius)
+        return sided
 
 
 class LebesgueMeasure:
@@ -308,8 +286,7 @@ class LebesgueMeasure:
     def __repr__(self):
         return "LebesgueMeasure()"
 
-    def sample_point(self, random_state: RandomState) -> CirclePoint:
-        rng = as_generator(random_state)
+    def sample_point(self, rng: np.random.Generator) -> CirclePoint:
         return CirclePoint(Fraction(float(rng.random())))
 
 
@@ -317,38 +294,11 @@ CantorMeasure = Union[BernoulliMeasure, MarkovMeasure, ProductMeasure]
 Measure = Union[CantorMeasure, LebesgueMeasure]
 
 
-def _require_extendable(mu: CantorMeasure, c: Cylinder, radius: int) -> None:
-    mu._check_cylinder(c)
-    if radius < c.radius:
-        raise ValueError(
-            f"target radius {radius} smaller than the conditioning radius {c.radius}"
-        )
-    if mu.cylinder_probability(c) == 0.0:
-        raise NullCylinder(f"cylinder {c.word} has measure zero; cannot condition on it")
-
-
-def _fixed_span(c: Cylinder, radius: int) -> tuple[int, int]:
-    """Columns [lo, hi) that c's word occupies in rows covering W_radius."""
-    lo = 0 if c.sided == ONE_SIDED else radius - c.radius
-    return lo, lo + len(c.word)
-
-
-def _pasted(pieces: Iterator[Piece], c: Cylinder, radius: int) -> Iterator[Piece]:
-    """The pieces with c's word written over the conditioned window."""
-    lo, hi = _fixed_span(c, radius)
-    word = np.asarray(c.word)
-    for r0, c0, block in pieces:
-        a, b = max(lo, c0), min(hi, c0 + block.shape[1])
-        if a < b:
-            block[:, a - c0 : b - c0] = word[a - lo : b - lo]
-        yield r0, c0, block
-
-
 def _rows(pieces: Iterator[Piece], n: int, k: int) -> np.ndarray:
-    """The n x k int rows that the pieces tile."""
+    """The n x k int rows whose columns the pieces give."""
     out = np.empty((n, k), dtype=np.int64)
-    for r0, c0, block in pieces:
-        out[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+    for j, column in pieces:
+        out[:, j] = column
     return out
 
 

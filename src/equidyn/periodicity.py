@@ -6,11 +6,11 @@ preperiod (T - q >= 2p). Detection returns the smallest p admitting any
 valid q, then the smallest q for that p. A certificate only ever claims
 periodicity at the certified (resolution, horizon) scale.
 
-`lep_statistics` draws point i from its own substream(seed, 0, i) and
-certifies the points in fixed-size blocks: one `sample_rows` call, one
-batched column trace and one vectorized period search per block. So memory
-follows the block rather than the sample count, and no number depends on
-the block size.
+`lep_statistics` certifies the points in blocks of `_BLOCK`: block b is one
+`sample_batch` from substream(seed, 0, b), one batched column trace and one
+vectorized period search. So memory follows the block rather than the
+sample count. The block size is part of the stream layout: changing it
+changes which points are drawn.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .systems import (
     system_sided,
 )
 
-# Points certified per vectorized pass in lep_statistics; its memory follows
-# this block, not the sample count.
+# Points drawn and certified per vectorized pass in lep_statistics; its
+# memory follows this block, not the sample count.
 _BLOCK = 1024
 
 
@@ -170,9 +170,9 @@ def lep_statistics(
     check_measure_alphabet(system, mu)
     p_counts = np.zeros(horizon // 2 + 1, dtype=np.int64)
     q_counts = np.zeros(horizon + 1, dtype=np.int64)
-    for start in range(0, n_samples, _BLOCK):
-        rngs = [substream(seed, 0, i) for i in range(start, min(start + _BLOCK, n_samples))]
-        codes = column_codes(system, mu.sample_rows(sided, radius, rngs), m, horizon)
+    for b, start in enumerate(range(0, n_samples, _BLOCK)):
+        rows = mu.sample_batch(sided, radius, min(_BLOCK, n_samples - start), substream(seed, 0, b))
+        codes = column_codes(system, rows, m, horizon)
         p, q, found = detect_eventual_periods(codes)
         p_counts += np.bincount(p[found], minlength=len(p_counts))
         q_counts += np.bincount(q[found], minlength=len(q_counts))

@@ -45,7 +45,7 @@ from .core import (
 from .errors import EnumerationTooLarge, OverlappingBalls
 from .measures import CantorMeasure
 from .periodicity import lep_certificate
-from .rng import substream
+from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
     cell_sizes,
@@ -316,7 +316,8 @@ def spectral_family(
     Every f_k shares the certificate of `base` (y's spec, any k) and one
     event table. Each number equals its `koopman_residual` or
     `inner_product` call: sampled mode draws f_k's residual and norm from
-    seed * 100 + k and the cross products from `seed`, once per (radius, seed).
+    derive_seed(seed, k) and the cross products from `seed`, once per
+    (radius, seed).
     """
     if not all(0 <= k < base.period for k in k_list):
         raise ValueError(f"k must lie in [0, {base.period}), got {k_list}")
@@ -332,8 +333,8 @@ def spectral_family(
 
     sampled, rows = mode == "sampled", []  # exact mode draws nothing: one domain per radius
     for spec, f in zip(specs, fs):
-        (jx, jtx), masses = indices(table.rho + cost, seed * 100 + spec.k if sampled else None)
-        (j, *_), weights = indices(table.rho, seed * 100 + spec.k if sampled else None)
+        (jx, jtx), masses = indices(table.rho + cost, derive_seed(seed, spec.k) if sampled else None)
+        (j, *_), weights = indices(table.rho, derive_seed(seed, spec.k) if sampled else None)
         norm_sq = _integral(_conj_product, f, f, j, j, weights, n_samples)
         rows.append((spec, _residual(spec, jx, jtx, masses, n_samples), norm_sq))
     (j, *_), weights = indices(table.rho, seed if sampled else None)

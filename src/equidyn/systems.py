@@ -20,14 +20,14 @@ the separation test of `sensitivity`. So the exact and the sampled routes
 share no stepper; the scalar per-rule loops live in the tests as oracles.
 
 `pack_planes` packs the pieces a measure draws (see `measures`) as they
-arrive, checking each against its cells: columns of all rows for Markov and
-Haar, blocks of whole rows for Bernoulli. So the Monte Carlo route holds the
-planes (|A| * cells * n / 8 bytes) and one piece, never an int batch.
+arrive, checking each against its cell: every piece is one column of all
+rows, whatever the measure. So the Monte Carlo route holds the planes
+(|A| * cells * n / 8 bytes) and one column, never an int batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
@@ -97,11 +97,20 @@ class CARule:
         return flat
 
 
+@dataclass(frozen=True)
 class Shift(CARule):
-    """The one-sided shift (Tx)_i = x_{i+1}: the radius-1 one-sided table of `shift_as_ca`."""
+    """The one-sided shift (Tx)_i = x_{i+1}: the radius-1 one-sided table of
+    `shift_as_ca`. Only the alphabet is a constructor field, so
+    `dataclasses.replace` works."""
 
-    def __init__(self, alphabet: Alphabet = Alphabet(2)):
-        super().__init__(alphabet, ONE_SIDED, 1, shift_as_ca(alphabet).table)
+    alphabet: Alphabet = Alphabet(2)
+    sided: str = field(default=ONE_SIDED, init=False)
+    radius: int = field(default=1, init=False)
+    table: dict[tuple[int, ...], int] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", shift_as_ca(self.alphabet).table)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -400,18 +409,17 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def pack_planes(system: CantorSystem, rows, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """One-hot bit planes (|A| x cells x words) of int rows, or of the pieces
-    (first_row, first_cell, block) of rows of `shape` (first rows a multiple of 8)."""
+    """One-hot bit planes (|A| x cells x words) of int rows, or of the
+    column pieces (cell, symbols of every row) of rows of `shape`."""
     if isinstance(rows, np.ndarray):
-        rows, shape = [(0, 0, rows)], rows.shape
+        rows, shape = enumerate(rows.T), rows.shape
     n, cells = shape
-    symbols = np.arange(system.alphabet.size)[:, None, None]
+    symbols = np.arange(system.alphabet.size)[:, None]
     planes = np.zeros((len(symbols), cells, -(-n // 64)), dtype=np.uint64)
     octets = planes.view(np.uint8)  # bit i of a word is bit i % 8 of its octet i // 8, as in pack_bits
-    for r0, c0, block in rows:
-        check_cells(system, block, c0)
-        (h, w), by_cell = block.shape, np.ascontiguousarray(block.T) == symbols  # packbits runs along rows
-        octets[:, c0 : c0 + w, r0 // 8 : (r0 + h + 7) // 8] = np.packbits(by_cell, axis=-1, bitorder="little")
+    for j, column in rows:
+        check_cells(system, column[:, None], j)
+        octets[:, j, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
     return planes
 
 

@@ -5,9 +5,11 @@ They work on validated `Configuration` objects one at a time and never call
 `step_batch`, `step_planes` or the spectral row lookup, so a test that checks
 an engine against them compares two independent implementations.
 
-The batch samplers below are the whole-array formulas that the piece
-generators of `equidyn.measures` replaced: each draws one n x |W| array in
-the same stream order, so equal rows mean equal draws.
+The batch samplers below draw one n x |W| array from the chain of each
+measure, re-derived from its public parameters, in the stream order of the
+piece generator of `equidyn.measures` (one `random(n)` per cell), so equal
+rows mean equal draws. The cylinder products are the three per-measure
+formulas that the chain's one product replaced.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from equidyn import Configuration, InsufficientRadius, UnsupportedSystem
-from equidyn.core import DEFAULT_ENUMERATION_CAP, ONE_SIDED, Cylinder, count_words, iter_words, window_cells, window_size
+from equidyn.core import DEFAULT_ENUMERATION_CAP, ONE_SIDED, Cylinder, count_words, iter_words, window_cells
 from equidyn.measures import BernoulliMeasure, MarkovMeasure, ProductMeasure
 from equidyn.errors import EnumerationTooLarge
 from equidyn.rng import substream
@@ -140,52 +142,94 @@ def scalar_inner_product(a, b, mu, horizon, mode="exact", n_samples=10_000, seed
     return complex(_scalar_integrate(a.system, mu, radius, value, mode, n_samples, seed, cap))
 
 
-# -- whole-array batch samplers -----------------------------------------------
+# -- cylinder products -----------------------------------------------------------
 
-def _invert(cum, u):
+def _product(factors):
+    fs = [float(f) for f in factors]
+    if any(f == 0.0 for f in fs):
+        return 0.0
+    if len(fs) <= 64:
+        out = 1.0
+        for f in fs:
+            out *= f
+        return out
+    return math.exp(math.fsum(math.log(f) for f in fs))
+
+
+def oracle_cylinder_probability(mu, c):
+    """Bernoulli: the weights of the word; Markov: pi, then transitions; Haar: 1/size per digit."""
+    if isinstance(mu, BernoulliMeasure):
+        return _product(mu.weights[s] for s in c.word)
+    w = c.word
+    if isinstance(mu, MarkovMeasure):
+        return _product([float(mu.stationary[w[0]])] + [float(mu.transition[a, b]) for a, b in zip(w, w[1:])])
+    assert isinstance(mu, ProductMeasure) and c.sided == ONE_SIDED
+    factors = []
+    for i, s in zip(window_cells(ONE_SIDED, c.radius), w):
+        if s >= mu.size_at(i):
+            return 0.0
+        factors.append(1.0 / mu.size_at(i))
+    return _product(factors)
+
+
+# -- whole-array batch samplers ---------------------------------------------------
+
+def chain_law(mu, cell):
+    """(first-cell row, forward kernel, reversed kernel) of mu at one cell, as probabilities."""
+    size = mu.alphabet.size
+    if isinstance(mu, MarkovMeasure):
+        pi, P = mu.stationary, mu.transition
+        return pi, P, (pi[None, :] * P.T) / pi[:, None]
+    if isinstance(mu, BernoulliMeasure):
+        row = np.array(mu.weights)
+    else:
+        s = mu.size_at(cell)
+        row = np.array([1.0 / s] * s + [0.0] * (size - s))
+    return row, np.tile(row, (size, 1)), np.tile(row, (size, 1))
+
+
+def cumulative(row):
+    """Cumulative row, exactly 1.0 from the last positive entry on."""
+    cum = np.cumsum(row)
+    cum[np.flatnonzero(row)[-1]:] = 1.0
+    return cum
+
+
+def _invert(row, u):
+    cum = cumulative(row)
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
-def _chain_step(cum, prev, u):
-    """Next Markov symbols: the inverse CDF of the kernel row of `prev` at `u`."""
-    return np.array([_invert(cum[p], v) for p, v in zip(prev, u)], dtype=np.int64)
+def _chain_step(kernel, prev, u):
+    """Next symbols: for each previous symbol a, the inverse CDF of kernel row a at `u`."""
+    out = np.empty(len(u), dtype=np.int64)
+    for a, row in enumerate(kernel):
+        hit = prev == a
+        out[hit] = _invert(row, u[hit])
+    return out
 
 
-def _paste(out, c, radius):
-    lo = 0 if c.sided == ONE_SIDED else radius - c.radius
-    out[:, lo : lo + len(c.word)] = c.word
+def _fill(mu, cells, out, lo, hi, rng):
+    """Columns hi.. by the forward kernels, then lo-1..0 by the reversed ones, one random(n) each."""
+    for j in range(hi, len(cells)):
+        out[:, j] = _chain_step(chain_law(mu, cells[j])[1], out[:, j - 1], rng.random(len(out)))
+    for j in range(lo - 1, -1, -1):
+        out[:, j] = _chain_step(chain_law(mu, cells[j])[2], out[:, j + 1], rng.random(len(out)))
     return out
 
 
 def oracle_sample_batch(mu, sided, radius, n, rng):
-    """n x |W_radius| rows: Bernoulli row-major, Markov and Haar one call per cell."""
-    k = window_size(sided, radius)
-    if isinstance(mu, BernoulliMeasure):
-        return _invert(np.cumsum(mu.weights), rng.random((n, k)))
-    if isinstance(mu, MarkovMeasure):
-        u = rng.random((k, n))
-        cols = [_invert(np.cumsum(mu.stationary), u[0])]
-        for j in range(1, k):
-            cols.append(_chain_step(np.cumsum(mu.transition, axis=1), cols[-1], u[j]))
-        return np.stack(cols, axis=1)
-    assert isinstance(mu, ProductMeasure) and sided == ONE_SIDED
-    return np.stack([rng.integers(0, mu.size_at(i), size=n) for i in range(radius + 1)], axis=1)
+    """n x |W_radius| rows: the first cell from its row, then rightward by the forward kernels."""
+    cells = list(window_cells(sided, radius))
+    out = np.zeros((n, len(cells)), dtype=np.int64)
+    out[:, 0] = _invert(chain_law(mu, cells[0])[0], rng.random(n))
+    return _fill(mu, cells, out, 0, 1, rng)
 
 
 def oracle_conditional_batch(mu, c, radius, n, rng):
-    """Rows on W_radius given the cylinder c: Bernoulli and Haar draw the whole
-    window and paste c's word; Markov extends the word rightward, then leftward."""
-    if not isinstance(mu, MarkovMeasure):
-        return _paste(oracle_sample_batch(mu, c.sided, radius, n, rng), c, radius)
-    k = window_size(c.sided, radius)
-    out = _paste(np.zeros((n, k), dtype=np.int64), c, radius)
+    """Rows on W_radius given the cylinder c: c's word, extended rightward, then leftward."""
+    cells = list(window_cells(c.sided, radius))
     lo = 0 if c.sided == ONE_SIDED else radius - c.radius
-    hi = lo + len(c.word)
-    pi = mu.stationary
-    forward = np.cumsum(mu.transition, axis=1)
-    reverse = np.cumsum((pi[None, :] * mu.transition.T) / pi[:, None], axis=1)
-    for j in range(hi, k):
-        out[:, j] = _chain_step(forward, out[:, j - 1], rng.random(n))
-    for j in range(lo - 1, -1, -1):
-        out[:, j] = _chain_step(reverse, out[:, j + 1], rng.random(n))
-    return out
+    out = np.zeros((n, len(cells)), dtype=np.int64)
+    out[:, lo : lo + len(c.word)] = c.word
+    return _fill(mu, cells, out, lo, lo + len(c.word), rng)

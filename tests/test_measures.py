@@ -27,8 +27,10 @@ from equidyn import (
     vitali_cover,
     window_size,
 )
-from equidyn.measures import uncovered_mass
+from equidyn.measures import _kernel_column, uncovered_mass
 from equidyn.rng import substream
+from equidyn.systems import Odometer, check_cells
+from oracles import cumulative, oracle_cylinder_probability, oracle_sample_batch
 
 A2 = Alphabet(2)
 
@@ -170,7 +172,7 @@ class TestSampling:
         mu = MarkovMeasure(P_LOPSIDED)
         c = cyl((0, 1), sided="one")
         for i in range(20):
-            x = mu.conditional_sample(c, 4, substream(3, i))
+            x = Configuration(mu.alphabet, "one", mu.conditional_batch(c, 4, 1, substream(3, i))[0])
             assert x.radius == 4 and x.window(1) == (0, 1)
 
     def test_conditional_matches_chain_law(self):
@@ -187,7 +189,7 @@ class TestSampling:
         mu = ProductMeasure((2, 3))
         bad = Cylinder(mu.alphabet, "one", 0, (2,))
         with pytest.raises(NullCylinder):
-            mu.conditional_sample(bad, 2, substream(0, 0))
+            mu.conditional_batch(bad, 2, 1, substream(0, 0))
 
     def test_determinism(self):
         mu = BernoulliMeasure([0.5, 0.5])
@@ -355,22 +357,22 @@ class TestSampleRows:
     @pytest.mark.parametrize("sided", ["one", "two"])
     @pytest.mark.parametrize("radius", [0, 1, 4, 9])
     def test_rows_equal_sample_config(self, mu, sided, radius):
-        rngs = [substream(41, radius, i) for i in range(7)]
         if isinstance(mu, ProductMeasure) and sided == "two":
             with pytest.raises(AlphabetMismatch):
-                mu.sample_rows(sided, radius, rngs)
+                mu.sample_batch(sided, radius, 1, substream(41, radius, 0))
             with pytest.raises(AlphabetMismatch):
                 mu.sample_config(sided, radius, substream(41, radius, 0))
             return
-        rows = mu.sample_rows(sided, radius, rngs)
-        assert rows.shape == (7, window_size(sided, radius)) and rows.dtype == np.int64
-        for i, row in enumerate(rows):
+        for i in range(7):
+            row = mu.sample_batch(sided, radius, 1, substream(41, radius, i))
+            assert row.shape == (1, window_size(sided, radius)) and row.dtype == np.int64
+            assert np.array_equal(row, oracle_sample_batch(mu, sided, radius, 1, substream(41, radius, i)))
             x = mu.sample_config(sided, radius, substream(41, radius, i))
-            assert x.symbols == tuple(int(s) for s in row)
+            assert x.symbols == tuple(int(s) for s in row[0])
 
-    def test_no_generators_gives_no_rows(self):
+    def test_zero_rows_requested_gives_no_rows(self):
         for mu in SAMPLERS:
-            assert mu.sample_rows("one", 3, []).shape == (0, 4)
+            assert mu.sample_batch("one", 3, 0, substream(41, 0)).shape == (0, 4)
 
     @pytest.mark.parametrize("sided", ["one", "two"])
     def test_bernoulli_config_matches_per_cell_draws(self, sided):
@@ -395,8 +397,11 @@ class TestSampleRows:
         mu = ProductMeasure((3, 2, 5))
         for i in range(20):
             rng = substream(10, i)
-            want = tuple(int(rng.integers(0, mu.size_at(j))) for j in range(8))
-            assert mu.sample_config("one", 7, substream(10, i)).symbols == want
+            want = []
+            for j in range(8):  # one uniform per digit, inverted on the uniform row of its cell
+                s = mu.size_at(j)
+                want.append(invert(cumulative([1.0 / s] * s + [0.0] * (5 - s)), float(rng.random(1)[0])))
+            assert mu.sample_config("one", 7, substream(10, i)).symbols == tuple(want)
 
     def test_markov_batch_matches_column_draws(self):
         mu = MarkovMeasure([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]])
@@ -501,12 +506,12 @@ class TestKernelColumn:
         rng = np.random.default_rng(size)
         prev = rng.integers(0, size, 5000)
         u = rng.random(5000)
-        for cum in (mu._cum_rows, mu._cum_rev):
+        for cum in (mu._law.cum_forward, mu._law.cum_reverse):
             # ties: uniforms landing exactly on a cumulative entry, and on 0
             u[:size * size] = cum[np.repeat(np.arange(size), size), np.tile(np.arange(size), size)]
             u[size * size] = 0.0
             prev[:size * size] = np.repeat(np.arange(size), size)
-            got = mu._kernel_column(cum, prev, u)
+            got = _kernel_column(cum, prev, u)
             assert got.dtype == np.int64
             assert np.array_equal(got, kernel_2d(cum, prev, u, size))
 
@@ -514,12 +519,67 @@ class TestKernelColumn:
         mu = MarkovMeasure([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
         prev = np.array([0, 0, 1, 2])
         u = np.array([0.5, 0.75, 0.1, 0.6])
-        assert mu._kernel_column(mu._cum_rows, prev, u).tolist() == [1, 2, 1, 2]
+        assert _kernel_column(mu._law.cum_forward, prev, u).tolist() == [1, 2, 1, 2]
 
     def test_uniform_past_a_short_last_entry_takes_the_last_symbol(self):
-        mu = MarkovMeasure(P_LOPSIDED)
         cum = np.array([[0.4, 0.9], [0.2, 0.9]])  # rounding can leave the total below 1
         prev = np.array([0, 1, 0])
         u = np.array([0.95, 0.9, 0.1])
-        assert mu._kernel_column(cum, prev, u).tolist() == [1, 1, 0]
-        assert np.array_equal(mu._kernel_column(cum, prev, u), kernel_2d(cum, prev, u, 2))
+        assert _kernel_column(cum, prev, u).tolist() == [1, 1, 0]
+        assert np.array_equal(_kernel_column(cum, prev, u), kernel_2d(cum, prev, u, 2))
+
+
+# -- one chain for every measure ---------------------------------------------------
+
+CHAINS = SAMPLERS + [ProductMeasure((6, 7, 10)), BernoulliMeasure([0.5, 0.0, 0.5])]
+CHAIN_SPACES = [(mu, sided) for mu in CHAINS for sided in ("one", "two")
+                if sided == "one" or not isinstance(mu, ProductMeasure)]
+
+
+@pytest.mark.parametrize("mu,sided", CHAIN_SPACES, ids=repr)
+def test_cylinder_probability_equals_the_per_measure_formulas(mu, sided):
+    sizes = [mu.alphabet.size] * 5
+    for radius in range(3 if sided == "one" else 2):
+        for word in itertools.product(*[range(s) for s in sizes[: window_size(sided, radius)]]):
+            c = Cylinder(mu.alphabet, sided, radius, word)
+            assert mu.cylinder_probability(c) == oracle_cylinder_probability(mu, c)  # bit for bit
+    for i in range(5):  # W_70 words: past 64 factors the product runs in log space
+        x = mu.sample_config(sided, 70, substream(61, i))
+        c = Cylinder(mu.alphabet, sided, 70, x.symbols)
+        got = mu.cylinder_probability(c)
+        assert got > 0.0 and got == oracle_cylinder_probability(mu, c)
+
+
+@pytest.mark.parametrize("w", [[0.3, 0.7], [0.2, 0.5, 0.3]])
+@pytest.mark.parametrize("sided", ["one", "two"])
+def test_bernoulli_is_the_markov_chain_with_equal_rows(w, sided):
+    bern, chain = BernoulliMeasure(w), MarkovMeasure([w] * len(w), w)
+    c = Cylinder(bern.alphabet, sided, 1, bern.sample_config(sided, 1, substream(62, 0)).symbols)
+    for given in (None, c):
+        a = list(bern.pieces(sided, 4, 500, substream(62, 1), given))
+        b = list(chain.pieces(sided, 4, 500, substream(62, 1), given))
+        assert [j for j, _ in a] == [j for j, _ in b]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
+    for word in itertools.product(range(len(w)), repeat=window_size(sided, 1)):
+        d = Cylinder(bern.alphabet, sided, 1, word)
+        assert bern.cylinder_probability(d) == chain.cylinder_probability(d)
+
+
+class _NearOne:
+    """A generator stand-in whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_haar_never_draws_outside_a_cell():
+    mu, od = ProductMeasure((6, 7, 10)), Odometer((6, 7, 10))
+    assert np.cumsum([1 / 6] * 6)[-1] < 1.0  # why the cumulative rows end on an exact 1.0
+    rows = mu.sample_batch("one", 5, 50_000, substream(63, 0))
+    check_cells(od, rows)
+    assert all(set(np.unique(rows[:, i])) == set(range(mu.size_at(i))) for i in range(6))
+    top = mu.sample_batch("one", 5, 3, _NearOne())
+    check_cells(od, top)
+    assert top.tolist() == [[5, 6, 9, 9, 9, 9]] * 3
+    c = Cylinder(mu.alphabet, "one", 0, (5,))
+    assert mu.conditional_batch(c, 5, 3, _NearOne()).tolist() == [[5, 6, 9, 9, 9, 9]] * 3

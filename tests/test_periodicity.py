@@ -32,7 +32,7 @@ from equidyn import (
 )
 from equidyn.periodicity import _BLOCK, detect_eventual_periods
 from equidyn.rng import substream
-from oracles import scalar_column_trace
+from oracles import oracle_sample_batch, scalar_column_trace
 
 A2 = Alphabet(2)
 
@@ -257,14 +257,17 @@ def scalar_period(trace):
 
 
 def scalar_lep_statistics(system, mu, m, eps, n_samples, horizon, seed):
-    """Oracle: certify point by point through sample_config, scalar_column_trace and scalar_period."""
-    radius = dependence_radius(system, m, horizon)
+    """Oracle: draw block b of _BLOCK points with oracle_sample_batch from
+    substream(seed, 0, b), then certify point by point through
+    scalar_column_trace and scalar_period."""
+    sided, radius = system_sided(system), dependence_radius(system, m, horizon)
     certs = []
-    for i in range(n_samples):
-        x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
-        cert = scalar_period(scalar_column_trace(system, x, m, horizon))
-        if cert is not None:
-            certs.append(cert)
+    for b, start in enumerate(range(0, n_samples, _BLOCK)):
+        for row in oracle_sample_batch(mu, sided, radius, min(_BLOCK, n_samples - start), substream(seed, 0, b)):
+            x = Configuration(mu.alphabet, sided, tuple(int(s) for s in row))
+            cert = scalar_period(scalar_column_trace(system, x, m, horizon))
+            if cert is not None:
+                certs.append(cert)
     if certs:
         k = math.ceil((1.0 - eps) * len(certs))
         p_q = sorted(p for p, _ in certs)[k - 1]

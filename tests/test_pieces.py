@@ -1,4 +1,4 @@
-"""Batch draws as pieces: the same draws as whole-array sampling, packed straight into bit planes."""
+"""Batch draws as column pieces: the same draws as whole-array sampling, packed straight into bit planes."""
 
 import tracemalloc
 
@@ -24,14 +24,13 @@ from equidyn import (
     system_sided,
 )
 from equidyn.core import ONE_SIDED, ball_cylinder, window_size
-from equidyn.measures import ROW_BLOCK
 from equidyn.rng import substream
 from equidyn.systems import check_cells, pack_planes, step_batch, window_slice
 import equidyn.orbit
 
 from oracles import oracle_conditional_batch, oracle_sample_batch
 
-ROW_COUNTS = (1, 63, 64, 65, 1000, ROW_BLOCK + 3)
+ROW_COUNTS = (1, 63, 64, 65, 1000, 2051)
 RADIUS = 4
 MARKOV = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
 
@@ -82,19 +81,15 @@ class TestPiecesMatchWholeArrays:
 
 @pytest.mark.parametrize("name,sided", CASES)
 def test_piece_shapes_follow_the_draw_order(name, sided):
-    mu, n = MEASURES[name], 2 * ROW_BLOCK + 5
+    mu, n = MEASURES[name], 4101
     k = window_size(sided, RADIUS)
     for pieces in (
         list(mu.pieces(sided, RADIUS, n, substream(3, 0))),
         list(mu.pieces(sided, RADIUS, n, substream(3, 0), given(mu, sided, 1, seed=3))),
     ):
-        if isinstance(mu, BernoulliMeasure):  # row-major draws: blocks of whole rows
-            assert [(r0, c0, b.shape) for r0, c0, b in pieces] == [
-                (0, 0, (ROW_BLOCK, k)), (ROW_BLOCK, 0, (ROW_BLOCK, k)), (2 * ROW_BLOCK, 0, (5, k)),
-            ]
-        else:  # one call per cell: one column of all rows
-            assert sorted(c0 for _, c0, _ in pieces) == list(range(k))
-            assert all(r0 == 0 and b.shape == (n, 1) for r0, _, b in pieces)
+        # one call per cell, whatever the measure: one column of all rows
+        assert sorted(j for j, _ in pieces) == list(range(k))
+        assert all(column.shape == (n,) for _, column in pieces)
 
 
 def test_given_cylinder_must_match_the_side():
@@ -106,7 +101,7 @@ def test_given_cylinder_must_match_the_side():
 def test_markov_pieces_come_in_draw_order():
     # the given word, then rightward, then leftward: the order of the random(n) calls
     c = Cylinder(Alphabet(2), "two", 1, (1, 0, 1))
-    cells = [c0 for _, c0, _ in MARKOV.pieces("two", 3, 10, substream(0, 0), c)]
+    cells = [j for j, _ in MARKOV.pieces("two", 3, 10, substream(0, 0), c)]
     assert cells == [2, 3, 4, 5, 6, 1, 0]
 
 
@@ -152,7 +147,7 @@ ESTIMATOR_CASES = [
 
 
 @pytest.mark.parametrize("system,mu", ESTIMATOR_CASES, ids=repr)
-@pytest.mark.parametrize("n_samples", (65, ROW_BLOCK + 3))
+@pytest.mark.parametrize("n_samples", (65, 2051))
 @pytest.mark.parametrize("n", (1, 3))
 def test_density_estimate_matches_int_rows(system, mu, n_samples, n):
     m, horizon = 1, 3
@@ -163,7 +158,7 @@ def test_density_estimate_matches_int_rows(system, mu, n_samples, n):
 
 
 @pytest.mark.parametrize("system,mu", ESTIMATOR_CASES, ids=repr)
-@pytest.mark.parametrize("n_samples", (65, ROW_BLOCK + 3))
+@pytest.mark.parametrize("n_samples", (65, 2051))
 @pytest.mark.parametrize("eps,horizon", [(1, 6), (0.25, 9)])
 def test_sensitivity_estimate_matches_int_rows(system, mu, n_samples, eps, horizon):
     est = mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=n_samples)
@@ -174,11 +169,12 @@ def test_estimators_draw_no_int_batch(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an n x |W| int batch was drawn")
 
+    # base points are one-row batches, so they are drawn before the batches are refused
+    points = [mu.sample_config(system_sided(system), 6, substream(1, 0)) for system, mu in ESTIMATOR_CASES]
     for cls in (BernoulliMeasure, MarkovMeasure, ProductMeasure):
         monkeypatch.setattr(cls, "sample_batch", refuse)
         monkeypatch.setattr(cls, "conditional_batch", refuse)
-    for system, mu in ESTIMATOR_CASES:
-        x = mu.sample_config(system_sided(system), 6, substream(1, 0))
+    for (system, mu), x in zip(ESTIMATOR_CASES, points):
         density_ratio_estimate(system, mu, x, 1, 2, 3, n_samples=100)
         mu_sensitivity_estimate(system, mu, 0.5, 4, n_samples=100)
 
@@ -187,12 +183,12 @@ def test_estimators_draw_no_int_batch(monkeypatch):
 
 def test_packer_checks_each_piece_against_its_cells():
     system = Odometer((2, 3))
-    good = np.zeros((70, 1), dtype=np.int64)
+    good = np.zeros(70, dtype=np.int64)
     bad = good.copy()
     bad[66] = 2  # cell 0 holds two digits
-    pack_planes(system, [(0, 1, good + 2), (0, 0, good)], (70, 2))
+    pack_planes(system, [(1, good + 2), (0, good)], (70, 2))
     with pytest.raises(ValueError, match="column 0"):
-        pack_planes(system, [(0, 1, good + 2), (0, 0, bad)], (70, 2))
+        pack_planes(system, [(1, good + 2), (0, bad)], (70, 2))
     with pytest.raises(ValueError, match="symbol 3 in column 3"):
         check_cells(system, np.array([[0, 3]]), first=2)
 

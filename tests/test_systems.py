@@ -1,6 +1,7 @@
 """Dynamics: CA rules, shift, odometer, rotation, traces, batch stepping."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -360,6 +361,13 @@ def test_rotation_orbit_returns():
 def test_system_dict_roundtrip(d):
     system = system_from_dict(d)
     assert system_from_dict(system_to_dict(system)) == system
+
+
+def test_replace_keeps_a_shift():
+    sh = Shift(Alphabet(3))
+    copy = replace(sh)
+    assert type(copy) is Shift and copy == sh
+    assert system_from_dict(system_to_dict(copy)) == sh
 
 
 def test_system_from_dict_unknown():
