@@ -158,12 +158,12 @@ class _CylinderMeasure:
         lo = 0 if given is None or sided == ONE_SIDED else radius - given.radius  # given's first column
         hi = lo + (1 if given is None else len(given.word))
         for j in range(lo, hi):
-            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else np.full(n, given.word[j - lo])
+            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else _constant(given.word[j - lo], n)
             yield j, right
         for j in range(hi, len(laws)):
             right = _kernel_column(laws[j].cum_forward, right, rng.random(n))
             yield j, right
-        left = np.full(n, given.word[0]) if lo else None
+        left = _constant(given.word[0], n) if lo else None
         for j in range(lo - 1, -1, -1):
             left = _kernel_column(laws[j].cum_reverse, left, rng.random(n))
             yield j, left
@@ -292,6 +292,11 @@ class LebesgueMeasure:
 
 CantorMeasure = Union[BernoulliMeasure, MarkovMeasure, ProductMeasure]
 Measure = Union[CantorMeasure, LebesgueMeasure]
+
+
+def _constant(symbol: int, n: int) -> np.ndarray:
+    """A column of n copies of `symbol` as one zero-stride, read-only int64 view."""
+    return np.broadcast_to(np.int64(symbol), (n,))
 
 
 def _rows(pieces: Iterator[Piece], n: int, k: int) -> np.ndarray:

@@ -415,11 +415,20 @@ def pack_planes(system: CantorSystem, rows, shape: tuple[int, int] | None = None
         rows, shape = enumerate(rows.T), rows.shape
     n, cells = shape
     symbols = np.arange(system.alphabet.size)[:, None]
+    sizes = cell_sizes(system, range(cells))
     planes = np.zeros((len(symbols), cells, -(-n // 64)), dtype=np.uint64)
     octets = planes.view(np.uint8)  # bit i of a word is bit i % 8 of its octet i // 8, as in pack_bits
+    mask = pack_bits(np.ones(n, dtype=bool))
     for j, column in rows:
-        check_cells(system, column[:, None], j)
+        if n and column.strides == (0,):  # one symbol in every row: check it once, set its plane
+            check_cells(system, column[:1, None], j)
+            planes[column[0], j] = mask
+            continue
         octets[:, j, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
+        # a row sets at most one plane, so every symbol fits its cell iff
+        # the cell's first sizes[j] planes together cover every row
+        if not np.array_equal(np.bitwise_or.reduce(planes[: sizes[j], j]), mask):
+            check_cells(system, column[:, None], j)
     return planes
 
 

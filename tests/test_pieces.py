@@ -80,6 +80,18 @@ class TestPiecesMatchWholeArrays:
 
 
 @pytest.mark.parametrize("name,sided", CASES)
+@pytest.mark.parametrize("n", (63, 64, 65, 4101))
+@pytest.mark.parametrize("inner", (0, 2))
+def test_conditioned_pieces_pack_like_conditional_batch(name, sided, n, inner):
+    mu = MEASURES[name]
+    c = given(mu, sided, inner, seed=n + inner)
+    pieces = list(mu.pieces(sided, RADIUS, n, substream(n, 3), c))
+    assert all(column.strides == (0,) for _, column in pieces[: len(c.word)])  # the given cells are constant columns
+    rows = mu.conditional_batch(c, RADIUS, n, substream(n, 3))
+    assert np.array_equal(pack_planes(packer(mu), pieces, rows.shape), pack_planes(packer(mu), rows))
+
+
+@pytest.mark.parametrize("name,sided", CASES)
 def test_piece_shapes_follow_the_draw_order(name, sided):
     mu, n = MEASURES[name], 4101
     k = window_size(sided, RADIUS)

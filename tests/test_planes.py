@@ -28,6 +28,7 @@ from equidyn.core import ONE_SIDED, TWO_SIDED, window_cells
 from equidyn.rng import substream
 from equidyn.systems import (
     cell_sizes,
+    check_cells,
     pack_bits,
     pack_planes,
     step_batch,
@@ -113,6 +114,45 @@ def test_odometer_carries_through_every_digit():
 def test_packer_rejects_symbols_outside_the_cells(system, bad):
     with pytest.raises(ValueError):
         pack_planes(system, np.array(bad))
+
+
+BAD_SYMBOLS = {
+    "negative": (eca_rule(110), 1, -1),
+    "past the alphabet": (random_rule(A3, TWO_SIDED, 1, seed=7), 2, 3),
+    "odometer column 0": (Odometer((2, 3)), 0, 2),  # digit 0 has two values
+    "odometer later column": (Odometer((2, 3)), 2, 3),
+    "odometer later column inside the alphabet": (Odometer((2, 3, 2)), 3, 2),
+}
+
+
+def raised(fn, *args):
+    """The message of the ValueError that fn(*args) raises."""
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case", BAD_SYMBOLS)
+@pytest.mark.parametrize("n", (1, 63, 64, 65))
+@pytest.mark.parametrize("row", ("first", "last"))
+def test_packed_plane_check_rejects_what_check_cells_rejects(case, n, row):
+    system, col, bad = BAD_SYMBOLS[case]
+    rows = np.zeros((n, 5), dtype=np.int64)
+    rows[0 if row == "first" else n - 1, col] = bad
+    want = raised(check_cells, system, rows)
+    assert raised(pack_planes, system, rows) == want
+    # a constant column of the bad symbol is refused the same way
+    assert raised(pack_planes, system, [(col, np.broadcast_to(np.int64(bad), (n,)))], (n, 5)) == want
+
+
+@pytest.mark.parametrize("system", [eca_rule(110), random_rule(A3, ONE_SIDED, 1, seed=8), Odometer((2, 3))], ids=repr)
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_constant_column_packs_like_its_full_column(system, n):
+    pieces = [(0, 1), (1, 2 % system.alphabet.size), (2, 0)]
+    full = pack_planes(system, [(j, np.full(n, s, dtype=np.int64)) for j, s in pieces], (n, 3))
+    constant = pack_planes(system, [(j, np.broadcast_to(np.int64(s), (n,))) for j, s in pieces], (n, 3))
+    assert np.array_equal(constant, full)  # padding bits included
+    assert np.array_equal(planes_to_rows(constant, n), np.tile([s for _, s in pieces], (n, 1)))
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
