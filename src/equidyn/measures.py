@@ -13,9 +13,10 @@ are disjoint.
 
 Batch draws come as pieces (cell, column of all n rows) in the order the
 generator makes them, one `random(n)` per cell: unconditioned draws run
-rightward from the first cell; draws given a cylinder keep its word, then
-run rightward and leftward from it. So a one-row draw reads its uniforms in
-the order of `random(k)`. `sample_batch` and `conditional_batch` write the
+rightward from the first cell; draws given a cylinder keep its word, each
+cell a constant column (one symbol, stride zero, no draw), then run
+rightward and leftward from it. So a one-row draw reads its uniforms in the
+order of `random(k)`. `sample_batch` and `conditional_batch` write the
 pieces into int rows; `systems.pack_planes` packs them into bit planes as
 they arrive, without an n x |W| array.
 """
@@ -158,12 +159,13 @@ class _CylinderMeasure:
         lo = 0 if given is None or sided == ONE_SIDED else radius - given.radius  # given's first column
         hi = lo + (1 if given is None else len(given.word))
         for j in range(lo, hi):
-            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else _constant(given.word[j - lo], n)
+            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else np.int64(given.word[j - lo])
+            right = np.broadcast_to(right, (n,))  # a given symbol becomes a zero-stride column
             yield j, right
         for j in range(hi, len(laws)):
             right = _kernel_column(laws[j].cum_forward, right, rng.random(n))
             yield j, right
-        left = _constant(given.word[0], n) if lo else None
+        left = np.broadcast_to(np.int64(given.word[0]), (n,)) if lo else None
         for j in range(lo - 1, -1, -1):
             left = _kernel_column(laws[j].cum_reverse, left, rng.random(n))
             yield j, left
@@ -292,11 +294,6 @@ class LebesgueMeasure:
 
 CantorMeasure = Union[BernoulliMeasure, MarkovMeasure, ProductMeasure]
 Measure = Union[CantorMeasure, LebesgueMeasure]
-
-
-def _constant(symbol: int, n: int) -> np.ndarray:
-    """A column of n copies of `symbol` as one zero-stride, read-only int64 view."""
-    return np.broadcast_to(np.int64(symbol), (n,))
 
 
 def _rows(pieces: Iterator[Piece], n: int, k: int) -> np.ndarray:

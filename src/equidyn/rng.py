@@ -1,10 +1,12 @@
 """Deterministic random substreams.
 
 Every sampling loop derives its generator from (master seed, index path)
-through SeedSequence spawn keys feeding a counter-based Philox stream, so a
-number depends only on its address, never on the order in which a loop
-visits the addresses. All work runs on one thread: a thread pool over
-`classify`'s base points measured no speedup on a two-core host.
+through SeedSequence spawn keys, so a number depends only on its address,
+never on the order in which a loop visits the addresses. The keys, not the
+bit generator, make addresses independent, so the bit generator is numpy's
+default PCG64: it draws uniforms 2-3x as fast as Philox and can `advance`.
+All work runs on one thread: a thread pool over `classify`'s base points
+measured no speedup on a two-core host.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def derive_seed(seed: int, *path: int) -> int:

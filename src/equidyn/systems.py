@@ -4,10 +4,11 @@ A radius-r cellular automaton maps a configuration of valid radius R to one
 of valid radius R - r: only cells whose full neighborhood is known get an
 image, and nothing is ever padded. The shift is the radius-1 one-sided rule
 (a, b) -> b: a `Shift` is a `CARule` built from that table (so, like every
-rule, it is unhashable) and steps through the rule paths. Odometers act on
-one-sided digit strings (add one, carry to the right) and keep the valid
-radius, since the first R + 1 digits of the successor depend only on the
-first R + 1 digits of the argument. Rotations act on exact circle points.
+rule, it is unhashable); like every rule that copies one neighborhood cell,
+it steps by slicing. Odometers act on one-sided digit strings (add one,
+carry to the right) and keep the valid radius, since the first R + 1 digits
+of the successor depend only on the first R + 1 digits of the argument.
+Rotations act on exact circle points.
 
 Two steppers implement the same rules. `step_batch` steps int64 rows; it
 serves the exact route (the orbit-ball frontier search), `column_codes`
@@ -19,9 +20,9 @@ the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
 share no stepper; the scalar per-rule loops live in the tests as oracles.
 
-`pack_planes` packs the pieces a measure draws (see `measures`) as they
-arrive, checking each against its cell: every piece is one column of all
-rows, whatever the measure. So the Monte Carlo route holds the planes
+`pack_planes` packs the pieces a measure draws (see `measures`), one column
+of all rows each, as they arrive, and checks the packed planes (a constant
+column: its one symbol). So the Monte Carlo route holds the planes
 (|A| * cells * n / 8 bytes) and one column, never an int batch.
 """
 
@@ -95,6 +96,11 @@ class CARule:
             flat[code] = out
         flat.flags.writeable = False
         return flat
+
+    @cached_property
+    def copied_cell(self) -> int | None:
+        """The neighborhood cell every output copies (the shift, `identity_rule`), or None."""
+        return next((k for k in range(self.neighborhood_size) if all(nb[k] == b for nb, b in self.table.items())), None)
 
 
 @dataclass(frozen=True)
@@ -317,11 +323,13 @@ def step_batch(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
         width = system.neighborhood_size
         if arr.shape[1] < width:
             raise InsufficientRadius("batch window narrower than one neighborhood")
-        flat = system.flat_table
-        code = np.zeros((arr.shape[0], arr.shape[1] - width + 1), dtype=np.int64)
+        cells = arr.shape[1] - width + 1
+        if system.copied_cell is not None:
+            return arr[:, system.copied_cell : system.copied_cell + cells].astype(np.int64)
+        code = np.zeros((arr.shape[0], cells), dtype=np.int64)
         for k in range(width):
-            code = code * size + arr[:, k : arr.shape[1] - width + 1 + k]
-        return flat[code]
+            code = code * size + arr[:, k : k + cells]
+        return system.flat_table[code]
     if isinstance(system, Odometer):
         out = arr.copy()
         carry = np.ones(arr.shape[0], dtype=bool)
@@ -415,7 +423,6 @@ def pack_planes(system: CantorSystem, rows, shape: tuple[int, int] | None = None
         rows, shape = enumerate(rows.T), rows.shape
     n, cells = shape
     symbols = np.arange(system.alphabet.size)[:, None]
-    sizes = cell_sizes(system, range(cells))
     planes = np.zeros((len(symbols), cells, -(-n // 64)), dtype=np.uint64)
     octets = planes.view(np.uint8)  # bit i of a word is bit i % 8 of its octet i // 8, as in pack_bits
     mask = pack_bits(np.ones(n, dtype=bool))
@@ -425,9 +432,8 @@ def pack_planes(system: CantorSystem, rows, shape: tuple[int, int] | None = None
             planes[column[0], j] = mask
             continue
         octets[:, j, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
-        # a row sets at most one plane, so every symbol fits its cell iff
-        # the cell's first sizes[j] planes together cover every row
-        if not np.array_equal(np.bitwise_or.reduce(planes[: sizes[j], j]), mask):
+        # a row sets at most one plane: its symbol fits iff one of the cell's planes covers it
+        if not np.array_equal(np.bitwise_or.reduce(planes[: cell_sizes(system, [j])[0], j]), mask):
             check_cells(system, column[:, None], j)
     return planes
 
@@ -439,6 +445,8 @@ def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
         cells = planes.shape[1] - width + 1
         if cells < 1:
             raise InsufficientRadius("batch window narrower than one neighborhood")
+        if system.copied_cell is not None:
+            return planes[:, system.copied_cell : system.copied_cell + cells].copy()
         out = np.zeros_like(planes[:, :cells])
         # output plane b: OR over neighborhoods w with f(w) = b of AND_k (plane w_k at offset k)
         for nb, b in system.table.items():
