@@ -24,7 +24,6 @@ def test_derive_seed_stable():
     assert 0 <= derive_seed(123, 4, 5) < 2**64
 
 
-
 def test_substream_is_pcg64_on_the_spawn_key():
     # report bytes are read off this stream: switching the bit generator moves them
     for seed, path in ((0, ()), (3, (0,)), (11, (0, 7)), (2**63 + 5, (9, 1, 2))):
