@@ -79,12 +79,19 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(out, len(cum) - 1)
 
 
+def _constant(symbol: int, n: int) -> np.ndarray:
+    """The column of n rows that all hold `symbol`, as one int64 of stride zero."""
+    return np.ndarray((n,), np.int64, buffer=np.int64(symbol), strides=(0,))
+
+
 def _kernel_column(cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next symbols after `prev`, inverting the cumulative kernel rows `cum` at `u`.
 
     Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
-    j < |A| - 1 is the inverse CDF capped at the last symbol.
+    j < |A| - 1 is the inverse CDF capped at the last symbol. A constant
+    `prev` gathers its thresholds once.
     """
+    prev = prev[:1] if prev.strides == (0,) else prev
     out = (u >= cum[:, 0].take(prev)).astype(np.int64)
     for j in range(1, cum.shape[1] - 1):
         out += u >= cum[:, j].take(prev)
@@ -159,13 +166,13 @@ class _CylinderMeasure:
         lo = 0 if given is None or sided == ONE_SIDED else radius - given.radius  # given's first column
         hi = lo + (1 if given is None else len(given.word))
         for j in range(lo, hi):
-            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else np.int64(given.word[j - lo])
-            right = np.broadcast_to(right, (n,))  # a given symbol becomes a zero-stride column
+            # a given symbol becomes a zero-stride constant column
+            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else _constant(given.word[j - lo], n)
             yield j, right
         for j in range(hi, len(laws)):
             right = _kernel_column(laws[j].cum_forward, right, rng.random(n))
             yield j, right
-        left = np.broadcast_to(np.int64(given.word[0]), (n,)) if lo else None
+        left = _constant(given.word[0], n) if lo else None
         for j in range(lo - 1, -1, -1):
             left = _kernel_column(laws[j].cum_reverse, left, rng.random(n))
             yield j, left

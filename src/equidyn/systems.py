@@ -4,11 +4,10 @@ A radius-r cellular automaton maps a configuration of valid radius R to one
 of valid radius R - r: only cells whose full neighborhood is known get an
 image, and nothing is ever padded. The shift is the radius-1 one-sided rule
 (a, b) -> b: a `Shift` is a `CARule` built from that table (so, like every
-rule, it is unhashable); like every rule that copies one neighborhood cell,
-it steps by slicing. Odometers act on one-sided digit strings (add one,
-carry to the right) and keep the valid radius, since the first R + 1 digits
-of the successor depend only on the first R + 1 digits of the argument.
-Rotations act on exact circle points.
+rule, it is unhashable) and steps through the rule paths. Odometers act on
+one-sided digit strings (add one, carry to the right) and keep the valid
+radius, since the first R + 1 digits of the successor depend only on the
+first R + 1 digits of the argument. Rotations act on exact circle points.
 
 Two steppers implement the same rules. `step_batch` steps int64 rows; it
 serves the exact route (the orbit-ball frontier search), `column_codes`
@@ -20,10 +19,12 @@ the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
 share no stepper; the scalar per-rule loops live in the tests as oracles.
 
-`pack_planes` packs the pieces a measure draws (see `measures`), one column
-of all rows each, as they arrive, and checks the packed planes (a constant
-column: its one symbol). So the Monte Carlo route holds the planes
-(|A| * cells * n / 8 bytes) and one column, never an int batch.
+`pack_planes` packs the pieces a measure draws (see `measures`) as they
+arrive, checking each against its cell: every piece is one column of all
+rows, whatever the measure, and a constant column (one symbol at stride
+zero) is checked once and set as one full plane. So the Monte Carlo route
+holds the planes (|A| * cells * n / 8 bytes) and one column, never an int
+batch.
 """
 
 from __future__ import annotations
@@ -96,11 +97,6 @@ class CARule:
             flat[code] = out
         flat.flags.writeable = False
         return flat
-
-    @cached_property
-    def copied_cell(self) -> int | None:
-        """The neighborhood cell every output copies (the shift, `identity_rule`), or None."""
-        return next((k for k in range(self.neighborhood_size) if all(nb[k] == b for nb, b in self.table.items())), None)
 
 
 @dataclass(frozen=True)
@@ -323,13 +319,11 @@ def step_batch(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
         width = system.neighborhood_size
         if arr.shape[1] < width:
             raise InsufficientRadius("batch window narrower than one neighborhood")
-        cells = arr.shape[1] - width + 1
-        if system.copied_cell is not None:
-            return arr[:, system.copied_cell : system.copied_cell + cells].astype(np.int64)
-        code = np.zeros((arr.shape[0], cells), dtype=np.int64)
+        flat = system.flat_table
+        code = np.zeros((arr.shape[0], arr.shape[1] - width + 1), dtype=np.int64)
         for k in range(width):
-            code = code * size + arr[:, k : k + cells]
-        return system.flat_table[code]
+            code = code * size + arr[:, k : arr.shape[1] - width + 1 + k]
+        return flat[code]
     if isinstance(system, Odometer):
         out = arr.copy()
         carry = np.ones(arr.shape[0], dtype=bool)
@@ -430,11 +424,9 @@ def pack_planes(system: CantorSystem, rows, shape: tuple[int, int] | None = None
         if n and column.strides == (0,):  # one symbol in every row: check it once, set its plane
             check_cells(system, column[:1, None], j)
             planes[column[0], j] = mask
-            continue
-        octets[:, j, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
-        # a row sets at most one plane: its symbol fits iff one of the cell's planes covers it
-        if not np.array_equal(np.bitwise_or.reduce(planes[: cell_sizes(system, [j])[0], j]), mask):
+        else:
             check_cells(system, column[:, None], j)
+            octets[:, j, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
     return planes
 
 
@@ -445,8 +437,6 @@ def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
         cells = planes.shape[1] - width + 1
         if cells < 1:
             raise InsufficientRadius("batch window narrower than one neighborhood")
-        if system.copied_cell is not None:
-            return planes[:, system.copied_cell : system.copied_cell + cells].copy()
         out = np.zeros_like(planes[:, :cells])
         # output plane b: OR over neighborhoods w with f(w) = b of AND_k (plane w_k at offset k)
         for nb, b in system.table.items():

@@ -44,7 +44,7 @@ def _check_arg(system, x, sided):
 
 def scalar_step(system, x):
     """One application of a CA rule, the shift or an odometer, cell by cell."""
-    # a Shift is a CARule: slice it here, apart from the engines, which find the copied cell from the table
+    # a Shift is a CARule: slice it here, so the engines' shift table meets an independent oracle
     if isinstance(system, Shift):
         _check_arg(system, x, ONE_SIDED)
         if x.radius < 1:

@@ -135,7 +135,7 @@ def raised(fn, *args):
 @pytest.mark.parametrize("case", BAD_SYMBOLS)
 @pytest.mark.parametrize("n", (1, 63, 64, 65))
 @pytest.mark.parametrize("row", ("first", "last"))
-def test_packed_plane_check_rejects_what_check_cells_rejects(case, n, row):
+def test_packer_rejects_what_check_cells_rejects(case, n, row):
     system, col, bad = BAD_SYMBOLS[case]
     rows = np.zeros((n, 5), dtype=np.int64)
     rows[0 if row == "first" else n - 1, col] = bad

@@ -30,9 +30,7 @@ from equidyn import (
     wolfram_number,
 )
 from equidyn.rng import substream
-from equidyn.systems import (
-    cell_sizes, check_cells, column_codes, pack_planes, step_batch, step_planes, trace_agreement_batch,
-)
+from equidyn.systems import cell_sizes, check_cells, column_codes, pack_planes, step_batch, trace_agreement_batch
 from oracles import scalar_column_trace, scalar_step
 
 A2 = Alphabet(2)
@@ -62,31 +60,6 @@ def test_identity_rule_fixes_everything():
     x = Configuration(A2, "one", (0, 1, 1, 0))
     assert step(ident, x).symbols == x.symbols
     assert step_cost(ident) == 0
-
-
-COPY_RULES = {
-    "Shift": (Shift(A2), 1),
-    "shift_as_ca, three symbols": (shift_as_ca(Alphabet(3)), 1),
-    "identity, one-sided radius 0": (identity_rule(A2), 0),
-    "identity, two-sided radius 2": (identity_rule(Alphabet(3), "two", 2), 2),
-    "ECA 240, left cell": (eca_rule(240), 0),
-    "ECA 204, own cell": (eca_rule(204), 1),
-    "ECA 170, right cell": (eca_rule(170), 2),
-    "ECA 110": (eca_rule(110), None),
-    "ECA 0": (eca_rule(0), None),
-}
-
-
-@pytest.mark.parametrize("name", COPY_RULES)
-def test_rules_that_copy_a_cell_are_found_from_the_table(name):
-    system, k = COPY_RULES[name]
-    assert system.copied_cell == k
-    width = system.neighborhood_size
-    rows = np.random.default_rng(3).integers(0, system.alphabet.size, size=(70, 9))
-    want = np.array([[system.table[tuple(r[j : j + width])] for j in range(10 - width)] for r in rows.tolist()])
-    got = step_batch(system, rows)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
-    assert np.array_equal(step_planes(system, pack_planes(system, rows)), pack_planes(system, want))
 
 
 def test_step_shrinks_by_radius():
