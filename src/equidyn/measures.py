@@ -166,7 +166,6 @@ class _CylinderMeasure:
         lo = 0 if given is None or sided == ONE_SIDED else radius - given.radius  # given's first column
         hi = lo + (1 if given is None else len(given.word))
         for j in range(lo, hi):
-            # a given symbol becomes a zero-stride constant column
             right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else _constant(given.word[j - lo], n)
             yield j, right
         for j in range(hi, len(laws)):
