@@ -24,7 +24,6 @@ from .core import (
     compare_cylinders,
     count_words,
     iter_words,
-    restrict,
     window_cells,
     window_size,
     word_from_str,
@@ -48,7 +47,6 @@ from .measures import (
     LebesgueMeasure,
     MarkovMeasure,
     ProductMeasure,
-    lebesgue_density_ratio,
     maximal_cylinders,
     measure_from_dict,
     measure_to_dict,
@@ -61,17 +59,13 @@ from .orbit import (
     RatioEstimate,
     density_ratio_estimate,
     density_ratio_exact,
-    equicontinuity_point_test,
     mu_equicontinuity_report,
     orbit_ball_event,
-    orbit_ball_member,
 )
 from .periodicity import (
     LepClassification,
     LepStatistics,
     PeriodCertificate,
-    certificate_holds,
-    detect_eventual_period,
     lep_certificate,
     lep_statistics,
     mu_lep_classify,
@@ -82,13 +76,11 @@ from .sensitivity import (
     SensitivityEstimate,
     dichotomy_report,
     mu_sensitivity_estimate,
-    sensitive_pair_test,
     separation_window,
 )
 from .spectral import (
     EigenfunctionSpec,
     build_eigenfunction,
-    eigenfunction_eval,
     inner_product,
     koopman_residual,
     root_of_unity,

@@ -4,8 +4,8 @@ Every subcommand reads a JSON config, resolves defaults, runs the
 experiment, and atomically writes a JSON report (plus a CSV sibling for
 tabular results). Reports contain no timestamps and all sampling is keyed
 by (seed, index) substreams, so identical configs give byte-identical
-reports. `--threads` is still validated, but every command runs on one
-thread.
+reports. `--threads` is validated (>= 1), but every command runs on one
+thread, so nothing reads it.
 
 Exit codes: 0 success, 2 invalid config, 3 enumeration over the cap,
 4 domain failure / invariant violation.
@@ -23,11 +23,12 @@ from fractions import Fraction
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
+    ONE_SIDED,
+    TWO_SIDED,
     CirclePoint,
     Configuration,
     Cylinder,
-    count_words,
-    window_cells,
+    check_sided,
     word_from_str,
     word_to_str,
 )
@@ -43,6 +44,7 @@ from .measures import (
 from .orbit import (
     density_ratio_estimate,
     density_ratio_exact,
+    exact_fits,
     mu_equicontinuity_report,
 )
 from .periodicity import mu_lep_classify
@@ -51,7 +53,6 @@ from .sensitivity import dichotomy_report, mu_sensitivity_estimate
 from .spectral import build_eigenfunction, spectral_family
 from .systems import (
     Rotation,
-    cell_sizes,
     dependence_radius,
     system_from_dict,
     system_sided,
@@ -180,9 +181,18 @@ def _word_config(alphabet, sided, text: str, field: str) -> Configuration:
 
 
 def _point_from_params(system, mu, params, radius: int, seed: int):
+    """`params.point` (a circle angle, or a word of valid radius >= `radius`), else a draw from mu."""
+    point = params.get("point")
+    if isinstance(system, Rotation):
+        if point is None:
+            return mu.sample_point(substream(seed, 9))
+        try:
+            return CirclePoint(Fraction(str(point)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigInvalid("params.point", f"not a circle angle: {exc}")
     sided = system_sided(system)
     if "point" in params:
-        x = _word_config(system.alphabet, sided, str(params["point"]), "params.point")
+        x = _word_config(system.alphabet, sided, str(point), "params.point")
         if x.radius < radius:
             raise ConfigInvalid("params.point", f"needs valid radius >= {radius}")
         return x
@@ -201,23 +211,13 @@ def _run_density(system, mu, params, seed, cap):
     if isinstance(system, Rotation):
         if m < 1:
             raise ConfigInvalid("params.m", "rotation resolution needs m >= 1")
-        angle = params.get("point")
-        if angle is not None:
-            try:
-                x = CirclePoint(Fraction(str(angle)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigInvalid("params.point", f"not a circle angle: {exc}")
-        else:
-            x = mu.sample_point(substream(seed, 9))
+        x = _point_from_params(system, mu, params, 0, seed)
         point_label = str(float(x.angle))
-        feasible = True
     else:
-        rho = dependence_radius(system, m, horizon)
-        radius = max(max(n_list), rho)
+        radius = max(max(n_list), dependence_radius(system, m, horizon))
         x = _point_from_params(system, mu, params, radius, seed)
         point_label = word_to_str(x.symbols, x.alphabet)
-        sided = system_sided(system)
-        feasible = count_words(cell_sizes(system, window_cells(sided, rho))) <= cap
+    feasible = exact_fits(system, m, horizon, cap)
     rows = []
     for j, n in enumerate(n_list):
         exact = density_ratio_exact(system, mu, x, m, n, horizon, cap=cap) if feasible else None
@@ -383,7 +383,13 @@ def _run_dichotomy(system, mu, params, seed, cap):
 
 
 def _run_vitali(mu, params, seed, cap):
-    sided = params.get("sided", "one")
+    if isinstance(mu, LebesgueMeasure):
+        raise ConfigInvalid("measure", "vitali covers need a cylinder measure")
+    sided = params.get("sided", ONE_SIDED)
+    try:
+        check_sided(sided)
+    except ValueError as exc:
+        raise ConfigInvalid("params.sided", str(exc))
     raw_parts = _list_param(params, "cylinders")
     parts = []
     for idx, item in enumerate(raw_parts):
@@ -391,6 +397,9 @@ def _run_vitali(mu, params, seed, cap):
         radius = _param(item, "radius", prefix=field + ".")
         try:
             word = word_from_str(str(_need(item, "word", field + ".")), mu.alphabet)
+            if sided == TWO_SIDED and radius > 0 and len(word) == radius + 1:
+                raise ConfigInvalid("params.sided", f"'two' needs {2 * radius + 1} symbols at radius "
+                                    f"{radius}; {field}.word has the {radius + 1} of a one-sided word")
             parts.append(Cylinder(mu.alphabet, sided, radius, word))
         except ValueError as exc:
             raise ConfigInvalid(field, str(exc))
@@ -427,7 +436,7 @@ def run_command(command: str, cfg: dict, seed: int, out_path: str) -> str:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigInvalid("params", "must be an object")
-    cap = _number(cfg.get("cap", DEFAULT_ENUMERATION_CAP), "cap")
+    cap = _number(cfg.get("cap", DEFAULT_ENUMERATION_CAP), "cap", minimum=1)
 
     if command == "vitali":
         mu = _build_measure(cfg)
@@ -481,19 +490,14 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="report path (default from config or derived)")
         p.add_argument("--threads", type=int, default=None,
-                       help="validated (>= 1), unused: all work runs on one thread (or EQUIDYN_THREADS)")
+                       help="validated (>= 1), unused: all work runs on one thread")
     args = parser.parse_args(argv)
 
     try:
         cfg = _load_config(args.config)
         seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", minimum=0)
         if args.threads is not None:
-            threads = args.threads
-        elif os.environ.get("EQUIDYN_THREADS"):
-            threads = os.environ["EQUIDYN_THREADS"]
-        else:
-            threads = cfg.get("threads", 1)
-        _number(threads, "threads", minimum=1)  # a bad value still exits 2
+            _number(args.threads, "threads", minimum=1)  # a bad value still exits 2
         out_path = args.out or cfg.get("out") or f"equidyn-{args.command}.json"
         written = run_command(args.command, cfg, seed, out_path)
     except ConfigInvalid as exc:

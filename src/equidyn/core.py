@@ -124,11 +124,6 @@ class Configuration:
         return subword(self.symbols, self.sided, self.radius, n)
 
 
-def restrict(x: Configuration, n: int) -> tuple[int, ...]:
-    """Word of x on W_n."""
-    return x.window(n)
-
-
 def check_compatible(x: Configuration, y: Configuration) -> None:
     if x.alphabet != y.alphabet or x.sided != y.sided:
         raise IncompatibleConfigurations(

@@ -47,7 +47,7 @@ from .core import (
     window_cells,
     window_size,
 )
-from .errors import AlphabetMismatch, EnumerationTooLarge, NullBall, NullCylinder
+from .errors import AlphabetMismatch, EnumerationTooLarge, NullCylinder
 
 Piece = tuple[int, np.ndarray]  # (window column, that column's symbols in every row)
 
@@ -334,24 +334,6 @@ def maximal_cylinders(parts: Sequence[Cylinder]) -> list[Cylinder]:
 def union_probability(mu: CantorMeasure, parts: Sequence[Cylinder]) -> float:
     """Exact measure of a finite union of cylinders."""
     return float(sum(mu.cylinder_probability(c) for c in maximal_cylinders(parts)))
-
-
-def lebesgue_density_ratio(
-    mu: CantorMeasure, parts: Sequence[Cylinder], x: Configuration, n: int
-) -> float:
-    """mu(A intersect B_n(x)) / mu(B_n(x)) for A a finite union of cylinders."""
-    ball = ball_cylinder(x, n)
-    mball = mu.cylinder_probability(ball)
-    if mball == 0.0:
-        raise NullBall(f"ball of radius 1/{n} around the point has measure zero")
-    num = 0.0
-    for c in maximal_cylinders(parts):
-        rel = compare_cylinders(c, ball)
-        if rel in ("equal", "b_in_a"):
-            return 1.0  # the ball sits inside one piece of A
-        if rel == "a_in_b":
-            num += mu.cylinder_probability(c)
-    return num / mball
 
 
 def _words_by_radius(cyls: Sequence[Cylinder]) -> dict[int, set]:

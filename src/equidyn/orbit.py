@@ -5,10 +5,10 @@ resolution m equals x's for all times 0..T. On configuration spaces it is a
 finite union of cylinders on the dependence window W_rho, so conditional
 measures of the form mu(B_{m,T}(x) | B_n(x)) have an exact path (a pruned
 frontier search over numpy rows; `cap` bounds the nominal W_rho word count
-up front, memory follows the surviving rows) next to the Monte Carlo path
-(sample the conditioning ball, count trace agreement). Rotations get the
-analytic arc formulas instead; their orbit balls equal plain balls at every
-horizon.
+up front, see `exact_fits`, and memory follows the surviving rows) next to
+the Monte Carlo path (sample the conditioning ball, count trace agreement).
+Rotations get the analytic arc formulas instead; their orbit balls equal
+plain balls at every horizon.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     TWO_SIDED,
-    CirclePoint,
     Configuration,
     Cylinder,
     ball_cylinder,
-    circle_distance,
     count_words,
     iter_words,
     window_cells,
@@ -69,32 +67,25 @@ class OrbitBallEvent:
     base_word: tuple[int, ...]
     words: frozenset[tuple[int, ...]]
 
-    def contains_word(self, word: tuple[int, ...]) -> bool:
-        return tuple(word) in self.words
 
-    def contains(self, x: Configuration) -> bool:
-        return x.window(self.rho) in self.words
-
-    def cylinders(self, alphabet) -> list[Cylinder]:
-        return [Cylinder(alphabet, self.sided, self.rho, w) for w in sorted(self.words)]
+def _nominal_words(system: CantorSystem, m: int, horizon: int) -> int:
+    """Word count of the dependence window W_rho, whatever the search keeps."""
+    cells = window_cells(system_sided(system), dependence_radius(system, m, horizon))
+    return count_words(cell_sizes(system, cells))
 
 
-def orbit_ball_member(system: System, x, y, m: int, horizon: int) -> bool:
-    """Does y share x's column trace at resolution m through the horizon?"""
-    if isinstance(system, Rotation):
-        if not (isinstance(x, CirclePoint) and isinstance(y, CirclePoint)):
-            raise UnsupportedSystem("rotation orbit balls take circle points")
-        if m < 1:
-            raise ValueError("circle resolution needs m >= 1")
-        # rigid rotations are isometries, so the horizon does not matter
-        return circle_distance(x, y) <= Fraction(1, m)
-    return column_trace(system, x, m, horizon) == column_trace(system, y, m, horizon)
+def exact_fits(system: System, m: int, horizon: int, cap: int) -> bool:
+    """May the exact route run at (m, horizon) under `cap`, or must it sample?
+
+    This is the one place that decides: the nominal W_rho word count against
+    the cap. Rotations always fit; their ratios are arc formulas.
+    """
+    return isinstance(system, Rotation) or _nominal_words(system, m, horizon) <= cap
 
 
-def _check_cap(system: CantorSystem, cells, cap: int, what: str) -> None:
-    total = count_words(cell_sizes(system, cells))
-    if total > cap:
-        raise EnumerationTooLarge(total, cap, what)
+def _check_cap(system: CantorSystem, m: int, horizon: int, cap: int) -> None:
+    if not exact_fits(system, m, horizon, cap):
+        raise EnumerationTooLarge(_nominal_words(system, m, horizon), cap, "orbit ball enumeration")
 
 
 def _trace_frontier(system: CantorSystem, x: Configuration, m: int, k: int, target) -> np.ndarray:
@@ -135,11 +126,10 @@ def orbit_ball_event(
     if isinstance(system, Rotation):
         raise UnsupportedSystem("rotation orbit balls are arcs, not cylinder events")
     rho = dependence_radius(system, m, horizon)
-    sided = system_sided(system)
-    _check_cap(system, window_cells(sided, rho), cap, "orbit ball enumeration")
+    _check_cap(system, m, horizon, cap)
     rows = _trace_frontier(system, x, m, m, column_trace(system, x, m, horizon))
     return OrbitBallEvent(
-        sided=sided,
+        sided=system_sided(system),
         m=m,
         horizon=horizon,
         rho=rho,
@@ -193,7 +183,7 @@ def _ratio_exact(system, mu, x, m, n, horizon, cap, target) -> float:
             raise InsufficientRadius(f"need valid radius {rho}, have {x.radius}")
         return 1.0
     sided = system_sided(system)
-    _check_cap(system, window_cells(sided, rho), cap, "orbit ball enumeration")
+    _check_cap(system, m, horizon, cap)
     rows = _trace_frontier(system, x, m, max(m, n), target or column_trace(system, x, m, horizon))
     free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
     if len(rows) == count_words(cell_sizes(system, free)):
@@ -283,31 +273,6 @@ def _ratio_estimate(system, mu, x, m, n, horizon, n_samples, seed, target) -> Ra
     return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
 
 
-def equicontinuity_point_test(
-    system: System,
-    x,
-    m: int,
-    n: int,
-    horizon: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> bool:
-    """Is B_n(x) entirely inside the orbit ball B_{m,horizon}(x)?"""
-    if isinstance(system, Rotation):
-        if m < 1 or n < 1:
-            raise ValueError("circle resolutions need m, n >= 1")
-        return n >= m
-    rho = dependence_radius(system, m, horizon)
-    if n >= rho:
-        if x.radius < rho:
-            raise InsufficientRadius(f"need valid radius {rho}, have {x.radius}")
-        return True
-    sided = system_sided(system)
-    free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
-    _check_cap(system, free, cap, "ball extension enumeration")
-    rows = _trace_frontier(system, x, m, max(m, n), column_trace(system, x, m, horizon))
-    return len(rows) == count_words(cell_sizes(system, free))
-
-
 @dataclass(frozen=True)
 class PointCurve:
     """Density ratio curve over the n grid for one sampled base point."""
@@ -390,10 +355,8 @@ def mu_equicontinuity_report(
     else:
         cantor_mu = _require_cantor_measure(mu)
         sided = system_sided(system)
-        rho = dependence_radius(system, m, horizon)
-        radius = max(max(ns), rho)
-        enum_total = count_words(cell_sizes(system, window_cells(sided, rho)))
-        use_exact = enum_total <= cap
+        radius = max(max(ns), dependence_radius(system, m, horizon))
+        use_exact = exact_fits(system, m, horizon, cap)
 
         def cantor_curve(i: int) -> PointCurve:
             x = cantor_mu.sample_config(sided, radius, substream(seed, 0, i))

@@ -28,9 +28,9 @@ from .systems import (
     CantorSystem,
     check_measure_alphabet,
     column_codes,
-    column_trace,
     dependence_radius,
     system_sided,
+    _trace_row,
 )
 
 # Points drawn and certified per vectorized pass in lep_statistics; its
@@ -64,14 +64,6 @@ class PeriodCertificate:
         return {"m": self.m, "T": self.horizon, "p": self.p, "q": self.q, "kind": self.kind}
 
 
-def certificate_holds(trace: Sequence, p: int, q: int) -> bool:
-    """Does (p, q) satisfy the periodic relation and evidence bound on `trace`?"""
-    horizon = len(trace) - 1
-    if p < 1 or q < 0 or horizon - q < 2 * p:
-        return False
-    return all(trace[i] == trace[i + p] for i in range(q, horizon - p + 1))
-
-
 def detect_eventual_periods(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, q, certified) for every row of a (rows x T+1) matrix of trace codes.
 
@@ -98,25 +90,13 @@ def detect_eventual_periods(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return p, q, found
 
 
-def detect_eventual_period(trace: Sequence, m: Optional[int] = None) -> Optional[PeriodCertificate]:
-    """Smallest p with a valid preperiod, then smallest q for that p; or None.
-
-    Symbols may be any hashable values; they are numbered by first occurrence.
-    """
-    numbers: dict = {}
-    row = [numbers.setdefault(s, len(numbers)) for s in trace]
-    p, q, found = detect_eventual_periods(np.array([row], dtype=np.int64))
-    if not found[0]:
-        return None
-    return PeriodCertificate(p=int(p[0]), q=int(q[0]), horizon=len(row) - 1, m=m)
-
-
 def lep_certificate(
     system: CantorSystem, x: Configuration, m: int, horizon: int
 ) -> Optional[PeriodCertificate]:
     """Certify eventual periodicity of x's column trace at resolution m."""
-    trace = column_trace(system, x, m, horizon)
-    return detect_eventual_period(trace, m=m)
+    codes = column_codes(system, _trace_row(system, x, m, horizon), m, horizon)
+    p, q, found = detect_eventual_periods(codes)
+    return PeriodCertificate(p=int(p[0]), q=int(q[0]), horizon=horizon, m=m) if found[0] else None
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_ENUMERATION_CAP, CirclePoint, check_compatible, circle_distance, window_size
-from .errors import InsufficientRadius, UnsupportedSystem
+from .core import DEFAULT_ENUMERATION_CAP, window_size
 from .measures import Measure
 from .orbit import EquicontinuityReport, mu_equicontinuity_report, _require_cantor_measure, _require_lebesgue
 from .rng import derive_seed, substream
@@ -24,7 +23,6 @@ from .systems import (
     Rotation,
     System,
     check_measure_alphabet,
-    column_trace,
     pack_bits,
     pack_planes,
     step_cost,
@@ -52,27 +50,6 @@ def separation_window(eps: EpsLike) -> int:
     if e > 1:
         return 1
     return int(1 / e) + 1
-
-
-def sensitive_pair_test(system: System, x, y, eps: EpsLike, horizon: int) -> bool:
-    """Does some iterate 1 <= n <= horizon push x and y at least eps apart?"""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if isinstance(system, Rotation):
-        if not (isinstance(x, CirclePoint) and isinstance(y, CirclePoint)):
-            raise UnsupportedSystem("rotation sensitivity takes circle points")
-        e = eps if isinstance(eps, Fraction) else Fraction(eps)
-        # isometry: every iterate keeps the starting distance
-        return circle_distance(x, y) >= e
-    check_compatible(x, y)
-    w = separation_window(eps)
-    need = w + step_cost(system) * horizon
-    if x.radius < need or y.radius < need:
-        raise InsufficientRadius(
-            f"horizon {horizon} at eps={eps} needs valid radius {need}, "
-            f"have {x.radius} and {y.radius}"
-        )
-    return column_trace(system, x, w, horizon)[1:] != column_trace(system, y, w, horizon)[1:]
 
 
 @dataclass(frozen=True)

@@ -161,19 +161,6 @@ def event_table(
     return _EvalTable(rho, index, spec.system.alphabet.size, ordered, np.array([index[w] for w in words]))
 
 
-def eigenfunction_eval(
-    spec: EigenfunctionSpec,
-    x: Configuration,
-    horizon: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    table: Optional[_EvalTable] = None,
-) -> complex:
-    """f_k(x): lambda^{j k} on the j-th orbit ball, 0 outside all of them."""
-    tab = table if table is not None else event_table(spec, horizon, cap)
-    word = x.window(tab.rho)  # InsufficientRadius below rho
-    return _f_values(spec)[tab.lookup(np.array([word], dtype=np.int64))[0]]
-
-
 def _f_values(spec: EigenfunctionSpec) -> list[complex]:
     """f_k on the orbit balls j = 0..p-1, then 0j for orbit index -1."""
     return [root_of_unity(spec.period, j * spec.k) for j in range(spec.period)] + [0j]

@@ -11,9 +11,9 @@ first R + 1 digits of the argument. Rotations act on exact circle points.
 
 Two steppers implement the same rules. `step_batch` steps int64 rows; it
 serves the exact route (the orbit-ball frontier search), `column_codes`
-(`lep`), spectral integration, and the one-row `step` and `column_trace`,
-through which every question about one configuration (orbit-ball
-membership, pair separation, the orbit of a spectral base point) goes.
+(`lep` and the one-row `lep_certificate`), spectral integration, and the
+one-row `step` and `column_trace`, which give a base point's trace and the
+orbit of a spectral base point.
 `step_planes` steps one-hot bit planes, 64 rows to a uint64 word; it serves
 the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
@@ -291,8 +291,8 @@ def check_cells(system: CantorSystem, arr: np.ndarray, first: int = 0) -> None:
         )
 
 
-def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -> list[tuple[int, ...]]:
-    """Words (T^i x)_{W_m} for i = 0..horizon."""
+def _trace_row(system: CantorSystem, x: Configuration, m: int, horizon: int) -> np.ndarray:
+    """x on W_rho, rho the dependence radius for (m, horizon), as one checked int64 row."""
     if isinstance(system, Rotation):
         raise UnsupportedSystem("rotations have no symbolic column trace")
     if m < 0 or horizon < 0:
@@ -303,7 +303,13 @@ def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -
             f"trace to horizon {horizon} at resolution {m} needs valid radius {need}, "
             f"configuration has {x.radius}"
         )
-    return [tuple(w) for w in _windows(system, _checked_row(system, x), x.radius, m, horizon)[0].tolist()]
+    return window_slice(system_sided(system), x.radius, need, _checked_row(system, x))
+
+
+def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -> list[tuple[int, ...]]:
+    """Words (T^i x)_{W_m} for i = 0..horizon."""
+    row = _trace_row(system, x, m, horizon)
+    return [tuple(w) for w in _windows(system, row, dependence_radius(system, m, horizon), m, horizon)[0].tolist()]
 
 
 # -- vectorized dynamics -------------------------------------------------------

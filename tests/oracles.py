@@ -85,6 +85,14 @@ def scalar_column_trace(system, x, m, horizon):
     return words
 
 
+def certificate_holds(trace, p, q):
+    """Does (p, q) satisfy the periodic relation and evidence bound on `trace`?"""
+    horizon = len(trace) - 1
+    if p < 1 or q < 0 or horizon - q < 2 * p:
+        return False
+    return all(trace[i] == trace[i + p] for i in range(q, horizon - p + 1))
+
+
 def _scalar_integrate(system, mu, radius, integrand, mode, n_samples, seed, cap):
     """Integral of `integrand` over one Configuration per word or per draw."""
     sided = system_sided(system)

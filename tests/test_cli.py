@@ -160,16 +160,6 @@ class TestDeterminism:
         run(["classify", "--config", path, "--out", b, "--threads", "8"])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, DENSITY_CFG)
-        out = tmp_path / "env.json"
-        monkeypatch.setenv("EQUIDYN_THREADS", "4")
-        assert run(["density", "--config", cfg, "--out", out]) == 0
-        ref = tmp_path / "ref.json"
-        monkeypatch.delenv("EQUIDYN_THREADS")
-        run(["density", "--config", cfg, "--out", ref])
-        assert out.read_bytes() == ref.read_bytes()
-
     def test_no_leftover_temp_files(self, tmp_path):
         path = write_cfg(tmp_path, DENSITY_CFG)
         out = tmp_path / "a.json"
@@ -285,7 +275,6 @@ def with_field(cfg, path, value):
 FIELD_ERROR_CASES = [
     ("density", DENSITY_CFG, "cap", "abc", "cap"),
     ("density", DENSITY_CFG, "seed", "abc", "seed"),
-    ("density", DENSITY_CFG, "threads", "two", "threads"),
     ("density", DENSITY_CFG, "params.n_list", [1, "x"], "params.n_list"),
     ("classify", DENSITY_CFG, "params.n_list", ["x"], "params.n_list"),
     ("classify", DENSITY_CFG, "params.delta", "abc", "params.delta"),
@@ -310,12 +299,17 @@ FIELD_ERROR_CASES = [
     ("lep", LEP_EQUI_CFG, "params.equi.delta", "abc", "params.equi.delta"),
     ("lep", LEP_CFG, "params.equi", [3], "params.equi"),
     ("vitali", VITALI_CFG, "params.eps", "abc", "params.eps"),
+    ("vitali", VITALI_CFG, "params.sided", "three", "params.sided"),
     # numbers of the wrong kind or range; the last entry keeps their test ids apart
     ("density", DENSITY_CFG, "params.n_samples", 2.5, "params.n_samples", "fraction"),
     ("density", DENSITY_CFG, "params.n_list", [1.9], "params.n_list", "fraction"),
     ("density", DENSITY_CFG, "params.m", True, "params.m", "bool"),
     ("classify", DENSITY_CFG, "params.points", True, "params.points", "bool"),
     ("density", DENSITY_CFG, "cap", True, "cap", "bool"),
+    ("density", DENSITY_CFG, "cap", -1, "cap", "negative"),
+    ("density", DENSITY_CFG, "cap", 0, "cap", "zero"),
+    ("vitali", VITALI_CFG, "params.sided", "two", "params.sided", "one-sided-words"),
+    ("vitali", VITALI_CFG, "measure", {"type": "lebesgue"}, "measure", "lebesgue"),
     ("density", DENSITY_CFG, "seed", False, "seed", "bool"),
     ("classify", DENSITY_CFG, "params.delta", 1.5, "params.delta", "above-1"),
     ("classify", DENSITY_CFG, "params.delta", 0, "params.delta", "zero"),
@@ -381,6 +375,27 @@ class TestCapPassThrough:
         assert run(["lep", "--config", path, "--out", out]) == 0
         curves = json.loads(out.read_text())["results"]["equicontinuity"]["curves"]
         assert curves and not any(c["exact"] for c in curves)
+
+
+class TestExactOrSampleBoundary:
+    """The exact route runs while the nominal W_rho word count fits under `cap`.
+
+    DENSITY_CFG's ECA 90 at m 1, T 2 has rho 3, so W_rho is 7 binary cells.
+    """
+
+    WORDS = 2 ** 7
+
+    @pytest.mark.parametrize("cap,exact", [(WORDS, True), (WORDS - 1, False)], ids=["at-count", "below"])
+    def test_density_and_classify_switch_at_the_word_count(self, tmp_path, cap, exact):
+        cfg = dict(DENSITY_CFG, cap=cap, params=dict(DENSITY_CFG["params"], points=3))
+        path = write_cfg(tmp_path, cfg)
+        density, classify = tmp_path / "density.json", tmp_path / "classify.json"
+        assert run(["density", "--config", path, "--out", density]) == 0
+        assert run(["classify", "--config", path, "--out", classify]) == 0
+        rows = json.loads(density.read_text())["results"]["rows"]
+        curves = json.loads(classify.read_text())["results"]["curves"]
+        assert [row["exact"] is not None for row in rows] == [exact] * 3
+        assert [curve["exact"] for curve in curves] == [exact] * 3
 
 
 class TestLepEquiParams:

@@ -21,7 +21,6 @@ from equidyn import (
     compare_cylinders,
     count_words,
     iter_words,
-    restrict,
     window_cells,
     window_size,
     word_from_str,
@@ -81,12 +80,12 @@ class TestConfiguration:
         with pytest.raises(InsufficientRadius):
             x.at(5)
 
-    def test_restrict(self):
+    def test_window(self):
         x = Configuration(A3, "two", (2, 1, 0, 1, 2))
-        assert restrict(x, 1) == (1, 0, 1)
-        assert restrict(x, 0) == (0,)
+        assert x.window(1) == (1, 0, 1)
+        assert x.window(0) == (0,)
         with pytest.raises(InsufficientRadius):
-            restrict(x, 3)
+            x.window(3)
 
 
 class TestDistance:

@@ -14,12 +14,10 @@ from equidyn import (
     Configuration,
     Cylinder,
     MarkovMeasure,
-    NullBall,
     NullCylinder,
     ProductMeasure,
     ball_cylinder,
     compare_cylinders,
-    lebesgue_density_ratio,
     maximal_cylinders,
     measure_from_dict,
     measure_to_dict,
@@ -213,32 +211,6 @@ class TestMaximalCylinders:
         mu = BernoulliMeasure([0.5, 0.5])
         parts = [cyl((0,)), cyl((0, 1)), cyl((1, 1, 0))]
         assert union_probability(mu, parts) == pytest.approx(0.5 + 0.125, abs=1e-12)
-
-
-class TestDensityRatio:
-    def test_ball_inside_set(self):
-        mu = BernoulliMeasure([0.5, 0.5])
-        x = Configuration(A2, "one", (0, 1, 1, 0))
-        ratio = lebesgue_density_ratio(mu, [cyl((0,))], x, 2)
-        assert ratio == 1.0
-
-    def test_partial_overlap(self):
-        mu = BernoulliMeasure([0.5, 0.5])
-        x = Configuration(A2, "one", (0, 1, 1))
-        # A = [01 1] has mass 1/8; B_1(x) = [01] has mass 1/4
-        ratio = lebesgue_density_ratio(mu, [cyl((0, 1, 1))], x, 1)
-        assert ratio == pytest.approx(0.5, abs=1e-12)
-
-    def test_disjoint_gives_zero(self):
-        mu = BernoulliMeasure([0.5, 0.5])
-        x = Configuration(A2, "one", (0, 1, 1))
-        assert lebesgue_density_ratio(mu, [cyl((1,))], x, 1) == 0.0
-
-    def test_null_ball(self):
-        mu = ProductMeasure((2, 3))
-        x = Configuration(mu.alphabet, "one", (2, 0))
-        with pytest.raises(NullBall):
-            lebesgue_density_ratio(mu, [cyl((0,), alphabet=mu.alphabet)], x, 1)
 
 
 class TestVitali:

@@ -15,7 +15,6 @@ from equidyn import (
     Configuration,
     Cylinder,
     EnumerationTooLarge,
-    InsufficientRadius,
     LebesgueMeasure,
     MarkovMeasure,
     NullBall,
@@ -27,11 +26,9 @@ from equidyn import (
     density_ratio_estimate,
     density_ratio_exact,
     eca_rule,
-    equicontinuity_point_test,
     identity_rule,
     mu_equicontinuity_report,
     orbit_ball_event,
-    orbit_ball_member,
 )
 from equidyn.core import count_words, iter_words, subword, window_cells
 from equidyn.rng import substream
@@ -73,19 +70,10 @@ class TestOrbitBallEvent:
         rule = eca_rule(90)
         x = Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0))
         ev = orbit_ball_event(rule, x, 1, 2)
-        assert ev.contains_word(x.window(ev.rho))
+        assert x.window(ev.rho) in ev.words
         for w in ev.words:
             y = Configuration(A2, "two", w)
-            assert orbit_ball_member(rule, x, y, 1, 2)
-
-    def test_member_needs_y_traced_to_the_horizon(self):
-        # y's W_1 word already differs from x's, but y is too short to trace: no verdict
-        rule = eca_rule(90)
-        x = Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0))
-        y = Configuration(A2, "two", (1, 1, 1))
-        assert x.window(1) != y.window(1)
-        with pytest.raises(InsufficientRadius):
-            orbit_ball_member(rule, x, y, 1, 2)
+            assert scalar_column_trace(rule, y, 1, 2) == scalar_column_trace(rule, x, 1, 2)
 
     def test_horizon_zero_is_the_plain_ball(self):
         rule = eca_rule(110)
@@ -118,11 +106,11 @@ class TestOrbitBallEvent:
         x = Configuration(A2, "two", tuple(int(b) for b in "01101"))
         coarse = orbit_ball_event(rule, x, 0, 2)
         fine = orbit_ball_event(rule, x, 1, 1)
-        # compare at the common radius 2 via membership
+        # compare at the common radius 2 via trace agreement
         for w in itertools.product(range(2), repeat=5):
             y = Configuration(A2, "two", w)
-            if orbit_ball_member(rule, x, y, 1, 1) and coarse.rho <= 2:
-                assert orbit_ball_member(rule, x, y, 0, 1)
+            if scalar_column_trace(rule, y, 1, 1) == scalar_column_trace(rule, x, 1, 1) and coarse.rho <= 2:
+                assert scalar_column_trace(rule, y, 0, 1) == scalar_column_trace(rule, x, 0, 1)
 
     def test_cap_respected(self):
         sh = Shift(A2)
@@ -220,25 +208,6 @@ class TestEstimate:
         assert abs(est.p_hat - 0.5) <= 4 * est.stderr
 
 
-class TestPointTest:
-    def test_identity_point_is_equicontinuous(self):
-        ident = identity_rule(A2)
-        x = ones_sided((0, 1, 1, 0))
-        assert equicontinuity_point_test(ident, x, 1, 1, 8)
-        assert equicontinuity_point_test(ident, x, 1, 2, 8)
-
-    def test_shift_needs_depth(self):
-        sh = Shift(A2)
-        x = ones_sided((0, 1, 1, 0, 1, 0))
-        assert not equicontinuity_point_test(sh, x, 1, 2, 2)
-        assert equicontinuity_point_test(sh, x, 1, 3, 2)
-
-    def test_rotation_rule(self):
-        rot = Rotation(Fraction(1, 5))
-        assert equicontinuity_point_test(rot, CirclePoint(Fraction(0)), 2, 3, 9)
-        assert not equicontinuity_point_test(rot, CirclePoint(Fraction(0)), 3, 2, 9)
-
-
 class TestReport:
     def test_shift_curve_closed_form(self):
         rep = mu_equicontinuity_report(
@@ -309,18 +278,18 @@ def oracle_event(system, x, m, horizon):
     return hits
 
 
-def oracle_ratio_and_point(system, mu, x, m, n, horizon, words):
-    """(density ratio, point-test verdict) for B_n(x), read off the event words."""
+def oracle_ratio(system, mu, x, m, n, horizon, words):
+    """The density ratio of B_n(x), read off the event words."""
     sided = system_sided(system)
     rho = dependence_radius(system, m, horizon)
     if n >= rho:
-        return 1.0, True
+        return 1.0
     inside = [w for w in words if subword(w, sided, rho, n) == x.window(n)]
     free = [i for i in window_cells(sided, rho) if abs(i) > n]
     if len(inside) == count_words(cell_sizes(system, free)):
-        return 1.0, True
+        return 1.0
     masses = [mu.cylinder_probability(Cylinder(system.alphabet, sided, rho, w)) for w in inside]
-    return math.fsum(masses) / mu.cylinder_probability(ball_cylinder(x, n)), False
+    return math.fsum(masses) / mu.cylinder_probability(ball_cylinder(x, n))
 
 
 def assert_engine_matches_oracle(system, mu, ms, seed):
@@ -331,9 +300,8 @@ def assert_engine_matches_oracle(system, mu, ms, seed):
         words = oracle_event(system, x, m, horizon)
         assert orbit_ball_event(system, x, m, horizon).words == words, (m, horizon)
         for n in range(1, rho + 1):
-            ratio, point = oracle_ratio_and_point(system, mu, x, m, n, horizon, words)
+            ratio = oracle_ratio(system, mu, x, m, n, horizon, words)
             assert density_ratio_exact(system, mu, x, m, n, horizon) == ratio, (m, n, horizon)
-            assert equicontinuity_point_test(system, x, m, n, horizon) is point, (m, n, horizon)
 
 
 def seeded_one_sided_ca3():

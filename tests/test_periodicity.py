@@ -14,15 +14,14 @@ from equidyn import (
     Alphabet,
     BernoulliMeasure,
     Configuration,
+    InsufficientRadius,
     LepStatistics,
     MarkovMeasure,
     Odometer,
     PeriodCertificate,
     ProductMeasure,
     Shift,
-    certificate_holds,
     dependence_radius,
-    detect_eventual_period,
     eca_rule,
     identity_rule,
     lep_certificate,
@@ -32,9 +31,17 @@ from equidyn import (
 )
 from equidyn.periodicity import _BLOCK, detect_eventual_periods
 from equidyn.rng import substream
-from oracles import oracle_sample_batch, scalar_column_trace
+from oracles import certificate_holds, oracle_sample_batch, scalar_column_trace
 
 A2 = Alphabet(2)
+
+
+def detect_eventual_period(trace):
+    """The batch detector on one trace of any hashable symbols, numbered by first occurrence."""
+    numbers = {}
+    row = [numbers.setdefault(s, len(numbers)) for s in trace]
+    p, q, found = detect_eventual_periods(np.array([row], dtype=np.int64))
+    return PeriodCertificate(p=int(p[0]), q=int(q[0]), horizon=len(row) - 1) if found[0] else None
 
 
 def brute_force_certificate(trace):
@@ -76,7 +83,8 @@ class TestDetect:
         assert detect_eventual_period("abacabad") is None
 
     def test_resolution_label_carried(self):
-        cert = detect_eventual_period(((0,), (0,), (0,)), m=2)
+        x = Configuration(A2, "one", (0, 0, 0))
+        cert = lep_certificate(identity_rule(A2), x, 2, 2)
         assert cert.m == 2 and cert.to_dict()["T"] == 2
 
     def test_empty_trace_rejected(self):
@@ -166,6 +174,12 @@ def test_shift_periodic_point_certified():
     y = Configuration(A2, "one", tuple([0, 1] * 8))
     cert = lep_certificate(sh, y, 1, 6)
     assert (cert.p, cert.q) == (2, 0)
+
+
+def test_shift_preperiodic_point_certified_with_its_preperiod():
+    x = Configuration(A2, "one", (1, 1, 0, 1, 0, 1, 0))
+    cert = lep_certificate(Shift(A2), x, 0, 6)
+    assert (cert.p, cert.q, cert.kind) == (2, 1, "LEP")
 
 
 def test_shift_random_points_rarely_certify_at_fine_resolution():
@@ -383,6 +397,15 @@ def test_incompatible_inputs_rejected():
         lep_statistics(eca_rule(110), BernoulliMeasure([0.2, 0.3, 0.5]), 1, n_samples=4, horizon=4)
     with pytest.raises(ValueError):  # digit 2 does not exist at coordinate 0
         lep_statistics(Odometer((2, 3)), BernoulliMeasure([0.2, 0.3, 0.5]), 1, n_samples=4, horizon=4)
+
+
+def test_certificate_checks_its_point_like_column_trace():
+    with pytest.raises(InsufficientRadius):  # the shift's trace to T = 4 at m = 1 reads W_5
+        lep_certificate(Shift(A2), Configuration(A2, "one", (0, 0)), 1, 4)
+    with pytest.raises(ValueError, match="column 0"):  # digit 2 does not exist at coordinate 0
+        lep_certificate(Odometer((2, 3)), Configuration(Alphabet(3), "one", (2, 0, 0)), 1, 1)
+    with pytest.raises(ValueError, match="sided"):
+        lep_certificate(Shift(A2), Configuration(A2, "two", (0, 0, 0, 0, 0)), 0, 2)
 
 
 def test_memory_follows_the_block_not_the_sample_count():

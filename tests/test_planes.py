@@ -18,7 +18,6 @@ from equidyn import (
     dependence_radius,
     eca_rule,
     mu_sensitivity_estimate,
-    sensitive_pair_test,
     separation_window,
     shift_as_ca,
     step_cost,
@@ -38,6 +37,7 @@ from equidyn.systems import (
 )
 import equidyn.sensitivity
 import equidyn.systems
+from oracles import scalar_column_trace
 
 ROW_COUNTS = (1, 63, 64, 65, 1000)
 A3 = Alphabet(3)
@@ -243,10 +243,12 @@ def scalar_sensitivity(system, mu, eps, horizon, n, seed):
     bx = mu.sample_batch(sided, radius, n, substream(seed, 0))
     by = mu.sample_batch(sided, radius, n, substream(seed, 1))
 
-    def config(row):
-        return Configuration(system.alphabet, sided, tuple(int(s) for s in row))
+    def trace(row):
+        """The row's W_w words at times 1..horizon: a pair is separated when they differ."""
+        x = Configuration(system.alphabet, sided, tuple(int(s) for s in row))
+        return scalar_column_trace(system, x, separation_window(eps), horizon)[1:]
 
-    hits = [sensitive_pair_test(system, config(x), config(y), eps, horizon) for x, y in zip(bx, by)]
+    hits = [trace(x) != trace(y) for x, y in zip(bx, by)]
     return float(np.mean(hits))
 
 

@@ -8,9 +8,6 @@ import pytest
 from equidyn import (
     Alphabet,
     BernoulliMeasure,
-    CirclePoint,
-    Configuration,
-    InsufficientRadius,
     LebesgueMeasure,
     Odometer,
     ProductMeasure,
@@ -20,7 +17,6 @@ from equidyn import (
     eca_rule,
     identity_rule,
     mu_sensitivity_estimate,
-    sensitive_pair_test,
     separation_window,
 )
 
@@ -47,36 +43,6 @@ def test_separation_window_domain():
         separation_window(0)
     with pytest.raises(ValueError):
         separation_window(3)
-
-
-class TestPairTest:
-    def test_shift_detects_difference_downstream(self):
-        sh = Shift(A2)
-        x = Configuration(A2, "one", (0, 0, 0, 0, 0, 0))
-        y = Configuration(A2, "one", (0, 0, 0, 1, 0, 0))
-        assert not sensitive_pair_test(sh, x, y, 2, 2)
-        assert sensitive_pair_test(sh, x, y, 2, 3)
-
-    def test_identity_never_separates_agreeing_pairs(self):
-        ident = identity_rule(A2)
-        x = Configuration(A2, "one", (0, 1, 0, 0))
-        y = Configuration(A2, "one", (0, 1, 1, 0))
-        assert not sensitive_pair_test(ident, x, y, 2, 5)
-        # they do differ at eps = 1/2 (agreement radius 1, so d = 1 >= 1/2)
-        assert sensitive_pair_test(ident, x, y, Fraction(1, 2), 5)
-
-    def test_radius_guard(self):
-        sh = Shift(A2)
-        x = Configuration(A2, "one", (0, 1))
-        with pytest.raises(InsufficientRadius):
-            sensitive_pair_test(sh, x, x, 2, 5)
-
-    def test_rotation_uses_starting_distance(self):
-        rot = Rotation(Fraction(1, 7))
-        a = CirclePoint(Fraction(0))
-        b = CirclePoint(Fraction(1, 3))
-        assert sensitive_pair_test(rot, a, b, Fraction(1, 3), 4)
-        assert not sensitive_pair_test(rot, a, b, Fraction(1, 2), 4)
 
 
 class TestEstimate:

@@ -20,7 +20,6 @@ from equidyn import (
     Shift,
     build_eigenfunction,
     eca_rule,
-    eigenfunction_eval,
     identity_rule,
     inner_product,
     koopman_residual,
@@ -30,7 +29,7 @@ from equidyn import (
 from equidyn.rng import derive_seed, substream
 from equidyn.spectral import _running_sum, event_table
 from equidyn.systems import system_sided
-from oracles import scalar_inner_product, scalar_koopman_residual
+from oracles import _scalar_f, scalar_inner_product, scalar_koopman_residual
 
 A2 = Alphabet(2)
 
@@ -88,8 +87,9 @@ def test_dyadic_odometer_sign_function():
     y = Configuration(od.alphabet, "one", (0, 0, 0))
     spec = build_eigenfunction(od, y, 0, 1, 4)
     assert spec.period == 2
-    assert eigenfunction_eval(spec, dyadic_point((0, 1, 1)), 3) == 1
-    val = eigenfunction_eval(spec, dyadic_point((1, 1, 0)), 3)
+    tab = event_table(spec, 3)
+    assert _scalar_f(spec, tab, dyadic_point((0, 1, 1))) == 1
+    val = _scalar_f(spec, tab, dyadic_point((1, 1, 0)))
     assert abs(val + 1) <= 1e-15
 
 
@@ -98,15 +98,16 @@ def test_eval_outside_support_is_zero():
     y = dyadic_point(tuple([0, 1] * 6))
     spec = build_eigenfunction(sh, y, 1, 1, 4)
     stray = dyadic_point((1, 1, 1, 1, 1, 1, 1, 1))
-    assert eigenfunction_eval(spec, stray, 3) == 0j
+    assert _scalar_f(spec, event_table(spec, 3), stray) == 0j
 
 
 def test_eval_requires_radius():
     od = Odometer((2,))
     y = Configuration(od.alphabet, "one", (0, 0, 0))
     spec = build_eigenfunction(od, y, 2, 1, 16)
+    tab = event_table(spec, 2)
     with pytest.raises(InsufficientRadius):
-        eigenfunction_eval(spec, dyadic_point((0,)), 2)
+        _scalar_f(spec, tab, dyadic_point((0,)))
 
 
 @pytest.mark.parametrize("sizes,m", [
@@ -146,7 +147,7 @@ def test_partition_of_unity():
     assert set(words) <= tab.index.keys()
     for word in words:
         x = Configuration(od.alphabet, "one", word)
-        assert eigenfunction_eval(spec, x, 4, table=tab) == 1
+        assert _scalar_f(spec, tab, x) == 1
 
 
 def test_shift_residual_matches_independent_enumeration():

@@ -206,8 +206,6 @@ class TestBatch:
             assert tuple(int(v) for v in row_out) == scalar_step(system, x).symbols
 
     def test_trace_agreement_batch_matches_scalar(self):
-        from equidyn import orbit_ball_member
-
         rule = eca_rule(110)
         m, horizon = 1, 2
         rho = dependence_radius(rule, m, horizon)
@@ -217,9 +215,10 @@ class TestBatch:
         words = list(itertools.product(range(2), repeat=2 * rho + 1))
         arr = np.array(words, dtype=np.int64)
         agree = trace_agreement_batch(rule, trace, pack_planes(rule, arr), len(arr), m, rho)
+        want = scalar_column_trace(rule, x, m, horizon)
         for word, flag in zip(words, agree):
             y = Configuration(A2, "two", word)
-            assert bool(flag) == orbit_ball_member(rule, x, y, m, horizon)
+            assert bool(flag) == (scalar_column_trace(rule, y, m, horizon) == want)
 
 
 class TestColumnCodes:
@@ -311,15 +310,6 @@ class TestCellRangeCheck:
         for horizon in (0, 2):
             with pytest.raises(ValueError, match="column 0"):
                 column_trace(self.OD, self.BAD, 1, horizon)
-
-    def test_sensitive_pair_test(self):
-        from equidyn import sensitive_pair_test
-
-        good = Configuration(Alphabet(3), "one", (0, 0, 0))
-        with pytest.raises(ValueError, match="column 0"):
-            sensitive_pair_test(self.OD, self.BAD, good, 1, 1)
-        with pytest.raises(ValueError, match="column 0"):
-            sensitive_pair_test(self.OD, good, self.BAD, 1, 1)
 
     @pytest.mark.parametrize("system,bad", [
         (eca_rule(110), [[0, -1, 1]]),
