@@ -14,10 +14,13 @@ from equidyn import (
     Configuration,
     Cylinder,
     MarkovMeasure,
+    NullBall,
     NullCylinder,
     ProductMeasure,
     ball_cylinder,
     compare_cylinders,
+    density_ratio_exact,
+    identity_rule,
     maximal_cylinders,
     measure_from_dict,
     measure_to_dict,
@@ -211,6 +214,30 @@ class TestMaximalCylinders:
         mu = BernoulliMeasure([0.5, 0.5])
         parts = [cyl((0,)), cyl((0, 1)), cyl((1, 1, 0))]
         assert union_probability(mu, parts) == pytest.approx(0.5 + 0.125, abs=1e-12)
+
+
+class TestDensityRatio:
+    """mu(B_m(x) intersect B_n(x)) / mu(B_n(x)), read off the identity's orbit ball, which is B_m(x)."""
+
+    def test_ball_inside_set(self):
+        mu = BernoulliMeasure([0.5, 0.5])
+        x = Configuration(A2, "one", (0, 1, 1, 0))
+        # A = B_0(x) = [0] holds the ball B_2(x)
+        ratio = density_ratio_exact(identity_rule(A2), mu, x, 0, 2, 1)
+        assert ratio == 1.0
+
+    def test_partial_overlap(self):
+        mu = BernoulliMeasure([0.5, 0.5])
+        x = Configuration(A2, "one", (0, 1, 1))
+        # A = B_2(x) = [01 1] has mass 1/8; B_1(x) = [01] has mass 1/4
+        ratio = density_ratio_exact(identity_rule(A2), mu, x, 2, 1, 1)
+        assert ratio == pytest.approx(0.5, abs=1e-12)
+
+    def test_null_ball(self):
+        mu = ProductMeasure((2, 3))
+        x = Configuration(mu.alphabet, "one", (2, 0))
+        with pytest.raises(NullBall):
+            density_ratio_exact(identity_rule(mu.alphabet), mu, x, 0, 1, 1)
 
 
 class TestVitali:

@@ -15,6 +15,7 @@ from equidyn import (
     Configuration,
     Cylinder,
     EnumerationTooLarge,
+    InsufficientRadius,
     LebesgueMeasure,
     MarkovMeasure,
     NullBall,
@@ -32,7 +33,7 @@ from equidyn import (
 )
 from equidyn.core import count_words, iter_words, subword, window_cells
 from equidyn.rng import substream
-from equidyn.systems import cell_sizes, dependence_radius, system_sided
+from equidyn.systems import cell_sizes, column_trace, dependence_radius, system_sided
 from oracles import scalar_column_trace, scalar_step
 
 A2 = Alphabet(2)
@@ -74,6 +75,16 @@ class TestOrbitBallEvent:
         for w in ev.words:
             y = Configuration(A2, "two", w)
             assert scalar_column_trace(rule, y, 1, 2) == scalar_column_trace(rule, x, 1, 2)
+
+    def test_member_needs_y_traced_to_the_horizon(self):
+        # y's W_1 word already differs from x's, but y is too short to trace: no verdict
+        rule = eca_rule(90)
+        x = Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0))
+        y = Configuration(A2, "two", (1, 1, 1))
+        assert x.window(1) != y.window(1)
+        column_trace(rule, x, 1, 2)
+        with pytest.raises(InsufficientRadius):
+            column_trace(rule, y, 1, 2)
 
     def test_horizon_zero_is_the_plain_ball(self):
         rule = eca_rule(110)
@@ -206,6 +217,31 @@ class TestEstimate:
             n_samples=20_000, seed=2,
         )
         assert abs(est.p_hat - 0.5) <= 4 * est.stderr
+
+
+def ball_inside_orbit_ball(system, mu, x, m, n, horizon):
+    """Is B_n(x) inside B_{m,horizon}(x)? For a full-support mu, exactly when the exact ratio is 1."""
+    return density_ratio_exact(system, mu, x, m, n, horizon) == 1.0
+
+
+class TestPointTest:
+    def test_identity_point_is_equicontinuous(self):
+        ident = identity_rule(A2)
+        x = ones_sided((0, 1, 1, 0))
+        assert ball_inside_orbit_ball(ident, HALF, x, 1, 1, 8)
+        assert ball_inside_orbit_ball(ident, HALF, x, 1, 2, 8)
+
+    def test_shift_needs_depth(self):
+        sh = Shift(A2)
+        x = ones_sided((0, 1, 1, 0, 1, 0))
+        assert not ball_inside_orbit_ball(sh, HALF, x, 1, 2, 2)
+        assert ball_inside_orbit_ball(sh, HALF, x, 1, 3, 2)
+
+    def test_rotation_rule(self):
+        rot = Rotation(Fraction(1, 5))
+        leb = LebesgueMeasure()
+        assert ball_inside_orbit_ball(rot, leb, CirclePoint(Fraction(0)), 2, 3, 9)
+        assert not ball_inside_orbit_ball(rot, leb, CirclePoint(Fraction(0)), 3, 2, 9)
 
 
 class TestReport:
