@@ -7,6 +7,11 @@ by (seed, index) substreams, so identical configs give byte-identical
 reports. `--threads` is validated (>= 1), but every command runs on one
 thread, so nothing reads it.
 
+The library returns plain dataclasses. One writer, `_plain`, turns the
+results of `classify`, `lep` and `dichotomy` into report JSON by field
+name and rounds the fields named in `PROB_KEYS` with `fmt_prob`. The
+other commands build their rows here and round them as they build them.
+
 Exit codes: 0 success, 2 invalid config, 3 enumeration over the cap,
 4 domain failure / invariant violation.
 """
@@ -19,6 +24,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .core import (
@@ -35,6 +41,7 @@ from .core import (
 from .errors import ConfigInvalid, EnumerationTooLarge, EquidynError
 from .measures import (
     LebesgueMeasure,
+    ProductMeasure,
     measure_from_dict,
     measure_to_dict,
     uncovered_mass,
@@ -42,6 +49,7 @@ from .measures import (
     vitali_cover,
 )
 from .orbit import (
+    EquicontinuityReport,
     density_ratio_estimate,
     density_ratio_exact,
     exact_fits,
@@ -69,6 +77,10 @@ COMMANDS = ("density", "classify", "lep", "spectral", "sensitivity", "dichotomy"
 def fmt_prob(x: float) -> float:
     """Probabilities go out with 12 significant digits."""
     return float(f"{float(x):.12g}")
+
+
+# the fields of library results that `_plain` writes through `fmt_prob`
+PROB_KEYS = frozenset({"fraction", "ratios", "stderrs", "certified_fraction", "lp_fraction", "p_hat", "stderr"})
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -163,14 +175,23 @@ def _eps_list_param(params: dict):
     return eps_list
 
 
-def _round_curves(report: dict) -> dict:
-    """Round an equicontinuity report's fraction and curves for output."""
-    report["fraction"] = fmt_prob(report["fraction"])
-    for curve in report["curves"]:
-        curve["ratios"] = [fmt_prob(v) for v in curve["ratios"]]
-        if "stderrs" in curve:
-            curve["stderrs"] = [fmt_prob(v) for v in curve["stderrs"]]
-    return report
+def _plain(value, key: str = ""):
+    """A library result as report JSON, probabilities rounded by `fmt_prob`.
+
+    A dataclass becomes a dict of its fields, tuples become lists, and the
+    values under a `PROB_KEYS` key are rounded. `horizon` is written as `T`,
+    except in an `EquicontinuityReport`, and a `stderrs` of None is left out.
+    """
+    if is_dataclass(value):
+        horizon_key = "horizon" if isinstance(value, EquicontinuityReport) else "T"
+        return {
+            horizon_key if f.name == "horizon" else f.name: _plain(getattr(value, f.name), f.name)
+            for f in fields(value)
+            if f.name != "stderrs" or value.stderrs is not None
+        }
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, key) for v in value]
+    return fmt_prob(value) if key in PROB_KEYS else value
 
 
 def _word_config(alphabet, sided, text: str, field: str) -> Configuration:
@@ -181,7 +202,7 @@ def _word_config(alphabet, sided, text: str, field: str) -> Configuration:
 
 
 def _point_from_params(system, mu, params, radius: int, seed: int):
-    """`params.point` (a circle angle, or a word of valid radius >= `radius`), else a draw from mu."""
+    """`params.point` (a circle angle, or a word of valid radius >= `radius`); absent or null, a draw from mu."""
     point = params.get("point")
     if isinstance(system, Rotation):
         if point is None:
@@ -191,12 +212,12 @@ def _point_from_params(system, mu, params, radius: int, seed: int):
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigInvalid("params.point", f"not a circle angle: {exc}")
     sided = system_sided(system)
-    if "point" in params:
-        x = _word_config(system.alphabet, sided, str(point), "params.point")
-        if x.radius < radius:
-            raise ConfigInvalid("params.point", f"needs valid radius >= {radius}")
-        return x
-    return mu.sample_config(sided, radius, substream(seed, 9))
+    if point is None:
+        return mu.sample_config(sided, radius, substream(seed, 9))
+    x = _word_config(system.alphabet, sided, str(point), "params.point")
+    if x.radius < radius:
+        raise ConfigInvalid("params.point", f"needs valid radius >= {radius}")
+    return x
 
 
 # -- subcommand runners --------------------------------------------------------
@@ -245,7 +266,7 @@ def _run_classify(system, mu, params, seed, cap):
         seed=seed,
         cap=cap,
     )
-    payload = _round_curves(report.to_dict())
+    payload = _plain(report)
     csv_rows = [
         (i, n, curve["ratios"][j], curve["exact"])
         for i, curve in enumerate(payload["curves"])
@@ -265,12 +286,7 @@ def _run_lep(system, mu, params, seed, cap):
         equi_params=_equi_params_from(params, optional=True) if "equi" in params else None,
         cap=cap,
     )
-    payload = report.to_dict()
-    for stats in payload["per_m"]:
-        stats["certified_fraction"] = fmt_prob(stats["certified_fraction"])
-        stats["lp_fraction"] = fmt_prob(stats["lp_fraction"])
-    if payload["equicontinuity"]:
-        _round_curves(payload["equicontinuity"])
+    payload = _plain(report)
     csv_rows = [
         (s["m"], s["certified_fraction"], s["lp_fraction"], s["p_quantile"], s["q_quantile"])
         for s in payload["per_m"]
@@ -283,11 +299,11 @@ def _run_spectral(system, mu, params, seed, cap):
     horizon = _param(params, "T", minimum=0)
     cert_horizon = _param(params, "cert_T", default=max(horizon, 2), minimum=2)
     sided = system_sided(system)
-    if "y" in params:
-        y = _word_config(system.alphabet, sided, str(params["y"]), "params.y")
-    else:
+    if params.get("y") is None:
         radius = dependence_radius(system, m, horizon + cert_horizon)
         y = mu.sample_config(sided, radius, substream(seed, 9))
+    else:
+        y = _word_config(system.alphabet, sided, str(params["y"]), "params.y")
     base = build_eigenfunction(system, y, m, 0, cert_horizon)
     p = base.period
     k_list = _list_param(params, "k_list", kind=int) if "k_list" in params else list(range(min(p, 16)))
@@ -373,11 +389,7 @@ def _run_dichotomy(system, mu, params, seed, cap):
         seed=seed,
         cap=cap,
     )
-    payload = report.to_dict()
-    for row in payload["sensitivity"]:
-        row["p_hat"] = fmt_prob(row["p_hat"])
-        row["stderr"] = fmt_prob(row["stderr"])
-    _round_curves(payload["equicontinuity"])
+    payload = _plain(report)
     csv_rows = [(r["eps"], r["p_hat"], r["stderr"]) for r in payload["sensitivity"]]
     return payload, ("eps", "p_hat", "stderr"), csv_rows
 
@@ -390,6 +402,8 @@ def _run_vitali(mu, params, seed, cap):
         check_sided(sided)
     except ValueError as exc:
         raise ConfigInvalid("params.sided", str(exc))
+    if sided == TWO_SIDED and isinstance(mu, ProductMeasure):
+        raise ConfigInvalid("params.sided", "a haar measure lives on one-sided configurations")
     raw_parts = _list_param(params, "cylinders")
     parts = []
     for idx, item in enumerate(raw_parts):

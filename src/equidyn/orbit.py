@@ -210,17 +210,6 @@ class RatioEstimate:
     n: int
     horizon: int
 
-    def to_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "m": self.m,
-            "n": self.n,
-            "horizon": self.horizon,
-        }
-
 
 def _binomial_stderr(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -282,12 +271,6 @@ class PointCurve:
     exact: bool
     stderrs: Optional[tuple[float, ...]]
 
-    def to_dict(self) -> dict:
-        out = {"point": self.point, "ratios": list(self.ratios), "exact": self.exact}
-        if self.stderrs is not None:
-            out["stderrs"] = list(self.stderrs)
-        return out
-
 
 @dataclass(frozen=True)
 class EquicontinuityReport:
@@ -302,19 +285,6 @@ class EquicontinuityReport:
     seed: int
     curves: tuple[PointCurve, ...]
     fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n_list": list(self.n_list),
-            "horizon": self.horizon,
-            "points": self.points,
-            "n_samples": self.n_samples,
-            "delta": self.delta,
-            "seed": self.seed,
-            "curves": [c.to_dict() for c in self.curves],
-            "fraction": self.fraction,
-        }
 
 
 def mu_equicontinuity_report(

@@ -60,9 +60,6 @@ class PeriodCertificate:
     def kind(self) -> str:
         return "LP" if self.q == 0 else "LEP"
 
-    def to_dict(self) -> dict:
-        return {"m": self.m, "T": self.horizon, "p": self.p, "q": self.q, "kind": self.kind}
-
 
 def detect_eventual_periods(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, q, certified) for every row of a (rows x T+1) matrix of trace codes.
@@ -112,19 +109,6 @@ class LepStatistics:
     lp_fraction: float  # certified with q == 0
     p_quantile: Optional[int]
     q_quantile: Optional[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "eps": self.eps,
-            "T": self.horizon,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "certified_fraction": self.certified_fraction,
-            "lp_fraction": self.lp_fraction,
-            "p_quantile": self.p_quantile,
-            "q_quantile": self.q_quantile,
-        }
 
 
 def lep_statistics(
@@ -188,15 +172,6 @@ class LepClassification:
     verdict: str
     per_m: tuple[LepStatistics, ...]
     equicontinuity: Optional[object]  # EquicontinuityReport when attached
-
-    def to_dict(self) -> dict:
-        return {
-            "m_list": list(self.m_list),
-            "eps": self.eps,
-            "verdict": self.verdict,
-            "per_m": [s.to_dict() for s in self.per_m],
-            "equicontinuity": self.equicontinuity.to_dict() if self.equicontinuity else None,
-        }
 
 
 def mu_lep_classify(

@@ -63,16 +63,6 @@ class SensitivityEstimate:
     n_samples: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "T": self.horizon,
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-
 
 def mu_sensitivity_estimate(
     system: System,
@@ -139,17 +129,6 @@ class DichotomyReport:
     sensitivity: tuple[SensitivityEstimate, ...]
     equicontinuity: EquicontinuityReport
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_list": list(self.eps_list),
-            "T": self.horizon,
-            "delta_s": self.delta_s,
-            "delta_e": self.delta_e,
-            "sensitivity": [e.to_dict() for e in self.sensitivity],
-            "equicontinuity": self.equicontinuity.to_dict(),
-            "verdict": self.verdict,
-        }
 
 
 def dichotomy_report(

@@ -4,13 +4,17 @@ import copy
 import csv
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
 import equidyn.cli
 import equidyn.spectral
-from equidyn.cli import main
+from equidyn.cli import fmt_prob, main
 from equidyn.measures import ProductMeasure
+from equidyn.orbit import EquicontinuityReport, PointCurve
+from equidyn.periodicity import LepClassification, LepStatistics
+from equidyn.sensitivity import DichotomyReport, SensitivityEstimate
 
 DENSITY_CFG = {
     "system": {"type": "eca", "rule": 90},
@@ -253,6 +257,11 @@ VITALI_CFG = {
     "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
     "params": {"cylinders": [{"radius": 1, "word": "00"}], "min_radius": 2},
 }
+# a word of two-sided length, so only the one-sided haar measure rules "sided": "two" out
+HAAR_VITALI_CFG = {
+    "measure": {"type": "haar", "sizes": [2, 3]},
+    "params": {"cylinders": [{"radius": 1, "word": "010"}], "min_radius": 2},
+}
 SPECTRAL_CFG = {
     "system": {"type": "odometer", "sizes": [2, 2]},
     "measure": {"type": "haar", "sizes": [2, 2]},
@@ -309,6 +318,7 @@ FIELD_ERROR_CASES = [
     ("density", DENSITY_CFG, "cap", -1, "cap", "negative"),
     ("density", DENSITY_CFG, "cap", 0, "cap", "zero"),
     ("vitali", VITALI_CFG, "params.sided", "two", "params.sided", "one-sided-words"),
+    ("vitali", HAAR_VITALI_CFG, "params.sided", "two", "params.sided", "haar"),
     ("vitali", VITALI_CFG, "measure", {"type": "lebesgue"}, "measure", "lebesgue"),
     ("density", DENSITY_CFG, "seed", False, "seed", "bool"),
     ("classify", DENSITY_CFG, "params.delta", 1.5, "params.delta", "above-1"),
@@ -472,3 +482,102 @@ class TestAlphabetMismatch:
         assert run([command, "--config", cfg, "--out", out]) == 4
         assert "alphabet" in capsys.readouterr().err
         assert not out.exists()
+
+
+ROTATION_CFG = {
+    "system": {"type": "rotation", "alpha": "1/5"},
+    "params": {"m": 2, "n_list": [2, 4], "T": 3, "n_samples": 200},
+    "seed": 2,
+}
+
+
+class TestNullPoint:
+    """A `null` point is an absent one: the point is drawn from the seed."""
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("density", DENSITY_CFG, "point"),
+        ("density", ROTATION_CFG, "point"),
+        ("spectral", SPECTRAL_CFG, "y"),
+    ], ids=["eca-density", "rotation-density", "odometer-spectral"])
+    def test_null_reads_as_absent(self, tmp_path, command, cfg, key):
+        absent, null = tmp_path / "absent.json", tmp_path / "null.json"
+        assert run([command, "--config", write_cfg(tmp_path, cfg, "a.json"), "--out", absent]) == 0
+        cfg_null = with_field(cfg, f"params.{key}", None)
+        assert run([command, "--config", write_cfg(tmp_path, cfg_null, "n.json"), "--out", null]) == 0
+        # the config echo keeps the null as given; every other byte is the same
+        payload = json.loads(null.read_text())
+        assert payload["config"]["params"].pop(key) is None
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == absent.read_text()
+        assert (tmp_path / "null.csv").read_bytes() == (tmp_path / "absent.csv").read_bytes()
+
+
+# every report field that holds probabilities, in every command
+PROB_KEYS = {
+    "fraction", "ratios", "stderrs", "certified_fraction", "lp_fraction", "p_hat", "stderr",
+    "exact", "mass", "union_mass", "covered_mass", "leftover",
+}
+REPORT_CASES = [
+    ("density", DENSITY_CFG),
+    ("classify", DENSITY_CFG),
+    ("classify", dict(DENSITY_CFG, cap=1)),
+    ("lep", LEP_EQUI_CFG),
+    ("spectral", SPECTRAL_CFG),
+    ("sensitivity", DICHOTOMY_CFG),
+    ("dichotomy", DICHOTOMY_CFG),
+    ("vitali", VITALI_CFG),
+]
+
+
+def report_results(tmp_path, command, cfg):
+    out = tmp_path / "r.json"
+    assert run([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    return json.loads(out.read_text())["results"]
+
+
+def prob_values(node, key=""):
+    """Every number under a PROB_KEYS key, with the key it sits under."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from prob_values(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from prob_values(v, key)
+    elif key in PROB_KEYS and isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield key, node
+
+
+def report_keys(cls, horizon_key="T"):
+    return {horizon_key if f.name == "horizon" else f.name for f in fields(cls)}
+
+
+def assert_equicontinuity_keys(report):
+    assert set(report) == report_keys(EquicontinuityReport, "horizon")
+    for curve in report["curves"]:
+        want = report_keys(PointCurve)
+        assert set(curve) == (want - {"stderrs"} if curve["exact"] else want)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("command,cfg", REPORT_CASES,
+                             ids=[f"{c}-{i}" for i, (c, _) in enumerate(REPORT_CASES)])
+    def test_probabilities_have_12_significant_digits(self, tmp_path, command, cfg):
+        values = list(prob_values(report_results(tmp_path, command, cfg)))
+        assert values or command == "spectral"
+        for key, value in values:
+            assert value == fmt_prob(value), (key, value)
+
+    def test_classify_keys_are_the_report_fields(self, tmp_path):
+        for cfg in (DENSITY_CFG, dict(DENSITY_CFG, cap=1)):
+            assert_equicontinuity_keys(report_results(tmp_path, "classify", cfg))
+
+    def test_lep_keys_are_the_classification_fields(self, tmp_path):
+        results = report_results(tmp_path, "lep", LEP_EQUI_CFG)
+        assert set(results) == report_keys(LepClassification)
+        assert all(set(stats) == report_keys(LepStatistics) for stats in results["per_m"])
+        assert_equicontinuity_keys(results["equicontinuity"])
+
+    def test_dichotomy_keys_are_the_report_fields(self, tmp_path):
+        results = report_results(tmp_path, "dichotomy", DICHOTOMY_CFG)
+        assert set(results) == report_keys(DichotomyReport)
+        assert all(set(row) == report_keys(SensitivityEstimate) for row in results["sensitivity"])
+        assert_equicontinuity_keys(results["equicontinuity"])

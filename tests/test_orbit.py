@@ -202,7 +202,7 @@ class TestEstimate:
         b = density_ratio_estimate(Shift(A2), HALF, x, 1, 1, 3, n_samples=500, seed=4)
         c = density_ratio_estimate(Shift(A2), HALF, x, 1, 1, 3, n_samples=500, seed=5)
         assert a.p_hat == b.p_hat
-        assert a.to_dict() == b.to_dict()
+        assert a == b
         assert a.p_hat != c.p_hat or a.seed != c.seed
 
     def test_certain_agreement_gives_zero_stderr(self):

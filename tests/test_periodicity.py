@@ -29,6 +29,7 @@ from equidyn import (
     mu_lep_classify,
     system_sided,
 )
+from equidyn.cli import _plain
 from equidyn.periodicity import _BLOCK, detect_eventual_periods
 from equidyn.rng import substream
 from oracles import certificate_holds, oracle_sample_batch, scalar_column_trace
@@ -85,7 +86,7 @@ class TestDetect:
     def test_resolution_label_carried(self):
         x = Configuration(A2, "one", (0, 0, 0))
         cert = lep_certificate(identity_rule(A2), x, 2, 2)
-        assert cert.m == 2 and cert.to_dict()["T"] == 2
+        assert cert.m == 2 and cert.horizon == 2
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -123,10 +124,6 @@ class TestCertificateValidation:
         with pytest.raises(ValueError):
             PeriodCertificate(p=3, q=0, horizon=5)
         PeriodCertificate(p=3, q=0, horizon=6)  # exactly two periods is fine
-
-    def test_dict_uses_horizon_key(self):
-        d = PeriodCertificate(p=2, q=1, horizon=8, m=0).to_dict()
-        assert d == {"m": 0, "T": 8, "p": 2, "q": 1, "kind": "LEP"}
 
 
 def truncated_counter_period(sizes, m):
@@ -242,13 +239,13 @@ class TestClassify:
         assert result.verdict == "neither"
         assert result.equicontinuity is None
 
-    def test_to_dict_shape(self):
+    def test_written_report_shape(self):
         od = Odometer((2,))
         result = mu_lep_classify(
             od, ProductMeasure((2,)), m_list=[0], eps=0.05,
             n_samples=16, horizon=8, seed=1,
         )
-        d = result.to_dict()
+        d = _plain(result)
         assert d["verdict"] == "mu-LP"
         assert d["per_m"][0]["T"] == 8
         assert "equicontinuity" in d
@@ -383,7 +380,8 @@ def test_report_types_unchanged():
     assert type(stats.certified_fraction) is float and type(stats.lp_fraction) is float
     assert type(stats.p_quantile) is int and type(stats.q_quantile) is int
     want = scalar_lep_statistics(eca_rule(110), MARKOV, 2, 0.05, 300, 16, 3)
-    assert json.dumps(stats.to_dict()) == json.dumps(want.to_dict())
+    assert stats == want
+    assert json.dumps(_plain(stats)) == json.dumps(_plain(want))
 
 
 def test_incompatible_inputs_rejected():

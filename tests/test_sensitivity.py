@@ -19,6 +19,7 @@ from equidyn import (
     mu_sensitivity_estimate,
     separation_window,
 )
+from equidyn.cli import _plain
 
 A2 = Alphabet(2)
 HALF = BernoulliMeasure([0.5, 0.5])
@@ -83,7 +84,7 @@ class TestEstimate:
     def test_determinism(self):
         a = mu_sensitivity_estimate(Shift(A2), HALF, 2, 5, n_samples=1000, seed=9)
         b = mu_sensitivity_estimate(Shift(A2), HALF, 2, 5, n_samples=1000, seed=9)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_rotation_uniform_pairs(self):
         """d(x, y) is uniform on [0, 1/2]; P(d >= 1/4) = 1/2."""
@@ -166,7 +167,7 @@ class TestDichotomy:
             Shift(A2), HALF, eps_list=[2], horizon=4,
             equi_params=EQUI, n_samples=500, seed=1,
         )
-        d = rep.to_dict()
+        d = _plain(rep)
         assert d["T"] == 4
         assert d["verdict"] in ("mu-sensitive", "mu-equicontinuous",
                                 "inconclusive at scale")
