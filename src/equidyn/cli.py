@@ -91,7 +91,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _need(d: dict, field: str, prefix: str = "", default=None):
-    if isinstance(d, dict) and field in d:
+    """d[field]; absent or null, `default`, or ConfigInvalid if there is none."""
+    if isinstance(d, dict) and d.get(field) is not None:
         return d[field]
     if default is None:
         raise ConfigInvalid(f"{prefix}{field}", "missing")
@@ -283,7 +284,7 @@ def _run_lep(system, mu, params, seed, cap):
         n_samples=_param(params, "n_samples", default=1000, minimum=1),
         horizon=_param(params, "T", minimum=2),
         seed=seed,
-        equi_params=_equi_params_from(params, optional=True) if "equi" in params else None,
+        equi_params=_equi_params_from(params, optional=True) if params.get("equi") is not None else None,
         cap=cap,
     )
     payload = _plain(report)
@@ -306,10 +307,10 @@ def _run_spectral(system, mu, params, seed, cap):
         y = _word_config(system.alphabet, sided, str(params["y"]), "params.y")
     base = build_eigenfunction(system, y, m, 0, cert_horizon)
     p = base.period
-    k_list = _list_param(params, "k_list", kind=int) if "k_list" in params else list(range(min(p, 16)))
+    k_list = _list_param(params, "k_list", kind=int) if params.get("k_list") is not None else list(range(min(p, 16)))
     if not all(0 <= k < p for k in k_list):
         raise ConfigInvalid("params.k_list", f"entries must lie in [0, {p}), got {k_list}")
-    mode = params.get("mode", "exact")
+    mode = _need(params, "mode", default="exact")
     if mode not in ("exact", "sampled"):
         raise ConfigInvalid("params.mode", "must be 'exact' or 'sampled'")
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
@@ -374,7 +375,7 @@ def _equi_params_from(params: dict, optional: bool = False) -> dict:
         "delta": lambda: _delta_param(raw, "delta", prefix=prefix),
     }
     renamed = {"T": "horizon"}
-    return {renamed.get(f, f): check() for f, check in checks.items() if f in raw or not optional}
+    return {renamed.get(f, f): check() for f, check in checks.items() if raw.get(f) is not None or not optional}
 
 
 def _run_dichotomy(system, mu, params, seed, cap):
@@ -397,7 +398,7 @@ def _run_dichotomy(system, mu, params, seed, cap):
 def _run_vitali(mu, params, seed, cap):
     if isinstance(mu, LebesgueMeasure):
         raise ConfigInvalid("measure", "vitali covers need a cylinder measure")
-    sided = params.get("sided", ONE_SIDED)
+    sided = _need(params, "sided", default=ONE_SIDED)
     try:
         check_sided(sided)
     except ValueError as exc:
@@ -447,10 +448,10 @@ def _run_vitali(mu, params, seed, cap):
 # -- orchestration --------------------------------------------------------------
 
 def run_command(command: str, cfg: dict, seed: int, out_path: str) -> str:
-    params = cfg.get("params", {})
+    params = _need(cfg, "params", default={})
     if not isinstance(params, dict):
         raise ConfigInvalid("params", "must be an object")
-    cap = _number(cfg.get("cap", DEFAULT_ENUMERATION_CAP), "cap", minimum=1)
+    cap = _number(_need(cfg, "cap", default=DEFAULT_ENUMERATION_CAP), "cap", minimum=1)
 
     if command == "vitali":
         mu = _build_measure(cfg)
@@ -509,7 +510,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = _number(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", minimum=0)
+        seed = _number(args.seed if args.seed is not None else _need(cfg, "seed", default=0), "seed", minimum=0)
         if args.threads is not None:
             _number(args.threads, "threads", minimum=1)  # a bad value still exits 2
         out_path = args.out or cfg.get("out") or f"equidyn-{args.command}.json"

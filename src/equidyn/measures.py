@@ -16,9 +16,11 @@ generator makes them, one `random(n)` per cell: unconditioned draws run
 rightward from the first cell; draws given a cylinder keep its word, each
 cell a constant column (one symbol, stride zero, no draw), then run
 rightward and leftward from it. So a one-row draw reads its uniforms in the
-order of `random(k)`. `sample_batch` and `conditional_batch` write the
-pieces into int rows; `systems.pack_planes` packs them into bit planes as
-they arrive, without an n x |W| array.
+order of `random(k)`. `group_pieces` draws for several generators at once,
+each from its own stream in that order, in (group, n) columns. Symbols are
+uint8 (an alphabet has at most 256). `sample_batch` and `conditional_batch`
+write the pieces into int rows; `systems.pack_planes` packs them into bit
+planes as they arrive, without an n x |W| array.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from .core import (
 )
 from .errors import AlphabetMismatch, EnumerationTooLarge, NullCylinder
 
-Piece = tuple[int, np.ndarray]  # (window column, that column's symbols in every row)
+Piece = tuple[int, np.ndarray]  # (window column, that column's symbols in every row, as uint8)
+
+_GATHER_ROWS = 2048  # kernel columns this long or shorter gather their thresholds
 
 
 def _prob_product(fs: list[float]) -> float:
@@ -74,27 +78,38 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symbols drawn by inverting the cumulative row `cum` at uniforms `u`."""
+    """Symbols drawn by inverting the cumulative row `cum` at uniforms `u`, one byte each."""
     out = np.searchsorted(cum, u, side="right")
-    return np.minimum(out, len(cum) - 1)
+    return np.minimum(out, len(cum) - 1).astype(np.uint8)
 
 
-def _constant(symbol: int, n: int) -> np.ndarray:
-    """The column of n rows that all hold `symbol`, as one int64 of stride zero."""
-    return np.ndarray((n,), np.int64, buffer=np.int64(symbol), strides=(0,))
+def _constant(symbols: np.ndarray, n: int) -> np.ndarray:
+    """The (group, n) column whose row g holds symbols[g] n times, at stride zero
+    along the rows; `symbols` is a contiguous uint8 array."""
+    return np.ndarray((len(symbols), n), np.uint8, buffer=symbols, strides=(1, 0))
 
 
 def _kernel_column(cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next symbols after `prev`, inverting the cumulative kernel rows `cum` at `u`.
+    """Next symbols after `prev` (in its dtype), inverting the cumulative kernel rows `cum` at `u`.
 
     Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
-    j < |A| - 1 is the inverse CDF capped at the last symbol. A constant
-    `prev` gathers its thresholds once.
+    j < |A| - 1 is the inverse CDF capped at the last symbol. Up to
+    `_GATHER_ROWS` rows gather their thresholds. Past that a gather's index
+    and threshold temporaries (8 bytes a row each, which the allocator may
+    hand back to the system and fault in again) cost more than boolean
+    masks, so the rows where prev is s test u >= cum[s, j] under a mask. A
+    `prev` constant along its last axis gathers once per group.
     """
-    prev = prev[:1] if prev.strides == (0,) else prev
-    out = (u >= cum[:, 0].take(prev)).astype(np.int64)
-    for j in range(1, cum.shape[1] - 1):
-        out += u >= cum[:, j].take(prev)
+    prev = prev[..., :1] if prev.strides[-1] == 0 else prev
+    where = None if prev.size <= _GATHER_ROWS else [prev == s for s in range(1, len(cum))]
+    for j in range(cum.shape[1] - 1):
+        if where is None:
+            hit = u >= cum[:, j].take(prev)
+        else:
+            hit = u >= cum[0, j]
+            for s, rows in enumerate(where, 1):
+                hit ^= ((u >= cum[s, j]) ^ hit) & rows  # u >= cum[s, j] where prev is s
+        out = hit.astype(prev.dtype) if j == 0 else out + hit
     return out
 
 
@@ -149,38 +164,59 @@ class _CylinderMeasure:
 
     def pieces(self, sided: str, radius: int, n: int, rng: np.random.Generator, given: Cylinder | None = None):
         """n words on W_radius from `rng`, given the cylinder `given` if any, as pieces in draw order."""
-        if given is not None:
-            self._check_cylinder(given)
-            if radius < given.radius:
-                raise ValueError(f"target radius {radius} smaller than the conditioning radius {given.radius}")
-            if self.cylinder_probability(given) == 0.0:
-                raise NullCylinder(f"cylinder {given.word} has measure zero; cannot condition on it")
-            if given.sided != sided:
-                raise ValueError(f"{given.sided!r}-sided cylinder, {sided!r}-sided draws")
-        return self._pieces(self._check_sided(sided), radius, n, rng, given)
+        columns = self.group_pieces(sided, radius, n, [rng], None if given is None else [given])
+        return ((j, column[0]) for j, column in columns)
 
-    def _pieces(self, sided, radius, n, rng, given) -> Iterator[Piece]:
-        """Columns: the given word (or the first cell's row), then the
-        forward kernels rightward and the reversed kernels leftward."""
+    def group_pieces(self, sided: str, radius: int, n: int, rngs, given=None):
+        """`pieces` for each generator of `rngs` at once, member g given the
+        cylinder given[g] if `given` lists them (all of one radius): pieces in
+        draw order whose columns are (len(rngs), n)."""
+        for c in given or ():
+            self._check_cylinder(c)
+            if radius < c.radius:
+                raise ValueError(f"target radius {radius} smaller than the conditioning radius {c.radius}")
+            if self.cylinder_probability(c) == 0.0:
+                raise NullCylinder(f"cylinder {c.word} has measure zero; cannot condition on it")
+            if c.sided != sided:
+                raise ValueError(f"{c.sided!r}-sided cylinder, {sided!r}-sided draws")
+            if c.radius != given[0].radius:
+                raise ValueError("a group's given cylinders share one radius")
+        return self._pieces(self._check_sided(sided), radius, n, rngs, given)
+
+    def _pieces(self, sided, radius, n, rngs, given) -> Iterator[Piece]:
+        """Columns: the given words (or the first cell's row), then the
+        forward kernels rightward and the reversed kernels leftward. Every
+        member reads one `random(n)` per drawn column from its own generator."""
         laws = self._laws(sided, radius)
-        lo = 0 if given is None or sided == ONE_SIDED else radius - given.radius  # given's first column
-        hi = lo + (1 if given is None else len(given.word))
+        u = np.empty((len(rngs), n)) if len(rngs) > 1 else None
+
+        def uniforms():  # a lone generator's own random(n); a group's written in place
+            if u is None:
+                return rngs[0].random(n)[None]
+            for rng, row in zip(rngs, u):
+                rng.random(out=row)
+            return u
+
+        # the given words column by column, each column contiguous for _constant
+        words = None if given is None else np.array([c.word for c in given], dtype=np.uint8).T.copy()
+        lo = 0 if given is None or sided == ONE_SIDED else radius - given[0].radius  # given's first column
+        hi = lo + (1 if given is None else len(words))
         for j in range(lo, hi):
-            right = _inverse_cdf(laws[0].cum_first, rng.random(n)) if given is None else _constant(given.word[j - lo], n)
+            right = _inverse_cdf(laws[0].cum_first, uniforms()) if given is None else _constant(words[j - lo], n)
             yield j, right
         for j in range(hi, len(laws)):
-            right = _kernel_column(laws[j].cum_forward, right, rng.random(n))
+            right = _kernel_column(laws[j].cum_forward, right, uniforms())
             yield j, right
-        left = _constant(given.word[0], n) if lo else None
+        left = _constant(words[0], n) if lo else None
         for j in range(lo - 1, -1, -1):
-            left = _kernel_column(laws[j].cum_reverse, left, rng.random(n))
+            left = _kernel_column(laws[j].cum_reverse, left, uniforms())
             yield j, left
 
     def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _rows(self.pieces(sided, radius, n, rng), n, window_size(sided, radius))
+        return _rows(self.group_pieces(sided, radius, n, [rng]), n, window_size(sided, radius))
 
     def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _rows(self.pieces(c.sided, radius, n, rng, c), n, window_size(c.sided, radius))
+        return _rows(self.group_pieces(c.sided, radius, n, [rng], [c]), n, window_size(c.sided, radius))
 
 
 class BernoulliMeasure(_CylinderMeasure):
@@ -303,7 +339,7 @@ Measure = Union[CantorMeasure, LebesgueMeasure]
 
 
 def _rows(pieces: Iterator[Piece], n: int, k: int) -> np.ndarray:
-    """The n x k int rows whose columns the pieces give."""
+    """The n x k int rows whose columns the one-member group's pieces give."""
     out = np.empty((n, k), dtype=np.int64)
     for j, column in pieces:
         out[:, j] = column

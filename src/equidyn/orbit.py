@@ -198,6 +198,11 @@ def _ratio_exact(system, mu, x, m, n, horizon, cap, target) -> float:
     return math.fsum(masses) / mball
 
 
+# rows of one block of sampled (point, n) cells, packed and stepped together:
+# enough cells to share the per-call costs, and 0.5 MB of uniforms at most
+_BLOCK_ROWS = 1 << 16
+
+
 @dataclass(frozen=True)
 class RatioEstimate:
     """Monte Carlo estimate of a conditional orbit-ball mass."""
@@ -225,12 +230,7 @@ def density_ratio_estimate(
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> RatioEstimate:
-    """Sample the conditioning ball and count trace agreement with x."""
-    return _ratio_estimate(system, mu, x, m, n, horizon, n_samples, seed, None)
-
-
-def _ratio_estimate(system, mu, x, m, n, horizon, n_samples, seed, target) -> RatioEstimate:
-    """density_ratio_estimate, given x's column trace (None: traced here)."""
+    """Sample the conditioning ball and count trace agreement with x: a one-point block."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if isinstance(system, Rotation):
@@ -248,18 +248,39 @@ def _ratio_estimate(system, mu, x, m, n, horizon, n_samples, seed, target) -> Ra
         p_hat = float((dist <= 1.0 / m).mean())
         return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
     mu = _require_cantor_measure(mu)
+    ball = _sampled_ball(system, mu, x, m, n, horizon)
+    target = column_trace(system, x, m, horizon)
+    return _block_estimates(system, mu, [ball], [target], m, n, horizon, n_samples, [seed])[0]
+
+
+def _sampled_ball(system, mu, x, m, n, horizon) -> Cylinder:
+    """B_n(x), once it has positive measure and x is valid on the window its draws cover."""
     ball = ball_cylinder(x, n)
     if mu.cylinder_probability(ball) == 0.0:
         raise NullBall(f"conditioning ball of radius 1/{n} has measure zero")
-    rho = dependence_radius(system, m, horizon)
-    radius = max(n, rho)
+    radius = max(n, dependence_radius(system, m, horizon))
     if x.radius < radius:
         raise InsufficientRadius(f"need valid radius {radius}, have {x.radius}")
-    target = target or column_trace(system, x, m, horizon)
-    pieces = mu.pieces(x.sided, radius, n_samples, substream(seed, 0), ball)
-    planes = pack_planes(system, pieces, (n_samples, window_size(x.sided, radius)))
-    p_hat = float(trace_agreement_batch(system, target, planes, n_samples, m, radius).mean())
-    return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
+    return ball
+
+
+def _block_estimates(system, mu, balls, targets, m, n, horizon, n_samples, seeds) -> list[RatioEstimate]:
+    """One estimate per cell (ball B_n(x), x's trace, seed) at one n.
+
+    Each cell draws n_samples rows from its own `substream(seed, 0)`; the
+    block's rows are packed, stepped and checked against their own traces
+    together, and each p_hat is the cell's count over n_samples.
+    """
+    sided = balls[0].sided
+    radius = max(n, dependence_radius(system, m, horizon))
+    pieces = mu.group_pieces(sided, radius, n_samples, [substream(s, 0) for s in seeds], balls)
+    planes = pack_planes(system, pieces, (len(balls), n_samples, window_size(sided, radius)))
+    agree = trace_agreement_batch(system, targets, planes, n_samples, m, radius)
+    counts = agree.reshape(len(balls), n_samples).sum(axis=1).tolist()
+    return [
+        RatioEstimate(c / n_samples, _binomial_stderr(c / n_samples, n_samples), n_samples, s, m, n, horizon)
+        for c, s in zip(counts, seeds)
+    ]
 
 
 @dataclass(frozen=True)
@@ -305,7 +326,10 @@ def mu_equicontinuity_report(
     largest n reaches 1 - delta. Exact enumeration is used whenever the
     dependence window fits under the cap; otherwise each (point, n) cell is
     estimated with its own derived seed, so no cell's draws depend on another's.
-    Each point's column trace is computed once and serves all its cells.
+    The sampled cells keep their own streams but are packed, stepped and
+    checked in blocks of one n and at most `_BLOCK_ROWS` rows, so memory
+    follows the block, not points x n_samples. Each point's column trace is
+    computed once and serves all its cells.
     """
     if points < 1:
         raise ValueError("need at least one base point")
@@ -327,26 +351,36 @@ def mu_equicontinuity_report(
         sided = system_sided(system)
         radius = max(max(ns), dependence_radius(system, m, horizon))
         use_exact = exact_fits(system, m, horizon, cap)
+        if not use_exact and n_samples < 1:
+            raise ValueError("need at least one sample")
 
-        def cantor_curve(i: int) -> PointCurve:
+        labels, targets, balls, curves = [], [], [], []
+        for i in range(points):
             x = cantor_mu.sample_config(sided, radius, substream(seed, 0, i))
             label = word_to_str(x.symbols, x.alphabet)
             target = column_trace(system, x, m, horizon)
             if use_exact:
                 ratios = tuple(_ratio_exact(system, cantor_mu, x, m, n, horizon, cap, target) for n in ns)
-                return PointCurve(point=label, ratios=ratios, exact=True, stderrs=None)
-            ests = [
-                _ratio_estimate(system, cantor_mu, x, m, n, horizon, n_samples, derive_seed(seed, 1, i, j), target)
-                for j, n in enumerate(ns)
+                curves.append(PointCurve(point=label, ratios=ratios, exact=True, stderrs=None))
+            else:  # every sampled cell is checked, in (point, n) order, before any draw
+                labels.append(label)
+                targets.append(target)
+                balls.append([_sampled_ball(system, cantor_mu, x, m, n, horizon) for n in ns])
+        if not use_exact:
+            block = max(1, _BLOCK_ROWS // n_samples)
+            ests = [[] for _ in ns]  # ests[j]: the estimates of every point at ns[j]
+            for j, n in enumerate(ns):
+                for lo in range(0, points, block):
+                    cells = range(lo, min(points, lo + block))
+                    ests[j] += _block_estimates(
+                        system, cantor_mu, [balls[i][j] for i in cells], targets[lo : cells.stop],
+                        m, n, horizon, n_samples, [derive_seed(seed, 1, i, j) for i in cells],
+                    )
+            curves = [
+                PointCurve(point=label, ratios=tuple(e.p_hat for e in row), exact=False,
+                           stderrs=tuple(e.stderr for e in row))
+                for label, row in zip(labels, zip(*ests))
             ]
-            return PointCurve(
-                point=label,
-                ratios=tuple(e.p_hat for e in ests),
-                exact=False,
-                stderrs=tuple(e.stderr for e in ests),
-            )
-
-        curves = [cantor_curve(i) for i in range(points)]
 
     hits = sum(1 for c in curves if c.ratios[-1] >= 1.0 - delta)
     return EquicontinuityReport(

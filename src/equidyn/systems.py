@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -412,28 +412,35 @@ def pack_bits(flags: np.ndarray) -> np.ndarray:
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """The first n flags of a packed vector, as booleans."""
-    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(bool)
+    """The first n flags of each packed vector (last axis), as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").astype(bool)
 
 
-def pack_planes(system: CantorSystem, rows, shape: tuple[int, int] | None = None) -> np.ndarray:
+def pack_planes(system: CantorSystem, rows, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """One-hot bit planes (|A| x cells x words) of int rows, or of the
-    column pieces (cell, symbols of every row) of rows of `shape`."""
+    column pieces (cell, symbols of every row) of rows of `shape`.
+
+    With `shape` (groups, n, cells) the columns are (groups, n) and each
+    group's rows start on a word boundary: group g holds words g w .. g w +
+    w - 1, w = ceil(n / 64), and the padding bits of each group stay clear.
+    """
     if isinstance(rows, np.ndarray):
         rows, shape = enumerate(rows.T), rows.shape
-    n, cells = shape
-    symbols = np.arange(system.alphabet.size)[:, None]
-    planes = np.zeros((len(symbols), cells, -(-n // 64)), dtype=np.uint64)
+    *groups, n, cells = shape
+    g = groups[0] if groups else 1
+    symbols = np.arange(system.alphabet.size, dtype=np.uint8)[:, None, None]
+    planes = np.zeros((len(symbols), cells, g, -(-n // 64)), dtype=np.uint64)
     octets = planes.view(np.uint8)  # bit i of a word is bit i % 8 of its octet i // 8, as in pack_bits
     mask = pack_bits(np.ones(n, dtype=bool))
     for j, column in rows:
-        if n and column.strides == (0,):  # one symbol in every row: check it once, set its plane
-            check_cells(system, column[:1, None], j)
-            planes[column[0], j] = mask
+        column = column.reshape(g, n)
+        if n and column.strides[-1] == 0:  # one symbol per group: check it once, set its plane
+            check_cells(system, column[:, :1], j)
+            planes[column[:, 0], j, np.arange(g)] = mask
         else:
-            check_cells(system, column[:, None], j)
-            octets[:, j, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
-    return planes
+            check_cells(system, column.reshape(-1, 1), j)
+            octets[:, j, :, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
+    return planes.reshape(len(symbols), cells, -1)
 
 
 def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
@@ -467,38 +474,41 @@ def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
 
 def trace_agreement_batch(
     system: CantorSystem,
-    trace_words: Sequence[tuple[int, ...]],
+    trace_words,
     planes: np.ndarray,
     n: int,
     m: int,
     covered_radius: int,
 ) -> np.ndarray:
-    """Boolean mask over the n rows of `planes`: does the row's column trace equal `trace_words`?
+    """Boolean mask over the rows of `planes`: does the row's column trace equal `trace_words`?
 
     The planes (`pack_planes`) must cover W_covered_radius with covered_radius
-    at least the dependence radius for (m, len(trace_words) - 1).
+    at least the dependence radius for (m, len(trace_words) - 1). For planes
+    packed in groups of n rows, `trace_words` holds one trace per group, and
+    the mask lists the n rows of group 0, then those of group 1, and so on.
     """
-    horizon = len(trace_words) - 1
+    targets = np.asarray(trace_words, dtype=np.int64)
+    targets = targets if targets.ndim == 3 else targets[None]
+    groups, horizon = len(targets), targets.shape[1] - 1
     sided = system_sided(system)
     need = dependence_radius(system, m, horizon)
     if covered_radius < need:
         raise InsufficientRadius(
             f"batch covers radius {covered_radius}, trace needs {need}"
         )
-    alive = pack_bits(np.ones(n, dtype=bool))  # padding bits start, and stay, clear
+    bad = ((targets < 0) | (targets >= len(planes))).any(axis=(1, 2))  # a symbol no row can hold
+    alive = np.where(bad[:, None], np.uint64(0), pack_bits(np.ones(n, dtype=bool)))  # padding bits stay clear
+    targets = targets.clip(0, len(planes) - 1)
+    cells, members = np.arange(targets.shape[2]), np.arange(groups)[:, None]
     radius = covered_radius
-    for i, target in enumerate(trace_words):
-        target = np.asarray(target, dtype=np.int64)
-        if ((target < 0) | (target >= len(planes))).any():
-            alive[:] = 0  # a symbol no row can hold
-            break
-        win = window_slice(sided, radius, m, planes)
-        alive &= np.bitwise_and.reduce(win[target, np.arange(len(target))], axis=0)
+    for i in range(horizon + 1):
+        win = window_slice(sided, radius, m, planes).reshape(len(planes), len(cells), groups, -1)
+        alive &= np.bitwise_and.reduce(win[targets[:, i], cells, members], axis=1)
         if not alive.any() or i == horizon:
             break
         planes = step_planes(system, planes)
         radius -= step_cost(system)
-    return unpack_bits(alive, n)
+    return unpack_bits(alive, n).reshape(-1)
 
 
 # -- external interface --------------------------------------------------------

@@ -511,6 +511,75 @@ class TestNullPoint:
         assert (tmp_path / "null.csv").read_bytes() == (tmp_path / "absent.csv").read_bytes()
 
 
+def without_field(cfg, path):
+    """Deep copy of `cfg` without the dotted `path` (if it is there)."""
+    out = copy.deepcopy(cfg)
+    *parents, last = path.split(".")
+    node = out
+    for key in parents:
+        node = node[key]
+    node.pop(last, None)
+    return out
+
+
+NULL_OPTIONAL_CASES = [
+    ("density", DENSITY_CFG, "params.n_samples"),
+    ("density", DENSITY_CFG, "cap"),
+    ("density", DENSITY_CFG, "seed"),
+    ("classify", DENSITY_CFG, "params.points"),
+    ("classify", DENSITY_CFG, "params.delta"),
+    ("lep", LEP_CFG, "params.n_samples"),
+    ("lep", LEP_EQUI_CFG, "params.equi"),
+    ("lep", {**LEP_CFG, "params": {**LEP_CFG["params"], "equi": {"points": 3}}}, "params.equi.points"),
+    ("spectral", SPECTRAL_CFG, "params.n_samples"),
+    ("spectral", {**SPECTRAL_CFG, "params": {**SPECTRAL_CFG["params"], "k_list": [0, 1]}}, "params.k_list"),
+    ("spectral", {**SPECTRAL_CFG, "params": {**SPECTRAL_CFG["params"], "mode": "exact"}}, "params.mode"),
+    ("sensitivity", DICHOTOMY_CFG, "params.n_samples"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.points"),
+    ("dichotomy", DICHOTOMY_CFG, "params.delta_s"),
+    ("vitali", {**VITALI_CFG, "params": {**VITALI_CFG["params"], "sided": "one"}}, "params.sided"),
+    ("vitali", {**VITALI_CFG, "params": {**VITALI_CFG["params"], "eps": 0.0}}, "params.eps"),
+]
+
+NULL_REQUIRED_CASES = [
+    ("density", DENSITY_CFG, "params.m"),
+    ("density", DENSITY_CFG, "system"),
+    ("classify", DENSITY_CFG, "params.n_list"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.n_list"),
+    ("vitali", VITALI_CFG, "params.cylinders"),
+]
+
+
+class TestNullFields:
+    """`null` is an absent field, whichever field it is."""
+
+    @pytest.mark.parametrize("command,cfg,path", NULL_OPTIONAL_CASES,
+                             ids=["-".join(case[::2]) for case in NULL_OPTIONAL_CASES])
+    def test_null_optional_field_reads_as_absent(self, tmp_path, command, cfg, path):
+        absent, null = tmp_path / "absent.json", tmp_path / "null.json"
+        cfg_absent = without_field(cfg, path)
+        assert run([command, "--config", write_cfg(tmp_path, cfg_absent, "a.json"), "--out", absent]) == 0
+        assert run([command, "--config", write_cfg(tmp_path, with_field(cfg, path, None), "n.json"), "--out", null]) == 0
+        # a params field is echoed as given; the echo of `cap` and `seed` is the resolved value
+        payload = json.loads(null.read_text())
+        if path.startswith("params."):
+            node = payload["config"]
+            *parents, last = path.split(".")
+            for key in parents:
+                node = node[key]
+            assert node.pop(last) is None
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == absent.read_text()
+        assert (tmp_path / "null.csv").read_bytes() == (tmp_path / "absent.csv").read_bytes()
+
+    @pytest.mark.parametrize("command,cfg,path", NULL_REQUIRED_CASES,
+                             ids=["-".join(case[::2]) for case in NULL_REQUIRED_CASES])
+    def test_null_required_field_is_missing(self, tmp_path, capsys, command, cfg, path):
+        cfg_null = with_field(cfg, path, None)
+        assert run([command, "--config", write_cfg(tmp_path, cfg_null), "--out", tmp_path / "x.json"]) == 2
+        assert f"invalid config field '{path}': missing" in capsys.readouterr().err
+
+
 # every report field that holds probabilities, in every command
 PROB_KEYS = {
     "fraction", "ratios", "stderrs", "certified_fraction", "lp_fraction", "p_hat", "stderr",

@@ -28,7 +28,7 @@ from equidyn import (
     vitali_cover,
     window_size,
 )
-from equidyn.measures import _kernel_column, uncovered_mass
+from equidyn.measures import _GATHER_ROWS, _kernel_column, uncovered_mass
 from equidyn.rng import substream
 from equidyn.systems import Odometer, check_cells
 from oracles import cumulative, oracle_cylinder_probability, oracle_sample_batch
@@ -499,12 +499,13 @@ class TestKernelColumn:
         [[0.5, 0.25, 0.25], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]],
         [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],  # repeated cumulative entries
     ])
-    def test_matches_the_two_dimensional_sum(self, P):
+    @pytest.mark.parametrize("rows", (_GATHER_ROWS, 5000))  # gathered thresholds, then masks
+    def test_matches_the_two_dimensional_sum(self, P, rows):
         mu = MarkovMeasure(P)
         size = mu.alphabet.size
         rng = np.random.default_rng(size)
-        prev = rng.integers(0, size, 5000)
-        u = rng.random(5000)
+        prev = rng.integers(0, size, rows)
+        u = rng.random(rows)
         for cum in (mu._law.cum_forward, mu._law.cum_reverse):
             # ties: uniforms landing exactly on a cumulative entry, and on 0
             u[:size * size] = cum[np.repeat(np.arange(size), size), np.tile(np.arange(size), size)]

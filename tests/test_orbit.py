@@ -31,8 +31,9 @@ from equidyn import (
     mu_equicontinuity_report,
     orbit_ball_event,
 )
-from equidyn.core import count_words, iter_words, subword, window_cells
-from equidyn.rng import substream
+import equidyn.orbit
+from equidyn.core import count_words, iter_words, subword, window_cells, window_size, word_to_str
+from equidyn.rng import derive_seed, substream
 from equidyn.systems import cell_sizes, column_trace, dependence_radius, system_sided
 from oracles import scalar_column_trace, scalar_step
 
@@ -375,3 +376,64 @@ class TestScalarOracle:
             tracemalloc.stop()
         assert ev.words == {(0,) * 23}
         assert peak < 1 << 20
+
+
+# -- sampled cells in blocks ---------------------------------------------------------
+#
+# The sampled report packs, steps and checks a block of cells at one n
+# together; every cell must read exactly what its own one-point estimate reads.
+
+def assert_report_matches_cells(system, mu, m, ns, horizon, points, n_samples, seed):
+    report = mu_equicontinuity_report(system, mu, m, ns, horizon, points=points,
+                                      n_samples=n_samples, seed=seed, cap=1)
+    radius = max(max(ns), dependence_radius(system, m, horizon))
+    for i, curve in enumerate(report.curves):
+        x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
+        assert not curve.exact and curve.point == word_to_str(x.symbols, x.alphabet)
+        for j, n in enumerate(ns):
+            est = density_ratio_estimate(system, mu, x, m, n, horizon, n_samples=n_samples,
+                                         seed=derive_seed(seed, 1, i, j))
+            assert (curve.ratios[j], curve.stderrs[j]) == (est.p_hat, est.stderr), (i, n)
+
+
+BLOCK_CASES = [
+    (eca_rule(110), MARKOV),
+    (eca_rule(30), BernoulliMeasure([0.3, 0.7])),
+    (seeded_one_sided_ca3(), BernoulliMeasure([0.2, 0.3, 0.5])),
+    (Shift(A2), MARKOV),
+    (Odometer((2, 3)), ProductMeasure((2, 3))),
+]
+
+
+@pytest.mark.parametrize("system,mu", BLOCK_CASES, ids=["eca110-markov", "eca30-bernoulli", "ca3", "shift", "odometer"])
+@pytest.mark.parametrize("n_samples", (1, 63, 64, 65))  # padding words, or none
+def test_blocks_read_what_each_cell_reads(monkeypatch, system, mu, n_samples):
+    # three cells to a block: five points make one full block and one partial
+    monkeypatch.setattr(equidyn.orbit, "_BLOCK_ROWS", 3 * n_samples + n_samples // 2)
+    assert_report_matches_cells(system, mu, 1, [1, 2, 4], 2, points=5, n_samples=n_samples, seed=n_samples)
+
+
+def test_blocks_at_the_real_block_size():
+    n_samples = equidyn.orbit._BLOCK_ROWS // 2 - 1  # two cells to a block
+    assert_report_matches_cells(eca_rule(110), MARKOV, 1, [1, 3], 2, points=3, n_samples=n_samples, seed=5)
+
+
+def test_sampled_report_memory_follows_the_block():
+    n_samples = equidyn.orbit._BLOCK_ROWS // 4  # four cells to a block
+    system, m, horizon, ns = eca_rule(110), 1, 2, [1]
+
+    def peak(points):
+        run = lambda: mu_equicontinuity_report(system, MARKOV, m, ns, horizon, points=points,
+                                               n_samples=n_samples, seed=2, cap=1)
+        run()  # warm caches
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cells = window_size("two", max(max(ns), dependence_radius(system, m, horizon)))
+    planes = 2 * cells * 4 * (n_samples // 64) * 8
+    uniforms = 4 * n_samples * 8
+    assert peak(64) <= peak(8) + planes + uniforms
