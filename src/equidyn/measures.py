@@ -16,7 +16,7 @@ generator makes them, one `random(n)` per cell: unconditioned draws run
 rightward from the first cell; draws given a cylinder keep its word, each
 cell a constant column (one symbol, stride zero, no draw), then run
 rightward and leftward from it. So a one-row draw reads its uniforms in the
-order of `random(k)`. `group_pieces` draws for several generators at once,
+order of `random(k)`. `pieces` draws for a list of generators at once,
 each from its own stream in that order, in (group, n) columns. Symbols are
 uint8 (an alphabet has at most 256). `sample_batch` and `conditional_batch`
 write the pieces into int rows; `systems.pack_planes` packs them into bit
@@ -52,8 +52,6 @@ from .core import (
 from .errors import AlphabetMismatch, EnumerationTooLarge, NullCylinder
 
 Piece = tuple[int, np.ndarray]  # (window column, that column's symbols in every row, as uint8)
-
-_GATHER_ROWS = 2048  # kernel columns this long or shorter gather their thresholds
 
 
 def _prob_product(fs: list[float]) -> float:
@@ -93,23 +91,13 @@ def _kernel_column(cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarr
     """Next symbols after `prev` (in its dtype), inverting the cumulative kernel rows `cum` at `u`.
 
     Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
-    j < |A| - 1 is the inverse CDF capped at the last symbol. Up to
-    `_GATHER_ROWS` rows gather their thresholds. Past that a gather's index
-    and threshold temporaries (8 bytes a row each, which the allocator may
-    hand back to the system and fault in again) cost more than boolean
-    masks, so the rows where prev is s test u >= cum[s, j] under a mask. A
-    `prev` constant along its last axis gathers once per group.
+    j < |A| - 1 is the inverse CDF capped at the last symbol. A `prev`
+    constant along its last axis gathers its thresholds once per group.
     """
     prev = prev[..., :1] if prev.strides[-1] == 0 else prev
-    where = None if prev.size <= _GATHER_ROWS else [prev == s for s in range(1, len(cum))]
-    for j in range(cum.shape[1] - 1):
-        if where is None:
-            hit = u >= cum[:, j].take(prev)
-        else:
-            hit = u >= cum[0, j]
-            for s, rows in enumerate(where, 1):
-                hit ^= ((u >= cum[s, j]) ^ hit) & rows  # u >= cum[s, j] where prev is s
-        out = hit.astype(prev.dtype) if j == 0 else out + hit
+    out = (u >= cum[:, 0].take(prev)).astype(prev.dtype)
+    for j in range(1, cum.shape[1] - 1):
+        out += u >= cum[:, j].take(prev)
     return out
 
 
@@ -162,15 +150,10 @@ class _CylinderMeasure:
         """A one-row `sample_batch`."""
         return Configuration(self.alphabet, sided, self.sample_batch(sided, radius, 1, rng)[0])
 
-    def pieces(self, sided: str, radius: int, n: int, rng: np.random.Generator, given: Cylinder | None = None):
-        """n words on W_radius from `rng`, given the cylinder `given` if any, as pieces in draw order."""
-        columns = self.group_pieces(sided, radius, n, [rng], None if given is None else [given])
-        return ((j, column[0]) for j, column in columns)
-
-    def group_pieces(self, sided: str, radius: int, n: int, rngs, given=None):
-        """`pieces` for each generator of `rngs` at once, member g given the
-        cylinder given[g] if `given` lists them (all of one radius): pieces in
-        draw order whose columns are (len(rngs), n)."""
+    def pieces(self, sided: str, radius: int, n: int, rngs, given=None):
+        """n words on W_radius from each generator of `rngs`, member g given
+        the cylinder given[g] if `given` lists them (all of one radius), as
+        pieces in draw order whose columns are (len(rngs), n)."""
         for c in given or ():
             self._check_cylinder(c)
             if radius < c.radius:
@@ -188,11 +171,9 @@ class _CylinderMeasure:
         forward kernels rightward and the reversed kernels leftward. Every
         member reads one `random(n)` per drawn column from its own generator."""
         laws = self._laws(sided, radius)
-        u = np.empty((len(rngs), n)) if len(rngs) > 1 else None
+        u = np.empty((len(rngs), n))
 
-        def uniforms():  # a lone generator's own random(n); a group's written in place
-            if u is None:
-                return rngs[0].random(n)[None]
+        def uniforms():  # each member's random(n), written in place
             for rng, row in zip(rngs, u):
                 rng.random(out=row)
             return u
@@ -213,10 +194,10 @@ class _CylinderMeasure:
             yield j, left
 
     def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _rows(self.group_pieces(sided, radius, n, [rng]), n, window_size(sided, radius))
+        return _rows(self.pieces(sided, radius, n, [rng]), n, window_size(sided, radius))
 
     def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _rows(self.group_pieces(c.sided, radius, n, [rng], [c]), n, window_size(c.sided, radius))
+        return _rows(self.pieces(c.sided, radius, n, [rng], [c]), n, window_size(c.sided, radius))
 
 
 class BernoulliMeasure(_CylinderMeasure):

@@ -273,7 +273,7 @@ def _block_estimates(system, mu, balls, targets, m, n, horizon, n_samples, seeds
     """
     sided = balls[0].sided
     radius = max(n, dependence_radius(system, m, horizon))
-    pieces = mu.group_pieces(sided, radius, n_samples, [substream(s, 0) for s in seeds], balls)
+    pieces = mu.pieces(sided, radius, n_samples, [substream(s, 0) for s in seeds], balls)
     planes = pack_planes(system, pieces, (len(balls), n_samples, window_size(sided, radius)))
     agree = trace_agreement_batch(system, targets, planes, n_samples, m, radius)
     counts = agree.reshape(len(balls), n_samples).sum(axis=1).tolist()

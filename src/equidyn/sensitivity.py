@@ -92,8 +92,8 @@ def mu_sensitivity_estimate(
         cost = step_cost(system)
         radius = w + cost * horizon
         shape = (n_samples, window_size(sided, radius))
-        px = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, substream(seed, 0)), shape)
-        py = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, substream(seed, 1)), shape)
+        px = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, [substream(seed, 0)]), shape)
+        py = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, [substream(seed, 1)]), shape)
         everyone = pack_bits(np.ones(n_samples, dtype=bool))  # padding bits clear
         separated = np.zeros_like(everyone)
         cur = radius

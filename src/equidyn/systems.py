@@ -480,15 +480,15 @@ def trace_agreement_batch(
     m: int,
     covered_radius: int,
 ) -> np.ndarray:
-    """Boolean mask over the rows of `planes`: does the row's column trace equal `trace_words`?
+    """Boolean mask over the rows of `planes`: does the row's column trace equal its group's trace?
 
-    The planes (`pack_planes`) must cover W_covered_radius with covered_radius
-    at least the dependence radius for (m, len(trace_words) - 1). For planes
-    packed in groups of n rows, `trace_words` holds one trace per group, and
-    the mask lists the n rows of group 0, then those of group 1, and so on.
+    The planes (`pack_planes`) are packed in groups of n rows, and
+    `trace_words` holds one trace per group. They must cover
+    W_covered_radius with covered_radius at least the dependence radius for
+    (m, horizon). The mask lists the n rows of group 0, then those of
+    group 1, and so on.
     """
     targets = np.asarray(trace_words, dtype=np.int64)
-    targets = targets if targets.ndim == 3 else targets[None]
     groups, horizon = len(targets), targets.shape[1] - 1
     sided = system_sided(system)
     need = dependence_radius(system, m, horizon)

@@ -65,7 +65,7 @@ class TestPiecesMatchWholeArrays:
         got = mu.sample_batch(sided, RADIUS, n, substream(n, 1))
         assert got.dtype == np.int64 and got.shape == (n, window_size(sided, RADIUS))
         assert np.array_equal(got, want)
-        planes = pack_planes(packer(mu), mu.pieces(sided, RADIUS, n, substream(n, 1)), want.shape)
+        planes = pack_planes(packer(mu), mu.pieces(sided, RADIUS, n, [substream(n, 1)]), want.shape)
         assert np.array_equal(planes, pack_planes(packer(mu), want))  # padding bits included
 
     @pytest.mark.parametrize("inner", (0, 2))
@@ -75,7 +75,7 @@ class TestPiecesMatchWholeArrays:
         want = oracle_conditional_batch(mu, c, RADIUS, n, substream(n, 2))
         got = mu.conditional_batch(c, RADIUS, n, substream(n, 2))
         assert got.dtype == np.int64 and np.array_equal(got, want)
-        planes = pack_planes(packer(mu), mu.pieces(sided, RADIUS, n, substream(n, 2), c), want.shape)
+        planes = pack_planes(packer(mu), mu.pieces(sided, RADIUS, n, [substream(n, 2)], [c]), want.shape)
         assert np.array_equal(planes, pack_planes(packer(mu), want))
 
 
@@ -85,8 +85,8 @@ class TestPiecesMatchWholeArrays:
 def test_conditioned_pieces_pack_like_conditional_batch(name, sided, n, inner):
     mu = MEASURES[name]
     c = given(mu, sided, inner, seed=n + inner)
-    pieces = list(mu.pieces(sided, RADIUS, n, substream(n, 3), c))
-    assert all(column.strides == (0,) for _, column in pieces[: len(c.word)])  # the given cells are constant columns
+    pieces = list(mu.pieces(sided, RADIUS, n, [substream(n, 3)], [c]))
+    assert all(column.strides[-1] == 0 for _, column in pieces[: len(c.word)])  # the given cells are constant columns
     rows = mu.conditional_batch(c, RADIUS, n, substream(n, 3))
     assert np.array_equal(pack_planes(packer(mu), pieces, rows.shape), pack_planes(packer(mu), rows))
 
@@ -96,24 +96,24 @@ def test_piece_shapes_follow_the_draw_order(name, sided):
     mu, n = MEASURES[name], 4101
     k = window_size(sided, RADIUS)
     for pieces in (
-        list(mu.pieces(sided, RADIUS, n, substream(3, 0))),
-        list(mu.pieces(sided, RADIUS, n, substream(3, 0), given(mu, sided, 1, seed=3))),
+        list(mu.pieces(sided, RADIUS, n, [substream(3, 0)])),
+        list(mu.pieces(sided, RADIUS, n, [substream(3, 0)], [given(mu, sided, 1, seed=3)])),
     ):
-        # one call per cell, whatever the measure: one column of all rows
+        # one call per cell, whatever the measure: one column of the generator's rows
         assert sorted(j for j, _ in pieces) == list(range(k))
-        assert all(column.shape == (n,) for _, column in pieces)
+        assert all(column.shape == (1, n) for _, column in pieces)
 
 
 def test_given_cylinder_must_match_the_side():
     c = Cylinder(Alphabet(2), "two", 1, (1, 0, 1))
     with pytest.raises(ValueError, match="sided"):
-        MARKOV.pieces("one", 3, 10, substream(0, 0), c)
+        MARKOV.pieces("one", 3, 10, [substream(0, 0)], [c])
 
 
 def test_markov_pieces_come_in_draw_order():
     # the given word, then rightward, then leftward: the order of the random(n) calls
     c = Cylinder(Alphabet(2), "two", 1, (1, 0, 1))
-    cells = [j for j, _ in MARKOV.pieces("two", 3, 10, substream(0, 0), c)]
+    cells = [j for j, _ in MARKOV.pieces("two", 3, 10, [substream(0, 0)], [c])]
     assert cells == [2, 3, 4, 5, 6, 1, 0]
 
 

@@ -200,7 +200,7 @@ def test_trace_agreement_matches_scalar_traces(system, m, horizon, n, extra):
     for base in (0, n // 3, n - 1):
         x = Configuration(system.alphabet, sided, tuple(rows[base].tolist()))
         target = column_trace(system, x, m, horizon)
-        got = trace_agreement_batch(system, target, pack_planes(system, rows), n, m, radius)
+        got = trace_agreement_batch(system, [target], pack_planes(system, rows), n, m, radius)
         assert got.dtype == bool and got.shape == (n,)
         assert got[base]
         assert np.array_equal(got, scalar_agreement(system, rows, target, m))
@@ -213,14 +213,14 @@ def test_every_row_dies_at_time_zero(n, monkeypatch):
     target = [(1, 0, 0)] + [(0, 0, 0)] * 2
     calls = []
     monkeypatch.setattr(equidyn.systems, "step_planes", lambda *a: calls.append(1) or step_planes(*a))
-    got = trace_agreement_batch(system, target, pack_planes(system, rows), n, 1, 3)
+    got = trace_agreement_batch(system, [target], pack_planes(system, rows), n, 1, 3)
     assert not got.any() and got.shape == (n,)
     assert calls == []  # the empty alive vector, padding included, stops the loop
 
 
 def test_target_symbol_outside_the_alphabet_matches_no_row():
     rows = np.zeros((70, 3), dtype=np.int64)
-    assert not trace_agreement_batch(eca_rule(204), [(0, 2, 0)], pack_planes(eca_rule(204), rows), 70, 1, 1).any()
+    assert not trace_agreement_batch(eca_rule(204), [[(0, 2, 0)]], pack_planes(eca_rule(204), rows), 70, 1, 1).any()
 
 
 # -- sensitivity ----------------------------------------------------------------

@@ -214,7 +214,7 @@ class TestBatch:
         trace = column_trace(rule, x, m, horizon)
         words = list(itertools.product(range(2), repeat=2 * rho + 1))
         arr = np.array(words, dtype=np.int64)
-        agree = trace_agreement_batch(rule, trace, pack_planes(rule, arr), len(arr), m, rho)
+        agree = trace_agreement_batch(rule, [trace], pack_planes(rule, arr), len(arr), m, rho)
         want = scalar_column_trace(rule, x, m, horizon)
         for word, flag in zip(words, agree):
             y = Configuration(A2, "two", word)
