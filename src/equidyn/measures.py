@@ -75,12 +75,6 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
     return np.where(np.arange(k) >= np.expand_dims(last, -1), 1.0, np.cumsum(probs, axis=-1))
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symbols drawn by inverting the cumulative row `cum` at uniforms `u`, one byte each."""
-    out = np.searchsorted(cum, u, side="right")
-    return np.minimum(out, len(cum) - 1).astype(np.uint8)
-
-
 def _constant(symbols: np.ndarray, n: int) -> np.ndarray:
     """The (group, n) column whose row g holds symbols[g] n times, at stride zero
     along the rows; `symbols` is a contiguous uint8 array."""
@@ -146,6 +140,21 @@ class _CylinderMeasure:
         factors.extend(law.forward[a][b] for law, a, b in zip(laws[1:], w, w[1:]))
         return _prob_product(factors)
 
+    def row_probabilities(self, sided: str, radius: int, rows: np.ndarray) -> np.ndarray:
+        """`cylinder_probability` of the cylinder of each int row on W_radius, to the bit.
+
+        Up to 64 cells, one float64 product per row in the same left-to-right
+        order; past that, the scalar log-space product row by row.
+        """
+        laws = self._laws(self._check_sided(sided), radius)
+        if len(laws) > 64:
+            return np.array([self.cylinder_probability(Cylinder(self.alphabet, sided, radius, w))
+                             for w in map(tuple, rows.tolist())])
+        out = np.asarray(laws[0].first)[rows[:, 0]]
+        for j in range(1, len(laws)):
+            out = out * np.asarray(laws[j].forward)[rows[:, j - 1], rows[:, j]]
+        return out
+
     def sample_config(self, sided: str, radius: int, rng: np.random.Generator) -> Configuration:
         """A one-row `sample_batch`."""
         return Configuration(self.alphabet, sided, self.sample_batch(sided, radius, 1, rng)[0])
@@ -183,7 +192,8 @@ class _CylinderMeasure:
         lo = 0 if given is None or sided == ONE_SIDED else radius - given[0].radius  # given's first column
         hi = lo + (1 if given is None else len(words))
         for j in range(lo, hi):
-            right = _inverse_cdf(laws[0].cum_first, uniforms()) if given is None else _constant(words[j - lo], n)
+            right = (_kernel_column(laws[0].cum_first[None], _constant(np.zeros(len(rngs), np.uint8), n), uniforms())
+                     if given is None else _constant(words[j - lo], n))
             yield j, right
         for j in range(hi, len(laws)):
             right = _kernel_column(laws[j].cum_forward, right, uniforms())

@@ -4,9 +4,10 @@ The orbit ball B_{m,T}(x) collects the points whose column trace at
 resolution m equals x's for all times 0..T. On configuration spaces it is a
 finite union of cylinders on the dependence window W_rho, so conditional
 measures of the form mu(B_{m,T}(x) | B_n(x)) have an exact path (a pruned
-frontier search over numpy rows; `cap` bounds the nominal W_rho word count
-up front, see `exact_fits`, and memory follows the surviving rows) next to
-the Monte Carlo path (sample the conditioning ball, count trace agreement).
+frontier search over numpy rows, run for a block of cells at once; `cap`
+bounds the nominal W_rho word count of one block of cells up front, see
+`exact_fits`, and memory follows the surviving rows) next to the Monte
+Carlo path (sample the conditioning ball, count trace agreement).
 Rotations get the analytic arc formulas instead; their orbit balls equal
 plain balls at every horizon.
 """
@@ -88,17 +89,20 @@ def _check_cap(system: CantorSystem, m: int, horizon: int, cap: int) -> None:
         raise EnumerationTooLarge(_nominal_words(system, m, horizon), cap, "orbit ball enumeration")
 
 
-def _trace_frontier(system: CantorSystem, x: Configuration, m: int, k: int, target) -> np.ndarray:
-    """Rows on W_rho that extend x's word on W_k and reproduce x's trace `target`.
+def _trace_frontier(system: CantorSystem, m: int, k: int, bases: np.ndarray, targets: np.ndarray):
+    """Rows on W_rho that extend cell c's word bases[c] on W_k and reproduce its
+    trace targets[c] (a (T + 1, |W_m|) array), with each row's cell, ascending.
 
     Time t widens the rows to W_{max(k, m + c t)}, c = step_cost, with every
-    symbol on the new cells, and keeps those whose t-th image matches x's trace
-    on W_m. Widening changes no earlier trace word but forces fresh images.
+    symbol on the new cells, and keeps those whose t-th image matches their
+    own cell's trace on W_m. Widening changes no earlier trace word but forces
+    fresh images.
     """
     sided, cost = system_sided(system), step_cost(system)
-    rows = cur = np.array([x.window(k)], dtype=np.int64)
+    rows = cur = bases
+    cell = np.arange(len(bases))
     radius = k
-    for t in range(1, len(target)):
+    for t in range(1, targets.shape[1]):
         wider = max(k, m + cost * t)
         if wider > radius:
             left = list(range(-wider, -radius)) if sided == TWO_SIDED else []
@@ -106,13 +110,14 @@ def _trace_frontier(system: CantorSystem, x: Configuration, m: int, k: int, targ
             combos = np.array(list(iter_words(cell_sizes(system, new))), dtype=np.int64)
             fresh = np.tile(combos, (len(rows), 1))
             rows = np.hstack([fresh[:, : len(left)], np.repeat(rows, len(combos), axis=0), fresh[:, len(left) :]])
+            cell = np.repeat(cell, len(combos))
             radius, cur = wider, rows
             for _ in range(t - 1):
                 cur = step_batch(system, cur)
         cur = step_batch(system, cur)
-        keep = (window_slice(sided, radius - cost * t, m, cur) == target[t]).all(axis=1)
-        rows, cur = rows[keep], cur[keep]
-    return rows
+        keep = (window_slice(sided, radius - cost * t, m, cur) == targets[cell, t]).all(axis=1)
+        rows, cur, cell = rows[keep], cur[keep], cell[keep]
+    return rows, cell
 
 
 def orbit_ball_event(
@@ -127,7 +132,8 @@ def orbit_ball_event(
         raise UnsupportedSystem("rotation orbit balls are arcs, not cylinder events")
     rho = dependence_radius(system, m, horizon)
     _check_cap(system, m, horizon, cap)
-    rows = _trace_frontier(system, x, m, m, column_trace(system, x, m, horizon))
+    target = np.array([column_trace(system, x, m, horizon)], dtype=np.int64)
+    rows, _ = _trace_frontier(system, m, m, target[:, 0], target)
     return OrbitBallEvent(
         sided=system_sided(system),
         m=m,
@@ -161,41 +167,44 @@ def density_ratio_exact(
     horizon: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
-    """mu(B_{m,horizon}(x) intersect B_n(x)) / mu(B_n(x)), computed exactly."""
-    return _ratio_exact(system, mu, x, m, n, horizon, cap, None)
-
-
-def _ratio_exact(system, mu, x, m, n, horizon, cap, target) -> float:
-    """density_ratio_exact, given x's column trace (None: traced here if needed)."""
+    """mu(B_{m,horizon}(x) intersect B_n(x)) / mu(B_n(x)), computed exactly: a one-cell block."""
     if isinstance(system, Rotation):
         _require_lebesgue(mu)
         return _rotation_ratio(m, n)
     mu = _require_cantor_measure(mu)
-    ball = ball_cylinder(x, n)
-    mball = mu.cylinder_probability(ball)
-    if mball == 0.0:
-        raise NullBall(f"conditioning ball of radius 1/{n} has measure zero")
+    ball = _checked_ball(system, mu, x, m, n, horizon)
+    return _block_ratios(system, mu, [ball], [column_trace(system, x, m, horizon)], m, n, horizon, cap)[0]
+
+
+def _block_ratios(system, mu, balls, targets, m, n, horizon, cap) -> list[float]:
+    """The exact ratio of each cell (ball B_n(x), x's column trace) at one n.
+
+    One frontier runs for the whole block, and the kept rows' masses come
+    from one vectorized product; each ratio is the `math.fsum` of its own
+    cell's masses, so it does not depend on the block around it.
+    """
     rho = dependence_radius(system, m, horizon)
     if n >= rho:
         # the conditioning ball fixes the whole dependence window, and x's own
         # word reproduces x's trace, so every point of the ball is in the event
-        if x.radius < rho:
-            raise InsufficientRadius(f"need valid radius {rho}, have {x.radius}")
-        return 1.0
-    sided = system_sided(system)
+        return [1.0] * len(balls)
     _check_cap(system, m, horizon, cap)
-    rows = _trace_frontier(system, x, m, max(m, n), target or column_trace(system, x, m, horizon))
+    sided = system_sided(system)
+    targets = np.array(targets, dtype=np.int64)
+    # x's word on W_max(m, n): its ball's word, or its trace's first word
+    bases = np.array([b.word for b in balls], dtype=np.int64) if n >= m else targets[:, 0]
+    rows, cell = _trace_frontier(system, m, max(m, n), bases, targets)
+    masses = mu.row_probabilities(sided, rho, rows).tolist()
+    mballs = mu.row_probabilities(sided, n, np.array([b.word for b in balls], dtype=np.int64)).tolist()
     free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
-    if len(rows) == count_words(cell_sizes(system, free)):
-        # the event contains every extension of the ball word, so the ratio
-        # is 1 by inclusion; skip the float sum, whose rounding can land a
-        # hair below
-        return 1.0
-    masses = (
-        mu.cylinder_probability(Cylinder(system.alphabet, sided, rho, word))
-        for word in rows.tolist()
-    )
-    return math.fsum(masses) / mball
+    full = count_words(cell_sizes(system, free))
+    ends = np.cumsum(np.bincount(cell, minlength=len(balls))).tolist()
+    # a cell whose rows are every extension of its ball word has ratio 1 by
+    # inclusion; skip its float sum, whose rounding can land a hair below
+    return [
+        1.0 if hi - lo == full else math.fsum(masses[lo:hi]) / mball
+        for lo, hi, mball in zip([0] + ends, ends, mballs)
+    ]
 
 
 # rows of one block of sampled (point, n) cells, packed and stepped together:
@@ -248,13 +257,13 @@ def density_ratio_estimate(
         p_hat = float((dist <= 1.0 / m).mean())
         return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
     mu = _require_cantor_measure(mu)
-    ball = _sampled_ball(system, mu, x, m, n, horizon)
+    ball = _checked_ball(system, mu, x, m, n, horizon)
     target = column_trace(system, x, m, horizon)
     return _block_estimates(system, mu, [ball], [target], m, n, horizon, n_samples, [seed])[0]
 
 
-def _sampled_ball(system, mu, x, m, n, horizon) -> Cylinder:
-    """B_n(x), once it has positive measure and x is valid on the window its draws cover."""
+def _checked_ball(system, mu, x, m, n, horizon) -> Cylinder:
+    """B_n(x), once it has positive measure and x is valid on W_max(n, rho), which both routes read."""
     ball = ball_cylinder(x, n)
     if mu.cylinder_probability(ball) == 0.0:
         raise NullBall(f"conditioning ball of radius 1/{n} has measure zero")
@@ -326,10 +335,11 @@ def mu_equicontinuity_report(
     largest n reaches 1 - delta. Exact enumeration is used whenever the
     dependence window fits under the cap; otherwise each (point, n) cell is
     estimated with its own derived seed, so no cell's draws depend on another's.
-    The sampled cells keep their own streams but are packed, stepped and
-    checked in blocks of one n and at most `_BLOCK_ROWS` rows, so memory
-    follows the block, not points x n_samples. Each point's column trace is
-    computed once and serves all its cells.
+    Either way the cells of one n run in blocks: one frontier per exact block
+    of at most cap // (nominal W_rho words) cells, so its rows stay under the
+    cap, and one packed, stepped and checked batch per sampled block of at
+    most `_BLOCK_ROWS` rows, so memory follows the block, not the point
+    count. Each point's column trace is computed once and serves all its cells.
     """
     if points < 1:
         raise ValueError("need at least one base point")
@@ -354,33 +364,31 @@ def mu_equicontinuity_report(
         if not use_exact and n_samples < 1:
             raise ValueError("need at least one sample")
 
-        labels, targets, balls, curves = [], [], [], []
-        for i in range(points):
+        labels, targets, balls = [], [], []
+        for i in range(points):  # every cell is checked, in (point, n) order, before any block runs
             x = cantor_mu.sample_config(sided, radius, substream(seed, 0, i))
-            label = word_to_str(x.symbols, x.alphabet)
-            target = column_trace(system, x, m, horizon)
-            if use_exact:
-                ratios = tuple(_ratio_exact(system, cantor_mu, x, m, n, horizon, cap, target) for n in ns)
-                curves.append(PointCurve(point=label, ratios=ratios, exact=True, stderrs=None))
-            else:  # every sampled cell is checked, in (point, n) order, before any draw
-                labels.append(label)
-                targets.append(target)
-                balls.append([_sampled_ball(system, cantor_mu, x, m, n, horizon) for n in ns])
-        if not use_exact:
-            block = max(1, _BLOCK_ROWS // n_samples)
-            ests = [[] for _ in ns]  # ests[j]: the estimates of every point at ns[j]
-            for j, n in enumerate(ns):
-                for lo in range(0, points, block):
-                    cells = range(lo, min(points, lo + block))
-                    ests[j] += _block_estimates(
-                        system, cantor_mu, [balls[i][j] for i in cells], targets[lo : cells.stop],
-                        m, n, horizon, n_samples, [derive_seed(seed, 1, i, j) for i in cells],
-                    )
-            curves = [
-                PointCurve(point=label, ratios=tuple(e.p_hat for e in row), exact=False,
-                           stderrs=tuple(e.stderr for e in row))
-                for label, row in zip(labels, zip(*ests))
-            ]
+            labels.append(word_to_str(x.symbols, x.alphabet))
+            targets.append(column_trace(system, x, m, horizon))
+            balls.append([_checked_ball(system, cantor_mu, x, m, n, horizon) for n in ns])
+        # a block's frontier rows stay under the cap, its sampled rows under _BLOCK_ROWS
+        block = max(1, cap // _nominal_words(system, m, horizon) if use_exact else _BLOCK_ROWS // n_samples)
+        cols = [[] for _ in ns]  # cols[j]: the ratios (or estimates) of every point at ns[j]
+        for j, n in enumerate(ns):
+            for lo in range(0, points, block):
+                cells = range(lo, min(points, lo + block))
+                block_balls, block_targets = [balls[i][j] for i in cells], targets[lo : cells.stop]
+                cols[j] += (
+                    _block_ratios(system, cantor_mu, block_balls, block_targets, m, n, horizon, cap)
+                    if use_exact else
+                    _block_estimates(system, cantor_mu, block_balls, block_targets, m, n, horizon,
+                                     n_samples, [derive_seed(seed, 1, i, j) for i in cells])
+                )
+        curves = [
+            PointCurve(point=label, ratios=row, exact=True, stderrs=None) if use_exact else
+            PointCurve(point=label, ratios=tuple(e.p_hat for e in row), exact=False,
+                       stderrs=tuple(e.stderr for e in row))
+            for label, row in zip(labels, zip(*cols))
+        ]
 
     hits = sum(1 for c in curves if c.ratios[-1] >= 1.0 - delta)
     return EquicontinuityReport(

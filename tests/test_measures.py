@@ -17,6 +17,7 @@ from equidyn import (
     NullBall,
     NullCylinder,
     ProductMeasure,
+    Shift,
     ball_cylinder,
     compare_cylinders,
     density_ratio_exact,
@@ -24,6 +25,7 @@ from equidyn import (
     maximal_cylinders,
     measure_from_dict,
     measure_to_dict,
+    orbit_ball_event,
     union_probability,
     vitali_cover,
     window_size,
@@ -547,6 +549,40 @@ def test_cylinder_probability_equals_the_per_measure_formulas(mu, sided):
         c = Cylinder(mu.alphabet, sided, 70, x.symbols)
         got = mu.cylinder_probability(c)
         assert got > 0.0 and got == oracle_cylinder_probability(mu, c)
+
+
+def cylinder_masses(mu, sided, radius, rows):
+    return [mu.cylinder_probability(Cylinder(mu.alphabet, sided, radius, tuple(w))) for w in rows.tolist()]
+
+
+ZERO_STEPS = MarkovMeasure([[0.5, 0, 0.5], [0.5, 0.5, 0], [0, 0.5, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "mu,sided", [(ZERO_STEPS, "one"), (ZERO_STEPS, "two"), (ProductMeasure((2, 3)), "one")], ids=repr,
+)
+def test_row_probabilities_are_the_cylinder_probabilities(mu, sided):
+    for radius in range(3):
+        rows = np.array(list(itertools.product(range(mu.alphabet.size), repeat=window_size(sided, radius))))
+        want = cylinder_masses(mu, sided, radius, rows)
+        assert mu.row_probabilities(sided, radius, rows).tolist() == want  # bit for bit
+    assert 0.0 in want and max(want) > 0.0  # zero steps (or digits) among the rows
+
+
+def test_row_probabilities_past_64_cells():
+    mu = MarkovMeasure(P_LOPSIDED)
+    for radius in (62, 63, 64, 70):  # 63 and 64 cells in one product; 65 and 71 in log space
+        rows = mu.sample_batch("one", radius, 20, substream(64, radius))
+        assert mu.row_probabilities("one", radius, rows).tolist() == cylinder_masses(mu, "one", radius, rows)
+    # the shift's orbit ball at m = 1 and horizon 70 is x's one word on W_71, 72 cells
+    x = mu.sample_config("one", 71, substream(64, 0))
+    event = orbit_ball_event(Shift(A2), x, 1, 70, cap=2**80)
+    assert event.words == {x.window(71)}
+    rows = np.array(sorted(event.words))
+    assert mu.row_probabilities("one", 71, rows).tolist() == cylinder_masses(mu, "one", 71, rows)
+    for n in (3, 70):
+        want = cylinder_masses(mu, "one", 71, rows)[0] / mu.cylinder_probability(ball_cylinder(x, n))
+        assert density_ratio_exact(Shift(A2), mu, x, 1, n, 70, cap=2**80) == want
 
 
 @pytest.mark.parametrize("w", [[0.3, 0.7], [0.2, 0.5, 0.3]])

@@ -32,7 +32,7 @@ from equidyn import (
     orbit_ball_event,
 )
 import equidyn.orbit
-from equidyn.core import count_words, iter_words, subword, window_cells, window_size, word_to_str
+from equidyn.core import DEFAULT_ENUMERATION_CAP, count_words, iter_words, subword, window_cells, window_size, word_to_str
 from equidyn.rng import derive_seed, substream
 from equidyn.systems import cell_sizes, column_trace, dependence_radius, system_sided
 from oracles import scalar_column_trace, scalar_step
@@ -376,6 +376,67 @@ class TestScalarOracle:
             tracemalloc.stop()
         assert ev.words == {(0,) * 23}
         assert peak < 1 << 20
+
+
+# -- exact cells in blocks ---------------------------------------------------------
+#
+# The exact report runs one frontier for a block of cells at one n; every
+# curve must read what the brute-force oracle reads for its own point.
+
+def nominal_words(system, m, horizon):
+    return count_words(cell_sizes(system, window_cells(system_sided(system), dependence_radius(system, m, horizon))))
+
+
+def assert_report_matches_oracle(monkeypatch, system, mu, m, ns, horizon, points, seed, cap):
+    blocks = []
+    block_ratios = equidyn.orbit._block_ratios
+    monkeypatch.setattr(equidyn.orbit, "_block_ratios", lambda *a: blocks.append(len(a[2])) or block_ratios(*a))
+    report = mu_equicontinuity_report(system, mu, m, ns, horizon, points=points, seed=seed, cap=cap)
+    per_block = cap // nominal_words(system, m, horizon)
+    assert blocks == [min(per_block, points - lo) for _ in ns for lo in range(0, points, per_block)]
+    radius = max(max(ns), dependence_radius(system, m, horizon))
+    for i, curve in enumerate(report.curves):
+        x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
+        assert curve.exact and curve.point == word_to_str(x.symbols, x.alphabet)
+        words = oracle_event(system, x, m, horizon)
+        assert curve.ratios == tuple(oracle_ratio(system, mu, x, m, n, horizon, words) for n in ns), i
+
+
+REPORT_ECAS = (0, 15, 30, 45, 60, 90, 105, 110, 150, 184, 204, 232)
+REPORT_CASES = [(eca_rule(number), MARKOV) for number in REPORT_ECAS] + [
+    (Shift(A2), BernoulliMeasure([0.3, 0.7])),
+    (Odometer((2, 3)), ProductMeasure((2, 3))),
+    (identity_rule(A2, "two", 1), MARKOV),
+    (seeded_one_sided_ca3(), BernoulliMeasure([0.2, 0.3, 0.5])),
+]
+
+
+@pytest.mark.parametrize("system,mu", REPORT_CASES,
+                         ids=[f"eca{number}" for number in REPORT_ECAS] + ["shift", "odometer", "identity", "ca3"])
+@pytest.mark.parametrize("cells_per_block", [None, 2])  # the default cap, or two cells to a block
+def test_exact_report_matches_the_oracle(monkeypatch, system, mu, cells_per_block):
+    m, horizon = 2, 2  # n = 1 < m, n = m, m < n < rho, n >= rho
+    cap = DEFAULT_ENUMERATION_CAP if cells_per_block is None else cells_per_block * nominal_words(system, m, horizon)
+    ns = sorted({1, 2, 3, dependence_radius(system, m, horizon) + 1})
+    assert_report_matches_oracle(monkeypatch, system, mu, m, ns, horizon, points=5, seed=17, cap=cap)
+
+
+def test_exact_report_memory_follows_the_block():
+    """Under a cap of two cells' words, 4x the points leave the peak within 1.5x."""
+    system, m, horizon = identity_rule(A2, "two", 1), 1, 6  # every extension survives: 2^12 rows a cell
+    cap = 2 * nominal_words(system, m, horizon)
+
+    def peak(points):
+        run = lambda: mu_equicontinuity_report(system, MARKOV, m, [1], horizon, points=points, seed=4, cap=cap)
+        run()  # warm caches
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(24) <= 1.5 * peak(6)
 
 
 # -- sampled cells in blocks ---------------------------------------------------------
