@@ -2,12 +2,13 @@
 
 The orbit ball B_{m,T}(x) collects the points whose column trace at
 resolution m equals x's for all times 0..T. On configuration spaces it is a
-finite union of cylinders on the dependence window W_rho, so conditional
-measures of the form mu(B_{m,T}(x) | B_n(x)) have an exact path (a pruned
-frontier search over numpy rows, run for a block of cells at once; `cap`
-bounds the nominal W_rho word count of one block of cells up front, see
-`exact_fits`, and memory follows the surviving rows) next to the Monte
-Carlo path (sample the conditioning ball, count trace agreement).
+finite union of cylinders on the dependence window W_rho, held as int64
+rows. One pruned frontier search builds those rows for a block of cells at
+once (`_ball_blocks`: `cap` bounds the nominal W_rho word count of a block
+up front, see `exact_fits`, and memory follows the surviving rows). It
+serves the exact conditional measures mu(B_{m,T}(x) | B_n(x)), the orbit
+ball events and the spectral event tables; the Monte Carlo path samples
+the conditioning ball and counts trace agreement instead.
 Rotations get the analytic arc formulas instead; their orbit balls equal
 plain balls at every horizon.
 """
@@ -54,19 +55,20 @@ from .systems import (
     system_sided,
     trace_agreement_batch,
     window_slice,
+    word_codes,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitBallEvent:
-    """Explicit cylinder description of an orbit ball on the window W_rho."""
+    """Explicit cylinder description of an orbit ball on the window W_rho:
+    `words` holds its words as int64 rows, ascending by `word_codes`."""
 
     sided: str
     m: int
     horizon: int
     rho: int
-    base_word: tuple[int, ...]
-    words: frozenset[tuple[int, ...]]
+    words: np.ndarray
 
 
 def _nominal_words(system: CantorSystem, m: int, horizon: int) -> int:
@@ -120,28 +122,41 @@ def _trace_frontier(system: CantorSystem, m: int, k: int, bases: np.ndarray, tar
     return rows, cell
 
 
-def orbit_ball_event(
-    system: CantorSystem,
-    x: Configuration,
-    m: int,
-    horizon: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> OrbitBallEvent:
-    """The orbit ball as the set of W_rho words reproducing x's trace."""
+def _ball_blocks(system: CantorSystem, m: int, horizon: int, k: int, bases: np.ndarray, targets: np.ndarray,
+                 cap: int):
+    """The rows on W_rho that extend cell c's word bases[c] on W_k (k >= m) and
+    reproduce its trace targets[c] (T + 1 words on W_m): one (cells, rows,
+    cell) per frontier, `cell` naming each row's cell.
+
+    This is the one place that checks `cap` and splits cells into frontiers
+    of at most cap // (nominal W_rho words) cells, so a frontier's rows stay
+    under the cap; the check and the frontiers run as the blocks are read.
+    """
+    _check_cap(system, m, horizon, cap)
+    block = max(1, cap // _nominal_words(system, m, horizon))
+    for lo in range(0, len(targets), block):
+        cells = range(lo, min(len(targets), lo + block))
+        rows, cell = _trace_frontier(system, m, k, bases[lo : cells.stop], targets[lo : cells.stop])
+        yield cells, rows, cell + lo
+
+
+def _ball_rows(system: CantorSystem, m: int, horizon: int, targets: np.ndarray, cap: int):
+    """Every cell's `_ball_blocks` rows from its trace alone, in one array
+    ascending by `word_codes`, with each row's cell; equal rows keep cell order."""
+    _, rows, cell = zip(*_ball_blocks(system, m, horizon, m, targets[:, 0], targets, cap))
+    rows, cell = np.concatenate(rows), np.concatenate(cell)
+    order = np.argsort(word_codes(rows, system.alphabet.size), kind="stable")
+    return rows[order], cell[order]
+
+
+def orbit_ball_event(system: CantorSystem, x: Configuration, m: int, horizon: int,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> OrbitBallEvent:
+    """The orbit ball as the W_rho rows reproducing x's trace."""
     if isinstance(system, Rotation):
         raise UnsupportedSystem("rotation orbit balls are arcs, not cylinder events")
-    rho = dependence_radius(system, m, horizon)
-    _check_cap(system, m, horizon, cap)
     target = np.array([column_trace(system, x, m, horizon)], dtype=np.int64)
-    rows, _ = _trace_frontier(system, m, m, target[:, 0], target)
-    return OrbitBallEvent(
-        sided=system_sided(system),
-        m=m,
-        horizon=horizon,
-        rho=rho,
-        base_word=x.window(rho),
-        words=frozenset(map(tuple, rows.tolist())),
-    )
+    rows, _ = _ball_rows(system, m, horizon, target, cap)
+    return OrbitBallEvent(system_sided(system), m, horizon, dependence_radius(system, m, horizon), rows)
 
 
 def _rotation_ball_mass(n: int) -> Fraction:
@@ -179,32 +194,33 @@ def density_ratio_exact(
 def _block_ratios(system, mu, balls, targets, m, n, horizon, cap) -> list[float]:
     """The exact ratio of each cell (ball B_n(x), x's column trace) at one n.
 
-    One frontier runs for the whole block, and the kept rows' masses come
-    from one vectorized product; each ratio is the `math.fsum` of its own
-    cell's masses, so it does not depend on the block around it.
+    Each `_ball_blocks` frontier's rows get their masses from one vectorized
+    product; each ratio is the `math.fsum` of its own cell's masses, so it
+    does not depend on the block around it.
     """
     rho = dependence_radius(system, m, horizon)
     if n >= rho:
         # the conditioning ball fixes the whole dependence window, and x's own
         # word reproduces x's trace, so every point of the ball is in the event
         return [1.0] * len(balls)
-    _check_cap(system, m, horizon, cap)
     sided = system_sided(system)
-    targets = np.array(targets, dtype=np.int64)
-    # x's word on W_max(m, n): its ball's word, or its trace's first word
-    bases = np.array([b.word for b in balls], dtype=np.int64) if n >= m else targets[:, 0]
-    rows, cell = _trace_frontier(system, m, max(m, n), bases, targets)
-    masses = mu.row_probabilities(sided, rho, rows).tolist()
-    mballs = mu.row_probabilities(sided, n, np.array([b.word for b in balls], dtype=np.int64)).tolist()
+    words, targets = np.array([b.word for b in balls], dtype=np.int64), np.array(targets, dtype=np.int64)
+    mballs = mu.row_probabilities(sided, n, words).tolist()
     free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
     full = count_words(cell_sizes(system, free))
-    ends = np.cumsum(np.bincount(cell, minlength=len(balls))).tolist()
-    # a cell whose rows are every extension of its ball word has ratio 1 by
-    # inclusion; skip its float sum, whose rounding can land a hair below
-    return [
-        1.0 if hi - lo == full else math.fsum(masses[lo:hi]) / mball
-        for lo, hi, mball in zip([0] + ends, ends, mballs)
-    ]
+    ratios = []
+    # rows extend x's word on W_max(m, n): its ball's word, or its trace's first word
+    k, bases = (n, words) if n >= m else (m, targets[:, 0])
+    for cells, rows, cell in _ball_blocks(system, m, horizon, k, bases, targets, cap):
+        masses = mu.row_probabilities(sided, rho, rows).tolist()
+        ends = np.cumsum(np.bincount(cell - cells.start, minlength=len(cells))).tolist()
+        # a cell whose rows are every extension of its ball word has ratio 1 by
+        # inclusion; skip its float sum, whose rounding can land a hair below
+        ratios += [
+            1.0 if hi - lo == full else math.fsum(masses[lo:hi]) / mballs[i]
+            for i, lo, hi in zip(cells, [0] + ends, ends)
+        ]
+    return ratios
 
 
 # rows of one block of sampled (point, n) cells, packed and stepped together:
@@ -335,10 +351,9 @@ def mu_equicontinuity_report(
     largest n reaches 1 - delta. Exact enumeration is used whenever the
     dependence window fits under the cap; otherwise each (point, n) cell is
     estimated with its own derived seed, so no cell's draws depend on another's.
-    Either way the cells of one n run in blocks: one frontier per exact block
-    of at most cap // (nominal W_rho words) cells, so its rows stay under the
-    cap, and one packed, stepped and checked batch per sampled block of at
-    most `_BLOCK_ROWS` rows, so memory follows the block, not the point
+    Either way the cells of one n run in blocks: `_ball_blocks` frontiers
+    (exact), or one packed, stepped and checked batch per block of at most
+    `_BLOCK_ROWS` sampled rows, so memory follows the block, not the point
     count. Each point's column trace is computed once and serves all its cells.
     """
     if points < 1:
@@ -370,19 +385,16 @@ def mu_equicontinuity_report(
             labels.append(word_to_str(x.symbols, x.alphabet))
             targets.append(column_trace(system, x, m, horizon))
             balls.append([_checked_ball(system, cantor_mu, x, m, n, horizon) for n in ns])
-        # a block's frontier rows stay under the cap, its sampled rows under _BLOCK_ROWS
-        block = max(1, cap // _nominal_words(system, m, horizon) if use_exact else _BLOCK_ROWS // n_samples)
         cols = [[] for _ in ns]  # cols[j]: the ratios (or estimates) of every point at ns[j]
         for j, n in enumerate(ns):
+            if use_exact:
+                cols[j] = _block_ratios(system, cantor_mu, [b[j] for b in balls], targets, m, n, horizon, cap)
+                continue
+            block = max(1, _BLOCK_ROWS // n_samples)
             for lo in range(0, points, block):
                 cells = range(lo, min(points, lo + block))
-                block_balls, block_targets = [balls[i][j] for i in cells], targets[lo : cells.stop]
-                cols[j] += (
-                    _block_ratios(system, cantor_mu, block_balls, block_targets, m, n, horizon, cap)
-                    if use_exact else
-                    _block_estimates(system, cantor_mu, block_balls, block_targets, m, n, horizon,
-                                     n_samples, [derive_seed(seed, 1, i, j) for i in cells])
-                )
+                cols[j] += _block_estimates(system, cantor_mu, [balls[i][j] for i in cells], targets[lo : cells.stop],
+                                            m, n, horizon, n_samples, [derive_seed(seed, 1, i, j) for i in cells])
         curves = [
             PointCurve(point=label, ratios=row, exact=True, stderrs=None) if use_exact else
             PointCurve(point=label, ratios=tuple(e.p_hat for e in row), exact=False,

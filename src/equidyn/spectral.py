@@ -11,10 +11,13 @@ measured, not assumed, everywhere else: residuals and inner products are
 integrated exactly over the coarsest cylinder partition that refines every
 ball event, or sampled when that partition is too large.
 
-Both quantities see x only through its orbit indices j(x) and j(Tx), the
-balls that hold x's and Tx's words on W_rho (-1 outside every ball). One
-`np.searchsorted` of the rows' word codes among the codes of the event
-table's sorted ball words gives j(x), and one `step_batch` gives j(Tx).
+The event table holds the p balls' words on W_rho as int64 rows, ascending
+by `word_codes`, with their orbit indices; one orbit-ball frontier builds
+them all, cell j tracing T^j y. Both quantities see x only through its
+orbit indices j(x) and j(Tx), the balls that hold x's and Tx's words on
+W_rho (-1 outside every ball). One `np.searchsorted` of the rows' word
+codes among the table's codes gives j(x), and one `step_batch` gives j(Tx);
+exact mode weighs the rows in a ball with `row_probabilities`.
 Each integral gathers its (p+1) x (p+1) values, made by the same scalar
 expressions as f_k, at the index vectors and adds them one at a time in
 row (or word) order, so every result keeps its bits. `spectral_family`
@@ -29,7 +32,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,17 +40,18 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Configuration,
-    Cylinder,
     count_words,
     iter_words,
     window_cells,
 )
-from .errors import EnumerationTooLarge, OverlappingBalls
+from .errors import AlphabetMismatch, EnumerationTooLarge, OverlappingBalls
 from .measures import CantorMeasure
+from .orbit import _ball_rows
 from .periodicity import lep_certificate
 from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
+    _windows,
     cell_sizes,
     check_cells,
     column_trace,
@@ -114,16 +118,15 @@ def build_eigenfunction(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _EvalTable:
-    """word on W_rho -> orbit index j, for the p pairwise disjoint ball events;
-    `words` lists the words as ascending int rows and `js` their indices."""
+    """The p pairwise disjoint ball events on W_rho: `words` lists their words
+    as int rows ascending by `word_codes`, and `js` each word's orbit index."""
 
     rho: int
-    index: dict
     size: int
-    words: np.ndarray = field(compare=False)  # derived from `index`
-    js: np.ndarray = field(compare=False)
+    words: np.ndarray
+    js: np.ndarray
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Orbit index of every int row on W_rho, -1 outside every ball."""
@@ -133,32 +136,20 @@ class _EvalTable:
         return np.where(keys[at] == codes, self.js[at], -1)
 
 
-def _orbit_points(spec: EigenfunctionSpec, rho: int) -> list[Configuration]:
-    """T^j y on W_rho for j = 0..p-1."""
-    y = spec.y
-    return [Configuration(y.alphabet, y.sided, w) for w in column_trace(spec.system, y, rho, spec.period - 1)]
-
-
-def event_table(
-    spec: EigenfunctionSpec, horizon: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> _EvalTable:
+def event_table(spec: EigenfunctionSpec, horizon: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _EvalTable:
     """Build the p ball events at this horizon and verify pairwise disjointness."""
-    from .orbit import orbit_ball_event
-
-    rho = dependence_radius(spec.system, spec.m, horizon)
-    index: dict = {}
-    for j, point in enumerate(_orbit_points(spec, rho)):
-        event = orbit_ball_event(spec.system, point, spec.m, horizon, cap=cap)
-        for word in event.words:
-            if word in index:
-                raise OverlappingBalls(
-                    f"orbit balls {index[word]} and {j} share the word {word} "
-                    f"at horizon {horizon}; the horizon is too short to separate them"
-                )
-            index[word] = j
-    words = sorted(index)
-    ordered = np.array(words, dtype=np.int64).reshape(len(words), -1)
-    return _EvalTable(rho, index, spec.system.alphabet.size, ordered, np.array([index[w] for w in words]))
+    system, m = spec.system, spec.m
+    rho = dependence_radius(system, m, horizon)
+    points = np.array(column_trace(system, spec.y, rho, spec.period - 1), dtype=np.int64)  # T^j y on W_rho
+    words, js = _ball_rows(system, m, horizon, _windows(system, points, rho, m, horizon), cap)
+    shared = np.flatnonzero((words[1:] == words[:-1]).all(axis=1))
+    if len(shared):
+        at = shared[0]  # the smallest shared word, in its two smallest balls
+        raise OverlappingBalls(
+            f"orbit balls {js[at]} and {js[at + 1]} share the word {tuple(words[at].tolist())} "
+            f"at horizon {horizon}; the horizon is too short to separate them"
+        )
+    return _EvalTable(rho, system.alphabet.size, words, js)
 
 
 def _f_values(spec: EigenfunctionSpec) -> list[complex]:
@@ -175,6 +166,8 @@ def _orbit_indices(system, mu, radius, lookups, mode, n_samples, seed, cap):
     puts in a ball (no integral here sees the rest), so memory follows the
     block plus those words.
     """
+    if mu.alphabet != system.alphabet:
+        raise AlphabetMismatch(f"measure over alphabet {mu.alphabet.size}, system over {system.alphabet.size}")
     sided, cost = system_sided(system), step_cost(system)
 
     def index(rows: np.ndarray) -> list[np.ndarray]:
@@ -194,11 +187,12 @@ def _orbit_indices(system, mu, radius, lookups, mode, n_samples, seed, cap):
         raise EnumerationTooLarge(total, cap, "cylinder partition")
     words, kept, masses = iter_words(sizes), [], []
     while block := list(itertools.islice(words, _BLOCK)):
-        vectors = index(np.array(block, dtype=np.int64))
+        rows = np.array(block, dtype=np.int64)
+        vectors = index(rows)
         hits = np.flatnonzero(np.max(vectors, axis=0) >= 0)
         kept.append([v[hits] for v in vectors])
-        masses += [mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, block[i])) for i in hits]
-    return [np.concatenate(v) for v in zip(*kept)], np.array(masses, dtype=float)
+        masses.append(mu.row_probabilities(sided, radius, rows[hits]))
+    return [np.concatenate(v) for v in zip(*kept)], np.concatenate(masses)
 
 
 def _running_sum(values: np.ndarray, masses: Optional[np.ndarray] = None) -> complex:

@@ -43,6 +43,7 @@ from .core import (
     CirclePoint,
     Configuration,
     check_sided,
+    iter_words,
     window_cells,
     window_size,
     word_from_str,
@@ -167,10 +168,7 @@ def identity_rule(alphabet: Alphabet, sided: str = ONE_SIDED, radius: int = 0) -
     check_sided(sided)
     width = radius + 1 if sided == ONE_SIDED else 2 * radius + 1
     center = 0 if sided == ONE_SIDED else radius
-    table = {}
-    for nb in _all_words(alphabet.size, width):
-        table[nb] = nb[center]
-    return CARule(alphabet, sided, radius, table)
+    return CARule(alphabet, sided, radius, {nb: nb[center] for nb in iter_words([alphabet.size] * width)})
 
 
 def shift_as_ca(alphabet: Alphabet = Alphabet(2)) -> CARule:
@@ -200,12 +198,6 @@ def wolfram_number(rule: CARule) -> int:
     for (l, c, r), out in rule.table.items():
         number |= out << (4 * l + 2 * c + r)
     return number
-
-
-def _all_words(size: int, width: int):
-    import itertools
-
-    return itertools.product(range(size), repeat=width)
 
 
 # -- one-row dynamics ----------------------------------------------------------

@@ -12,6 +12,7 @@ rows mean equal draws. The cylinder products are the three per-measure
 formulas that the chain's one product replaced.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -85,6 +86,25 @@ def scalar_column_trace(system, x, m, horizon):
     return words
 
 
+def oracle_event(system, x, m, horizon):
+    """The orbit ball of x as a set of W_rho words: every word whose `scalar_step`
+    trace equals x's `scalar_column_trace`."""
+    sided = system_sided(system)
+    rho = dependence_radius(system, m, horizon)
+    target = scalar_column_trace(system, x, m, horizon)
+    hits = set()
+    for word in iter_words(cell_sizes(system, window_cells(sided, rho))):
+        cur = Configuration(system.alphabet, sided, word)
+        for i, want in enumerate(target):
+            if cur.window(m) != want:
+                break
+            if i < horizon:
+                cur = scalar_step(system, cur)
+        else:
+            hits.add(word)
+    return hits
+
+
 def certificate_holds(trace, p, q):
     """Does (p, q) satisfy the periodic relation and evidence bound on `trace`?"""
     horizon = len(trace) - 1
@@ -112,9 +132,15 @@ def _scalar_integrate(system, mu, radius, integrand, mode, n_samples, seed, cap)
     return acc / n_samples
 
 
+@functools.lru_cache(maxsize=8)  # event tables compare and hash by identity
+def _word_index(tab):
+    """word on W_rho -> orbit index j, read off the table's rows once."""
+    return dict(zip(map(tuple, tab.words.tolist()), tab.js.tolist()))
+
+
 def _scalar_f(spec, tab, x):
     """f_k(x) from x's own word on W_rho."""
-    j = tab.index.get(x.window(tab.rho))
+    j = _word_index(tab).get(x.window(tab.rho))
     return 0j if j is None else root_of_unity(spec.period, j * spec.k)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import os
 from dataclasses import fields
@@ -465,11 +466,32 @@ class TestSpectralSharesOneTable:
         assert len(self.counted_run(tmp_path, monkeypatch, ProductMeasure, "sample_batch")) == 17
 
 
+class TestSpectralExactGoldenBytes:
+    """The exact spectral route draws no random numbers, so its report and CSV
+    bytes do not depend on numpy's generators; these are the pinned bytes."""
+
+    CFG = {
+        "system": {"type": "odometer", "sizes": [2]},
+        "measure": {"type": "haar", "sizes": [2]},
+        "params": {"m": 4, "T": 4, "y": "0000000000", "cert_T": 64, "mode": "exact"},
+        "seed": 3,
+    }
+
+    def test_report_and_csv_bytes(self, tmp_path):
+        out = tmp_path / "spectral_exact.json"
+        assert run(["spectral", "--config", write_cfg(tmp_path, self.CFG), "--out", out]) == 0
+        digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest(out) == "5df58d19dd94a4188083ab6bd7ade61a9578deb748ccd3d1ac90065db72cd9e5"
+        assert digest(out.with_suffix(".csv")) == "08011279bfdd6dda869fc546855b40d4a5df6057f654cdbdd813cbff3c8b2cff"
+
+
 class TestAlphabetMismatch:
     @pytest.mark.parametrize("command,params", [
         ("sensitivity", {"eps_list": [1], "T": 4, "n_samples": 100}),
         ("dichotomy", {"eps_list": [1], "T": 4, "n_samples": 100,
                        "equi": {"m": 1, "n_list": [1], "T": 2, "points": 2}}),
+        ("spectral", {"m": 1, "T": 2, "cert_T": 8, "y": "0" * 41, "mode": "exact"}),
+        ("spectral", {"m": 1, "T": 2, "cert_T": 8, "y": "0" * 41, "mode": "sampled", "n_samples": 100}),
     ])
     def test_three_symbols_on_an_eca_exit_4(self, tmp_path, capsys, command, params):
         cfg = write_cfg(tmp_path, {

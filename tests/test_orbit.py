@@ -35,7 +35,7 @@ import equidyn.orbit
 from equidyn.core import DEFAULT_ENUMERATION_CAP, count_words, iter_words, subword, window_cells, window_size, word_to_str
 from equidyn.rng import derive_seed, substream
 from equidyn.systems import cell_sizes, column_trace, dependence_radius, system_sided
-from oracles import scalar_column_trace, scalar_step
+from oracles import oracle_event, scalar_column_trace, scalar_step
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -53,28 +53,28 @@ class TestOrbitBallEvent:
         x = ones_sided((0, 1, 1))
         ev = orbit_ball_event(ident, x, 1, 5)
         assert ev.rho == 1
-        assert ev.words == {(0, 1)}
+        assert ev.words.tolist() == [[0, 1]]
 
     def test_shift_event_is_a_single_long_word(self):
         sh = Shift(A2)
         x = ones_sided((0, 1, 1, 0))
         ev = orbit_ball_event(sh, x, 1, 2)
         assert ev.rho == 3
-        assert ev.words == {(0, 1, 1, 0)}
+        assert ev.words.tolist() == [[0, 1, 1, 0]]
 
     def test_odometer_event_is_the_counter_window(self):
         od = Odometer((2, 3))
         x = Configuration(od.alphabet, "one", (1, 2))
         ev = orbit_ball_event(od, x, 1, 7)
-        assert ev.rho == 1 and ev.words == {(1, 2)}
+        assert ev.rho == 1 and ev.words.tolist() == [[1, 2]]
 
     def test_eca_event_contains_base(self):
         rule = eca_rule(90)
         x = Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0))
         ev = orbit_ball_event(rule, x, 1, 2)
-        assert x.window(ev.rho) in ev.words
-        for w in ev.words:
-            y = Configuration(A2, "two", w)
+        assert list(x.window(ev.rho)) in ev.words.tolist()
+        for w in ev.words.tolist():
+            y = Configuration(A2, "two", tuple(w))
             assert scalar_column_trace(rule, y, 1, 2) == scalar_column_trace(rule, x, 1, 2)
 
     def test_member_needs_y_traced_to_the_horizon(self):
@@ -92,7 +92,7 @@ class TestOrbitBallEvent:
         x = Configuration(A2, "two", (0, 1, 1))
         ev = orbit_ball_event(rule, x, 1, 0)
         ball = ball_cylinder(x, 1)
-        assert ev.words == {ball.word}
+        assert ev.words.tolist() == [list(ball.word)]
 
     def test_nesting_in_horizon(self):
         rule = eca_rule(184)
@@ -104,7 +104,7 @@ class TestOrbitBallEvent:
         for horizon in range(4):
             ev = orbit_ball_event(rule, x, 1, horizon)
             padded = set()
-            for w in ev.words:
+            for w in map(tuple, ev.words.tolist()):
                 pad = rho - ev.rho
                 for left in itertools.product(range(2), repeat=pad):
                     for right in itertools.product(range(2), repeat=pad):
@@ -293,27 +293,10 @@ class TestReport:
 
 # -- scalar oracle -------------------------------------------------------------
 #
-# Brute force over every W_rho word: build a validated Configuration and apply
-# the scalar oracle stepper from `oracles`. It never touches `step_batch`,
-# which the exact engine steps with, so the engine is checked against an
-# independent implementation.
-
-def oracle_event(system, x, m, horizon):
-    sided = system_sided(system)
-    rho = dependence_radius(system, m, horizon)
-    target = scalar_column_trace(system, x, m, horizon)
-    hits = set()
-    for word in iter_words(cell_sizes(system, window_cells(sided, rho))):
-        cur = Configuration(system.alphabet, sided, word)
-        for i, want in enumerate(target):
-            if cur.window(m) != want:
-                break
-            if i < horizon:
-                cur = scalar_step(system, cur)
-        else:
-            hits.add(word)
-    return hits
-
+# Brute force over every W_rho word (`oracles.oracle_event`): build a
+# validated Configuration and apply the scalar oracle stepper from `oracles`.
+# It never touches `step_batch`, which the exact engine steps with, so the
+# engine is checked against an independent implementation.
 
 def oracle_ratio(system, mu, x, m, n, horizon, words):
     """The density ratio of B_n(x), read off the event words."""
@@ -335,7 +318,7 @@ def assert_engine_matches_oracle(system, mu, ms, seed):
         rho = dependence_radius(system, m, horizon)
         x = mu.sample_config(sided, max(rho, 1), substream(seed, m, horizon))
         words = oracle_event(system, x, m, horizon)
-        assert orbit_ball_event(system, x, m, horizon).words == words, (m, horizon)
+        assert orbit_ball_event(system, x, m, horizon).words.tolist() == sorted(map(list, words)), (m, horizon)
         for n in range(1, rho + 1):
             ratio = oracle_ratio(system, mu, x, m, n, horizon, words)
             assert density_ratio_exact(system, mu, x, m, n, horizon) == ratio, (m, n, horizon)
@@ -374,27 +357,29 @@ class TestScalarOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ev.words == {(0,) * 23}
+        assert ev.words.tolist() == [[0] * 23]
         assert peak < 1 << 20
 
 
 # -- exact cells in blocks ---------------------------------------------------------
 #
-# The exact report runs one frontier for a block of cells at one n; every
-# curve must read what the brute-force oracle reads for its own point.
+# The exact report runs one frontier for a block of cells at one n, at most
+# cap // (nominal W_rho words) cells to a block; every curve must read what
+# the brute-force oracle reads for its own point.
 
 def nominal_words(system, m, horizon):
     return count_words(cell_sizes(system, window_cells(system_sided(system), dependence_radius(system, m, horizon))))
 
 
 def assert_report_matches_oracle(monkeypatch, system, mu, m, ns, horizon, points, seed, cap):
-    blocks = []
-    block_ratios = equidyn.orbit._block_ratios
-    monkeypatch.setattr(equidyn.orbit, "_block_ratios", lambda *a: blocks.append(len(a[2])) or block_ratios(*a))
+    blocks = []  # the cell count of every frontier
+    trace_frontier = equidyn.orbit._trace_frontier
+    monkeypatch.setattr(equidyn.orbit, "_trace_frontier", lambda *a: blocks.append(len(a[3])) or trace_frontier(*a))
     report = mu_equicontinuity_report(system, mu, m, ns, horizon, points=points, seed=seed, cap=cap)
-    per_block = cap // nominal_words(system, m, horizon)
-    assert blocks == [min(per_block, points - lo) for _ in ns for lo in range(0, points, per_block)]
-    radius = max(max(ns), dependence_radius(system, m, horizon))
+    per_block, rho = cap // nominal_words(system, m, horizon), dependence_radius(system, m, horizon)
+    # n >= rho needs no frontier: the ratio is 1
+    assert blocks == [min(per_block, points - lo) for n in ns if n < rho for lo in range(0, points, per_block)]
+    radius = max(max(ns), rho)
     for i, curve in enumerate(report.curves):
         x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
         assert curve.exact and curve.point == word_to_str(x.symbols, x.alphabet)

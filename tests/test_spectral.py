@@ -10,6 +10,7 @@ import pytest
 
 from equidyn import (
     Alphabet,
+    AlphabetMismatch,
     BernoulliMeasure,
     Configuration,
     InsufficientRadius,
@@ -29,7 +30,7 @@ from equidyn import (
 from equidyn.rng import derive_seed, substream
 from equidyn.spectral import _running_sum, event_table
 from equidyn.systems import system_sided
-from oracles import _scalar_f, scalar_inner_product, scalar_koopman_residual
+from oracles import _scalar_f, oracle_event, scalar_inner_product, scalar_koopman_residual, scalar_step
 
 A2 = Alphabet(2)
 
@@ -144,7 +145,7 @@ def test_partition_of_unity():
     spec = build_eigenfunction(od, y, 1, 0, 8)
     tab = event_table(spec, 4)
     words = list(itertools.product(range(2), repeat=tab.rho + 1))
-    assert set(words) <= tab.index.keys()
+    assert set(words) <= set(map(tuple, tab.words.tolist()))
     for word in words:
         x = Configuration(od.alphabet, "one", word)
         assert _scalar_f(spec, tab, x) == 1
@@ -185,19 +186,16 @@ def test_overlapping_balls_detected():
     y = dyadic_point(tuple(int(b) for b in "001000100010"))
     spec = build_eigenfunction(sh, y, 0, 1, 8)
     assert spec.period == 4
-    with pytest.raises(OverlappingBalls):
+    # the message names the smallest shared word and the first two balls holding it
+    with pytest.raises(OverlappingBalls, match=r"orbit balls 0 and 1 share the word \(0,\) at horizon 0"):
         event_table(spec, 0)
     # one more step of trace is still not enough: (0,0) occurs twice
-    with pytest.raises(OverlappingBalls):
+    with pytest.raises(OverlappingBalls, match=r"orbit balls 0 and 3 share the word \(0, 0\) at horizon 1"):
         event_table(spec, 1)
     tab = event_table(spec, 3)
-    # at horizon 3 each orbit ball pins the full prefix: one word per phase
-    assert tab.index == {
-        (0, 0, 1, 0): 0,
-        (0, 1, 0, 0): 1,
-        (1, 0, 0, 0): 2,
-        (0, 0, 0, 1): 3,
-    }
+    # at horizon 3 each orbit ball pins the full prefix: one word per phase, ascending
+    assert tab.words.tolist() == [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    assert tab.js.tolist() == [3, 0, 1, 2]
 
 
 def test_inner_product_rejects_mixed_systems():
@@ -272,6 +270,20 @@ def oracle_specs(name):
     return specs, mu, horizon
 
 
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_event_table_rows_are_the_scalar_balls(name):
+    """Rows with index j are T^j y's brute-force orbit ball, in ascending word order."""
+    (spec, *_), _, horizon = oracle_specs(name)
+    tab = event_table(spec, horizon)
+    rows = list(map(tuple, tab.words.tolist()))
+    assert rows == sorted(set(rows))
+    x = spec.y
+    for j in range(spec.period):
+        ball = oracle_event(spec.system, Configuration(x.alphabet, x.sided, x.window(tab.rho)), spec.m, horizon)
+        assert [w for w, i in zip(rows, tab.js.tolist()) if i == j] == sorted(ball), j
+        x = scalar_step(spec.system, x)
+
+
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_row_integration_equals_the_per_configuration_oracle(name, mode):
@@ -301,6 +313,22 @@ def test_exact_memory_follows_the_block_not_the_partition():
         assert residual > 0
         peaks.append(peak)
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("system,mu", [
+    (eca_rule(170), BernoulliMeasure([0.2, 0.3, 0.5])),
+    (Shift(Alphabet(3)), BernoulliMeasure([0.5, 0.5])),
+], ids=["3-symbol-law-on-eca", "2-symbol-law-on-3-shift"])
+def test_integrals_reject_a_measure_on_another_alphabet(system, mu, mode):
+    y = Configuration(system.alphabet, system_sided(system), (0,) * 41)
+    spec = build_eigenfunction(system, y, 0, 0, 8)
+    with pytest.raises(AlphabetMismatch, match="alphabet"):
+        koopman_residual(spec, mu, 1, mode=mode, n_samples=50)
+    with pytest.raises(AlphabetMismatch, match="alphabet"):
+        inner_product(spec, spec, mu, 1, mode=mode, n_samples=50)
+    with pytest.raises(AlphabetMismatch, match="alphabet"):
+        spectral_family(spec, mu, 1, [0], mode=mode, n_samples=50)
 
 
 @pytest.mark.parametrize("integral", ["residual", "inner product"])
