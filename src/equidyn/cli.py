@@ -422,15 +422,11 @@ def _run_vitali(mu, params, seed, cap):
     eps = _param(params, "eps", 0.0, kind=float, minimum=0)
     family = vitali_cover(mu, parts, min_radius, eps=eps, cap=cap)
     union_mass = union_probability(mu, parts)
-    masses = [mu.cylinder_probability(cyl) for cyl in family.cylinders()]
+    masses = family.masses(mu)
     covered = float(sum(masses))  # family.total_mass(mu), summed in the same order
     balls = [
-        {
-            "radius": n,
-            "word": word_to_str(center.symbols, center.alphabet),
-            "mass": fmt_prob(mass),
-        }
-        for (center, n), mass in zip(family.balls, masses)
+        {"radius": n, "word": word_to_str(word, family.alphabet), "mass": fmt_prob(mass)}
+        for (word, n), mass in zip(family.balls, masses)
     ]
     results = {
         "count": len(balls),

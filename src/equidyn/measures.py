@@ -6,10 +6,10 @@ cell: a first-cell row, a forward kernel (a cell given its left neighbour)
 and a reversed kernel (a cell given its right neighbour). Bernoulli's rows
 all equal its weights, Markov's are (pi, P, its time reversal), and Haar's
 row at cell i is uniform on its size_at(i) digits. A cylinder's probability
-is the first-cell factor times the forward steps, left to right. Finite
-unions of cylinders support exact density ratios and exact Vitali covers by
-clopen refinement, because two cylinders over the same space either nest or
-are disjoint.
+is the first-cell factor times the forward steps, left to right (for many
+int rows at once, `row_probabilities`). Finite unions of cylinders get exact
+Vitali covers by clopen refinement, as cylinders over one space nest or are
+disjoint: `_widen` lists the extensions of int rows, and a cover is int rows.
 
 Batch draws come as pieces (cell, column of all n rows) in the order the
 generator makes them, one `random(n)` per cell: unconditioned draws run
@@ -35,21 +35,20 @@ import numpy as np
 
 from .core import (
     ONE_SIDED,
+    TWO_SIDED,
     DEFAULT_ENUMERATION_CAP,
     Alphabet,
     CirclePoint,
     Configuration,
     Cylinder,
-    ball_cylinder,
     check_sided,
     compare_cylinders,
     count_words,
-    iter_words,
-    subword,
     window_cells,
     window_size,
 )
-from .errors import AlphabetMismatch, EnumerationTooLarge, NullCylinder
+from .errors import AlphabetMismatch, EnumerationTooLarge, IncompatibleConfigurations, NullCylinder
+from .systems import window_slice, word_codes
 
 Piece = tuple[int, np.ndarray]  # (window column, that column's symbols in every row, as uint8)
 
@@ -363,62 +362,80 @@ def union_probability(mu: CantorMeasure, parts: Sequence[Cylinder]) -> float:
     return float(sum(mu.cylinder_probability(c) for c in maximal_cylinders(parts)))
 
 
-def _words_by_radius(cyls: Sequence[Cylinder]) -> dict[int, set]:
-    words: dict[int, set] = {}
-    for c in cyls:
-        words.setdefault(c.radius, set()).add(c.word)
-    return words
+def _widen(rows: np.ndarray, sided: str, radius: int, wider: int, sizes) -> tuple[np.ndarray, int]:
+    """Every extension of each int row on W_radius to W_wider, with sizes(cells)
+    symbols on the new cells, and the count k of extensions per row. A row's
+    extensions are consecutive, in `iter_words` order over the new cells
+    (left ones first), which is their order among the words of W_wider."""
+    left = list(range(-wider, -radius)) if sided == TWO_SIDED else []
+    new = sizes(left + list(range(radius + 1, wider + 1)))
+    combos = np.indices(new, dtype=np.int64).reshape(len(new), count_words(new)).T  # last cell fastest
+    fresh = np.tile(combos, (len(rows), 1))
+    return np.hstack([fresh[:, : len(left)], np.repeat(rows, len(combos), axis=0), fresh[:, len(left) :]]), len(combos)
+
+
+def _refine(mu: CantorMeasure, c: Cylinder, radius: int) -> np.ndarray:
+    """The int rows of c's extensions to W_max(c.radius, radius), in `iter_words` order."""
+    sizes = lambda cells: [mu.cell_size(i) for i in cells]
+    return _widen(np.array([c.word], dtype=np.int64), c.sided, c.radius, max(c.radius, radius), sizes)[0]
+
+
+def _found(words: np.ndarray, among: np.ndarray, size: int) -> np.ndarray:
+    """Which int rows of `words` equal a row of `among` (one width), by one `word_codes` call over both."""
+    codes = word_codes(np.concatenate([among, words]), size)
+    return np.isin(codes[len(among) :], codes[: len(among)])
 
 
 @dataclass(frozen=True)
 class BallFamily:
-    """Pairwise disjoint balls, each given as (center configuration, radius)."""
+    """Pairwise disjoint balls over one space, each held as (its word on W_n, n).
+    `groups` holds the words of each radius as int rows, for masses by
+    `row_probabilities` and disjointness by `word_codes`: no object per ball."""
 
-    balls: tuple[tuple[Configuration, int], ...]
+    alphabet: Alphabet
+    sided: str
+    balls: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
-        cyls = self.cylinders()
-        # Two balls meet iff the coarser word is the finer ball's subword at
-        # that radius; one word set per radius finds whether any pair meets,
-        # and the pairwise scan below runs only then, to name the first pair.
-        words = _words_by_radius(cyls)
-        if (
-            len({(c.alphabet, c.sided) for c in cyls}) < 2
-            and sum(len(ws) for ws in words.values()) == len(cyls)
-            and not any(c.subword(r) in words[r] for c in cyls for r in words if r < c.radius)
-        ):
+        check_sided(self.sided)
+        for i, (word, n) in enumerate(self.balls):
+            if n < 1:
+                raise ValueError(f"ball {i} has radius {n}; balls need radius >= 1")
+            if len(word) != window_size(self.sided, n):
+                raise IncompatibleConfigurations(f"ball {i}'s word is no word on {self.sided!r}-sided W_{n}")
+        size = self.alphabet.size
+        if any(rows.min() < 0 or rows.max() >= size for _, rows in self.groups.values()):
+            raise ValueError(f"a ball's word has a symbol outside alphabet of size {size}")
+        # Two balls meet iff the coarser word is the finer one's subword at its radius: word codes find whether
+        # any pair meets, and the pairwise scan below runs only then, to name the first pair.
+        if not any(len(set(word_codes(rows, size).tolist())) < len(rows)
+                   or any(_found(window_slice(self.sided, n, r, rows), coarse, size).any()
+                          for r, (_, coarse) in self.groups.items() if r < n)
+                   for n, (_, rows) in self.groups.items()):
             return
-        for i in range(len(cyls)):
-            for j in range(i + 1, len(cyls)):
-                if compare_cylinders(cyls[i], cyls[j]) != "disjoint":
-                    raise ValueError(
-                        f"balls {i} and {j} are not disjoint (words clash on the shorter radius)"
-                    )
+        cyls = [Cylinder(self.alphabet, self.sided, n, w) for w, n in self.balls]
+        i, j = next((i, j) for i in range(len(cyls)) for j in range(i + 1, len(cyls))
+                    if compare_cylinders(cyls[i], cyls[j]) != "disjoint")
+        raise ValueError(f"balls {i} and {j} are not disjoint (words clash on the shorter radius)")
 
     @cached_property
-    def _cylinders(self) -> tuple[Cylinder, ...]:
-        return tuple(ball_cylinder(center, n) for center, n in self.balls)
+    def groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """n -> (the places in `balls` of the balls of radius n, their words as int64 rows), n ascending."""
+        radii = np.array([n for _, n in self.balls], dtype=np.int64)
+        places = {n: np.flatnonzero(radii == n) for n in sorted(set(radii.tolist()))}
+        return {n: (at, np.array([self.balls[i][0] for i in at.tolist()], dtype=np.int64)) for n, at in places.items()}
 
-    def cylinders(self) -> list[Cylinder]:
-        return list(self._cylinders)
+    def masses(self, mu: CantorMeasure) -> list[float]:
+        """Each ball's `cylinder_probability`, to the bit, in ball order."""
+        if mu.alphabet != self.alphabet:
+            raise AlphabetMismatch(f"balls over alphabet {self.alphabet.size}, measure over {mu.alphabet.size}")
+        out = np.empty(len(self.balls))
+        for n, (at, rows) in self.groups.items():
+            out[at] = mu.row_probabilities(self.sided, n, rows)
+        return out.tolist()
 
     def total_mass(self, mu: CantorMeasure) -> float:
-        return float(sum(mu.cylinder_probability(c) for c in self.cylinders()))
-
-
-def _refine(mu: CantorMeasure, c: Cylinder, radius: int) -> Iterator[tuple[int, ...]]:
-    """c's word if its radius reaches `radius`, else the words of all its
-    extensions at `radius` (on W_max(c.radius, radius) either way)."""
-    if c.radius >= radius:
-        yield c.word
-        return
-    cells = list(window_cells(c.sided, radius))
-    fixed = dict(zip(window_cells(c.sided, c.radius), c.word))
-    free = [i for i in cells if i not in fixed]
-    for combo in iter_words([mu.cell_size(i) for i in free]):
-        assign = dict(fixed)
-        assign.update(zip(free, combo))
-        yield tuple(assign[i] for i in cells)
+        return float(sum(self.masses(mu)))
 
 
 def vitali_cover(
@@ -431,43 +448,41 @@ def vitali_cover(
     """Disjoint balls of radius >= min_radius covering a cylinder union exactly.
 
     Clopen refinement: every maximal piece either already is a ball of large
-    enough radius, or splits into all of its extensions at min_radius. The
-    leftover mu(A minus union of balls), see uncovered_mass, is exactly zero,
-    so any eps >= 0 is met.
+    enough radius, or splits into all of its extensions at min_radius, in
+    `iter_words` order. The leftover mu(A minus union of balls), see
+    uncovered_mass, is exactly zero, so any eps >= 0 is met.
     """
     if min_radius < 1:
         raise ValueError("balls need radius >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     pieces = maximal_cylinders(parts)
-    total = 0
-    for c in pieces:
-        inner = set(window_cells(c.sided, c.radius))
-        total += count_words([mu.cell_size(i) for i in window_cells(c.sided, min_radius) if i not in inner])
+    total = sum(count_words([mu.cell_size(i) for i in window_cells(c.sided, min_radius)
+                             if i not in window_cells(c.sided, c.radius)]) for c in pieces)
     if total > cap:
         raise EnumerationTooLarge(total, cap, "clopen refinement")
-    balls = [(Configuration(mu.alphabet, c.sided, w), max(c.radius, min_radius))
-             for c in pieces for w in _refine(mu, c, min_radius)]
-    return BallFamily(tuple(balls))
+    balls = [(w, max(c.radius, min_radius)) for c in pieces for w in map(tuple, _refine(mu, c, min_radius).tolist())]
+    return BallFamily(mu.alphabet, pieces[0].sided if pieces else ONE_SIDED, tuple(balls))
 
 
-def uncovered_mass(
-    mu: CantorMeasure, parts: Sequence[Cylinder], family: BallFamily, min_radius: int
-) -> float:
+def uncovered_mass(mu: CantorMeasure, parts: Sequence[Cylinder], family: BallFamily, min_radius: int) -> float:
     """mu(A minus the family's balls) for A a finite union of cylinders.
 
-    Sums the mass of each extension at min_radius of a maximal piece of A
-    (a piece that fine is its own extension) that no ball contains, so a
-    cover reads exactly 0.0. Exact when no ball is finer than these
-    extensions, as in the families vitali_cover builds.
+    Sums, in row order, the `row_probabilities` of the int rows of each maximal
+    piece's extensions at min_radius (a piece that fine is its own) whose code
+    on W_r matches no radius-r ball's, for every ball radius r <= theirs: a
+    cover reads exactly 0.0. Exact when no ball is finer than these rows.
     """
-    words = _words_by_radius(family.cylinders())
+    size = max(mu.alphabet.size, family.alphabet.size)
     total = 0.0
     for piece in maximal_cylinders(parts):
-        radius = max(piece.radius, min_radius)
-        for w in _refine(mu, piece, min_radius):
-            if not any(r <= radius and subword(w, piece.sided, radius, r) in ws for r, ws in words.items()):
-                total += mu.cylinder_probability(Cylinder(mu.alphabet, piece.sided, radius, w))
+        radius, rows = max(piece.radius, min_radius), _refine(mu, piece, min_radius)
+        hit = np.zeros(len(rows), dtype=bool)
+        for r, (_, words) in family.groups.items():
+            if r <= radius:
+                hit |= _found(window_slice(piece.sided, radius, r, rows), words, size)
+        for mass in mu.row_probabilities(piece.sided, radius, rows[~hit]).tolist():
+            total += mass
     return total
 
 

@@ -24,12 +24,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
-    TWO_SIDED,
     Configuration,
     Cylinder,
     ball_cylinder,
     count_words,
-    iter_words,
     window_cells,
     window_size,
     word_to_str,
@@ -40,7 +38,7 @@ from .errors import (
     NullBall,
     UnsupportedSystem,
 )
-from .measures import CantorMeasure, LebesgueMeasure, Measure
+from .measures import CantorMeasure, LebesgueMeasure, Measure, _widen
 from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
@@ -107,12 +105,8 @@ def _trace_frontier(system: CantorSystem, m: int, k: int, bases: np.ndarray, tar
     for t in range(1, targets.shape[1]):
         wider = max(k, m + cost * t)
         if wider > radius:
-            left = list(range(-wider, -radius)) if sided == TWO_SIDED else []
-            new = left + list(range(radius + 1, wider + 1))
-            combos = np.array(list(iter_words(cell_sizes(system, new))), dtype=np.int64)
-            fresh = np.tile(combos, (len(rows), 1))
-            rows = np.hstack([fresh[:, : len(left)], np.repeat(rows, len(combos), axis=0), fresh[:, len(left) :]])
-            cell = np.repeat(cell, len(combos))
+            rows, per = _widen(rows, sided, radius, wider, lambda cells: cell_sizes(system, cells))
+            cell = np.repeat(cell, per)
             radius, cur = wider, rows
             for _ in range(t - 1):
                 cur = step_batch(system, cur)

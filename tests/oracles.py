@@ -9,7 +9,10 @@ The batch samplers below draw one n x |W| array from the chain of each
 measure, re-derived from its public parameters, in the stream order of the
 piece generator of `equidyn.measures` (one `random(n)` per cell), so equal
 rows mean equal draws. The cylinder products are the three per-measure
-formulas that the chain's one product replaced.
+formulas that the chain's one product replaced. The Vitali cover below is
+the object refinement that the int-row cover replaced: one `Configuration`
+center per ball, one `cylinder_probability` per mass, and coverage read off
+word tuples by `subword`.
 """
 
 import functools
@@ -18,8 +21,17 @@ import math
 import numpy as np
 
 from equidyn import Configuration, InsufficientRadius, UnsupportedSystem
-from equidyn.core import DEFAULT_ENUMERATION_CAP, ONE_SIDED, Cylinder, count_words, iter_words, window_cells
-from equidyn.measures import BernoulliMeasure, MarkovMeasure, ProductMeasure
+from equidyn.core import (
+    DEFAULT_ENUMERATION_CAP,
+    ONE_SIDED,
+    Cylinder,
+    ball_cylinder,
+    count_words,
+    iter_words,
+    subword,
+    window_cells,
+)
+from equidyn.measures import BernoulliMeasure, MarkovMeasure, ProductMeasure, maximal_cylinders
 from equidyn.errors import EnumerationTooLarge
 from equidyn.rng import substream
 from equidyn.spectral import event_table, root_of_unity
@@ -267,3 +279,45 @@ def oracle_conditional_batch(mu, c, radius, n, rng):
     out = np.zeros((n, len(cells)), dtype=np.int64)
     out[:, lo : lo + len(c.word)] = c.word
     return _fill(mu, cells, out, lo, lo + len(c.word), rng)
+
+
+# -- Vitali covers by objects -------------------------------------------------------
+
+def oracle_refine(mu, c, radius):
+    """c's word if its radius reaches `radius`, else the words of all its
+    extensions at `radius` (on W_max(c.radius, radius) either way)."""
+    if c.radius >= radius:
+        yield c.word
+        return
+    cells = list(window_cells(c.sided, radius))
+    fixed = dict(zip(window_cells(c.sided, c.radius), c.word))
+    free = [i for i in cells if i not in fixed]
+    for combo in iter_words([mu.cell_size(i) for i in free]):
+        assign = dict(fixed)
+        assign.update(zip(free, combo))
+        yield tuple(assign[i] for i in cells)
+
+
+def oracle_vitali_cover(mu, parts, min_radius):
+    """(center, radius) per ball: every maximal piece split into its extensions at min_radius."""
+    return [(Configuration(mu.alphabet, c.sided, w), max(c.radius, min_radius))
+            for c in maximal_cylinders(parts) for w in oracle_refine(mu, c, min_radius)]
+
+
+def oracle_ball_masses(mu, balls):
+    return [mu.cylinder_probability(ball_cylinder(center, n)) for center, n in balls]
+
+
+def oracle_uncovered_mass(mu, parts, balls, min_radius):
+    """The mass of the extensions at min_radius of A's maximal pieces whose
+    subword at some ball's radius is not that ball's word, summed in order."""
+    words = {}
+    for center, n in balls:
+        words.setdefault(n, set()).add(center.window(n))
+    total = 0.0
+    for piece in maximal_cylinders(parts):
+        radius = max(piece.radius, min_radius)
+        for w in oracle_refine(mu, piece, min_radius):
+            if not any(r <= radius and subword(w, piece.sided, radius, r) in ws for r, ws in words.items()):
+                total += mu.cylinder_probability(Cylinder(mu.alphabet, piece.sided, radius, w))
+    return total

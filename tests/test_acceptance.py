@@ -357,7 +357,7 @@ def test_criterion_7_measure_vitali_suite():
             word = tuple(int(s) for s in rng.integers(0, 2, size=r + 1))
             parts.append(Cylinder(A2, "one", r, word))
         fam = vitali_cover(mu, parts, min_radius=5)
-        cyls = fam.cylinders()
+        cyls = [Cylinder(fam.alphabet, fam.sided, n, word) for word, n in fam.balls]
         for i in range(len(cyls)):
             for j in range(i + 1, len(cyls)):
                 ok &= compare_cylinders(cyls[i], cyls[j]) == "disjoint"

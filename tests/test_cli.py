@@ -12,7 +12,8 @@ import pytest
 import equidyn.cli
 import equidyn.spectral
 from equidyn.cli import fmt_prob, main
-from equidyn.measures import ProductMeasure
+from equidyn.core import Cylinder, word_to_str
+from equidyn.measures import BernoulliMeasure, ProductMeasure, vitali_cover
 from equidyn.orbit import EquicontinuityReport, PointCurve
 from equidyn.periodicity import LepClassification, LepStatistics
 from equidyn.sensitivity import DichotomyReport, SensitivityEstimate
@@ -672,3 +673,50 @@ class TestReportWriter:
         assert set(results) == report_keys(DichotomyReport)
         assert all(set(row) == report_keys(SensitivityEstimate) for row in results["sensitivity"])
         assert_equicontinuity_keys(results["equicontinuity"])
+
+
+# the benchmark's spectral-vitali `vitali` config: five Markov cylinders that
+# refine to 1,856 balls at min_radius 10
+BENCH_VITALI_CFG = {
+    "measure": {"type": "markov", "P": [[0.7, 0.3], [0.4, 0.6]]},
+    "params": {
+        "cylinders": [
+            {"radius": 1, "word": "00"},
+            {"radius": 2, "word": "011"},
+            {"radius": 3, "word": "1011"},
+            {"radius": 0, "word": "1"},
+            {"radius": 4, "word": "01010"},
+        ],
+        "min_radius": 10,
+    },
+    "seed": 3,
+}
+
+
+def test_vitali_report_bytes_are_pinned(tmp_path):
+    """The report and CSV bytes of the int-row cover are those of the object refinement it replaced."""
+    out = tmp_path / "vitali.json"
+    assert run(["vitali", "--config", write_cfg(tmp_path, BENCH_VITALI_CFG), "--out", out]) == 0
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest(out) == "156e7ba5ed239669b91e875b27ed1e1c539b40a6f28178b26a204db0f1d3ddc7"
+    assert digest(out.with_suffix(".csv")) == "171dcf88855b2304548f1767bc42673220e0351d9eee171a6087e0508a1975ed"
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [1 / 12] * 12], ids=["digits", "commas"])
+def test_vitali_report_lists_the_balls_in_ball_order(tmp_path, weights):
+    """Two radius groups whose balls interleave in the report's order, over a
+    digit alphabet and over one whose words are comma-separated."""
+    mu = BernoulliMeasure(weights)
+    parts = [Cylinder(mu.alphabet, "two", 2, (1, 1, 1, 1, 1)), Cylinder(mu.alphabet, "two", 0, (0,))]
+    fam = vitali_cover(mu, parts, 1)
+    assert sorted({n for _, n in fam.balls}) == [1, 2] and fam.balls[0][1] == 2
+    cfg = {
+        "measure": {"type": "bernoulli", "weights": weights},
+        "params": {
+            "sided": "two",
+            "cylinders": [{"radius": c.radius, "word": word_to_str(c.word, mu.alphabet)} for c in parts],
+            "min_radius": 1,
+        },
+    }
+    balls = report_results(tmp_path, "vitali", cfg)["balls"]
+    assert [(b["radius"], b["word"]) for b in balls] == [(n, word_to_str(w, mu.alphabet)) for w, n in fam.balls]

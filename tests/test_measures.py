@@ -33,7 +33,14 @@ from equidyn import (
 from equidyn.measures import _kernel_column, uncovered_mass
 from equidyn.rng import substream
 from equidyn.systems import Odometer, check_cells
-from oracles import cumulative, oracle_cylinder_probability, oracle_sample_batch
+from oracles import (
+    cumulative,
+    oracle_ball_masses,
+    oracle_cylinder_probability,
+    oracle_sample_batch,
+    oracle_uncovered_mass,
+    oracle_vitali_cover,
+)
 
 A2 = Alphabet(2)
 
@@ -43,6 +50,10 @@ P_LOPSIDED = [[0.9, 0.1], [0.2, 0.8]]
 def cyl(word, sided="one", alphabet=A2):
     radius = len(word) - 1 if sided == "one" else (len(word) - 1) // 2
     return Cylinder(alphabet, sided, radius, word)
+
+
+def ball_cylinders(fam):
+    return [Cylinder(fam.alphabet, fam.sided, n, word) for word, n in fam.balls]
 
 
 class TestBernoulli:
@@ -249,13 +260,12 @@ class TestVitali:
         fam = vitali_cover(mu, parts, 2)
         leftover = union_probability(mu, parts) - fam.total_mass(mu)
         assert leftover == 0.0
-        for n in (c.radius for c in fam.cylinders()):
+        for _, n in fam.balls:
             assert n >= 2
 
     def test_family_rejects_overlap(self):
-        x = Configuration(A2, "one", (0, 1, 1))
         with pytest.raises(ValueError):
-            BallFamily(((x, 1), (x, 2)))
+            BallFamily(A2, "one", (((0, 1), 1), ((0, 1, 1), 2)))
 
     def test_random_unions_disjoint_and_tight(self):
         """Leftover exactly zero and pairwise disjoint on random unions."""
@@ -268,7 +278,7 @@ class TestVitali:
                 word = tuple(int(s) for s in rng.integers(0, 2, size=r + 1))
                 parts.append(cyl(word))
             fam = vitali_cover(mu, parts, min_radius=4)
-            cs = fam.cylinders()
+            cs = ball_cylinders(fam)
             for i in range(len(cs)):
                 for j in range(i + 1, len(cs)):
                     assert compare_cylinders(cs[i], cs[j]) == "disjoint"
@@ -295,8 +305,8 @@ class TestUncoveredMass:
     def test_one_ball_removed_leaves_its_mass(self, markov_cover):
         mu, fam = markov_cover
         drop = 700
-        rest = BallFamily(fam.balls[:drop] + fam.balls[drop + 1:])
-        want = mu.cylinder_probability(fam.cylinders()[drop])
+        rest = BallFamily(fam.alphabet, fam.sided, fam.balls[:drop] + fam.balls[drop + 1:])
+        want = mu.cylinder_probability(ball_cylinders(fam)[drop])
         assert uncovered_mass(mu, MARKOV_UNION, rest, 10) == want
 
     def test_piece_that_is_a_ball(self):
@@ -304,9 +314,78 @@ class TestUncoveredMass:
         parts = [cyl((0, 1, 1)), cyl((1, 0))]
         fam = vitali_cover(mu, parts, 2)
         assert uncovered_mass(mu, parts, fam, 2) == 0.0
-        rest = BallFamily(tuple(b for b in fam.balls if b[0].symbols != (0, 1, 1)))
+        rest = BallFamily(fam.alphabet, fam.sided, tuple(b for b in fam.balls if b[0] != (0, 1, 1)))
         assert len(rest.balls) == 2
         assert uncovered_mass(mu, parts, rest, 2) == mu.cylinder_probability(cyl((0, 1, 1)))
+
+    def test_cover_and_masses_build_no_object_per_ball(self, monkeypatch):
+        import equidyn.core as core
+
+        made = []
+        for cls in (core.Configuration, core.Cylinder):
+            real = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: made.append(type(self)) or real(self))
+        mu = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
+        fam = vitali_cover(mu, MARKOV_UNION, 10)
+        assert len(fam.balls) == 1856
+        assert made == []
+        fam.masses(mu)
+        assert uncovered_mass(mu, MARKOV_UNION, fam, 10) == 0.0
+        assert made == []
+
+
+# one-sided and two-sided, zero transitions and Haar's zero-mass digits, and
+# pieces that keep their own radius next to pieces that split
+ORACLE_CASES = [
+    (BernoulliMeasure([0.3, 0.7]), "one", (0, 4), (1, 5)),
+    (MarkovMeasure(P_LOPSIDED), "one", (0, 4), (1, 5)),
+    (MarkovMeasure([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]), "one", (0, 3), (1, 4)),
+    (MarkovMeasure(P_LOPSIDED), "two", (0, 3), (1, 4)),
+    (MarkovMeasure([[0.1, 0.6, 0.3], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]), "two", (0, 2), (1, 3)),
+    (ProductMeasure((2, 3, 5)), "one", (0, 3), (1, 4)),
+]
+
+
+def assert_cover_matches_oracle(mu, parts, min_radius, rng):
+    """The row cover equals the object refinement in ball order, radii, words
+    and masses to the bit; so do the uncovered masses of the cover and of a
+    random subfamily."""
+    fam = vitali_cover(mu, parts, min_radius)
+    balls = oracle_vitali_cover(mu, parts, min_radius)
+    assert fam.balls == tuple((center.symbols, n) for center, n in balls)
+    masses = oracle_ball_masses(mu, balls)
+    assert fam.masses(mu) == masses
+    assert fam.total_mass(mu) == float(sum(masses))
+    assert uncovered_mass(mu, parts, fam, min_radius) == oracle_uncovered_mass(mu, parts, balls, min_radius) == 0.0
+    keep = (rng.random(len(balls)) < 0.6).tolist()
+    rest = BallFamily(fam.alphabet, fam.sided, tuple(b for b, k in zip(fam.balls, keep) if k))
+    want = oracle_uncovered_mass(mu, parts, [b for b, k in zip(balls, keep) if k], min_radius)
+    assert uncovered_mass(mu, parts, rest, min_radius) == want
+    return want
+
+
+class TestRowCoverOracle:
+    @pytest.mark.parametrize("mu, sided, radii, min_radii", ORACLE_CASES, ids=lambda v: repr(v))
+    def test_random_unions(self, mu, sided, radii, min_radii):
+        rng = substream(61, ORACLE_CASES.index((mu, sided, radii, min_radii)))
+        leftovers = []
+        for trial in range(12):
+            parts = []
+            for _ in range(int(rng.integers(1, 6))):
+                r = int(rng.integers(*radii))
+                parts.append(Cylinder(mu.alphabet, sided, r, rng.integers(0, mu.alphabet.size, window_size(sided, r))))
+            leftovers.append(assert_cover_matches_oracle(mu, parts, int(rng.integers(*min_radii)), rng))
+        assert any(v > 0 for v in leftovers)
+
+    @pytest.mark.parametrize("mu", [BernoulliMeasure([0.3, 0.7]), MarkovMeasure(P_LOPSIDED)], ids=repr)
+    def test_pieces_past_64_cells_take_the_scalar_branch(self, mu):
+        """Words of 65 cells and more: scalar log-space masses and rank word codes."""
+        rng = substream(62, 0)
+        word = tuple(int(s) for s in rng.integers(0, 2, 63))
+        parts = [cyl(word), cyl(word + (1, 0)), cyl((1 - word[0],) + word[1:62]),
+                 cyl(tuple(int(s) for s in rng.integers(0, 2, 70)))]
+        assert max(len(c.word) for c in maximal_cylinders(parts)) >= 64
+        assert assert_cover_matches_oracle(mu, parts, 64, rng) > 0
 
 
 def test_measure_dict_roundtrip():
@@ -437,7 +516,7 @@ class TestSampleRows:
 
 def first_clash(family):
     """Oracle: the first pair (i, j), i < j, that compare_cylinders says meets."""
-    cs = [ball_cylinder(x, n) for x, n in family]
+    cs = [Cylinder(A2, "one", n, word) for word, n in family]
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
             if compare_cylinders(cs[i], cs[j]) != "disjoint":
@@ -454,14 +533,14 @@ class TestBallFamilyDisjointness:
             for _ in range(int(rng.integers(1, 9))):
                 n = int(rng.integers(1, 4))
                 word = tuple(int(s) for s in rng.integers(0, 2, size=n + 2))
-                balls.append((Configuration(A2, "one", word), n))
+                balls.append((word[: n + 1], n))  # the ball of radius n around `word`
             want = first_clash(balls)
             if want is None:
-                BallFamily(tuple(balls))
+                BallFamily(A2, "one", tuple(balls))
                 continue
             clashes += 1
             with pytest.raises(ValueError, match=rf"^balls {want[0]} and {want[1]} are not disjoint"):
-                BallFamily(tuple(balls))
+                BallFamily(A2, "one", tuple(balls))
         assert 0 < clashes < 300
 
     def test_duplicate_ball_at_equal_radius(self):
@@ -469,15 +548,20 @@ class TestBallFamilyDisjointness:
         b = Configuration(A2, "two", (1, 1, 1, 0, 0))  # same W_1 word as a
         c = Configuration(A2, "two", (0, 0, 0, 0, 0))
         with pytest.raises(ValueError, match="^balls 0 and 2 are not disjoint"):
-            BallFamily(((a, 1), (c, 2), (b, 1)))
+            BallFamily(A2, "two", ((a.window(1), 1), (c.window(2), 2), (b.window(1), 1)))
 
     def test_mixed_spaces_still_raise_incompatible(self):
         from equidyn import IncompatibleConfigurations
 
         one = Configuration(A2, "one", (0, 1))
         two = Configuration(A2, "two", (1, 0, 1))
-        with pytest.raises(IncompatibleConfigurations):
-            BallFamily(((one, 1), (two, 1)))
+        for sided in ("one", "two"):  # one ball's word is not a word on W_1 of the family's space
+            with pytest.raises(IncompatibleConfigurations):
+                BallFamily(A2, sided, ((one.symbols, 1), (two.symbols, 1)))
+
+    def test_symbols_outside_the_alphabet(self):
+        with pytest.raises(ValueError, match="outside alphabet of size 2"):
+            BallFamily(A2, "one", (((0, 1), 1), ((1, 2), 1)))
 
     def test_valid_family_makes_no_pairwise_comparisons(self, markov_cover, monkeypatch):
         import equidyn.measures as measures
@@ -486,7 +570,7 @@ class TestBallFamilyDisjointness:
         real = measures.compare_cylinders
         monkeypatch.setattr(measures, "compare_cylinders", lambda a, b: calls.append(1) or real(a, b))
         _, fam = markov_cover
-        BallFamily(fam.balls)
+        BallFamily(fam.alphabet, fam.sided, fam.balls)
         assert calls == []
 
 
