@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import fields, is_dataclass
@@ -140,10 +141,10 @@ def _number(value, field: str, kind=int, minimum=None):
     """`kind(value)`, or ConfigInvalid naming the dotted `field`."""
     try:
         number = kind(value)
-        if isinstance(value, bool) or (isinstance(value, float) and number != value):
-            raise ValueError  # a bool is no number, and 2.5 no integer (1e3 is one)
+        if isinstance(value, bool) or (isinstance(value, float) and number != value) or not abs(number) < math.inf:
+            raise ValueError  # a bool is no number, 2.5 no integer (1e3 is one), and NaN or Infinity no finite one
     except (ValueError, TypeError, OverflowError):
-        raise ConfigInvalid(field, f"not {'an integer' if kind is int else 'a number'}: {value!r}")
+        raise ConfigInvalid(field, f"not {'an integer' if kind is int else 'a finite number'}: {value!r}")
     if minimum is not None and number < minimum:
         raise ConfigInvalid(field, f"must be >= {minimum}, got {number}")
     return number

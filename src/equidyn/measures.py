@@ -6,21 +6,23 @@ cell: a first-cell row, a forward kernel (a cell given its left neighbour)
 and a reversed kernel (a cell given its right neighbour). Bernoulli's rows
 all equal its weights, Markov's are (pi, P, its time reversal), and Haar's
 row at cell i is uniform on its size_at(i) digits. A cylinder's probability
-is the first-cell factor times the forward steps, left to right (for many
-int rows at once, `row_probabilities`). Finite unions of cylinders get exact
-Vitali covers by clopen refinement, as cylinders over one space nest or are
-disjoint: `_widen` lists the extensions of int rows, and a cover is int rows.
+is the first-cell factor times the forward steps, left to right, for many
+int rows at once (`row_probabilities`; `cylinder_probability` is one row).
+Finite unions of cylinders get exact Vitali covers by clopen refinement, as
+cylinders over one space nest or are disjoint: `_widen` lists the extensions
+of int rows, and a cover is int rows.
 
 Batch draws come as pieces (cell, column of all n rows) in the order the
 generator makes them, one `random(n)` per cell: unconditioned draws run
 rightward from the first cell; draws given a cylinder keep its word, each
 cell a constant column (one symbol, stride zero, no draw), then run
 rightward and leftward from it. So a one-row draw reads its uniforms in the
-order of `random(k)`. `pieces` draws for a list of generators at once,
-each from its own stream in that order, in (group, n) columns. Symbols are
-uint8 (an alphabet has at most 256). `sample_batch` and `conditional_batch`
-write the pieces into int rows; `systems.pack_planes` packs them into bit
-planes as they arrive, without an n x |W| array.
+order of `random(k)`. `pieces` draws for a list of generators at once, each
+from its own stream in that order, in (group, n) columns, member g given row
+g of one int array of words, if any. Symbols are uint8 (an alphabet has at
+most 256). `sample_batch` and `conditional_batch` write the pieces into int
+rows; `systems.pack_planes` packs them into bit planes as they arrive,
+without an n x |W| array.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -54,15 +57,8 @@ Piece = tuple[int, np.ndarray]  # (window column, that column's symbols in every
 
 
 def _prob_product(fs: list[float]) -> float:
-    """Product of probabilities; log-space once the factor count passes 64."""
-    if 0.0 in fs:
-        return 0.0
-    if len(fs) <= 64:
-        out = 1.0
-        for f in fs:
-            out *= f
-        return out
-    return math.exp(math.fsum(math.log(f) for f in fs))
+    """Product of more than 64 probabilities, in log space."""
+    return 0.0 if 0.0 in fs else math.exp(math.fsum(math.log(f) for f in fs))
 
 
 def _cumulative(probs: np.ndarray) -> np.ndarray:
@@ -132,47 +128,44 @@ class _CylinderMeasure:
         return [self._law] * window_size(sided, radius)
 
     def cylinder_probability(self, c: Cylinder) -> float:
-        """The first cell's probability times the forward steps, left to right."""
+        """A one-row `row_probabilities`."""
         self._check_cylinder(c)
-        laws, w = self._laws(c.sided, c.radius), c.word
-        factors = [laws[0].first[w[0]]]
-        factors.extend(law.forward[a][b] for law, a, b in zip(laws[1:], w, w[1:]))
-        return _prob_product(factors)
+        return float(self.row_probabilities(c.sided, c.radius, np.array([c.word], dtype=np.int64))[0])
 
     def row_probabilities(self, sided: str, radius: int, rows: np.ndarray) -> np.ndarray:
-        """`cylinder_probability` of the cylinder of each int row on W_radius, to the bit.
+        """The probability of the cylinder of each int row on W_radius: the first
+        cell's factor times the forward steps, left to right.
 
-        Up to 64 cells, one float64 product per row in the same left-to-right
-        order; past that, the scalar log-space product row by row.
+        Up to 64 cells, one float64 product per row; past that, each row's
+        factors go to the log-space `_prob_product`.
         """
         laws = self._laws(self._check_sided(sided), radius)
+        factors = chain([np.asarray(laws[0].first)[rows[:, 0]]], (
+            np.asarray(laws[j].forward)[rows[:, j - 1], rows[:, j]] for j in range(1, len(laws))))
         if len(laws) > 64:
-            return np.array([self.cylinder_probability(Cylinder(self.alphabet, sided, radius, w))
-                             for w in map(tuple, rows.tolist())])
-        out = np.asarray(laws[0].first)[rows[:, 0]]
-        for j in range(1, len(laws)):
-            out = out * np.asarray(laws[j].forward)[rows[:, j - 1], rows[:, j]]
-        return out
+            return np.array([_prob_product(fs) for fs in np.array(list(factors)).T.tolist()])
+        return reduce(np.multiply, factors)
 
     def sample_config(self, sided: str, radius: int, rng: np.random.Generator) -> Configuration:
         """A one-row `sample_batch`."""
         return Configuration(self.alphabet, sided, self.sample_batch(sided, radius, 1, rng)[0])
 
     def pieces(self, sided: str, radius: int, n: int, rngs, given=None):
-        """n words on W_radius from each generator of `rngs`, member g given
-        the cylinder given[g] if `given` lists them (all of one radius), as
-        pieces in draw order whose columns are (len(rngs), n)."""
-        for c in given or ():
-            self._check_cylinder(c)
-            if radius < c.radius:
-                raise ValueError(f"target radius {radius} smaller than the conditioning radius {c.radius}")
-            if self.cylinder_probability(c) == 0.0:
-                raise NullCylinder(f"cylinder {c.word} has measure zero; cannot condition on it")
-            if c.sided != sided:
-                raise ValueError(f"{c.sided!r}-sided cylinder, {sided!r}-sided draws")
-            if c.radius != given[0].radius:
-                raise ValueError("a group's given cylinders share one radius")
-        return self._pieces(self._check_sided(sided), radius, n, rngs, given)
+        """n words on W_radius from each generator of `rngs`, as pieces in draw order whose columns are
+        (len(rngs), n); with `given`, int rows on one window W_r, member g's words extend given[g]."""
+        sided = self._check_sided(sided)
+        if given is not None:
+            r = (given.shape[1] - 1) // (1 if sided == ONE_SIDED else 2)
+            if r < 0 or window_size(sided, r) != given.shape[1]:
+                raise ValueError(f"{given.shape[1]} cells make no {sided!r}-sided window")
+            if radius < r:
+                raise ValueError(f"target radius {radius} smaller than the conditioning radius {r}")
+            if ((given < 0) | (given >= self.alphabet.size)).any():  # a negative symbol would wrap in the kernels
+                raise AlphabetMismatch(f"given words hold a symbol outside the alphabet of size {self.alphabet.size}")
+            null = given[self.row_probabilities(sided, r, given) == 0.0]
+            if len(null):
+                raise NullCylinder(f"cylinder {tuple(null[0].tolist())} has measure zero; cannot condition on it")
+        return self._pieces(sided, radius, n, rngs, given)
 
     def _pieces(self, sided, radius, n, rngs, given) -> Iterator[Piece]:
         """Columns: the given words (or the first cell's row), then the
@@ -187,8 +180,8 @@ class _CylinderMeasure:
             return u
 
         # the given words column by column, each column contiguous for _constant
-        words = None if given is None else np.array([c.word for c in given], dtype=np.uint8).T.copy()
-        lo = 0 if given is None or sided == ONE_SIDED else radius - given[0].radius  # given's first column
+        words = None if given is None else np.ascontiguousarray(given.T, dtype=np.uint8)
+        lo = 0 if given is None or sided == ONE_SIDED else radius - (len(words) - 1) // 2  # given's first column
         hi = lo + (1 if given is None else len(words))
         for j in range(lo, hi):
             right = (_kernel_column(laws[0].cum_first[None], _constant(np.zeros(len(rngs), np.uint8), n), uniforms())
@@ -206,7 +199,8 @@ class _CylinderMeasure:
         return _rows(self.pieces(sided, radius, n, [rng]), n, window_size(sided, radius))
 
     def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _rows(self.pieces(c.sided, radius, n, [rng], [c]), n, window_size(c.sided, radius))
+        self._check_cylinder(c)
+        return _rows(self.pieces(c.sided, radius, n, [rng], np.array([c.word])), n, window_size(c.sided, radius))
 
 
 class BernoulliMeasure(_CylinderMeasure):
@@ -216,8 +210,8 @@ class BernoulliMeasure(_CylinderMeasure):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(w) < 2:
             raise ValueError("need a weight per symbol, at least two symbols")
-        if (w < 0).any():
-            raise ValueError("weights must be non-negative")
+        if not (w >= 0).all():  # NaN fails every comparison
+            raise ValueError(f"weights must be finite and non-negative, got {w.tolist()}")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
         self.alphabet = Alphabet(len(w))
@@ -236,8 +230,8 @@ class MarkovMeasure(_CylinderMeasure):
         P = np.asarray(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
             raise ValueError(f"transition matrix must be square (size >= 2), got shape {P.shape}")
-        if (P < 0).any():
-            raise ValueError("transition probabilities must be non-negative")
+        if not (P >= 0).all():  # NaN fails every comparison
+            raise ValueError("transition probabilities must be finite and non-negative")
         rowsums = P.sum(axis=1)
         if np.abs(rowsums - 1.0).max() > 1e-12:
             raise ValueError("each transition row must sum to 1 within 1e-12")
@@ -247,8 +241,8 @@ class MarkovMeasure(_CylinderMeasure):
             pi = np.asarray(stationary, dtype=float)
             if pi.shape != (P.shape[0],):
                 raise ValueError("stationary vector has the wrong length")
-        if (pi <= 0).any():
-            raise ValueError("stationary vector must be strictly positive")
+        if not (pi > 0).all():
+            raise ValueError("stationary vector must be finite and strictly positive")
         if abs(pi.sum() - 1.0) > 1e-10:
             raise ValueError("stationary vector must sum to 1 within 1e-10")
         if np.abs(pi @ P - pi).max() > 1e-10:
@@ -329,10 +323,10 @@ Measure = Union[CantorMeasure, LebesgueMeasure]
 
 
 def _rows(pieces: Iterator[Piece], n: int, k: int) -> np.ndarray:
-    """The n x k int rows whose columns the one-member group's pieces give."""
+    """The n x k int rows the pieces give: the n rows of one member, or one row of each of n members."""
     out = np.empty((n, k), dtype=np.int64)
     for j, column in pieces:
-        out[:, j] = column
+        out[:, j] = column.reshape(-1)
     return out
 
 

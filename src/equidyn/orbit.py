@@ -8,7 +8,9 @@ once (`_ball_blocks`: `cap` bounds the nominal W_rho word count of a block
 up front, see `exact_fits`, and memory follows the surviving rows). It
 serves the exact conditional measures mu(B_{m,T}(x) | B_n(x)), the orbit
 ball events and the spectral event tables; the Monte Carlo path samples
-the conditioning ball and counts trace agreement instead.
+the conditioning ball and counts trace agreement instead. Base points are
+int rows too: a report's points are one block (`_base_block`: one trace
+pass, and per n one pass for the ball words and masses both routes read).
 Rotations get the analytic arc formulas instead; their orbit balls equal
 plain balls at every horizon.
 """
@@ -25,7 +27,6 @@ import numpy as np
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     Configuration,
-    Cylinder,
     ball_cylinder,
     count_words,
     window_cells,
@@ -34,17 +35,20 @@ from .core import (
 )
 from .errors import (
     EnumerationTooLarge,
-    InsufficientRadius,
     NullBall,
     UnsupportedSystem,
 )
-from .measures import CantorMeasure, LebesgueMeasure, Measure, _widen
+from .measures import CantorMeasure, LebesgueMeasure, Measure, _rows, _widen
 from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
     Rotation,
     System,
+    _trace_row,
+    _windows,
     cell_sizes,
+    check_cells,
+    check_measure_alphabet,
     column_trace,
     dependence_radius,
     step_batch,
@@ -180,13 +184,31 @@ def density_ratio_exact(
     if isinstance(system, Rotation):
         _require_lebesgue(mu)
         return _rotation_ratio(m, n)
-    mu = _require_cantor_measure(mu)
-    ball = _checked_ball(system, mu, x, m, n, horizon)
-    return _block_ratios(system, mu, [ball], [column_trace(system, x, m, horizon)], m, n, horizon, cap)[0]
+    targets, (words,), (masses,) = _point_block(system, mu, x, m, n, horizon)
+    return _block_ratios(system, mu, words, masses, targets, m, n, horizon, cap)[0]
 
 
-def _block_ratios(system, mu, balls, targets, m, n, horizon, cap) -> list[float]:
-    """The exact ratio of each cell (ball B_n(x), x's column trace) at one n.
+def _base_block(system, mu, rows, radius, m, ns, horizon):
+    """Traces (points, T + 1, |W_m|) of base points held as checked int rows on W_radius, and per n
+    their ball words on W_n and masses; NullBall names the first null ball in (point, n) order."""
+    sided = system_sided(system)
+    words = [window_slice(sided, radius, n, rows) for n in ns]
+    masses = np.array([mu.row_probabilities(sided, n, w) for n, w in zip(ns, words)])
+    null = np.argwhere(masses.T == 0.0)
+    if len(null):
+        raise NullBall(f"conditioning ball of radius 1/{ns[null[0][1]]} has measure zero")
+    return _windows(system, rows, radius, m, horizon), words, masses.tolist()
+
+
+def _point_block(system, mu, x, m, n, horizon):
+    """`_base_block` of x at n, once B_n(x) lies in mu's space and x is valid on W_max(n, rho)."""
+    _require_cantor_measure(mu)._check_cylinder(ball_cylinder(x, n))
+    row = _trace_row(system, x, m, horizon, n)
+    return _base_block(system, mu, row, max(n, dependence_radius(system, m, horizon)), m, [n], horizon)
+
+
+def _block_ratios(system, mu, words, masses, targets, m, n, horizon, cap) -> list[float]:
+    """The exact ratio of each cell (ball word on W_n, ball mass, x's column trace) at one n.
 
     Each `_ball_blocks` frontier's rows get their masses from one vectorized
     product; each ratio is the `math.fsum` of its own cell's masses, so it
@@ -196,22 +218,20 @@ def _block_ratios(system, mu, balls, targets, m, n, horizon, cap) -> list[float]
     if n >= rho:
         # the conditioning ball fixes the whole dependence window, and x's own
         # word reproduces x's trace, so every point of the ball is in the event
-        return [1.0] * len(balls)
+        return [1.0] * len(words)
     sided = system_sided(system)
-    words, targets = np.array([b.word for b in balls], dtype=np.int64), np.array(targets, dtype=np.int64)
-    mballs = mu.row_probabilities(sided, n, words).tolist()
     free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
     full = count_words(cell_sizes(system, free))
     ratios = []
     # rows extend x's word on W_max(m, n): its ball's word, or its trace's first word
     k, bases = (n, words) if n >= m else (m, targets[:, 0])
     for cells, rows, cell in _ball_blocks(system, m, horizon, k, bases, targets, cap):
-        masses = mu.row_probabilities(sided, rho, rows).tolist()
+        kept = mu.row_probabilities(sided, rho, rows).tolist()
         ends = np.cumsum(np.bincount(cell - cells.start, minlength=len(cells))).tolist()
         # a cell whose rows are every extension of its ball word has ratio 1 by
         # inclusion; skip its float sum, whose rounding can land a hair below
         ratios += [
-            1.0 if hi - lo == full else math.fsum(masses[lo:hi]) / mballs[i]
+            1.0 if hi - lo == full else math.fsum(kept[lo:hi]) / masses[i]
             for i, lo, hi in zip(cells, [0] + ends, ends)
         ]
     return ratios
@@ -266,36 +286,23 @@ def density_ratio_estimate(
             dist = np.abs((2.0 * u - 1.0) / n)
         p_hat = float((dist <= 1.0 / m).mean())
         return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
-    mu = _require_cantor_measure(mu)
-    ball = _checked_ball(system, mu, x, m, n, horizon)
-    target = column_trace(system, x, m, horizon)
-    return _block_estimates(system, mu, [ball], [target], m, n, horizon, n_samples, [seed])[0]
+    targets, (words,), _ = _point_block(system, mu, x, m, n, horizon)
+    return _block_estimates(system, mu, words, targets, m, n, horizon, n_samples, [seed])[0]
 
 
-def _checked_ball(system, mu, x, m, n, horizon) -> Cylinder:
-    """B_n(x), once it has positive measure and x is valid on W_max(n, rho), which both routes read."""
-    ball = ball_cylinder(x, n)
-    if mu.cylinder_probability(ball) == 0.0:
-        raise NullBall(f"conditioning ball of radius 1/{n} has measure zero")
-    radius = max(n, dependence_radius(system, m, horizon))
-    if x.radius < radius:
-        raise InsufficientRadius(f"need valid radius {radius}, have {x.radius}")
-    return ball
-
-
-def _block_estimates(system, mu, balls, targets, m, n, horizon, n_samples, seeds) -> list[RatioEstimate]:
-    """One estimate per cell (ball B_n(x), x's trace, seed) at one n.
+def _block_estimates(system, mu, words, targets, m, n, horizon, n_samples, seeds) -> list[RatioEstimate]:
+    """One estimate per cell (ball word on W_n, x's trace, seed) at one n.
 
     Each cell draws n_samples rows from its own `substream(seed, 0)`; the
     block's rows are packed, stepped and checked against their own traces
     together, and each p_hat is the cell's count over n_samples.
     """
-    sided = balls[0].sided
+    sided = system_sided(system)
     radius = max(n, dependence_radius(system, m, horizon))
-    pieces = mu.pieces(sided, radius, n_samples, [substream(s, 0) for s in seeds], balls)
-    planes = pack_planes(system, pieces, (len(balls), n_samples, window_size(sided, radius)))
+    pieces = mu.pieces(sided, radius, n_samples, [substream(s, 0) for s in seeds], words)
+    planes = pack_planes(system, pieces, (len(words), n_samples, window_size(sided, radius)))
     agree = trace_agreement_batch(system, targets, planes, n_samples, m, radius)
-    counts = agree.reshape(len(balls), n_samples).sum(axis=1).tolist()
+    counts = agree.reshape(len(words), n_samples).sum(axis=1).tolist()
     return [
         RatioEstimate(c / n_samples, _binomial_stderr(c / n_samples, n_samples), n_samples, s, m, n, horizon)
         for c, s in zip(counts, seeds)
@@ -348,7 +355,8 @@ def mu_equicontinuity_report(
     Either way the cells of one n run in blocks: `_ball_blocks` frontiers
     (exact), or one packed, stepped and checked batch per block of at most
     `_BLOCK_ROWS` sampled rows, so memory follows the block, not the point
-    count. Each point's column trace is computed once and serves all its cells.
+    count. One `pieces` pass draws every base point (point i reads what a
+    one-row `sample_config` from substream(seed, 0, i) reads).
     """
     if points < 1:
         raise ValueError("need at least one base point")
@@ -372,22 +380,22 @@ def mu_equicontinuity_report(
         use_exact = exact_fits(system, m, horizon, cap)
         if not use_exact and n_samples < 1:
             raise ValueError("need at least one sample")
-
-        labels, targets, balls = [], [], []
-        for i in range(points):  # every cell is checked, in (point, n) order, before any block runs
-            x = cantor_mu.sample_config(sided, radius, substream(seed, 0, i))
-            labels.append(word_to_str(x.symbols, x.alphabet))
-            targets.append(column_trace(system, x, m, horizon))
-            balls.append([_checked_ball(system, cantor_mu, x, m, n, horizon) for n in ns])
+        check_measure_alphabet(system, cantor_mu)
+        rngs = [substream(seed, 0, i) for i in range(points)]
+        rows = _rows(cantor_mu.pieces(sided, radius, 1, rngs), points, window_size(sided, radius))
+        check_cells(system, rows)
+        labels = [word_to_str(x, system.alphabet) for x in rows.tolist()]
+        # every cell is checked before any block runs
+        targets, words, masses = _base_block(system, cantor_mu, rows, radius, m, ns, horizon)
         cols = [[] for _ in ns]  # cols[j]: the ratios (or estimates) of every point at ns[j]
         for j, n in enumerate(ns):
             if use_exact:
-                cols[j] = _block_ratios(system, cantor_mu, [b[j] for b in balls], targets, m, n, horizon, cap)
+                cols[j] = _block_ratios(system, cantor_mu, words[j], masses[j], targets, m, n, horizon, cap)
                 continue
             block = max(1, _BLOCK_ROWS // n_samples)
             for lo in range(0, points, block):
                 cells = range(lo, min(points, lo + block))
-                cols[j] += _block_estimates(system, cantor_mu, [balls[i][j] for i in cells], targets[lo : cells.stop],
+                cols[j] += _block_estimates(system, cantor_mu, words[j][lo : cells.stop], targets[lo : cells.stop],
                                             m, n, horizon, n_samples, [derive_seed(seed, 1, i, j) for i in cells])
         curves = [
             PointCurve(point=label, ratios=row, exact=True, stderrs=None) if use_exact else

@@ -11,9 +11,9 @@ first R + 1 digits of the argument. Rotations act on exact circle points.
 
 Two steppers implement the same rules. `step_batch` steps int64 rows; it
 serves the exact route (the orbit-ball frontier search), `column_codes`
-(`lep` and the one-row `lep_certificate`), spectral integration, and the
-one-row `step` and `column_trace`, which give a base point's trace and the
-orbit of a spectral base point.
+(`lep` and the one-row `lep_certificate`), spectral integration, `_windows`
+(the traces of a block of base points, in one pass) and the one-row `step`
+and `column_trace` (the orbit of a spectral base point).
 `step_planes` steps one-hot bit planes, 64 rows to a uint64 word; it serves
 the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
@@ -245,6 +245,8 @@ def dependence_radius(system: CantorSystem, m: int, horizon: int) -> int:
     """Input radius that determines the column trace at resolution m to `horizon`."""
     if isinstance(system, Rotation):
         raise UnsupportedSystem("rotations have no window dependence radius")
+    if m < 0 or horizon < 0:
+        raise ValueError("resolution and horizon must be >= 0")
     return m + step_cost(system) * horizon
 
 
@@ -283,13 +285,9 @@ def check_cells(system: CantorSystem, arr: np.ndarray, first: int = 0) -> None:
         )
 
 
-def _trace_row(system: CantorSystem, x: Configuration, m: int, horizon: int) -> np.ndarray:
-    """x on W_rho, rho the dependence radius for (m, horizon), as one checked int64 row."""
-    if isinstance(system, Rotation):
-        raise UnsupportedSystem("rotations have no symbolic column trace")
-    if m < 0 or horizon < 0:
-        raise ValueError("resolution and horizon must be >= 0")
-    need = dependence_radius(system, m, horizon)
+def _trace_row(system: CantorSystem, x: Configuration, m: int, horizon: int, radius: int = 0) -> np.ndarray:
+    """x on W_max(radius, rho), rho the dependence radius for (m, horizon), as one checked int64 row."""
+    need = max(radius, dependence_radius(system, m, horizon))
     if x.radius < need:
         raise InsufficientRadius(
             f"trace to horizon {horizon} at resolution {m} needs valid radius {need}, "
@@ -352,8 +350,6 @@ def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) ->
     Row i of `arr` is x_i on W_rho, rho the dependence radius for (m,
     horizon). Equal integers mean equal words (see `word_codes`).
     """
-    if m < 0 or horizon < 0:
-        raise ValueError("resolution and horizon must be >= 0")
     radius = dependence_radius(system, m, horizon)
     cells = window_cells(system_sided(system), radius)
     if arr.shape[1] != len(cells):

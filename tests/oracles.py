@@ -12,7 +12,8 @@ rows mean equal draws. The cylinder products are the three per-measure
 formulas that the chain's one product replaced. The Vitali cover below is
 the object refinement that the int-row cover replaced: one `Configuration`
 center per ball, one `cylinder_probability` per mass, and coverage read off
-word tuples by `subword`.
+word tuples by `subword`. The base points below are the per-point
+preparation that the report's int-row block replaced.
 """
 
 import functools
@@ -30,6 +31,7 @@ from equidyn.core import (
     iter_words,
     subword,
     window_cells,
+    word_to_str,
 )
 from equidyn.measures import BernoulliMeasure, MarkovMeasure, ProductMeasure, maximal_cylinders
 from equidyn.errors import EnumerationTooLarge
@@ -40,6 +42,7 @@ from equidyn.systems import (
     Odometer,
     Shift,
     cell_sizes,
+    column_trace,
     dependence_radius,
     step_cost,
     system_sided,
@@ -321,3 +324,21 @@ def oracle_uncovered_mass(mu, parts, balls, min_radius):
             if not any(r <= radius and subword(w, piece.sided, radius, r) in ws for r, ws in words.items()):
                 total += mu.cylinder_probability(Cylinder(mu.alphabet, piece.sided, radius, w))
     return total
+
+
+# -- base points one at a time ----------------------------------------------------
+
+def oracle_base_points(system, mu, m, ns, horizon, points, seed):
+    """Per point i: a `sample_config` from substream(seed, 0, i), its label and
+    `column_trace`, then per n its `ball_cylinder` word and `cylinder_probability`."""
+    sided = system_sided(system)
+    radius = max(max(ns), dependence_radius(system, m, horizon))
+    labels, traces, words, masses = [], [], [], []
+    for i in range(points):
+        x = mu.sample_config(sided, radius, substream(seed, 0, i))
+        balls = [ball_cylinder(x, n) for n in ns]
+        labels.append(word_to_str(x.symbols, x.alphabet))
+        traces.append([list(w) for w in column_trace(system, x, m, horizon)])
+        words.append([list(b.word) for b in balls])
+        masses.append([mu.cylinder_probability(b) for b in balls])
+    return labels, traces, words, masses

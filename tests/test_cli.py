@@ -720,3 +720,51 @@ def test_vitali_report_lists_the_balls_in_ball_order(tmp_path, weights):
     }
     balls = report_results(tmp_path, "vitali", cfg)["balls"]
     assert [(b["radius"], b["word"]) for b in balls] == [(n, word_to_str(w, mu.alphabet)) for w, n in fam.balls]
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinity are numbers to `json.load`, but no config accepts them."""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("command,cfg,path,value,field", [
+        ("density", DENSITY_CFG, "measure.weights", [NAN, NAN], "measure"),
+        ("density", DENSITY_CFG, "measure", {"type": "markov", "P": [[NAN, 0.5], [0.5, 0.5]], "pi": [0.5, 0.5]},
+         "measure"),
+        # without `pi` the stationary vector would be solved for; LAPACK must never see the NaN
+        ("density", DENSITY_CFG, "measure", {"type": "markov", "P": [[NAN, 0.5], [0.5, 0.5]]}, "measure"),
+        ("vitali", VITALI_CFG, "params.eps", INF, "params.eps"),
+    ], ids=["bernoulli-weights", "markov-P-with-pi", "markov-P-without-pi", "vitali-eps"])
+    def test_exits_2_naming_the_field_and_writes_nothing(self, tmp_path, capfd, command, cfg, path, value, field):
+        out = tmp_path / "x.json"
+        assert run([command, "--config", write_cfg(tmp_path, with_field(cfg, path, value)), "--out", out]) == 2
+        captured = capfd.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("equidyn: ") and f"'{field}'" in lines[0]
+        assert captured.out == ""
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+# the exact-orbit and sampled-mc `classify` configs of bench/workloads.py at seed 3
+BENCH_CLASSIFY_CASES = {
+    "exact": ({"system": {"type": "eca", "rule": 110}, "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
+               "params": {"m": 2, "n_list": [1, 2, 3], "T": 3, "points": 50}, "seed": 3},
+              "e734cecd203b52e71caf8e1596161f22ad7c72a7d25814d9f682f2ed1fa9f619",
+              "2fcfc05cc725ab2337d5d7a3057db2cc79f20a8c78d1dd9fe89d345639e70740"),
+    "sampled": ({"system": {"type": "eca", "rule": 110}, "measure": {"type": "markov", "P": [[0.7, 0.3], [0.4, 0.6]]},
+                 "params": {"m": 2, "n_list": [1, 2, 3], "T": 3, "points": 100, "n_samples": 10_000},
+                 "seed": 3, "cap": 1024},
+                "c98019c189718cb7a6375060bb64180835ef4d023f358dd69c0e00e1a5536043",
+                "8274eb07c15919f02a04dcef15316a8125f06bc514fbd4cb7f60d3342bb81f8b"),
+}
+
+
+@pytest.mark.parametrize("route", BENCH_CLASSIFY_CASES)
+def test_classify_report_bytes_are_pinned(tmp_path, route):
+    """The report and CSV bytes of the one-block base points are those of the per-point preparation it replaced."""
+    cfg, report_sha, csv_sha = BENCH_CLASSIFY_CASES[route]
+    out = tmp_path / "classify.json"
+    assert run(["classify", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (digest(out), digest(out.with_suffix(".csv"))) == (report_sha, csv_sha)
+    assert all(c["exact"] == (route == "exact") for c in json.loads(out.read_text())["results"]["curves"])

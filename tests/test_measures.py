@@ -635,8 +635,17 @@ def test_cylinder_probability_equals_the_per_measure_formulas(mu, sided):
         assert got > 0.0 and got == oracle_cylinder_probability(mu, c)
 
 
-def cylinder_masses(mu, sided, radius, rows):
-    return [mu.cylinder_probability(Cylinder(mu.alphabet, sided, radius, tuple(w))) for w in rows.tolist()]
+def oracle_masses(mu, sided, radius, rows):
+    """The per-measure formula of each row's cylinder, independent of the chain's one product."""
+    return [oracle_cylinder_probability(mu, Cylinder(mu.alphabet, sided, radius, tuple(w))) for w in rows.tolist()]
+
+
+def assert_masses_match_the_oracle(mu, sided, radius, rows):
+    """`row_probabilities` and `cylinder_probability` both read the oracle's masses, bit for bit."""
+    want = oracle_masses(mu, sided, radius, rows)
+    assert mu.row_probabilities(sided, radius, rows).tolist() == want
+    assert [mu.cylinder_probability(Cylinder(mu.alphabet, sided, radius, tuple(w))) for w in rows.tolist()] == want
+    return want
 
 
 ZERO_STEPS = MarkovMeasure([[0.5, 0, 0.5], [0.5, 0.5, 0], [0, 0.5, 0.5]])
@@ -648,25 +657,37 @@ ZERO_STEPS = MarkovMeasure([[0.5, 0, 0.5], [0.5, 0.5, 0], [0, 0.5, 0.5]])
 def test_row_probabilities_are_the_cylinder_probabilities(mu, sided):
     for radius in range(3):
         rows = np.array(list(itertools.product(range(mu.alphabet.size), repeat=window_size(sided, radius))))
-        want = cylinder_masses(mu, sided, radius, rows)
-        assert mu.row_probabilities(sided, radius, rows).tolist() == want  # bit for bit
+        want = assert_masses_match_the_oracle(mu, sided, radius, rows)
     assert 0.0 in want and max(want) > 0.0  # zero steps (or digits) among the rows
 
 
 def test_row_probabilities_past_64_cells():
     mu = MarkovMeasure(P_LOPSIDED)
     for radius in (62, 63, 64, 70):  # 63 and 64 cells in one product; 65 and 71 in log space
-        rows = mu.sample_batch("one", radius, 20, substream(64, radius))
-        assert mu.row_probabilities("one", radius, rows).tolist() == cylinder_masses(mu, "one", radius, rows)
+        assert_masses_match_the_oracle(mu, "one", radius, mu.sample_batch("one", radius, 20, substream(64, radius)))
     # the shift's orbit ball at m = 1 and horizon 70 is x's one word on W_71, 72 cells
     x = mu.sample_config("one", 71, substream(64, 0))
     event = orbit_ball_event(Shift(A2), x, 1, 70, cap=2**80)
     assert event.words.tolist() == [list(x.window(71))]
     rows = event.words
-    assert mu.row_probabilities("one", 71, rows).tolist() == cylinder_masses(mu, "one", 71, rows)
+    assert_masses_match_the_oracle(mu, "one", 71, rows)
     for n in (3, 70):
-        want = cylinder_masses(mu, "one", 71, rows)[0] / mu.cylinder_probability(ball_cylinder(x, n))
+        want = oracle_masses(mu, "one", 71, rows)[0] / oracle_cylinder_probability(mu, ball_cylinder(x, n))
         assert density_ratio_exact(Shift(A2), mu, x, 1, n, 70, cap=2**80) == want
+
+
+@pytest.mark.parametrize("mu,sided", [(ZERO_STEPS, "one"), (ZERO_STEPS, "two"), (ProductMeasure((2, 3)), "one")],
+                         ids=repr)
+def test_row_probabilities_with_a_zero_factor_past_64_cells(mu, sided):
+    rows = mu.sample_batch(sided, 70, 6, substream(65, 0))  # 71 or 141 cells, every factor positive
+    bad = rows.copy()
+    if isinstance(mu, ProductMeasure):
+        bad[:, 0] = 2  # cell 0 holds two digits
+    else:
+        at, cols = np.arange(6), np.arange(60, 66)
+        bad[at, cols] = (bad[at, cols - 1] + 1) % 3  # a -> a + 1 never happens
+    want = assert_masses_match_the_oracle(mu, sided, 70, np.concatenate([rows, bad]))
+    assert min(want[:6]) > 0.0 and want[6:] == [0.0] * 6
 
 
 @pytest.mark.parametrize("w", [[0.3, 0.7], [0.2, 0.5, 0.3]])
@@ -674,7 +695,7 @@ def test_row_probabilities_past_64_cells():
 def test_bernoulli_is_the_markov_chain_with_equal_rows(w, sided):
     bern, chain = BernoulliMeasure(w), MarkovMeasure([w] * len(w), w)
     c = Cylinder(bern.alphabet, sided, 1, bern.sample_config(sided, 1, substream(62, 0)).symbols)
-    for given in (None, [c]):
+    for given in (None, np.array([c.word])):
         a = list(bern.pieces(sided, 4, 500, [substream(62, 1)], given))
         b = list(chain.pieces(sided, 4, 500, [substream(62, 1)], given))
         assert [j for j, _ in a] == [j for j, _ in b]

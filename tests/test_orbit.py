@@ -35,7 +35,7 @@ import equidyn.orbit
 from equidyn.core import DEFAULT_ENUMERATION_CAP, count_words, iter_words, subword, window_cells, window_size, word_to_str
 from equidyn.rng import derive_seed, substream
 from equidyn.systems import cell_sizes, column_trace, dependence_radius, system_sided
-from oracles import oracle_event, scalar_column_trace, scalar_step
+from oracles import oracle_base_points, oracle_event, scalar_column_trace, scalar_step
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -483,3 +483,40 @@ def test_sampled_report_memory_follows_the_block():
     planes = 2 * cells * 4 * (n_samples // 64) * 8
     uniforms = 4 * n_samples * 8
     assert peak(64) <= peak(8) + planes + uniforms
+
+
+# -- base points as one block ---------------------------------------------------------
+#
+# A report draws, traces and weighs all of its base points as one int-row block;
+# that block must hold, bit for bit, what the per-point preparation it replaced
+# (`oracles.oracle_base_points`) makes.
+
+MARKOV3 = MarkovMeasure([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.3, 0.3, 0.4]])
+BASE_POINT_CASES = {
+    "bernoulli": (eca_rule(110), BernoulliMeasure([0.5, 0.5]), [1, 2, 3]),
+    "markov-two": (eca_rule(110), MARKOV, [1, 2, 3]),
+    "markov-one": (Shift(A2), MARKOV, [1, 3]),
+    "markov3-one": (seeded_one_sided_ca3(), MARKOV3, [1, 2, 4]),
+    "markov3-two": (identity_rule(A3, "two", 1), MARKOV3, [2, 1]),
+    "haar-odometer": (Odometer((2, 3)), ProductMeasure((2, 3)), [1, 2, 3]),
+    "ball-of-81-cells": (eca_rule(30), MARKOV, [1, 40]),
+    "ball-of-71-cells": (Shift(A2), BernoulliMeasure([0.3, 0.7]), [70, 2]),
+}
+
+
+@pytest.mark.parametrize("case", BASE_POINT_CASES)
+@pytest.mark.parametrize("cap", [DEFAULT_ENUMERATION_CAP, 1], ids=["exact", "sampled"])
+def test_base_points_are_one_block_that_matches_the_oracle(monkeypatch, case, cap):
+    system, mu, ns = BASE_POINT_CASES[case]
+    m, horizon, points, seed = 2, 3, 7, 23
+    blocks = []
+    base_block = equidyn.orbit._base_block
+    monkeypatch.setattr(equidyn.orbit, "_base_block", lambda *a: blocks.append(base_block(*a)) or blocks[-1])
+    report = mu_equicontinuity_report(system, mu, m, ns, horizon, points=points, n_samples=5, seed=seed, cap=cap)
+    labels, traces, words, masses = oracle_base_points(system, mu, m, sorted(ns), horizon, points, seed)
+    (got_traces, got_words, got_masses), = blocks  # one block for the whole report
+    assert report.curves[0].exact == (cap > 1)
+    assert [c.point for c in report.curves] == labels
+    assert got_traces.tolist() == traces
+    assert [[w[i].tolist() for w in got_words] for i in range(points)] == words
+    assert [list(row) for row in zip(*got_masses)] == masses  # bit for bit

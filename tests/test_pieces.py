@@ -7,10 +7,12 @@ import pytest
 
 from equidyn import (
     Alphabet,
+    AlphabetMismatch,
     BernoulliMeasure,
     Configuration,
     Cylinder,
     MarkovMeasure,
+    NullCylinder,
     Odometer,
     ProductMeasure,
     density_ratio_estimate,
@@ -56,6 +58,11 @@ def given(mu, sided, radius, seed):
     return Cylinder(mu.alphabet, sided, radius, x.window(radius))
 
 
+def row(c):
+    """The cylinder's word as the one int row that `pieces` takes."""
+    return np.array([c.word], dtype=np.int64)
+
+
 @pytest.mark.parametrize("name,sided", CASES)
 @pytest.mark.parametrize("n", ROW_COUNTS)
 class TestPiecesMatchWholeArrays:
@@ -75,7 +82,7 @@ class TestPiecesMatchWholeArrays:
         want = oracle_conditional_batch(mu, c, RADIUS, n, substream(n, 2))
         got = mu.conditional_batch(c, RADIUS, n, substream(n, 2))
         assert got.dtype == np.int64 and np.array_equal(got, want)
-        planes = pack_planes(packer(mu), mu.pieces(sided, RADIUS, n, [substream(n, 2)], [c]), want.shape)
+        planes = pack_planes(packer(mu), mu.pieces(sided, RADIUS, n, [substream(n, 2)], row(c)), want.shape)
         assert np.array_equal(planes, pack_planes(packer(mu), want))
 
 
@@ -85,7 +92,7 @@ class TestPiecesMatchWholeArrays:
 def test_conditioned_pieces_pack_like_conditional_batch(name, sided, n, inner):
     mu = MEASURES[name]
     c = given(mu, sided, inner, seed=n + inner)
-    pieces = list(mu.pieces(sided, RADIUS, n, [substream(n, 3)], [c]))
+    pieces = list(mu.pieces(sided, RADIUS, n, [substream(n, 3)], row(c)))
     assert all(column.strides[-1] == 0 for _, column in pieces[: len(c.word)])  # the given cells are constant columns
     rows = mu.conditional_batch(c, RADIUS, n, substream(n, 3))
     assert np.array_equal(pack_planes(packer(mu), pieces, rows.shape), pack_planes(packer(mu), rows))
@@ -97,7 +104,7 @@ def test_piece_shapes_follow_the_draw_order(name, sided):
     k = window_size(sided, RADIUS)
     for pieces in (
         list(mu.pieces(sided, RADIUS, n, [substream(3, 0)])),
-        list(mu.pieces(sided, RADIUS, n, [substream(3, 0)], [given(mu, sided, 1, seed=3)])),
+        list(mu.pieces(sided, RADIUS, n, [substream(3, 0)], row(given(mu, sided, 1, seed=3)))),
     ):
         # one call per cell, whatever the measure: one column of the generator's rows
         assert sorted(j for j, _ in pieces) == list(range(k))
@@ -105,15 +112,27 @@ def test_piece_shapes_follow_the_draw_order(name, sided):
 
 
 def test_given_cylinder_must_match_the_side():
-    c = Cylinder(Alphabet(2), "two", 1, (1, 0, 1))
+    # two cells are a one-sided W_1 but no two-sided window
+    MARKOV.pieces("one", 3, 10, [substream(0, 0)], np.array([[1, 0]]))
     with pytest.raises(ValueError, match="sided"):
-        MARKOV.pieces("one", 3, 10, [substream(0, 0)], [c])
+        MARKOV.pieces("two", 3, 10, [substream(0, 0)], np.array([[1, 0]]))
+
+
+def test_given_words_are_checked_before_any_draw():
+    draw = lambda sided, radius, given: MARKOV.pieces(sided, radius, 10, [substream(0, 0)] * len(given), given)
+    with pytest.raises(ValueError, match="smaller than the conditioning radius 2"):
+        draw("two", 1, np.array([[0, 1, 0, 1, 0]]))
+    for bad in (-1, 2):  # a negative symbol would index the kernels from their end
+        with pytest.raises(AlphabetMismatch, match="alphabet of size 2"):
+            draw("one", 3, np.array([[0, 1], [1, bad]]))
+    zero = MarkovMeasure([[0.0, 1.0], [0.5, 0.5]])  # 0 -> 0 never happens
+    with pytest.raises(NullCylinder, match=r"\(1, 0, 0\)"):  # the first null word, in member order
+        zero.pieces("two", 2, 10, [substream(0, 0)] * 3, np.array([[1, 1, 1], [1, 0, 0], [0, 0, 1]]))
 
 
 def test_markov_pieces_come_in_draw_order():
     # the given word, then rightward, then leftward: the order of the random(n) calls
-    c = Cylinder(Alphabet(2), "two", 1, (1, 0, 1))
-    cells = [j for j, _ in MARKOV.pieces("two", 3, 10, [substream(0, 0)], [c])]
+    cells = [j for j, _ in MARKOV.pieces("two", 3, 10, [substream(0, 0)], np.array([[1, 0, 1]]))]
     assert cells == [2, 3, 4, 5, 6, 1, 0]
 
 
@@ -214,17 +233,18 @@ def test_sampled_density_rejects_digits_outside_the_odometer():
         density_ratio_estimate(system, mu, x, 3, 1, 3, n_samples=500)
 
 
-# -- one trace per point ----------------------------------------------------------
+# -- one trace pass per report ------------------------------------------------------
 
 @pytest.mark.parametrize("cap", (10**6, 1))  # exact route, then sampled route
 def test_report_traces_each_point_once(monkeypatch, cap):
-    real = equidyn.orbit.column_trace
+    windows, traces = equidyn.orbit._windows, []
     calls = []
-    monkeypatch.setattr(equidyn.orbit, "column_trace", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(equidyn.orbit, "_windows", lambda *a: calls.append(len(a[1])) or windows(*a))
+    monkeypatch.setattr(equidyn.orbit, "column_trace", lambda *a: traces.append(a))
     report = mu_equicontinuity_report(eca_rule(110), MARKOV, m=1, n_list=[1, 2, 3], horizon=3,
                                       points=5, n_samples=200, seed=4, cap=cap)
     assert report.curves[0].exact == (cap > 1)
-    assert len(calls) == 5
+    assert calls == [5] and traces == []  # one pass over all five points
 
 
 # -- memory follows the planes ----------------------------------------------------
