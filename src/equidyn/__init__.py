@@ -9,19 +9,13 @@ reproducible seeded sampling.
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
-    DISTANCE_ORIGIN_MISMATCH,
-    DISTANCE_WINDOW_ONE_MISMATCH,
     ONE_SIDED,
     TWO_SIDED,
     Alphabet,
     CirclePoint,
     Configuration,
     Cylinder,
-    agreement_level,
     ball_cylinder,
-    cantor_distance,
-    circle_distance,
-    compare_cylinders,
     count_words,
     iter_words,
     window_cells,
@@ -57,6 +51,7 @@ from .orbit import (
     EquicontinuityReport,
     OrbitBallEvent,
     RatioEstimate,
+    density_curve,
     density_ratio_estimate,
     density_ratio_exact,
     mu_equicontinuity_report,
@@ -96,7 +91,6 @@ from .systems import (
     eca_rule,
     identity_rule,
     shift_as_ca,
-    step,
     step_cost,
     system_from_dict,
     system_sided,

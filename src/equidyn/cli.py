@@ -51,8 +51,7 @@ from .measures import (
 )
 from .orbit import (
     EquicontinuityReport,
-    density_ratio_estimate,
-    density_ratio_exact,
+    density_curve,
     exact_fits,
     mu_equicontinuity_report,
 )
@@ -240,17 +239,18 @@ def _run_density(system, mu, params, seed, cap):
         radius = max(max(n_list), dependence_radius(system, m, horizon))
         x = _point_from_params(system, mu, params, radius, seed)
         point_label = word_to_str(x.symbols, x.alphabet)
-    feasible = exact_fits(system, m, horizon, cap)
-    rows = []
-    for j, n in enumerate(n_list):
-        exact = density_ratio_exact(system, mu, x, m, n, horizon, cap=cap) if feasible else None
-        est = density_ratio_estimate(system, mu, x, m, n, horizon, n_samples=n_samples, seed=derive_seed(seed, j))
-        rows.append({
+    exact = exact_fits(system, m, horizon, cap)
+    seeds = [derive_seed(seed, j) for j in range(len(n_list))]
+    ratios, ests = density_curve(system, mu, x, m, n_list, horizon, exact, n_samples, seeds, cap)
+    rows = [
+        {
             "n": n,
-            "exact": fmt_prob(exact) if exact is not None else None,
+            "exact": fmt_prob(ratio) if exact else None,
             "p_hat": fmt_prob(est.p_hat),
             "stderr": fmt_prob(est.stderr),
-        })
+        }
+        for n, ratio, est in zip(n_list, ratios, ests)
+    ]
     results = {"point": point_label, "m": m, "T": horizon, "n_samples": n_samples, "rows": rows}
     csv_rows = [(r["n"], r["exact"], r["p_hat"], r["stderr"]) for r in rows]
     return results, ("n", "exact", "p_hat", "stderr"), csv_rows

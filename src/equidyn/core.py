@@ -1,12 +1,14 @@
-"""Finite-alphabet configurations, windows, cylinders, and the Cantor metric.
+"""Finite-alphabet configurations, windows, cylinders and circle points.
 
 A configuration is a finite truncation of a point of A^{Z+} (one-sided) or
 A^Z (two-sided): the symbols it carries cover exactly the window of its
 valid radius. Operations that would need symbols outside that window raise
 InsufficientRadius instead of silently padding.
 
-Windows: W_n = {0..n} one-sided, {-n..n} two-sided. The ball of radius 1/n
-around x is the cylinder of x's word on W_n, for every n >= 1.
+Windows: W_n = {0..n} one-sided, {-n..n} two-sided. Under the Cantor metric
+(1/m, m the largest radius of agreement) the ball of radius 1/n around x is
+the cylinder of x's word on W_n, for every n >= 1; so every command works on
+words and cylinders, and the metric itself lives in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -16,20 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .errors import IncompatibleConfigurations, InsufficientRadius
+from .errors import InsufficientRadius
 
 ONE_SIDED = "one"
 TWO_SIDED = "two"
 
 #: Default bound on how many words any exhaustive enumeration may visit.
 DEFAULT_ENUMERATION_CAP = 2 ** 24
-
-# Distance values for the two agreement levels the 1/m formula cannot express.
-# Both must exceed 1 so that "d <= 1/n iff agreement on W_n" holds for all
-# n >= 1; only origin disagreement may reach 2, so that "d >= 2" means exactly
-# "the origin symbols differ".
-DISTANCE_ORIGIN_MISMATCH = Fraction(2)
-DISTANCE_WINDOW_ONE_MISMATCH = Fraction(3, 2)
 
 
 @dataclass(frozen=True)
@@ -124,54 +119,6 @@ class Configuration:
         return subword(self.symbols, self.sided, self.radius, n)
 
 
-def check_compatible(x: Configuration, y: Configuration) -> None:
-    if x.alphabet != y.alphabet or x.sided != y.sided:
-        raise IncompatibleConfigurations(
-            f"operands disagree: alphabet {x.alphabet.size} vs {y.alphabet.size}, "
-            f"indexing {x.sided!r} vs {y.sided!r}"
-        )
-
-
-def agreement_level(x: Configuration, y: Configuration) -> int:
-    """Largest m <= min(valid radii) with x and y equal on W_m; -1 if none.
-
-    Raises InsufficientRadius when no disagreement occurs within the shared
-    window and the truncations are not identical (the true level is then
-    unknowable from the data at hand).
-    """
-    check_compatible(x, y)
-    rmin = min(x.radius, y.radius)
-    for i in range(rmin + 1):
-        if x.at(i) != y.at(i) or (x.sided == TWO_SIDED and x.at(-i) != y.at(-i)):
-            return i - 1
-    if x.radius == y.radius:
-        return rmin  # identical truncations
-    raise InsufficientRadius(
-        f"no disagreement within shared radius {rmin}; "
-        "valid radii too small to witness the first mismatch"
-    )
-
-
-def cantor_distance(x: Configuration, y: Configuration) -> Fraction:
-    """Cantor metric: 1/m with m the largest window radius of agreement.
-
-    Returns 0 only for identical truncations of equal valid radius. Points
-    that differ at the origin get distance 2; points agreeing exactly on W_0
-    get 3/2 (any value strictly between 1 and 2 keeps the ball/cylinder
-    identities for n >= 1 while reserving 2 for origin disagreement).
-    """
-    level = agreement_level(x, y)
-    if level == -1:
-        return DISTANCE_ORIGIN_MISMATCH
-    if level == min(x.radius, y.radius):
-        # agreement_level only reaches the full shared window for identical
-        # truncations of equal radius; it raises otherwise.
-        return Fraction(0)
-    if level == 0:
-        return DISTANCE_WINDOW_ONE_MISMATCH
-    return Fraction(1, level)
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """Set of points whose word on W_radius equals `word`."""
@@ -195,40 +142,12 @@ class Cylinder:
             if not 0 <= s < self.alphabet.size:
                 raise ValueError(f"symbol {s} outside alphabet of size {self.alphabet.size}")
 
-    def subword(self, n: int) -> tuple[int, ...]:
-        return subword(self.word, self.sided, self.radius, n)
-
-    def contains(self, x: Configuration) -> bool:
-        if x.alphabet != self.alphabet or x.sided != self.sided:
-            raise IncompatibleConfigurations("configuration lives over a different space")
-        return x.window(self.radius) == self.word
-
-    def as_configuration(self) -> Configuration:
-        """The word itself read as a configuration of valid radius `radius`."""
-        return Configuration(self.alphabet, self.sided, self.word)
-
 
 def ball_cylinder(x: Configuration, n: int) -> Cylinder:
     """The ball {z : d(x, z) <= 1/n} as the cylinder of x's word on W_n."""
     if n < 1:
         raise ValueError(f"balls are defined for radius n >= 1, got {n}")
     return Cylinder(x.alphabet, x.sided, n, x.window(n))
-
-
-def compare_cylinders(a: Cylinder, b: Cylinder) -> str:
-    """One of 'equal', 'a_in_b', 'b_in_a', 'disjoint'.
-
-    Cylinders over the same space either nest or are disjoint, so these four
-    cases are exhaustive.
-    """
-    if a.alphabet != b.alphabet or a.sided != b.sided:
-        raise IncompatibleConfigurations("cylinders live over different spaces")
-    n = min(a.radius, b.radius)
-    if a.subword(n) != b.subword(n):
-        return "disjoint"
-    if a.radius == b.radius:
-        return "equal"
-    return "a_in_b" if a.radius > b.radius else "b_in_a"
 
 
 def iter_words(cell_sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -281,7 +200,3 @@ class CirclePoint:
     def __post_init__(self):
         object.__setattr__(self, "angle", _as_fraction(self.angle) % 1)
 
-
-def circle_distance(a: CirclePoint, b: CirclePoint) -> Fraction:
-    gap = abs(a.angle - b.angle)
-    return min(gap, 1 - gap)

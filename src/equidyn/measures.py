@@ -9,8 +9,10 @@ row at cell i is uniform on its size_at(i) digits. A cylinder's probability
 is the first-cell factor times the forward steps, left to right, for many
 int rows at once (`row_probabilities`; `cylinder_probability` is one row).
 Finite unions of cylinders get exact Vitali covers by clopen refinement, as
-cylinders over one space nest or are disjoint: `_widen` lists the extensions
-of int rows, and a cover is int rows.
+cylinders over one space nest or are disjoint. One test over per-radius int
+rows (`_nested`) finds which cylinders nest, for the maximal pieces of a
+union, a family's disjointness and the uncovered mass; `_widen` lists the
+extensions of int rows, and a cover holds them as they come.
 
 Batch draws come as pieces (cell, column of all n rows) in the order the
 generator makes them, one `random(n)` per cell: unconditioned draws run
@@ -45,8 +47,8 @@ from .core import (
     Configuration,
     Cylinder,
     check_sided,
-    compare_cylinders,
     count_words,
+    subword,
     window_cells,
     window_size,
 )
@@ -332,28 +334,44 @@ def _rows(pieces: Iterator[Piece], n: int, k: int) -> np.ndarray:
 
 # -- cylinder-set algebra ------------------------------------------------------
 
+def _found(words: np.ndarray, among: np.ndarray, size: int) -> np.ndarray:
+    """Which int rows of `words` equal a row of `among` (one width), by one `word_codes` call over both."""
+    codes = word_codes(np.concatenate([among, words]), size)
+    return np.isin(codes[len(among) :], codes[: len(among)])
+
+
+def _nested(sided: str, size: int, groups) -> list[np.ndarray]:
+    """Per (n, int rows on W_n) of `groups`: which rows lie in the cylinder of a
+    coarser row, or repeat a row of radius n met earlier (groups in order, then rows).
+
+    Cylinders over one space nest or are disjoint, and nest exactly when the
+    coarser word is the finer one's subword at its radius: one `_found` per
+    pair of radii, and one `word_codes` pass for the repeats of each radius.
+    """
+    radii = sorted({n for n, _ in groups})
+    rows = {n: np.concatenate([r for k, r in groups if k == n]) for n in radii}
+    hit = {}
+    for i, n in enumerate(radii):
+        hit[n] = np.ones(len(rows[n]), dtype=bool)
+        hit[n][np.unique(word_codes(rows[n], size), return_index=True)[1]] = False  # first of each word
+        for r in radii[:i]:
+            hit[n] |= _found(window_slice(sided, n, r, rows[n]), rows[r], size)
+    out, at = [], dict.fromkeys(radii, 0)
+    for n, r in groups:
+        out.append(hit[n][at[n] : at[n] + len(r)])
+        at[n] += len(r)
+    return out
+
+
 def maximal_cylinders(parts: Sequence[Cylinder]) -> list[Cylinder]:
-    """Drop cylinders nested in others; survivors are pairwise disjoint."""
-    keep: list[Cylinder] = []
-    for c in parts:
-        absorbed = False
-        survivors: list[Cylinder] = []
-        for k in keep:
-            rel = compare_cylinders(c, k)
-            if rel in ("equal", "a_in_b"):
-                absorbed = True  # c adds nothing; keep cannot contain pieces of c
-                break
-            if rel != "b_in_a":
-                survivors.append(k)  # disjoint survives; nested-in-c drops
-        if not absorbed:
-            survivors.append(c)
-            keep = survivors
-    return keep
-
-
-def union_probability(mu: CantorMeasure, parts: Sequence[Cylinder]) -> float:
-    """Exact measure of a finite union of cylinders."""
-    return float(sum(mu.cylinder_probability(c) for c in maximal_cylinders(parts)))
+    """The parts nested in no other part and repeating no earlier one, in their
+    order in `parts`: pairwise disjoint, with the union of `parts`."""
+    if not parts:
+        return []
+    if len({(c.alphabet, c.sided) for c in parts}) > 1:
+        raise IncompatibleConfigurations("cylinders live over different spaces")
+    rows = [(c.radius, np.array([c.word], dtype=np.int64)) for c in parts]
+    return [c for c, hit in zip(parts, _nested(parts[0].sided, parts[0].alphabet.size, rows)) if not hit[0]]
 
 
 def _widen(rows: np.ndarray, sided: str, radius: int, wider: int, sizes) -> tuple[np.ndarray, int]:
@@ -368,65 +386,87 @@ def _widen(rows: np.ndarray, sided: str, radius: int, wider: int, sizes) -> tupl
     return np.hstack([fresh[:, : len(left)], np.repeat(rows, len(combos), axis=0), fresh[:, len(left) :]]), len(combos)
 
 
-def _refine(mu: CantorMeasure, c: Cylinder, radius: int) -> np.ndarray:
-    """The int rows of c's extensions to W_max(c.radius, radius), in `iter_words` order."""
+def _extensions(mu: CantorMeasure, pieces: Sequence[Cylinder], radius: int) -> dict:
+    """n -> (places, int rows on W_n) of every extension of each piece to
+    W_max(its radius, `radius`), by `_widen`: the pieces in order, each one's
+    extensions consecutive in `iter_words` order."""
     sizes = lambda cells: [mu.cell_size(i) for i in cells]
-    return _widen(np.array([c.word], dtype=np.int64), c.sided, c.radius, max(c.radius, radius), sizes)[0]
+    places, rows, at = {}, {}, 0
+    for c in pieces:
+        n = max(c.radius, radius)
+        ext, k = _widen(np.array([c.word], dtype=np.int64), c.sided, c.radius, n, sizes)
+        places.setdefault(n, []).append(np.arange(at, at + k))
+        rows.setdefault(n, []).append(ext)
+        at += k
+    return {n: (np.concatenate(places[n]), np.concatenate(rows[n])) for n in sorted(rows)}
 
 
-def _found(words: np.ndarray, among: np.ndarray, size: int) -> np.ndarray:
-    """Which int rows of `words` equal a row of `among` (one width), by one `word_codes` call over both."""
-    codes = word_codes(np.concatenate([among, words]), size)
-    return np.isin(codes[len(among) :], codes[: len(among)])
+def _masses(mu: CantorMeasure, sided: str, groups) -> np.ndarray:
+    """The `row_probabilities` of the rows of `groups` (n -> (places, int rows on W_n)), each at its place."""
+    out = np.zeros(sum(len(at) for at, _ in groups.values()))
+    for n, (at, rows) in groups.items():
+        out[at] = mu.row_probabilities(sided, n, rows)
+    return out
 
 
-@dataclass(frozen=True)
+def union_probability(mu: CantorMeasure, parts: Sequence[Cylinder]) -> float:
+    """Exact measure of a finite union of cylinders: the `row_probabilities` of
+    its maximal pieces, added in piece order."""
+    pieces = maximal_cylinders(parts)
+    if not pieces:
+        return 0.0
+    mu._check_cylinder(pieces[0])
+    return float(sum(_masses(mu, pieces[0].sided, _extensions(mu, pieces, 0)).tolist()))
+
+
+def _first_clash(sided: str, balls) -> tuple[int, int]:
+    """The first pair i < j of (word on W_n, n) balls that meet: the coarser word is the finer one's subword."""
+    return next((i, j) for i, (a, r) in enumerate(balls) for j, (b, s) in enumerate(balls[i + 1 :], i + 1)
+                if subword(a, sided, r, min(r, s)) == subword(b, sided, s, min(r, s)))
+
+
+@dataclass(frozen=True, eq=False)
 class BallFamily:
-    """Pairwise disjoint balls over one space, each held as (its word on W_n, n).
-    `groups` holds the words of each radius as int rows, for masses by
-    `row_probabilities` and disjointness by `word_codes`: no object per ball."""
+    """Pairwise disjoint balls over one space, held per radius: `groups` maps
+    each radius n to (the places of its balls in ball order, their words on W_n
+    as int64 rows). Masses come from `row_probabilities` and disjointness from
+    `_nested`, with no object per ball; `balls` reads them as (word, n) pairs."""
 
     alphabet: Alphabet
     sided: str
-    balls: tuple[tuple[tuple[int, ...], int], ...]
+    groups: dict[int, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         check_sided(self.sided)
-        for i, (word, n) in enumerate(self.balls):
-            if n < 1:
-                raise ValueError(f"ball {i} has radius {n}; balls need radius >= 1")
-            if len(word) != window_size(self.sided, n):
-                raise IncompatibleConfigurations(f"ball {i}'s word is no word on {self.sided!r}-sided W_{n}")
         size = self.alphabet.size
-        if any(rows.min() < 0 or rows.max() >= size for _, rows in self.groups.values()):
-            raise ValueError(f"a ball's word has a symbol outside alphabet of size {size}")
-        # Two balls meet iff the coarser word is the finer one's subword at its radius: word codes find whether
-        # any pair meets, and the pairwise scan below runs only then, to name the first pair.
-        if not any(len(set(word_codes(rows, size).tolist())) < len(rows)
-                   or any(_found(window_slice(self.sided, n, r, rows), coarse, size).any()
-                          for r, (_, coarse) in self.groups.items() if r < n)
-                   for n, (_, rows) in self.groups.items()):
-            return
-        cyls = [Cylinder(self.alphabet, self.sided, n, w) for w, n in self.balls]
-        i, j = next((i, j) for i in range(len(cyls)) for j in range(i + 1, len(cyls))
-                    if compare_cylinders(cyls[i], cyls[j]) != "disjoint")
-        raise ValueError(f"balls {i} and {j} are not disjoint (words clash on the shorter radius)")
+        for n, (at, rows) in self.groups.items():
+            if n < 1:
+                raise ValueError(f"balls of radius {n}; balls need radius >= 1")
+            if rows.shape != (len(at), window_size(self.sided, n)):
+                raise IncompatibleConfigurations(f"the radius-{n} rows are no words on {self.sided!r}-sided W_{n}")
+            if len(rows) and (rows.min() < 0 or rows.max() >= size):
+                raise ValueError(f"a ball's word has a symbol outside alphabet of size {size}")
+        places = sorted(i for at, _ in self.groups.values() for i in at.tolist())
+        if places != list(range(len(places))):
+            raise ValueError("ball places must be 0, 1, .. once each")
+        # a scan over pairs runs only when the family is not disjoint, to name the first pair that meets
+        if any(hit.any() for hit in _nested(self.sided, size, [(n, rows) for n, (_, rows) in self.groups.items()])):
+            i, j = _first_clash(self.sided, self.balls)
+            raise ValueError(f"balls {i} and {j} are not disjoint (words clash on the shorter radius)")
 
     @cached_property
-    def groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """n -> (the places in `balls` of the balls of radius n, their words as int64 rows), n ascending."""
-        radii = np.array([n for _, n in self.balls], dtype=np.int64)
-        places = {n: np.flatnonzero(radii == n) for n in sorted(set(radii.tolist()))}
-        return {n: (at, np.array([self.balls[i][0] for i in at.tolist()], dtype=np.int64)) for n, at in places.items()}
+    def balls(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(word on W_n, n) per ball, in place order."""
+        out = {}
+        for n, (at, rows) in self.groups.items():
+            out.update(zip(at.tolist(), ((word, n) for word in map(tuple, rows.tolist()))))
+        return tuple(out[i] for i in range(len(out)))
 
     def masses(self, mu: CantorMeasure) -> list[float]:
         """Each ball's `cylinder_probability`, to the bit, in ball order."""
         if mu.alphabet != self.alphabet:
             raise AlphabetMismatch(f"balls over alphabet {self.alphabet.size}, measure over {mu.alphabet.size}")
-        out = np.empty(len(self.balls))
-        for n, (at, rows) in self.groups.items():
-            out[at] = mu.row_probabilities(self.sided, n, rows)
-        return out.tolist()
+        return _masses(mu, self.sided, self.groups).tolist()
 
     def total_mass(self, mu: CantorMeasure) -> float:
         return float(sum(self.masses(mu)))
@@ -443,8 +483,9 @@ def vitali_cover(
 
     Clopen refinement: every maximal piece either already is a ball of large
     enough radius, or splits into all of its extensions at min_radius, in
-    `iter_words` order. The leftover mu(A minus union of balls), see
-    uncovered_mass, is exactly zero, so any eps >= 0 is met.
+    `iter_words` order; the family holds `_widen`'s rows as they come. The
+    leftover mu(A minus union of balls), see uncovered_mass, is exactly zero,
+    so any eps >= 0 is met.
     """
     if min_radius < 1:
         raise ValueError("balls need radius >= 1")
@@ -455,29 +496,24 @@ def vitali_cover(
                              if i not in window_cells(c.sided, c.radius)]) for c in pieces)
     if total > cap:
         raise EnumerationTooLarge(total, cap, "clopen refinement")
-    balls = [(w, max(c.radius, min_radius)) for c in pieces for w in map(tuple, _refine(mu, c, min_radius).tolist())]
-    return BallFamily(mu.alphabet, pieces[0].sided if pieces else ONE_SIDED, tuple(balls))
+    return BallFamily(mu.alphabet, pieces[0].sided if pieces else ONE_SIDED, _extensions(mu, pieces, min_radius))
 
 
 def uncovered_mass(mu: CantorMeasure, parts: Sequence[Cylinder], family: BallFamily, min_radius: int) -> float:
     """mu(A minus the family's balls) for A a finite union of cylinders.
 
-    Sums, in row order, the `row_probabilities` of the int rows of each maximal
-    piece's extensions at min_radius (a piece that fine is its own) whose code
-    on W_r matches no radius-r ball's, for every ball radius r <= theirs: a
-    cover reads exactly 0.0. Exact when no ball is finer than these rows.
+    Adds, in row order, the `row_probabilities` of the extensions at
+    min_radius of each maximal piece (a piece that fine is its own) that
+    `_nested` finds in no ball of radius at most theirs: a cover reads
+    exactly 0.0. Exact when no ball is finer than these rows.
     """
     size = max(mu.alphabet.size, family.alphabet.size)
-    total = 0.0
-    for piece in maximal_cylinders(parts):
-        radius, rows = max(piece.radius, min_radius), _refine(mu, piece, min_radius)
-        hit = np.zeros(len(rows), dtype=bool)
-        for r, (_, words) in family.groups.items():
-            if r <= radius:
-                hit |= _found(window_slice(piece.sided, radius, r, rows), words, size)
-        for mass in mu.row_probabilities(piece.sided, radius, rows[~hit]).tolist():
-            total += mass
-    return total
+    rows = _extensions(mu, maximal_cylinders(parts), min_radius)
+    groups = [(n, words) for n, (_, words) in family.groups.items()] + [(n, r) for n, (_, r) in rows.items()]
+    mass = np.zeros(sum(len(at) for at, _ in rows.values()))  # a covered row adds 0.0, which moves no bit
+    for (n, (at, r)), hit in zip(rows.items(), _nested(family.sided, size, groups)[len(family.groups) :]):
+        mass[at[~hit]] = mu.row_probabilities(family.sided, n, r[~hit])
+    return reduce(float.__add__, mass.tolist(), 0.0)
 
 
 # -- external interface --------------------------------------------------------

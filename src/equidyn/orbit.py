@@ -10,7 +10,8 @@ serves the exact conditional measures mu(B_{m,T}(x) | B_n(x)), the orbit
 ball events and the spectral event tables; the Monte Carlo path samples
 the conditioning ball and counts trace agreement instead. Base points are
 int rows too: a report's points are one block (`_base_block`: one trace
-pass, and per n one pass for the ball words and masses both routes read).
+pass, and per n one pass for the ball words and masses both routes read),
+and so is one point at every n (`density_curve`).
 Rotations get the analytic arc formulas instead; their orbit balls equal
 plain balls at every horizon.
 """
@@ -49,7 +50,6 @@ from .systems import (
     cell_sizes,
     check_cells,
     check_measure_alphabet,
-    column_trace,
     dependence_radius,
     step_batch,
     step_cost,
@@ -152,9 +152,9 @@ def orbit_ball_event(system: CantorSystem, x: Configuration, m: int, horizon: in
     """The orbit ball as the W_rho rows reproducing x's trace."""
     if isinstance(system, Rotation):
         raise UnsupportedSystem("rotation orbit balls are arcs, not cylinder events")
-    target = np.array([column_trace(system, x, m, horizon)], dtype=np.int64)
-    rows, _ = _ball_rows(system, m, horizon, target, cap)
-    return OrbitBallEvent(system_sided(system), m, horizon, dependence_radius(system, m, horizon), rows)
+    rho = dependence_radius(system, m, horizon)
+    rows, _ = _ball_rows(system, m, horizon, _windows(system, _trace_row(system, x, m, horizon), rho, m, horizon), cap)
+    return OrbitBallEvent(system_sided(system), m, horizon, rho, rows)
 
 
 def _rotation_ball_mass(n: int) -> Fraction:
@@ -180,12 +180,34 @@ def density_ratio_exact(
     horizon: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
-    """mu(B_{m,horizon}(x) intersect B_n(x)) / mu(B_n(x)), computed exactly: a one-cell block."""
+    """mu(B_{m,horizon}(x) intersect B_n(x)) / mu(B_n(x)), computed exactly: a one-n `density_curve`."""
+    return density_curve(system, mu, x, m, [n], horizon, cap=cap)[0][0]
+
+
+def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], horizon: int, exact: bool = True,
+                  n_samples: int = 0, seeds: Sequence[int] = (), cap: int = DEFAULT_ENUMERATION_CAP):
+    """x's density ratios at each n of `ns`: the exact ratio (None unless
+    `exact`) per n, and the estimates from n_samples draws, one per seed of
+    `seeds` (one seed per n, or none).
+
+    x is traced once, and its ball words and masses come from one
+    `_base_block`; each n is then a one-cell `_block_ratios` and
+    `_block_estimates` call. NullBall names the first null ball in `ns` order.
+    """
     if isinstance(system, Rotation):
         _require_lebesgue(mu)
-        return _rotation_ratio(m, n)
-    targets, (words,), (masses,) = _point_block(system, mu, x, m, n, horizon)
-    return _block_ratios(system, mu, words, masses, targets, m, n, horizon, cap)[0]
+        return ([_rotation_ratio(m, n) if exact else None for n in ns],
+                [_rotation_estimate(x, m, n, horizon, n_samples, s) for n, s in zip(ns, seeds)])
+    cantor_mu = _require_cantor_measure(mu)
+    for n in ns:  # each ball lies in mu's space before x is traced
+        cantor_mu._check_cylinder(ball_cylinder(x, n))
+    radius = max(max(ns), dependence_radius(system, m, horizon))
+    row = _trace_row(system, x, m, horizon, radius)
+    targets, words, masses = _base_block(system, cantor_mu, row, radius, m, ns, horizon)
+    ratios = [_block_ratios(system, cantor_mu, w, a, targets, m, n, horizon, cap)[0] if exact else None
+              for n, w, a in zip(ns, words, masses)]
+    return ratios, [_block_estimates(system, cantor_mu, w, targets, m, n, horizon, n_samples, [s])[0]
+                    for n, w, s in zip(ns, words, seeds)]
 
 
 def _base_block(system, mu, rows, radius, m, ns, horizon):
@@ -198,13 +220,6 @@ def _base_block(system, mu, rows, radius, m, ns, horizon):
     if len(null):
         raise NullBall(f"conditioning ball of radius 1/{ns[null[0][1]]} has measure zero")
     return _windows(system, rows, radius, m, horizon), words, masses.tolist()
-
-
-def _point_block(system, mu, x, m, n, horizon):
-    """`_base_block` of x at n, once B_n(x) lies in mu's space and x is valid on W_max(n, rho)."""
-    _require_cantor_measure(mu)._check_cylinder(ball_cylinder(x, n))
-    row = _trace_row(system, x, m, horizon, n)
-    return _base_block(system, mu, row, max(n, dependence_radius(system, m, horizon)), m, [n], horizon)
 
 
 def _block_ratios(system, mu, words, masses, targets, m, n, horizon, cap) -> list[float]:
@@ -269,25 +284,25 @@ def density_ratio_estimate(
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> RatioEstimate:
-    """Sample the conditioning ball and count trace agreement with x: a one-point block."""
+    """Sample the conditioning ball and count trace agreement with x: a one-n `density_curve`."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if isinstance(system, Rotation):
-        _require_lebesgue(mu)
-        if m < 1 or n < 1:
-            raise ValueError("circle resolutions need m, n >= 1")
-        rng = substream(seed, 0)
-        u = rng.random(n_samples)
-        if n <= 2:
-            # the conditioning ball is the whole circle
-            gap = np.abs(u - float(x.angle))
-            dist = np.minimum(gap, 1.0 - gap)
-        else:
-            dist = np.abs((2.0 * u - 1.0) / n)
-        p_hat = float((dist <= 1.0 / m).mean())
-        return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
-    targets, (words,), _ = _point_block(system, mu, x, m, n, horizon)
-    return _block_estimates(system, mu, words, targets, m, n, horizon, n_samples, [seed])[0]
+    return density_curve(system, mu, x, m, [n], horizon, exact=False, n_samples=n_samples, seeds=[seed])[1][0]
+
+
+def _rotation_estimate(x, m: int, n: int, horizon: int, n_samples: int, seed: int) -> RatioEstimate:
+    """The share of n_samples arc points of the ball B_n(x) within 1/m of x."""
+    if m < 1 or n < 1:
+        raise ValueError("circle resolutions need m, n >= 1")
+    u = substream(seed, 0).random(n_samples)
+    if n <= 2:
+        # the conditioning ball is the whole circle
+        gap = np.abs(u - float(x.angle))
+        dist = np.minimum(gap, 1.0 - gap)
+    else:
+        dist = np.abs((2.0 * u - 1.0) / n)
+    p_hat = float((dist <= 1.0 / m).mean())
+    return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
 
 
 def _block_estimates(system, mu, words, targets, m, n, horizon, n_samples, seeds) -> list[RatioEstimate]:

@@ -51,10 +51,10 @@ from .periodicity import lep_certificate
 from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
+    _trace_row,
     _windows,
     cell_sizes,
     check_cells,
-    column_trace,
     dependence_radius,
     step_batch,
     step_cost,
@@ -140,7 +140,9 @@ def event_table(spec: EigenfunctionSpec, horizon: int, cap: int = DEFAULT_ENUMER
     """Build the p ball events at this horizon and verify pairwise disjointness."""
     system, m = spec.system, spec.m
     rho = dependence_radius(system, m, horizon)
-    points = np.array(column_trace(system, spec.y, rho, spec.period - 1), dtype=np.int64)  # T^j y on W_rho
+    last = spec.period - 1
+    row = _trace_row(system, spec.y, rho, last)
+    points = _windows(system, row, dependence_radius(system, rho, last), rho, last)[0]  # T^j y on W_rho
     words, js = _ball_rows(system, m, horizon, _windows(system, points, rho, m, horizon), cap)
     shared = np.flatnonzero((words[1:] == words[:-1]).all(axis=1))
     if len(shared):

@@ -11,9 +11,9 @@ first R + 1 digits of the argument. Rotations act on exact circle points.
 
 Two steppers implement the same rules. `step_batch` steps int64 rows; it
 serves the exact route (the orbit-ball frontier search), `column_codes`
-(`lep` and the one-row `lep_certificate`), spectral integration, `_windows`
-(the traces of a block of base points, in one pass) and the one-row `step`
-and `column_trace` (the orbit of a spectral base point).
+(`lep` and the one-row `lep_certificate`), spectral integration, and
+`_windows` (the traces of a block of base points, or of one point's row from
+`_trace_row`, in one pass), of which `column_trace` is the one-point tuple form.
 `step_planes` steps one-hot bit planes, 64 rows to a uint64 word; it serves
 the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
@@ -40,7 +40,6 @@ from .core import (
     ONE_SIDED,
     TWO_SIDED,
     Alphabet,
-    CirclePoint,
     Configuration,
     check_sided,
     iter_words,
@@ -201,18 +200,6 @@ def wolfram_number(rule: CARule) -> int:
 
 
 # -- one-row dynamics ----------------------------------------------------------
-
-def step(system: System, x):
-    """One application of the map; CA output loses r of valid radius."""
-    if isinstance(system, Rotation):
-        if not isinstance(x, CirclePoint):
-            raise UnsupportedSystem("rotations act on circle points")
-        return CirclePoint(x.angle + system.alpha)
-    if not isinstance(system, (CARule, Odometer)):
-        raise UnsupportedSystem(f"unknown system {system!r}")
-    out = step_batch(system, _checked_row(system, x))
-    return Configuration(x.alphabet, x.sided, out[0].tolist())
-
 
 def _checked_row(system: CantorSystem, x: Configuration) -> np.ndarray:
     """x's symbols as one int64 row, once x fits the system's space and cells."""

@@ -5,6 +5,14 @@ They work on validated `Configuration` objects one at a time and never call
 `step_batch`, `step_planes` or the spectral row lookup, so a test that checks
 an engine against them compares two independent implementations.
 
+The Cantor metric, its agreement level and the cylinder relations below
+work on objects, one pair at a time; every command works on words, and the
+tests check the word engines against these definitions.
+`oracle_maximal_cylinders` is the pairwise scan that the word-code nesting
+test replaced. Two helpers are not oracles: `step` is the one-row
+`step_batch` call (or the rotation's angle sum) that tests compare with
+`scalar_step`, and `family` packs (word, n) balls into a row `BallFamily`.
+
 The batch samplers below draw one n x |W| array from the chain of each
 measure, re-derived from its public parameters, in the stream order of the
 piece generator of `equidyn.measures` (one `random(n)` per cell), so equal
@@ -18,13 +26,16 @@ preparation that the report's int-row block replaced.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from equidyn import Configuration, InsufficientRadius, UnsupportedSystem
+from equidyn import Configuration, IncompatibleConfigurations, InsufficientRadius, UnsupportedSystem
 from equidyn.core import (
     DEFAULT_ENUMERATION_CAP,
     ONE_SIDED,
+    TWO_SIDED,
+    CirclePoint,
     Cylinder,
     ball_cylinder,
     count_words,
@@ -33,20 +44,155 @@ from equidyn.core import (
     window_cells,
     word_to_str,
 )
-from equidyn.measures import BernoulliMeasure, MarkovMeasure, ProductMeasure, maximal_cylinders
+from equidyn.measures import BallFamily, BernoulliMeasure, MarkovMeasure, ProductMeasure
 from equidyn.errors import EnumerationTooLarge
 from equidyn.rng import substream
 from equidyn.spectral import event_table, root_of_unity
 from equidyn.systems import (
     CARule,
     Odometer,
+    Rotation,
     Shift,
+    _checked_row,
     cell_sizes,
     column_trace,
     dependence_radius,
+    step_batch,
     step_cost,
     system_sided,
 )
+
+# -- the metric and the cylinder relations, one object at a time -----------------
+
+# Distance values for the two agreement levels the 1/m formula cannot express.
+# Both must exceed 1 so that "d <= 1/n iff agreement on W_n" holds for all
+# n >= 1; only origin disagreement may reach 2, so that "d >= 2" means exactly
+# "the origin symbols differ".
+DISTANCE_ORIGIN_MISMATCH = Fraction(2)
+DISTANCE_WINDOW_ONE_MISMATCH = Fraction(3, 2)
+
+
+def check_compatible(x, y):
+    if x.alphabet != y.alphabet or x.sided != y.sided:
+        raise IncompatibleConfigurations(
+            f"operands disagree: alphabet {x.alphabet.size} vs {y.alphabet.size}, "
+            f"indexing {x.sided!r} vs {y.sided!r}"
+        )
+
+
+def agreement_level(x, y):
+    """Largest m <= min(valid radii) with x and y equal on W_m; -1 if none.
+
+    Raises InsufficientRadius when no disagreement occurs within the shared
+    window and the truncations are not identical (the true level is then
+    unknowable from the data at hand).
+    """
+    check_compatible(x, y)
+    rmin = min(x.radius, y.radius)
+    for i in range(rmin + 1):
+        if x.at(i) != y.at(i) or (x.sided == TWO_SIDED and x.at(-i) != y.at(-i)):
+            return i - 1
+    if x.radius == y.radius:
+        return rmin  # identical truncations
+    raise InsufficientRadius(
+        f"no disagreement within shared radius {rmin}; "
+        "valid radii too small to witness the first mismatch"
+    )
+
+
+def cantor_distance(x, y):
+    """Cantor metric: 1/m with m the largest window radius of agreement.
+
+    Returns 0 only for identical truncations of equal valid radius. Points
+    that differ at the origin get distance 2; points agreeing exactly on W_0
+    get 3/2 (any value strictly between 1 and 2 keeps the ball/cylinder
+    identities for n >= 1 while reserving 2 for origin disagreement).
+    """
+    level = agreement_level(x, y)
+    if level == -1:
+        return DISTANCE_ORIGIN_MISMATCH
+    if level == min(x.radius, y.radius):
+        # agreement_level only reaches the full shared window for identical
+        # truncations of equal radius; it raises otherwise.
+        return Fraction(0)
+    if level == 0:
+        return DISTANCE_WINDOW_ONE_MISMATCH
+    return Fraction(1, level)
+
+
+def circle_distance(a, b):
+    gap = abs(a.angle - b.angle)
+    return min(gap, 1 - gap)
+
+
+def contains(c, x):
+    """Does the cylinder c hold the configuration x?"""
+    if x.alphabet != c.alphabet or x.sided != c.sided:
+        raise IncompatibleConfigurations("configuration lives over a different space")
+    return x.window(c.radius) == c.word
+
+
+def as_configuration(c):
+    """The cylinder's word read as a configuration of valid radius c.radius."""
+    return Configuration(c.alphabet, c.sided, c.word)
+
+
+def compare_cylinders(a, b):
+    """One of 'equal', 'a_in_b', 'b_in_a', 'disjoint'.
+
+    Cylinders over the same space either nest or are disjoint, so these four
+    cases are exhaustive.
+    """
+    if a.alphabet != b.alphabet or a.sided != b.sided:
+        raise IncompatibleConfigurations("cylinders live over different spaces")
+    n = min(a.radius, b.radius)
+    if subword(a.word, a.sided, a.radius, n) != subword(b.word, b.sided, b.radius, n):
+        return "disjoint"
+    if a.radius == b.radius:
+        return "equal"
+    return "a_in_b" if a.radius > b.radius else "b_in_a"
+
+
+def oracle_maximal_cylinders(parts):
+    """Drop cylinders nested in others; survivors are pairwise disjoint."""
+    keep = []
+    for c in parts:
+        absorbed = False
+        survivors = []
+        for k in keep:
+            rel = compare_cylinders(c, k)
+            if rel in ("equal", "a_in_b"):
+                absorbed = True  # c adds nothing; keep cannot contain pieces of c
+                break
+            if rel != "b_in_a":
+                survivors.append(k)  # disjoint survives; nested-in-c drops
+        if not absorbed:
+            survivors.append(c)
+            keep = survivors
+    return keep
+
+
+def step(system, x):
+    """One application of the map to one configuration, by a one-row `step_batch`
+    (a rotation adds its angle); CA output loses r of valid radius."""
+    if isinstance(system, Rotation):
+        if not isinstance(x, CirclePoint):
+            raise UnsupportedSystem("rotations act on circle points")
+        return CirclePoint(x.angle + system.alpha)
+    if not isinstance(system, (CARule, Odometer)):
+        raise UnsupportedSystem(f"unknown system {system!r}")
+    out = step_batch(system, _checked_row(system, x))
+    return Configuration(x.alphabet, x.sided, out[0].tolist())
+
+
+def family(alphabet, sided, balls):
+    """The `BallFamily` of (word on W_n, n) balls: per radius, their places and words as int rows."""
+    radii = [n for _, n in balls]
+    return BallFamily(alphabet, sided, {
+        n: (np.array([i for i, r in enumerate(radii) if r == n], dtype=np.int64),
+            np.array([w for w, r in balls if r == n], dtype=np.int64))
+        for n in sorted(set(radii))
+    })
 
 
 def _check_arg(system, x, sided):
@@ -304,7 +450,7 @@ def oracle_refine(mu, c, radius):
 def oracle_vitali_cover(mu, parts, min_radius):
     """(center, radius) per ball: every maximal piece split into its extensions at min_radius."""
     return [(Configuration(mu.alphabet, c.sided, w), max(c.radius, min_radius))
-            for c in maximal_cylinders(parts) for w in oracle_refine(mu, c, min_radius)]
+            for c in oracle_maximal_cylinders(parts) for w in oracle_refine(mu, c, min_radius)]
 
 
 def oracle_ball_masses(mu, balls):
@@ -318,7 +464,7 @@ def oracle_uncovered_mass(mu, parts, balls, min_radius):
     for center, n in balls:
         words.setdefault(n, set()).add(center.window(n))
     total = 0.0
-    for piece in maximal_cylinders(parts):
+    for piece in oracle_maximal_cylinders(parts):
         radius = max(piece.radius, min_radius)
         for w in oracle_refine(mu, piece, min_radius):
             if not any(r <= radius and subword(w, piece.sided, radius, r) in ws for r, ws in words.items()):

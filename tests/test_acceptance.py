@@ -25,7 +25,6 @@ from equidyn import (
     Rotation,
     Shift,
     build_eigenfunction,
-    compare_cylinders,
     density_ratio_estimate,
     density_ratio_exact,
     dichotomy_report,
@@ -42,7 +41,7 @@ from equidyn import (
 from equidyn.cli import main as cli_main
 from equidyn.rng import derive_seed, substream
 from equidyn.systems import dependence_radius, system_sided
-from oracles import _scalar_f
+from oracles import _scalar_f, compare_cylinders
 
 A2 = Alphabet(2)
 ACCEPT_SEED = 20260825

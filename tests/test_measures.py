@@ -19,7 +19,6 @@ from equidyn import (
     ProductMeasure,
     Shift,
     ball_cylinder,
-    compare_cylinders,
     density_ratio_exact,
     identity_rule,
     maximal_cylinders,
@@ -30,13 +29,17 @@ from equidyn import (
     vitali_cover,
     window_size,
 )
+from equidyn.core import subword
 from equidyn.measures import _kernel_column, uncovered_mass
 from equidyn.rng import substream
 from equidyn.systems import Odometer, check_cells
 from oracles import (
+    compare_cylinders,
     cumulative,
+    family,
     oracle_ball_masses,
     oracle_cylinder_probability,
+    oracle_maximal_cylinders,
     oracle_sample_batch,
     oracle_uncovered_mass,
     oracle_vitali_cover,
@@ -223,6 +226,26 @@ class TestMaximalCylinders:
         kept = maximal_cylinders(parts)
         assert sorted(k.word for k in kept) == [(0, 0), (0, 1, 1), (1,)]
 
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_rows_keep_the_scalar_scans_survivors(self, sided, size):
+        """Random unions with repeats, nesting and no parts at all: the same
+        survivors as the pairwise scan, in the same order."""
+        alphabet, rng = Alphabet(size), substream(71, size, sided == "two")
+        dropped = 0
+        for trial in range(750):
+            x = rng.integers(0, size, window_size(sided, 3))
+            parts = []
+            for _ in range(int(rng.integers(0, 8))):
+                r = int(rng.integers(0, 4))  # half the parts are balls around x, so they repeat and nest
+                word = subword(x, sided, 3, r) if rng.random() < 0.5 else rng.integers(0, size, window_size(sided, r))
+                parts.append(Cylinder(alphabet, sided, r, word))
+            kept = maximal_cylinders(parts)
+            assert kept == oracle_maximal_cylinders(parts)
+            dropped += len(kept) < len(parts)
+        assert maximal_cylinders([]) == oracle_maximal_cylinders([]) == []
+        assert dropped > 100
+
     def test_union_probability(self):
         mu = BernoulliMeasure([0.5, 0.5])
         parts = [cyl((0,)), cyl((0, 1)), cyl((1, 1, 0))]
@@ -265,7 +288,7 @@ class TestVitali:
 
     def test_family_rejects_overlap(self):
         with pytest.raises(ValueError):
-            BallFamily(A2, "one", (((0, 1), 1), ((0, 1, 1), 2)))
+            family(A2, "one", (((0, 1), 1), ((0, 1, 1), 2)))
 
     def test_random_unions_disjoint_and_tight(self):
         """Leftover exactly zero and pairwise disjoint on random unions."""
@@ -305,7 +328,7 @@ class TestUncoveredMass:
     def test_one_ball_removed_leaves_its_mass(self, markov_cover):
         mu, fam = markov_cover
         drop = 700
-        rest = BallFamily(fam.alphabet, fam.sided, fam.balls[:drop] + fam.balls[drop + 1:])
+        rest = family(fam.alphabet, fam.sided, fam.balls[:drop] + fam.balls[drop + 1:])
         want = mu.cylinder_probability(ball_cylinders(fam)[drop])
         assert uncovered_mass(mu, MARKOV_UNION, rest, 10) == want
 
@@ -314,7 +337,7 @@ class TestUncoveredMass:
         parts = [cyl((0, 1, 1)), cyl((1, 0))]
         fam = vitali_cover(mu, parts, 2)
         assert uncovered_mass(mu, parts, fam, 2) == 0.0
-        rest = BallFamily(fam.alphabet, fam.sided, tuple(b for b in fam.balls if b[0] != (0, 1, 1)))
+        rest = family(fam.alphabet, fam.sided, tuple(b for b in fam.balls if b[0] != (0, 1, 1)))
         assert len(rest.balls) == 2
         assert uncovered_mass(mu, parts, rest, 2) == mu.cylinder_probability(cyl((0, 1, 1)))
 
@@ -358,7 +381,7 @@ def assert_cover_matches_oracle(mu, parts, min_radius, rng):
     assert fam.total_mass(mu) == float(sum(masses))
     assert uncovered_mass(mu, parts, fam, min_radius) == oracle_uncovered_mass(mu, parts, balls, min_radius) == 0.0
     keep = (rng.random(len(balls)) < 0.6).tolist()
-    rest = BallFamily(fam.alphabet, fam.sided, tuple(b for b, k in zip(fam.balls, keep) if k))
+    rest = family(fam.alphabet, fam.sided, tuple(b for b, k in zip(fam.balls, keep) if k))
     want = oracle_uncovered_mass(mu, parts, [b for b, k in zip(balls, keep) if k], min_radius)
     assert uncovered_mass(mu, parts, rest, min_radius) == want
     return want
@@ -536,11 +559,11 @@ class TestBallFamilyDisjointness:
                 balls.append((word[: n + 1], n))  # the ball of radius n around `word`
             want = first_clash(balls)
             if want is None:
-                BallFamily(A2, "one", tuple(balls))
+                family(A2, "one", tuple(balls))
                 continue
             clashes += 1
             with pytest.raises(ValueError, match=rf"^balls {want[0]} and {want[1]} are not disjoint"):
-                BallFamily(A2, "one", tuple(balls))
+                family(A2, "one", tuple(balls))
         assert 0 < clashes < 300
 
     def test_duplicate_ball_at_equal_radius(self):
@@ -548,30 +571,36 @@ class TestBallFamilyDisjointness:
         b = Configuration(A2, "two", (1, 1, 1, 0, 0))  # same W_1 word as a
         c = Configuration(A2, "two", (0, 0, 0, 0, 0))
         with pytest.raises(ValueError, match="^balls 0 and 2 are not disjoint"):
-            BallFamily(A2, "two", ((a.window(1), 1), (c.window(2), 2), (b.window(1), 1)))
+            family(A2, "two", ((a.window(1), 1), (c.window(2), 2), (b.window(1), 1)))
 
     def test_mixed_spaces_still_raise_incompatible(self):
         from equidyn import IncompatibleConfigurations
 
         one = Configuration(A2, "one", (0, 1))
         two = Configuration(A2, "two", (1, 0, 1))
-        for sided in ("one", "two"):  # one ball's word is not a word on W_1 of the family's space
+        # the radius-1 rows are words on W_1 of the other space
+        for sided, x in (("one", two), ("two", one)):
             with pytest.raises(IncompatibleConfigurations):
-                BallFamily(A2, sided, ((one.symbols, 1), (two.symbols, 1)))
+                BallFamily(A2, sided, {1: (np.array([0]), np.array([x.symbols]))})
+        with pytest.raises(IncompatibleConfigurations):
+            maximal_cylinders([ball_cylinder(one, 1), ball_cylinder(two, 1)])
 
     def test_symbols_outside_the_alphabet(self):
         with pytest.raises(ValueError, match="outside alphabet of size 2"):
-            BallFamily(A2, "one", (((0, 1), 1), ((1, 2), 1)))
+            family(A2, "one", (((0, 1), 1), ((1, 2), 1)))
 
     def test_valid_family_makes_no_pairwise_comparisons(self, markov_cover, monkeypatch):
         import equidyn.measures as measures
 
         calls = []
-        real = measures.compare_cylinders
-        monkeypatch.setattr(measures, "compare_cylinders", lambda a, b: calls.append(1) or real(a, b))
+        real = measures._first_clash
+        monkeypatch.setattr(measures, "_first_clash", lambda *a: calls.append(1) or real(*a))
         _, fam = markov_cover
-        BallFamily(fam.alphabet, fam.sided, fam.balls)
+        BallFamily(fam.alphabet, fam.sided, fam.groups)
         assert calls == []
+        with pytest.raises(ValueError, match="^balls 0 and 1 are not disjoint"):
+            family(fam.alphabet, fam.sided, fam.balls[:1] * 2)
+        assert calls == [1]  # the scan runs once the family is found to clash
 
 
 def kernel_2d(cum, prev, u, size):

@@ -220,6 +220,38 @@ class TestEstimate:
         assert abs(est.p_hat - 0.5) <= 4 * est.stderr
 
 
+class TestDensityCurve:
+    """One point at every n: one trace and one base block, and each n's numbers
+    those of its own one-n call."""
+
+    CASES = [
+        (eca_rule(90), HALF, Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0)), 2, 5),
+        (Shift(A2), MARKOV, ones_sided((0, 1, 0, 0, 1, 1, 0, 1, 1, 0)), 1, 3),
+        (Rotation(Fraction(1, 3)), LebesgueMeasure(), CirclePoint(Fraction(1, 7)), 4, 3),
+    ]
+
+    @pytest.mark.parametrize("system, mu, x, m, horizon", CASES, ids=["eca", "shift", "rotation"])
+    def test_each_n_is_its_one_n_call(self, monkeypatch, system, mu, x, m, horizon):
+        ns, seeds = [1, 2, 3, 4, 5, 6, 7], [derive_seed(9, j) for j in range(7)]
+        blocks, rows = [], []
+        base_block, trace_row = equidyn.orbit._base_block, equidyn.orbit._trace_row
+        monkeypatch.setattr(equidyn.orbit, "_base_block", lambda *a: blocks.append(1) or base_block(*a))
+        monkeypatch.setattr(equidyn.orbit, "_trace_row", lambda *a: rows.append(1) or trace_row(*a))
+        ratios, ests = equidyn.orbit.density_curve(system, mu, x, m, ns, horizon, True, 300, seeds)
+        assert (blocks, rows) == (([], []) if isinstance(system, Rotation) else ([1], [1]))
+        assert ratios == [density_ratio_exact(system, mu, x, m, n, horizon) for n in ns]
+        assert ests == [density_ratio_estimate(system, mu, x, m, n, horizon, 300, s) for n, s in zip(ns, seeds)]
+        assert equidyn.orbit.density_curve(system, mu, x, m, ns, horizon, False) == ([None] * 7, [])
+
+    def test_null_ball_names_the_first_null_n(self):
+        mu = ProductMeasure((3, 3, 2))  # cells from 2 on hold two digits, so a 2 at cell 2 is null
+        x = Configuration(A3, "one", (0, 1, 2, 0, 0, 0))
+        with pytest.raises(NullBall, match="radius 1/2 has measure zero"):
+            equidyn.orbit.density_curve(identity_rule(A3), mu, x, 1, [1, 2, 3, 4], 2, True, 10, [1, 2, 3, 4])
+        with pytest.raises(NullBall, match="radius 1/3 has measure zero"):  # first in the order given
+            equidyn.orbit.density_curve(identity_rule(A3), mu, x, 1, [1, 3, 2], 2, False, 10, [1, 2, 3])
+
+
 def ball_inside_orbit_ball(system, mu, x, m, n, horizon):
     """Is B_n(x) inside B_{m,horizon}(x)? For a full-support mu, exactly when the exact ratio is 1."""
     return density_ratio_exact(system, mu, x, m, n, horizon) == 1.0

@@ -151,7 +151,7 @@ def int_row_agreement(system, target, rows, m, radius):
 def int_row_density(system, mu, x, m, n, horizon, n_samples, seed):
     radius = max(n, dependence_radius(system, m, horizon))
     rows = oracle_conditional_batch(mu, ball_cylinder(x, n), radius, n_samples, substream(seed, 0))
-    target = equidyn.orbit.column_trace(system, x, m, horizon)
+    target = equidyn.systems.column_trace(system, x, m, horizon)
     return float(int_row_agreement(system, target, rows, m, radius).mean())
 
 
@@ -240,7 +240,7 @@ def test_report_traces_each_point_once(monkeypatch, cap):
     windows, traces = equidyn.orbit._windows, []
     calls = []
     monkeypatch.setattr(equidyn.orbit, "_windows", lambda *a: calls.append(len(a[1])) or windows(*a))
-    monkeypatch.setattr(equidyn.orbit, "column_trace", lambda *a: traces.append(a))
+    monkeypatch.setattr(equidyn.orbit, "_trace_row", lambda *a: traces.append(a))  # the one-point trace
     report = mu_equicontinuity_report(eca_rule(110), MARKOV, m=1, n_list=[1, 2, 3], horizon=3,
                                       points=5, n_samples=200, seed=4, cap=cap)
     assert report.curves[0].exact == (cap > 1)

@@ -1,5 +1,6 @@
 """Pairwise sensitivity estimates and the dichotomy verdict."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from equidyn import (
     Alphabet,
     BernoulliMeasure,
+    Configuration,
     LebesgueMeasure,
     Odometer,
     ProductMeasure,
@@ -18,8 +20,10 @@ from equidyn import (
     identity_rule,
     mu_sensitivity_estimate,
     separation_window,
+    window_size,
 )
 from equidyn.cli import _plain
+from oracles import agreement_level, cantor_distance
 
 A2 = Alphabet(2)
 HALF = BernoulliMeasure([0.5, 0.5])
@@ -37,6 +41,22 @@ HALF = BernoulliMeasure([0.5, 0.5])
 ])
 def test_separation_window_values(eps, window):
     assert separation_window(eps) == window
+
+
+@pytest.mark.parametrize("sided, radius", [("one", 4), ("two", 2)])
+def test_separation_window_against_the_metric(sided, radius):
+    """Over every pair of words on W_radius: agreement on W_w, w =
+    separation_window(eps), puts the pair closer than eps, and agreement on
+    W_{w-1} alone (no agreement at all for w = 0) does not."""
+    words = [Configuration(A2, sided, w) for w in itertools.product(range(2), repeat=window_size(sided, radius))]
+    pairs = [(agreement_level(x, y), cantor_distance(x, y)) for x in words for y in words]
+    for eps in (2, Fraction(7, 4), Fraction(3, 2), Fraction(5, 4), 1, Fraction(3, 4), Fraction(1, 2), Fraction(2, 5),
+                Fraction(1, 3), Fraction(1, 4)):
+        w = separation_window(eps)
+        if w > radius:
+            continue
+        assert all(d < eps for level, d in pairs if level >= w)
+        assert any(d >= eps for level, d in pairs if level >= w - 1)
 
 
 def test_separation_window_domain():

@@ -17,13 +17,11 @@ from equidyn import (
     Rotation,
     Shift,
     UnsupportedSystem,
-    circle_distance,
     column_trace,
     dependence_radius,
     eca_rule,
     identity_rule,
     shift_as_ca,
-    step,
     step_cost,
     system_from_dict,
     system_to_dict,
@@ -31,7 +29,7 @@ from equidyn import (
 )
 from equidyn.rng import substream
 from equidyn.systems import cell_sizes, check_cells, column_codes, pack_planes, step_batch, trace_agreement_batch
-from oracles import scalar_column_trace, scalar_step
+from oracles import circle_distance, scalar_column_trace, scalar_step, step
 
 A2 = Alphabet(2)
 
