@@ -76,8 +76,6 @@ from .sensitivity import (
 from .spectral import (
     EigenfunctionSpec,
     build_eigenfunction,
-    inner_product,
-    koopman_residual,
     root_of_unity,
     spectral_family,
 )

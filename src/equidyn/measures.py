@@ -388,11 +388,12 @@ def _widen(rows: np.ndarray, sided: str, radius: int, wider: int, sizes) -> tupl
 
 def _extensions(mu: CantorMeasure, pieces: Sequence[Cylinder], radius: int) -> dict:
     """n -> (places, int rows on W_n) of every extension of each piece to
-    W_max(its radius, `radius`), by `_widen`: the pieces in order, each one's
-    extensions consecutive in `iter_words` order."""
+    W_max(its radius, `radius`), by `_widen`: the pieces in order, each checked
+    against mu's space and its extensions consecutive in `iter_words` order."""
     sizes = lambda cells: [mu.cell_size(i) for i in cells]
     places, rows, at = {}, {}, 0
     for c in pieces:
+        mu._check_cylinder(c)
         n = max(c.radius, radius)
         ext, k = _widen(np.array([c.word], dtype=np.int64), c.sided, c.radius, n, sizes)
         places.setdefault(n, []).append(np.arange(at, at + k))
@@ -415,7 +416,6 @@ def union_probability(mu: CantorMeasure, parts: Sequence[Cylinder]) -> float:
     pieces = maximal_cylinders(parts)
     if not pieces:
         return 0.0
-    mu._check_cylinder(pieces[0])
     return float(sum(_masses(mu, pieces[0].sided, _extensions(mu, pieces, 0)).tolist()))
 
 
@@ -462,10 +462,13 @@ class BallFamily:
             out.update(zip(at.tolist(), ((word, n) for word in map(tuple, rows.tolist()))))
         return tuple(out[i] for i in range(len(out)))
 
-    def masses(self, mu: CantorMeasure) -> list[float]:
-        """Each ball's `cylinder_probability`, to the bit, in ball order."""
+    def _check_measure(self, mu: CantorMeasure) -> None:
         if mu.alphabet != self.alphabet:
             raise AlphabetMismatch(f"balls over alphabet {self.alphabet.size}, measure over {mu.alphabet.size}")
+
+    def masses(self, mu: CantorMeasure) -> list[float]:
+        """Each ball's `cylinder_probability`, to the bit, in ball order."""
+        self._check_measure(mu)
         return _masses(mu, self.sided, self.groups).tolist()
 
     def total_mass(self, mu: CantorMeasure) -> float:
@@ -507,7 +510,8 @@ def uncovered_mass(mu: CantorMeasure, parts: Sequence[Cylinder], family: BallFam
     `_nested` finds in no ball of radius at most theirs: a cover reads
     exactly 0.0. Exact when no ball is finer than these rows.
     """
-    size = max(mu.alphabet.size, family.alphabet.size)
+    family._check_measure(mu)
+    size = mu.alphabet.size
     rows = _extensions(mu, maximal_cylinders(parts), min_radius)
     groups = [(n, words) for n, (_, words) in family.groups.items()] + [(n, r) for n, (_, r) in rows.items()]
     mass = np.zeros(sum(len(at) for at, _ in rows.values()))  # a covered row adds 0.0, which moves no bit

@@ -194,6 +194,9 @@ def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], hor
     `_base_block`; each n is then a one-cell `_block_ratios` and
     `_block_estimates` call. NullBall names the first null ball in `ns` order.
     """
+    if seeds and (len(seeds) != len(ns) or n_samples < 1):
+        raise ValueError(f"estimates need one seed per n and n_samples >= 1; got {len(seeds)} seeds for "
+                         f"{len(ns)} n, n_samples {n_samples}")
     if isinstance(system, Rotation):
         _require_lebesgue(mu)
         return ([_rotation_ratio(m, n) if exact else None for n in ns],
@@ -285,8 +288,6 @@ def density_ratio_estimate(
     seed: int = 0,
 ) -> RatioEstimate:
     """Sample the conditioning ball and count trace agreement with x: a one-n `density_curve`."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     return density_curve(system, mu, x, m, [n], horizon, exact=False, n_samples=n_samples, seeds=[seed])[1][0]
 
 

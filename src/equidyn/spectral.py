@@ -20,10 +20,10 @@ codes among the table's codes gives j(x), and one `step_batch` gives j(Tx);
 exact mode weighs the rows in a ball with `row_probabilities`.
 Each integral gathers its (p+1) x (p+1) values, made by the same scalar
 expressions as f_k, at the index vectors and adds them one at a time in
-row (or word) order, so every result keeps its bits. `spectral_family`
-certifies y once, builds one event table for every k, and finds the index
-vectors once per radius (exact) or per distinct (radius, seed), one draw
-per seed (sampled).
+row (or word) order, so every result keeps its bits. `spectral_family` is
+the one integrator: it builds one event table for every k, and finds the
+index vectors once per radius (exact) or per distinct (radius, seed), one
+draw per seed (sampled).
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ class EigenfunctionSpec:
     def eigenvalue(self) -> complex:
         return root_of_unity(self.period, self.k)
 
-    def eigenvalue_exponent(self) -> tuple[int, int]:
-        return (self.k % self.period, self.period)
-
 
 def build_eigenfunction(
     system: CantorSystem, y: Configuration, m: int, k: int, cert_horizon: int
@@ -159,13 +156,13 @@ def _f_values(spec: EigenfunctionSpec) -> list[complex]:
     return [root_of_unity(spec.period, j * spec.k) for j in range(spec.period)] + [0j]
 
 
-def _orbit_indices(system, mu, radius, lookups, mode, n_samples, seed, cap):
-    """One orbit-index vector per (table, stepped) of `lookups`, j(Tx) if
-    stepped and j(x) otherwise, over W_radius, and the masses to weigh them.
+def _orbit_indices(system, mu, radius, table, stepped, mode, n_samples, seed, cap):
+    """The orbit indices j(x), and j(Tx) too if `stepped`, over W_radius, and
+    the masses to weigh them.
 
     Sampled: n_samples rows from substream(seed, 0), masses None. Exact: the
-    W_radius partition in `_BLOCK`-word blocks, keeping the words some lookup
-    puts in a ball (no integral here sees the rest), so memory follows the
+    W_radius partition in `_BLOCK`-word blocks, keeping the words with an
+    index in a ball (no integral here sees the rest), so memory follows the
     block plus those words.
     """
     if mu.alphabet != system.alphabet:
@@ -173,9 +170,10 @@ def _orbit_indices(system, mu, radius, lookups, mode, n_samples, seed, cap):
     sided, cost = system_sided(system), step_cost(system)
 
     def index(rows: np.ndarray) -> list[np.ndarray]:
-        images = step_batch(system, rows) if any(stepped for _, stepped in lookups) else None
-        return [tab.lookup(window_slice(sided, radius - cost, tab.rho, images) if stepped
-                           else window_slice(sided, radius, tab.rho, rows)) for tab, stepped in lookups]
+        js = [table.lookup(window_slice(sided, radius, table.rho, rows))]
+        if stepped:
+            js.append(table.lookup(window_slice(sided, radius - cost, table.rho, step_batch(system, rows))))
+        return js
 
     if mode == "sampled":
         rows = mu.sample_batch(sided, radius, n_samples, substream(seed, 0))
@@ -237,52 +235,6 @@ def _conj_product(va: complex, vb: complex) -> complex:
     return 0j if va == 0 else va * vb.conjugate()
 
 
-def koopman_residual(
-    spec: EigenfunctionSpec,
-    mu: CantorMeasure,
-    horizon: int,
-    mode: str = "exact",
-    n_samples: int = 10_000,
-    seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    table: Optional[_EvalTable] = None,
-) -> float:
-    """L2(mu) norm of f_k(T x) - lambda^k f_k(x) at this horizon.
-
-    Exact mode integrates over the cylinder partition at the dependence
-    radius of x -> (f(x), f(Tx)); sampled mode draws x from mu. A given
-    `table` (for the same y and m, any k) changes no result.
-    """
-    tab = table if table is not None else event_table(spec, horizon, cap)
-    radius = tab.rho + step_cost(spec.system)
-    (jx, jtx), masses = _orbit_indices(spec.system, mu, radius, [(tab, False), (tab, True)], mode, n_samples, seed, cap)
-    return _residual(spec, jx, jtx, masses, n_samples)
-
-
-def inner_product(
-    a: EigenfunctionSpec,
-    b: EigenfunctionSpec,
-    mu: CantorMeasure,
-    horizon: int,
-    mode: str = "exact",
-    n_samples: int = 10_000,
-    seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    table: Optional[_EvalTable] = None,
-) -> complex:
-    """<f_a, f_b> in L2(mu), integrating f_a conj(f_b) at this horizon.
-
-    A given `table` serves both, so a and b must share y and m.
-    """
-    if a.system != b.system:
-        raise ValueError("inner products need eigenfunctions over the same system")
-    tab_a = table if table is not None else event_table(a, horizon, cap)
-    tab_b = table if table is not None else event_table(b, horizon, cap)
-    lookups = [(tab_a, False)] if tab_a is tab_b else [(tab_a, False), (tab_b, False)]
-    js, masses = _orbit_indices(a.system, mu, max(tab_a.rho, tab_b.rho), lookups, mode, n_samples, seed, cap)
-    return _integral(_conj_product, _f_values(a), _f_values(b), js[0], js[-1], masses, n_samples)
-
-
 def spectral_family(
     base: EigenfunctionSpec,
     mu: CantorMeasure,
@@ -294,13 +246,13 @@ def spectral_family(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[list[tuple[EigenfunctionSpec, float, complex]], float]:
     """[(f_k, residual, <f_k, f_k>) for k in k_list], and max |<f_a, f_b>|
-    over the pairs with a before b in k_list.
+    over the pairs with a before b in k_list; f_k's residual is the L2(mu)
+    norm of f_k(T x) - lambda^k f_k(x) at this horizon.
 
     Every f_k shares the certificate of `base` (y's spec, any k) and one
-    event table. Each number equals its `koopman_residual` or
-    `inner_product` call: sampled mode draws f_k's residual and norm from
-    derive_seed(seed, k) and the cross products from `seed`, once per
-    (radius, seed).
+    event table. Each number equals the per-configuration oracles: sampled
+    mode draws f_k's residual and norm from derive_seed(seed, k) and the
+    cross products from `seed`, once per (radius, seed).
     """
     if not all(0 <= k < base.period for k in k_list):
         raise ValueError(f"k must lie in [0, {base.period}), got {k_list}")
@@ -311,8 +263,7 @@ def spectral_family(
 
     @functools.lru_cache(maxsize=2)  # exact: at most two radii; sampled: one k's draws at a time
     def indices(radius: int, s: Optional[int]):
-        lookups = [(table, False), (table, True)][: 1 + (radius >= table.rho + cost)]
-        return _orbit_indices(base.system, mu, radius, lookups, mode, n_samples, s, cap)
+        return _orbit_indices(base.system, mu, radius, table, radius >= table.rho + cost, mode, n_samples, s, cap)
 
     sampled, rows = mode == "sampled", []  # exact mode draws nothing: one domain per radius
     for spec, f in zip(specs, fs):

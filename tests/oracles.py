@@ -305,10 +305,10 @@ def _scalar_f(spec, tab, x):
     return 0j if j is None else root_of_unity(spec.period, j * spec.k)
 
 
-def scalar_koopman_residual(spec, mu, horizon, mode="exact", n_samples=10_000, seed=0,
-                            cap=DEFAULT_ENUMERATION_CAP, table=None):
-    """`koopman_residual` with f_k(x) and f_k(Tx) evaluated per configuration."""
-    tab = table if table is not None else event_table(spec, horizon, cap)
+def scalar_koopman_residual(spec, mu, horizon, mode="exact", n_samples=10_000, seed=0, cap=DEFAULT_ENUMERATION_CAP):
+    """The residual of `spectral_family`, the L2(mu) norm of f_k(T x) - lambda^k
+    f_k(x), with f_k(x) and f_k(Tx) evaluated per configuration."""
+    tab = event_table(spec, horizon, cap)
     lam = spec.eigenvalue()
 
     def defect_sq(x):
@@ -321,11 +321,10 @@ def scalar_koopman_residual(spec, mu, horizon, mode="exact", n_samples=10_000, s
     return math.sqrt(_scalar_integrate(spec.system, mu, radius, defect_sq, mode, n_samples, seed, cap))
 
 
-def scalar_inner_product(a, b, mu, horizon, mode="exact", n_samples=10_000, seed=0,
-                         cap=DEFAULT_ENUMERATION_CAP, table=None):
-    """`inner_product` with f_a conj(f_b) evaluated per configuration."""
-    tab_a = table if table is not None else event_table(a, horizon, cap)
-    tab_b = table if table is not None else event_table(b, horizon, cap)
+def scalar_inner_product(a, b, mu, horizon, mode="exact", n_samples=10_000, seed=0, cap=DEFAULT_ENUMERATION_CAP):
+    """<f_a, f_b> in L2(mu), the norms and cross products of `spectral_family`,
+    with f_a conj(f_b) evaluated per configuration."""
+    tab_a, tab_b = event_table(a, horizon, cap), event_table(b, horizon, cap)
 
     def value(x):
         fa = _scalar_f(a, tab_a, x)

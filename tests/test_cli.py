@@ -768,3 +768,35 @@ def test_classify_report_bytes_are_pinned(tmp_path, route):
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
     assert (digest(out), digest(out.with_suffix(".csv"))) == (report_sha, csv_sha)
     assert all(c["exact"] == (route == "exact") for c in json.loads(out.read_text())["results"]["curves"])
+
+
+# the exact-orbit and sampled-mc `density` configs and the spectral-vitali
+# `spectral_sampled` config of bench/workloads.py at seed 3
+BENCH_REPORT_CASES = {
+    "density-exact": ("density", {
+        "system": {"type": "eca", "rule": 90}, "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
+        "params": {"m": 2, "n_list": [1, 2, 3, 4, 5, 6, 7], "T": 5, "n_samples": 10_000}, "seed": 3},
+        "1578a2aa30f7d70471de8887e3c4a191e8da6b7df6865a6a47e05767df29133a",
+        "c9d518fd56080fdd610b2cc191691a9540ad379b364d559d2ebd765bd58b8d00"),
+    "density-sampled": ("density", {
+        "system": {"type": "eca", "rule": 30}, "measure": {"type": "markov", "P": [[0.7, 0.3], [0.4, 0.6]]},
+        "params": {"m": 3, "n_list": [1, 2, 3, 4, 5, 6], "T": 8, "n_samples": 100_000}, "seed": 3, "cap": 1024},
+        "2d384f6f06f1463bf567502d28ba18ca87047b5f0aa062557a284f75db32e405",
+        "ce34808264a94bec177f9c662712eaeb097fcbb3a30991eb26db1007c4846c14"),
+    "spectral-sampled": ("spectral", {
+        "system": {"type": "odometer", "sizes": [2]}, "measure": {"type": "haar", "sizes": [2]},
+        "params": {"m": 3, "T": 3, "y": "0000000000", "cert_T": 64, "mode": "sampled", "n_samples": 1000},
+        "seed": 3},
+        "a80f59659abf804abd6d8b1b4fcebf152918b73446af22fd2a8b74bfef0725ff",
+        "8be945a0d8e9524516c02288c536558c0f566cd36c8900e99ecacabd112f8266"),
+}
+
+
+@pytest.mark.parametrize("case", BENCH_REPORT_CASES)
+def test_bench_report_bytes_are_pinned(tmp_path, case):
+    """The density and sampled spectral report and CSV bytes of the benchmark configs."""
+    command, cfg, report_sha, csv_sha = BENCH_REPORT_CASES[case]
+    out = tmp_path / f"{command}.json"
+    assert run([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (digest(out), digest(out.with_suffix(".csv"))) == (report_sha, csv_sha)

@@ -357,6 +357,30 @@ class TestUncoveredMass:
         assert made == []
 
 
+class TestAlphabetMismatch:
+    """Parts, and a family, over another alphabet than the measure's."""
+
+    HALF = BernoulliMeasure([0.5, 0.5])
+
+    @pytest.mark.parametrize("word", [(2, 1), (0, 1)], ids=["symbol-outside", "symbols-inside"])
+    def test_three_symbol_parts_under_a_two_symbol_measure(self, word):
+        parts = [cyl(word, alphabet=Alphabet(3))]
+        fam = vitali_cover(self.HALF, [cyl((0,)), cyl((1,))], 2)
+        calls = [lambda: union_probability(self.HALF, parts), lambda: vitali_cover(self.HALF, parts, 2),
+                 lambda: uncovered_mass(self.HALF, parts, fam, 2)]
+        for call in calls:
+            with pytest.raises(AlphabetMismatch, match="cylinder over alphabet 3, measure over 2"):
+                call()
+
+    def test_two_symbol_family_under_a_three_symbol_measure(self):
+        mu = BernoulliMeasure([0.2, 0.3, 0.5])
+        fam = vitali_cover(self.HALF, [cyl((0,))], 2)
+        with pytest.raises(AlphabetMismatch, match="balls over alphabet 2, measure over 3"):
+            uncovered_mass(mu, [cyl((0, 1), alphabet=Alphabet(3))], fam, 2)
+        with pytest.raises(AlphabetMismatch, match="balls over alphabet 2, measure over 3"):
+            fam.masses(mu)
+
+
 # one-sided and two-sided, zero transitions and Haar's zero-mass digits, and
 # pieces that keep their own radius next to pieces that split
 ORACLE_CASES = [

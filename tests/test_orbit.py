@@ -243,6 +243,16 @@ class TestDensityCurve:
         assert ests == [density_ratio_estimate(system, mu, x, m, n, horizon, 300, s) for n, s in zip(ns, seeds)]
         assert equidyn.orbit.density_curve(system, mu, x, m, ns, horizon, False) == ([None] * 7, [])
 
+    @pytest.mark.parametrize("system, mu, x, m, horizon", CASES, ids=["eca", "shift", "rotation"])
+    def test_seeds_need_samples_and_one_seed_per_n(self, system, mu, x, m, horizon):
+        """No division by zero samples, and no curve cut short to the seeds."""
+        with pytest.raises(ValueError, match="one seed per n and n_samples >= 1"):
+            equidyn.orbit.density_curve(system, mu, x, m, [1, 2], horizon, True, 0, [1, 2])
+        with pytest.raises(ValueError, match="one seed per n and n_samples >= 1"):
+            equidyn.orbit.density_curve(system, mu, x, m, [1, 2], horizon, True, 300, [1])
+        with pytest.raises(ValueError, match="n_samples -1"):
+            density_ratio_estimate(system, mu, x, m, 1, horizon, n_samples=-1)
+
     def test_null_ball_names_the_first_null_n(self):
         mu = ProductMeasure((3, 3, 2))  # cells from 2 on hold two digits, so a 2 at cell 2 is null
         x = Configuration(A3, "one", (0, 1, 2, 0, 0, 0))

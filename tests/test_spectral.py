@@ -21,9 +21,6 @@ from equidyn import (
     Shift,
     build_eigenfunction,
     eca_rule,
-    identity_rule,
-    inner_product,
-    koopman_residual,
     root_of_unity,
     spectral_family,
 )
@@ -73,12 +70,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_eigenfunction(od, y, 0, 2, 4)
 
-    def test_eigenvalue_exponent(self):
+    def test_eigenvalue(self):
         od = Odometer((2, 2))
         y = Configuration(od.alphabet, "one", (0, 0, 0))
         spec = build_eigenfunction(od, y, 1, 3, 8)
         assert spec.period == 4
-        assert spec.eigenvalue_exponent() == (3, 4)
         assert abs(spec.eigenvalue() - cmath.exp(2j * cmath.pi * 3 / 4)) <= 1e-15
 
 
@@ -123,9 +119,8 @@ def test_odometer_residual_and_norm(sizes, m):
     p = od.window_period(m)
     y = Configuration(od.alphabet, "one", (0,) * (m + 1))
     spec = build_eigenfunction(od, y, m, 1 % p, 2 * p)
-    horizon = 3
-    assert koopman_residual(spec, mu, horizon, mode="exact") <= 1e-12
-    norm_sq = inner_product(spec, spec, mu, horizon, mode="exact")
+    [(_, residual, norm_sq)], _ = spectral_family(spec, mu, 3, [spec.k], mode="exact")
+    assert residual <= 1e-12
     assert abs(norm_sq - 1) <= 1e-12
 
 
@@ -133,9 +128,9 @@ def test_distinct_indices_are_orthogonal():
     od = Odometer((2, 3))
     mu = ProductMeasure((2, 3))
     y = Configuration(od.alphabet, "one", (0, 0))
-    specs = [build_eigenfunction(od, y, 1, k, 12) for k in range(6)]
-    for a, b in itertools.combinations(specs, 2):
-        assert abs(inner_product(a, b, mu, 2, mode="exact")) <= 1e-12
+    base = build_eigenfunction(od, y, 1, 0, 12)
+    _, max_cross = spectral_family(base, mu, 2, list(range(6)), mode="exact")
+    assert max_cross <= 1e-12
 
 
 def test_partition_of_unity():
@@ -157,7 +152,7 @@ def test_shift_residual_matches_independent_enumeration():
     y = dyadic_point(tuple([0, 1] * 8))
     m, horizon, k = 1, 4, 1
     spec = build_eigenfunction(sh, y, m, k, 4)
-    got = koopman_residual(spec, BernoulliMeasure([0.5, 0.5]), horizon, mode="exact")
+    [(_, got, _)], _ = spectral_family(spec, BernoulliMeasure([0.5, 0.5]), horizon, [k], mode="exact")
 
     # oracle: for the shift, membership in the j-th orbit ball is prefix
     # agreement with y shifted by j, through index m + horizon
@@ -198,54 +193,15 @@ def test_overlapping_balls_detected():
     assert tab.js.tolist() == [3, 0, 1, 2]
 
 
-def test_inner_product_rejects_mixed_systems():
-    od = Odometer((2,))
-    y = Configuration(od.alphabet, "one", (0, 0, 0))
-    a = build_eigenfunction(od, y, 0, 1, 4)
-    b = build_eigenfunction(identity_rule(A2), dyadic_point((0, 0, 0)), 0, 0, 4)
-    with pytest.raises(ValueError):
-        inner_product(a, b, ProductMeasure((2,)), 2)
-
-
 def test_sampled_mode_tracks_exact():
     od = Odometer((2, 3))
     mu = ProductMeasure((2, 3))
     y = Configuration(od.alphabet, "one", (0, 0))
     spec = build_eigenfunction(od, y, 1, 2, 12)
-    exact = inner_product(spec, spec, mu, 2, mode="exact")
-    sampled = inner_product(spec, spec, mu, 2, mode="sampled", n_samples=4000, seed=3)
+    [(_, _, exact)], _ = spectral_family(spec, mu, 2, [2], mode="exact")
+    [(_, residual, sampled)], _ = spectral_family(spec, mu, 2, [2], mode="sampled", n_samples=4000, seed=3)
     assert abs(sampled - exact) <= 0.05
-    assert koopman_residual(spec, mu, 2, mode="sampled", n_samples=2000, seed=3) <= 1e-12
-
-
-def _odometer_case():
-    od = Odometer((2, 3))
-    return od, ProductMeasure((2, 3)), Configuration(od.alphabet, "one", (0, 0)), 1, 12, 2
-
-
-def _shift_case():
-    # LP-certified from time 0 (period 2); the shift's residuals are nonzero
-    return Shift(A2), BernoulliMeasure([0.3, 0.7]), dyadic_point(tuple([0, 1] * 8)), 1, 4, 4
-
-
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-@pytest.mark.parametrize("case", [_odometer_case, _shift_case], ids=["odometer", "shift"])
-def test_shared_table_gives_equal_results(case, mode):
-    """One event table serves every k: results == those that build their own."""
-    system, mu, y, m, cert_horizon, horizon = case()
-    base = build_eigenfunction(system, y, m, 0, cert_horizon)
-    specs = [build_eigenfunction(system, y, m, k, cert_horizon) for k in range(base.period)]
-    table = event_table(base, horizon)
-    opts = dict(mode=mode, n_samples=300, seed=5)
-    for spec in specs:
-        assert koopman_residual(spec, mu, horizon, table=table, **opts) == koopman_residual(
-            spec, mu, horizon, **opts
-        )
-    for a, b in itertools.product(specs, repeat=2):
-        assert inner_product(a, b, mu, horizon, table=table, **opts) == inner_product(
-            a, b, mu, horizon, **opts
-        )
-
+    assert residual <= 1e-12
 
 
 # -- row integration against the per-configuration oracle ------------------------
@@ -289,12 +245,19 @@ def test_event_table_rows_are_the_scalar_balls(name):
 def test_row_integration_equals_the_per_configuration_oracle(name, mode):
     """Same values, same summation order: every residual and inner product keeps its bits."""
     specs, mu, horizon = oracle_specs(name)
-    for k, spec in enumerate(specs):
-        opts = dict(mode=mode, n_samples=500, seed=k)
-        assert koopman_residual(spec, mu, horizon, **opts) == scalar_koopman_residual(spec, mu, horizon, **opts)
-    for a, b in itertools.product(specs, repeat=2):
-        opts = dict(mode=mode, n_samples=500, seed=3)
-        assert inner_product(a, b, mu, horizon, **opts) == scalar_inner_product(a, b, mu, horizon, **opts)
+    assert_family_equals_the_oracles(specs, mu, horizon, dict(mode=mode, n_samples=500), 3)
+
+
+def assert_family_equals_the_oracles(specs, mu, horizon, opts, seed):
+    """Residual and norm of k at derive_seed(seed, k), the cross maximum at seed."""
+    rows, max_cross = spectral_family(specs[0], mu, horizon, [spec.k for spec in specs], seed=seed, **opts)
+    for spec, residual, norm_sq in rows:
+        k_opts = dict(opts, seed=derive_seed(seed, spec.k))
+        assert residual == scalar_koopman_residual(spec, mu, horizon, **k_opts)
+        assert norm_sq == scalar_inner_product(spec, spec, mu, horizon, **k_opts)
+    pairs = itertools.combinations(specs, 2)
+    assert max_cross == max([0.0] + [abs(scalar_inner_product(a, b, mu, horizon, seed=seed, **opts)) for a, b in pairs])
+    return rows
 
 
 def test_exact_memory_follows_the_block_not_the_partition():
@@ -303,10 +266,9 @@ def test_exact_memory_follows_the_block_not_the_partition():
     mu = BernoulliMeasure([0.3, 0.7])
     peaks = []
     for horizon in (10, 13):
-        table = event_table(spec, horizon)
         tracemalloc.start()
         try:
-            residual = koopman_residual(spec, mu, horizon, mode="exact", table=table)
+            [(_, residual, _)], _ = spectral_family(spec, mu, horizon, [spec.k], mode="exact")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -324,24 +286,18 @@ def test_integrals_reject_a_measure_on_another_alphabet(system, mu, mode):
     y = Configuration(system.alphabet, system_sided(system), (0,) * 41)
     spec = build_eigenfunction(system, y, 0, 0, 8)
     with pytest.raises(AlphabetMismatch, match="alphabet"):
-        koopman_residual(spec, mu, 1, mode=mode, n_samples=50)
-    with pytest.raises(AlphabetMismatch, match="alphabet"):
-        inner_product(spec, spec, mu, 1, mode=mode, n_samples=50)
-    with pytest.raises(AlphabetMismatch, match="alphabet"):
         spectral_family(spec, mu, 1, [0], mode=mode, n_samples=50)
 
 
 @pytest.mark.parametrize("integral", ["residual", "inner product"])
 def test_sampled_rows_outside_the_odometer_cells_raise(integral):
-    """Haar on (3, 3) draws digit 2 at cell 0, which Odometer((2, 3)) does not have."""
+    """Haar on (3, 3) draws digit 2 at cell 0, which Odometer((2, 3)) does not have;
+    with no k the family draws only the cross products' rows."""
     od = Odometer((2, 3))
     spec = build_eigenfunction(od, Configuration(od.alphabet, "one", (0, 0)), 1, 1, 12)
     mu = ProductMeasure((3, 3))
     with pytest.raises(ValueError, match="column 0"):
-        if integral == "residual":
-            koopman_residual(spec, mu, 2, mode="sampled", n_samples=200)
-        else:
-            inner_product(spec, spec, mu, 2, mode="sampled", n_samples=200)
+        spectral_family(spec, mu, 2, [1] if integral == "residual" else [], mode="sampled", n_samples=200)
 
 
 def test_sampled_integrals_past_int64_word_codes():
@@ -355,12 +311,8 @@ def test_sampled_integrals_past_int64_word_codes():
     horizon, cap = 63, 2 ** 70  # the ball search prunes; only the nominal window passes 2^24
     table = event_table(base, horizon, cap)
     assert 2 ** (table.rho + 1) > 2 ** 63
-    opts = dict(mode="sampled", n_samples=500, seed=4, cap=cap)
-    for spec in specs:
-        assert koopman_residual(spec, mu, horizon, **opts) == scalar_koopman_residual(spec, mu, horizon, **opts)
-    for a, b in itertools.product(specs, repeat=2):
-        assert inner_product(a, b, mu, horizon, **opts) == scalar_inner_product(a, b, mu, horizon, **opts)
-    assert 0.1 < inner_product(specs[0], specs[0], mu, horizon, **opts).real < 0.5
+    rows = assert_family_equals_the_oracles(specs, mu, horizon, dict(mode="sampled", n_samples=500, cap=cap), 4)
+    assert 0.1 < rows[0][2].real < 0.5
 
 
 def bits(z):
@@ -402,16 +354,16 @@ def test_running_sum_is_the_python_loop_bit_for_bit(kind, weighted):
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_family_equals_one_call_per_integral(name, mode):
     """spectral_family shares one certificate, table and draw per seed, and
-    changes no bit of any residual, norm or cross product."""
+    changes no bit of any residual, norm or cross product: each row equals a
+    one-k family, and the cross maximum the largest of the one-pair families."""
     specs, mu, horizon = oracle_specs(name)
     k_list = list(range(len(specs))) + [0]
-    opts = dict(mode=mode, n_samples=300)
-    rows, max_cross = spectral_family(specs[0], mu, horizon, k_list, seed=2, **opts)
+    opts = dict(mode=mode, n_samples=300, seed=2)
+    rows, max_cross = spectral_family(specs[0], mu, horizon, k_list, **opts)
     assert [spec for spec, _, _ in rows] == [specs[k] for k in k_list]
-    for spec, residual, norm_sq in rows:
-        assert residual == koopman_residual(spec, mu, horizon, seed=derive_seed(2, spec.k), **opts)
-        assert norm_sq == inner_product(spec, spec, mu, horizon, seed=derive_seed(2, spec.k), **opts)
-    cross = [abs(inner_product(specs[a], specs[b], mu, horizon, seed=2, **opts))
+    for row in rows:
+        assert [row] == spectral_family(specs[0], mu, horizon, [row[0].k], **opts)[0]
+    cross = [spectral_family(specs[0], mu, horizon, [a, b], **opts)[1]
              for i, a in enumerate(k_list) for b in k_list[i + 1:]]
     assert max_cross == max([0.0] + cross)
 
