@@ -6,12 +6,12 @@ finite union of cylinders on the dependence window W_rho, held as int64
 rows. One pruned frontier search builds those rows for a block of cells at
 once (`_ball_blocks`: `cap` bounds the nominal W_rho word count of a block
 up front, see `exact_fits`, and memory follows the surviving rows). It
-serves the exact conditional measures mu(B_{m,T}(x) | B_n(x)), the orbit
-ball events and the spectral event tables; the Monte Carlo path samples
-the conditioning ball and counts trace agreement instead. Base points are
-int rows too: a report's points are one block (`_base_block`: one trace
-pass, and per n one pass for the ball words and masses both routes read),
-and so is one point at every n (`density_curve`).
+serves the orbit ball events, the spectral event tables and the exact
+conditional measures mu(B_{m,T}(x) | B_n(x)), one frontier for every n;
+the Monte Carlo path samples the conditioning ball and counts trace
+agreement instead. Base points are int rows on one block pipeline
+(`_base_block`, then `_block_ratios` or `_block_estimates`): a report's
+points are one block, and `density_curve` runs its point as a block of one.
 Rotations get the analytic arc formulas instead; their orbit balls equal
 plain balls at every horizon.
 """
@@ -88,11 +88,6 @@ def exact_fits(system: System, m: int, horizon: int, cap: int) -> bool:
     return isinstance(system, Rotation) or _nominal_words(system, m, horizon) <= cap
 
 
-def _check_cap(system: CantorSystem, m: int, horizon: int, cap: int) -> None:
-    if not exact_fits(system, m, horizon, cap):
-        raise EnumerationTooLarge(_nominal_words(system, m, horizon), cap, "orbit ball enumeration")
-
-
 def _trace_frontier(system: CantorSystem, m: int, k: int, bases: np.ndarray, targets: np.ndarray):
     """Rows on W_rho that extend cell c's word bases[c] on W_k and reproduce its
     trace targets[c] (a (T + 1, |W_m|) array), with each row's cell, ascending.
@@ -130,7 +125,8 @@ def _ball_blocks(system: CantorSystem, m: int, horizon: int, k: int, bases: np.n
     of at most cap // (nominal W_rho words) cells, so a frontier's rows stay
     under the cap; the check and the frontiers run as the blocks are read.
     """
-    _check_cap(system, m, horizon, cap)
+    if not exact_fits(system, m, horizon, cap):
+        raise EnumerationTooLarge(_nominal_words(system, m, horizon), cap, "orbit ball enumeration")
     block = max(1, cap // _nominal_words(system, m, horizon))
     for lo in range(0, len(targets), block):
         cells = range(lo, min(len(targets), lo + block))
@@ -190,9 +186,9 @@ def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], hor
     `exact`) per n, and the estimates from n_samples draws, one per seed of
     `seeds` (one seed per n, or none).
 
-    x is traced once, and its ball words and masses come from one
-    `_base_block`; each n is then a one-cell `_block_ratios` and
-    `_block_estimates` call. NullBall names the first null ball in `ns` order.
+    x is a one-point block of the report's pipeline: one `_base_block`, then
+    one `_block_ratios` frontier for every n and one `_block_estimates` call.
+    NullBall names the first null ball in `ns` order.
     """
     if seeds and (len(seeds) != len(ns) or n_samples < 1):
         raise ValueError(f"estimates need one seed per n and n_samples >= 1; got {len(seeds)} seeds for "
@@ -207,10 +203,12 @@ def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], hor
     radius = max(max(ns), dependence_radius(system, m, horizon))
     row = _trace_row(system, x, m, horizon, radius)
     targets, words, masses = _base_block(system, cantor_mu, row, radius, m, ns, horizon)
-    ratios = [_block_ratios(system, cantor_mu, w, a, targets, m, n, horizon, cap)[0] if exact else None
-              for n, w, a in zip(ns, words, masses)]
-    return ratios, [_block_estimates(system, cantor_mu, w, targets, m, n, horizon, n_samples, [s])[0]
-                    for n, w, s in zip(ns, words, seeds)]
+    ratios = [None] * len(ns)
+    if exact:
+        ratios = _block_ratios(system, cantor_mu, words, masses, targets, m, ns, horizon, cap)[0]
+    if not seeds:
+        return ratios, []
+    return ratios, _block_estimates(system, cantor_mu, words, targets, m, ns, horizon, n_samples, [seeds])[0]
 
 
 def _base_block(system, mu, rows, radius, m, ns, horizon):
@@ -225,34 +223,36 @@ def _base_block(system, mu, rows, radius, m, ns, horizon):
     return _windows(system, rows, radius, m, horizon), words, masses.tolist()
 
 
-def _block_ratios(system, mu, words, masses, targets, m, n, horizon, cap) -> list[float]:
-    """The exact ratio of each cell (ball word on W_n, ball mass, x's column trace) at one n.
+def _block_ratios(system, mu, words, masses, targets, m, ns, horizon, cap) -> list[list[float]]:
+    """Each cell's exact ratio at every n of `ns` (its ball words and masses per n, x's trace), one list per cell.
 
-    Each `_ball_blocks` frontier's rows get their masses from one vectorized
-    product; each ratio is the `math.fsum` of its own cell's masses, so it
-    does not depend on the block around it.
+    The orbit ball is the same set at every n, so one `_ball_blocks` frontier per block serves every n: it
+    extends each cell's word on W_k, k = max(m, the least n below rho), and each n keeps the rows on the cell's
+    W_n word. The rows' masses are one product per block; a ratio is the `math.fsum` of its cell's kept masses.
     """
     rho = dependence_radius(system, m, horizon)
-    if n >= rho:
-        # the conditioning ball fixes the whole dependence window, and x's own
-        # word reproduces x's trace, so every point of the ball is in the event
-        return [1.0] * len(words)
+    # n >= rho: the conditioning ball fixes the whole dependence window, and
+    # x's own word reproduces x's trace, so every point of the ball is in the event
+    ratios = np.ones((len(targets), len(ns)))
+    below = [j for j, n in enumerate(ns) if n < rho]
+    if not below:
+        return ratios.tolist()
     sided = system_sided(system)
-    free = [i for i in window_cells(sided, rho) if i not in window_cells(sided, n)]
-    full = count_words(cell_sizes(system, free))
-    ratios = []
+    nominal, least = _nominal_words(system, m, horizon), min(below, key=lambda j: ns[j])
     # rows extend x's word on W_max(m, n): its ball's word, or its trace's first word
-    k, bases = (n, words) if n >= m else (m, targets[:, 0])
+    k, bases = (ns[least], words[least]) if ns[least] >= m else (m, targets[:, 0])
     for cells, rows, cell in _ball_blocks(system, m, horizon, k, bases, targets, cap):
-        kept = mu.row_probabilities(sided, rho, rows).tolist()
-        ends = np.cumsum(np.bincount(cell - cells.start, minlength=len(cells))).tolist()
-        # a cell whose rows are every extension of its ball word has ratio 1 by
-        # inclusion; skip its float sum, whose rounding can land a hair below
-        ratios += [
-            1.0 if hi - lo == full else math.fsum(kept[lo:hi]) / masses[i]
-            for i, lo, hi in zip(cells, [0] + ends, ends)
-        ]
-    return ratios
+        kept = mu.row_probabilities(sided, rho, rows)
+        for j in below:
+            whole = nominal // count_words(cell_sizes(system, window_cells(sided, ns[j])))  # extensions of a W_n word
+            inside = slice(None) if ns[j] <= k else (window_slice(sided, rho, ns[j], rows) == words[j][cell]).all(1)
+            ends = np.cumsum(np.bincount(cell[inside] - cells.start, minlength=len(cells))).tolist()
+            mass = kept[inside].tolist()
+            # a cell whose rows are every extension of its ball word has ratio 1 by
+            # inclusion; skip its float sum, whose rounding can land a hair below
+            for i, lo, hi in zip(cells, [0] + ends, ends):
+                ratios[i, j] = 1.0 if hi - lo == whole else math.fsum(mass[lo:hi]) / masses[j][i]
+    return ratios.tolist()
 
 
 # rows of one block of sampled (point, n) cells, packed and stepped together:
@@ -306,23 +306,28 @@ def _rotation_estimate(x, m: int, n: int, horizon: int, n_samples: int, seed: in
     return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
 
 
-def _block_estimates(system, mu, words, targets, m, n, horizon, n_samples, seeds) -> list[RatioEstimate]:
-    """One estimate per cell (ball word on W_n, x's trace, seed) at one n.
+def _block_estimates(system, mu, words, targets, m, ns, horizon, n_samples, seeds) -> list[list[RatioEstimate]]:
+    """Each cell's estimate at every n of `ns` (its ball words per n, x's trace, seed seeds[c][j] at ns[j]).
 
-    Each cell draws n_samples rows from its own `substream(seed, 0)`; the
-    block's rows are packed, stepped and checked against their own traces
-    together, and each p_hat is the cell's count over n_samples.
+    Each (cell, n) draws n_samples rows from its own `substream(seed, 0)`; at each n, blocks of at most
+    `_BLOCK_ROWS` rows are packed, stepped and checked against their own traces together.
     """
     sided = system_sided(system)
-    radius = max(n, dependence_radius(system, m, horizon))
-    pieces = mu.pieces(sided, radius, n_samples, [substream(s, 0) for s in seeds], words)
-    planes = pack_planes(system, pieces, (len(words), n_samples, window_size(sided, radius)))
-    agree = trace_agreement_batch(system, targets, planes, n_samples, m, radius)
-    counts = agree.reshape(len(words), n_samples).sum(axis=1).tolist()
-    return [
-        RatioEstimate(c / n_samples, _binomial_stderr(c / n_samples, n_samples), n_samples, s, m, n, horizon)
-        for c, s in zip(counts, seeds)
-    ]
+    block = max(1, _BLOCK_ROWS // n_samples)
+    out = [[] for _ in targets]  # out[c]: cell c's estimates, in `ns` order
+    for j, n in enumerate(ns):
+        radius = max(n, dependence_radius(system, m, horizon))
+        for lo in range(0, len(targets), block):
+            cells = range(lo, min(len(targets), lo + block))
+            rngs = [substream(seeds[c][j], 0) for c in cells]
+            pieces = mu.pieces(sided, radius, n_samples, rngs, words[j][lo : cells.stop])
+            planes = pack_planes(system, pieces, (len(cells), n_samples, window_size(sided, radius)))
+            agree = trace_agreement_batch(system, targets[lo : cells.stop], planes, n_samples, m, radius)
+            for c, count in zip(cells, agree.reshape(len(cells), n_samples).sum(axis=1).tolist()):
+                p_hat, seed = count / n_samples, seeds[c][j]
+                out[c].append(RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon))
+            del planes, agree  # freed before the next block draws, so memory follows one block
+    return out
 
 
 @dataclass(frozen=True)
@@ -368,11 +373,11 @@ def mu_equicontinuity_report(
     largest n reaches 1 - delta. Exact enumeration is used whenever the
     dependence window fits under the cap; otherwise each (point, n) cell is
     estimated with its own derived seed, so no cell's draws depend on another's.
-    Either way the cells of one n run in blocks: `_ball_blocks` frontiers
-    (exact), or one packed, stepped and checked batch per block of at most
-    `_BLOCK_ROWS` sampled rows, so memory follows the block, not the point
-    count. One `pieces` pass draws every base point (point i reads what a
-    one-row `sample_config` from substream(seed, 0, i) reads).
+    Either way the points run in blocks: one `_ball_blocks` frontier per block
+    for every n (exact), or at each n one packed, stepped and checked batch
+    per block of at most `_BLOCK_ROWS` sampled rows, so memory follows the
+    block, not the point count. One `pieces` pass draws every base point
+    (point i reads what a one-row `sample_config` from substream(seed, 0, i) reads).
     """
     if points < 1:
         raise ValueError("need at least one base point")
@@ -403,22 +408,14 @@ def mu_equicontinuity_report(
         labels = [word_to_str(x, system.alphabet) for x in rows.tolist()]
         # every cell is checked before any block runs
         targets, words, masses = _base_block(system, cantor_mu, rows, radius, m, ns, horizon)
-        cols = [[] for _ in ns]  # cols[j]: the ratios (or estimates) of every point at ns[j]
-        for j, n in enumerate(ns):
-            if use_exact:
-                cols[j] = _block_ratios(system, cantor_mu, words[j], masses[j], targets, m, n, horizon, cap)
-                continue
-            block = max(1, _BLOCK_ROWS // n_samples)
-            for lo in range(0, points, block):
-                cells = range(lo, min(points, lo + block))
-                cols[j] += _block_estimates(system, cantor_mu, words[j][lo : cells.stop], targets[lo : cells.stop],
-                                            m, n, horizon, n_samples, [derive_seed(seed, 1, i, j) for i in cells])
-        curves = [
-            PointCurve(point=label, ratios=row, exact=True, stderrs=None) if use_exact else
-            PointCurve(point=label, ratios=tuple(e.p_hat for e in row), exact=False,
-                       stderrs=tuple(e.stderr for e in row))
-            for label, row in zip(labels, zip(*cols))
-        ]
+        if use_exact:
+            ratios = _block_ratios(system, cantor_mu, words, masses, targets, m, ns, horizon, cap)
+            curves = [PointCurve(label, tuple(row), True, None) for label, row in zip(labels, ratios)]
+        else:
+            seeds = [[derive_seed(seed, 1, i, j) for j in range(len(ns))] for i in range(points)]
+            estimates = _block_estimates(system, cantor_mu, words, targets, m, ns, horizon, n_samples, seeds)
+            curves = [PointCurve(label, tuple(e.p_hat for e in row), False, tuple(e.stderr for e in row))
+                      for label, row in zip(labels, estimates)]
 
     hits = sum(1 for c in curves if c.ratios[-1] >= 1.0 - delta)
     return EquicontinuityReport(

@@ -252,7 +252,7 @@ def spectral_family(
     Every f_k shares the certificate of `base` (y's spec, any k) and one
     event table. Each number equals the per-configuration oracles: sampled
     mode draws f_k's residual and norm from derive_seed(seed, k) and the
-    cross products from `seed`, once per (radius, seed).
+    cross products (if k_list has a pair) from `seed`, once per (radius, seed).
     """
     if not all(0 <= k < base.period for k in k_list):
         raise ValueError(f"k must lie in [0, {base.period}), got {k_list}")
@@ -271,6 +271,8 @@ def spectral_family(
         (j, *_), weights = indices(table.rho, derive_seed(seed, spec.k) if sampled else None)
         norm_sq = _integral(_conj_product, f, f, j, j, weights, n_samples)
         rows.append((spec, _residual(spec, jx, jtx, masses, n_samples), norm_sq))
+    if len(fs) < 2:  # no pair, so no cross product to draw for
+        return rows, 0.0
     (j, *_), weights = indices(table.rho, seed if sampled else None)
     pairs = [(fa, fb) for i, fa in enumerate(fs) for fb in fs[i + 1 :]]
     return rows, max([0.0] + [abs(_integral(_conj_product, fa, fb, j, j, weights, n_samples)) for fa, fb in pairs])

@@ -24,6 +24,7 @@ from equidyn import (
     Rotation,
     Shift,
     ball_cylinder,
+    density_curve,
     density_ratio_estimate,
     density_ratio_exact,
     eca_rule,
@@ -405,9 +406,9 @@ class TestScalarOracle:
 
 # -- exact cells in blocks ---------------------------------------------------------
 #
-# The exact report runs one frontier for a block of cells at one n, at most
-# cap // (nominal W_rho words) cells to a block; every curve must read what
-# the brute-force oracle reads for its own point.
+# The exact report runs one frontier for a block of cells that serves every n,
+# at most cap // (nominal W_rho words) cells to a block; every curve must read
+# what the brute-force oracle reads for its own point.
 
 def nominal_words(system, m, horizon):
     return count_words(cell_sizes(system, window_cells(system_sided(system), dependence_radius(system, m, horizon))))
@@ -419,8 +420,8 @@ def assert_report_matches_oracle(monkeypatch, system, mu, m, ns, horizon, points
     monkeypatch.setattr(equidyn.orbit, "_trace_frontier", lambda *a: blocks.append(len(a[3])) or trace_frontier(*a))
     report = mu_equicontinuity_report(system, mu, m, ns, horizon, points=points, seed=seed, cap=cap)
     per_block, rho = cap // nominal_words(system, m, horizon), dependence_radius(system, m, horizon)
-    # n >= rho needs no frontier: the ratio is 1
-    assert blocks == [min(per_block, points - lo) for n in ns if n < rho for lo in range(0, points, per_block)]
+    # one frontier per block serves every n; with every n >= rho none runs: each ratio is 1
+    assert blocks == ([min(per_block, points - lo) for lo in range(0, points, per_block)] if min(ns) < rho else [])
     radius = max(max(ns), rho)
     for i, curve in enumerate(report.curves):
         x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
@@ -464,6 +465,46 @@ def test_exact_report_memory_follows_the_block():
             tracemalloc.stop()
 
     assert peak(24) <= 1.5 * peak(6)
+
+
+def count_frontiers(monkeypatch):
+    """The radius k each `_trace_frontier` call starts its rows from, in call order."""
+    starts, trace_frontier = [], equidyn.orbit._trace_frontier
+    monkeypatch.setattr(equidyn.orbit, "_trace_frontier", lambda *a: starts.append(a[2]) or trace_frontier(*a))
+    return starts
+
+
+CURVE_ECAS = (30, 90, 110, 184)
+CURVE_CASES = [(eca_rule(number), MARKOV) for number in CURVE_ECAS] + [
+    (Shift(A2), BernoulliMeasure([0.3, 0.7])),
+    (identity_rule(A2, "two", 1), MARKOV),
+    (seeded_one_sided_ca3(), BernoulliMeasure([0.2, 0.3, 0.5])),
+]
+
+
+@pytest.mark.parametrize("system,mu", CURVE_CASES,
+                         ids=[f"eca{number}" for number in CURVE_ECAS] + ["shift", "identity", "ca3"])
+@pytest.mark.parametrize("ns", [[3, 1, 2], [2, 3, 2, 1], [3, 2], [5, 2, 4, 1, 6], [4, 6]],
+                         ids=["unsorted", "repeated", "all-above-m", "both-sides-of-rho", "all-at-or-above-rho"])
+def test_density_curve_runs_one_frontier_for_every_n(monkeypatch, system, mu, ns):
+    m, horizon = 1, 3  # rho = 4 on every case
+    rho = dependence_radius(system, m, horizon)
+    x = mu.sample_config(system_sided(system), max(max(ns), rho), substream(29, len(ns)))
+    words = oracle_event(system, x, m, horizon)
+    starts = count_frontiers(monkeypatch)
+    ratios, _ = density_curve(system, mu, x, m, ns, horizon)
+    assert ratios == [oracle_ratio(system, mu, x, m, n, horizon, words) for n in ns]
+    # the one frontier starts from W_max(m, the least n below rho)
+    below = [n for n in ns if n < rho]
+    assert starts == ([max(m, min(below))] if below else [])
+
+
+def test_a_report_runs_one_frontier_for_every_n(monkeypatch):
+    """ECA 184 at m 2, T 6 has rho = 8: six n below it and twenty points in
+    one block make one frontier, not one per n."""
+    starts = count_frontiers(monkeypatch)
+    report = mu_equicontinuity_report(eca_rule(184), MARKOV, 2, range(1, 7), 6, points=20, seed=3)
+    assert starts == [2] and all(curve.exact for curve in report.curves)
 
 
 # -- sampled cells in blocks ---------------------------------------------------------
@@ -525,6 +566,24 @@ def test_sampled_report_memory_follows_the_block():
     planes = 2 * cells * 4 * (n_samples // 64) * 8
     uniforms = 4 * n_samples * 8
     assert peak(64) <= peak(8) + planes + uniforms
+
+
+def test_sampled_curve_memory_follows_one_n():
+    """Each n's block is freed before the next n draws: six n peak as one n does."""
+    system, x = eca_rule(30), MARKOV.sample_config("two", 11, substream(3, 0))
+
+    def peak(ns):
+        run = lambda: density_curve(system, MARKOV, x, 3, ns, 8, exact=False, n_samples=1 << 16,
+                                    seeds=list(range(len(ns))))
+        run()  # warm caches
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak([1, 2, 3, 4, 5, 6]) <= 1.1 * peak([6])
 
 
 # -- base points as one block ---------------------------------------------------------

@@ -26,7 +26,7 @@ from equidyn import (
 )
 from equidyn.rng import derive_seed, substream
 from equidyn.spectral import _running_sum, event_table
-from equidyn.systems import system_sided
+from equidyn.systems import step_cost, system_sided
 from oracles import _scalar_f, oracle_event, scalar_inner_product, scalar_koopman_residual, scalar_step
 
 A2 = Alphabet(2)
@@ -289,15 +289,43 @@ def test_integrals_reject_a_measure_on_another_alphabet(system, mu, mode):
         spectral_family(spec, mu, 1, [0], mode=mode, n_samples=50)
 
 
+def count_draws(monkeypatch, measure_class):
+    """The radius of every `sample_batch` draw of `measure_class`, in call order."""
+    radii, sample_batch = [], measure_class.sample_batch
+    monkeypatch.setattr(measure_class, "sample_batch", lambda mu, *a: radii.append(a[1]) or sample_batch(mu, *a))
+    return radii
+
+
 @pytest.mark.parametrize("integral", ["residual", "inner product"])
-def test_sampled_rows_outside_the_odometer_cells_raise(integral):
+def test_sampled_rows_outside_the_odometer_cells_raise(monkeypatch, integral):
     """Haar on (3, 3) draws digit 2 at cell 0, which Odometer((2, 3)) does not have;
-    with no k the family draws only the cross products' rows."""
+    with no k there is neither a residual nor a pair, so the family draws nothing."""
     od = Odometer((2, 3))
     spec = build_eigenfunction(od, Configuration(od.alphabet, "one", (0, 0)), 1, 1, 12)
     mu = ProductMeasure((3, 3))
-    with pytest.raises(ValueError, match="column 0"):
-        spectral_family(spec, mu, 2, [1] if integral == "residual" else [], mode="sampled", n_samples=200)
+    if integral == "residual":
+        with pytest.raises(ValueError, match="column 0"):
+            spectral_family(spec, mu, 2, [1], mode="sampled", n_samples=200)
+        return
+    draws = count_draws(monkeypatch, ProductMeasure)
+    assert spectral_family(spec, mu, 2, [], mode="sampled", n_samples=200) == ([], 0.0)
+    assert draws == []
+
+
+@pytest.mark.parametrize("system,y,mu", [
+    (Odometer((2, 3)), Configuration(Odometer((2, 3)).alphabet, "one", (0, 0)), ProductMeasure((2, 3))),
+    (Shift(A2), dyadic_point((0, 1) * 8), BernoulliMeasure([0.3, 0.7])),
+], ids=["odometer", "shift"])
+def test_a_sampled_family_with_one_k_draws_once_per_radius(monkeypatch, system, y, mu):
+    """No pair, so no cross-product draw: the residual's radius and the norm's
+    (one radius on the odometer, which loses none per step), each drawn once."""
+    spec = build_eigenfunction(system, y, 1, 1, 12)
+    horizon = 2
+    rho, cost = event_table(spec, horizon, 10 ** 6).rho, step_cost(system)
+    draws = count_draws(monkeypatch, type(mu))
+    [(_, residual, norm_sq)], max_cross = spectral_family(spec, mu, horizon, [1], mode="sampled", n_samples=300)
+    assert sorted(draws) == sorted({rho, rho + cost}) and max_cross == 0.0
+    assert residual >= 0.0 and norm_sq.real > 0.0
 
 
 def test_sampled_integrals_past_int64_word_codes():
