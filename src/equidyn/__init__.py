@@ -49,13 +49,9 @@ from .measures import (
 )
 from .orbit import (
     EquicontinuityReport,
-    OrbitBallEvent,
     RatioEstimate,
     density_curve,
-    density_ratio_estimate,
-    density_ratio_exact,
     mu_equicontinuity_report,
-    orbit_ball_event,
 )
 from .periodicity import (
     LepClassification,
@@ -84,7 +80,6 @@ from .systems import (
     Odometer,
     Rotation,
     Shift,
-    column_trace,
     dependence_radius,
     eca_rule,
     identity_rule,

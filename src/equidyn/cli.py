@@ -161,11 +161,11 @@ def _delta_param(params: dict, field: str, prefix="params."):
     return value
 
 
-def _list_param(params: dict, field: str, kind=None, prefix="params."):
+def _list_param(params: dict, field: str, kind=None, prefix="params.", minimum=None):
     value = _need(params, field, prefix)
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigInvalid(f"{prefix}{field}", "must be a non-empty list")
-    return [_number(v, f"{prefix}{field}", kind) for v in value] if kind else list(value)
+    return [_number(v, f"{prefix}{field}", kind, minimum) for v in value] if kind else list(value)
 
 
 def _eps_list_param(params: dict):
@@ -195,11 +195,15 @@ def _plain(value, key: str = ""):
     return fmt_prob(value) if key in PROB_KEYS else value
 
 
-def _word_config(alphabet, sided, text: str, field: str) -> Configuration:
+def _word_config(system, text, field: str, radius: int) -> Configuration:
+    """The word `text` as a configuration of the system's space, of valid radius >= `radius`."""
     try:
-        return Configuration(alphabet, sided, word_from_str(text, alphabet))
+        x = Configuration(system.alphabet, system_sided(system), word_from_str(str(text), system.alphabet))
     except ValueError as exc:
         raise ConfigInvalid(field, str(exc))
+    if x.radius < radius:
+        raise ConfigInvalid(field, f"needs valid radius >= {radius}, got {x.radius}")
+    return x
 
 
 def _point_from_params(system, mu, params, radius: int, seed: int):
@@ -212,13 +216,9 @@ def _point_from_params(system, mu, params, radius: int, seed: int):
             return CirclePoint(Fraction(str(point)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigInvalid("params.point", f"not a circle angle: {exc}")
-    sided = system_sided(system)
     if point is None:
-        return mu.sample_config(sided, radius, substream(seed, 9))
-    x = _word_config(system.alphabet, sided, str(point), "params.point")
-    if x.radius < radius:
-        raise ConfigInvalid("params.point", f"needs valid radius >= {radius}")
-    return x
+        return mu.sample_config(system_sided(system), radius, substream(seed, 9))
+    return _word_config(system, point, "params.point", radius)
 
 
 # -- subcommand runners --------------------------------------------------------
@@ -226,9 +226,7 @@ def _point_from_params(system, mu, params, radius: int, seed: int):
 def _run_density(system, mu, params, seed, cap):
     m = _param(params, "m", minimum=0)
     horizon = _param(params, "T", minimum=0)
-    n_list = sorted(set(_list_param(params, "n_list", kind=int)))
-    if n_list[0] < 1:
-        raise ConfigInvalid("params.n_list", "entries must be >= 1")
+    n_list = sorted(set(_list_param(params, "n_list", kind=int, minimum=1)))
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
     if isinstance(system, Rotation):
         if m < 1:
@@ -260,7 +258,7 @@ def _run_classify(system, mu, params, seed, cap):
     report = mu_equicontinuity_report(
         system, mu,
         m=_param(params, "m", minimum=0),
-        n_list=_list_param(params, "n_list", kind=int),
+        n_list=_list_param(params, "n_list", kind=int, minimum=1),
         horizon=_param(params, "T", minimum=0),
         points=_param(params, "points", default=50, minimum=1),
         n_samples=_param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1),
@@ -280,7 +278,7 @@ def _run_classify(system, mu, params, seed, cap):
 def _run_lep(system, mu, params, seed, cap):
     report = mu_lep_classify(
         system, mu,
-        m_list=_list_param(params, "m_list", kind=int),
+        m_list=_list_param(params, "m_list", kind=int, minimum=0),
         eps=_delta_param(params, "eps"),
         n_samples=_param(params, "n_samples", default=1000, minimum=1),
         horizon=_param(params, "T", minimum=2),
@@ -300,14 +298,17 @@ def _run_spectral(system, mu, params, seed, cap):
     m = _param(params, "m", minimum=0)
     horizon = _param(params, "T", minimum=0)
     cert_horizon = _param(params, "cert_T", default=max(horizon, 2), minimum=2)
-    sided = system_sided(system)
     if params.get("y") is None:
         radius = dependence_radius(system, m, horizon + cert_horizon)
-        y = mu.sample_config(sided, radius, substream(seed, 9))
+        y = mu.sample_config(system_sided(system), radius, substream(seed, 9))
     else:
-        y = _word_config(system.alphabet, sided, str(params["y"]), "params.y")
+        y = _word_config(system, params["y"], "params.y", dependence_radius(system, m, cert_horizon))
     base = build_eigenfunction(system, y, m, 0, cert_horizon)
     p = base.period
+    # the event tables trace y's p points on W_rho, rho = dependence_radius(m, T)
+    need = dependence_radius(system, dependence_radius(system, m, horizon), p - 1)
+    if params.get("y") is not None and y.radius < need:
+        raise ConfigInvalid("params.y", f"needs valid radius >= {need} to trace its period-{p} orbit, got {y.radius}")
     k_list = _list_param(params, "k_list", kind=int) if params.get("k_list") is not None else list(range(min(p, 16)))
     if not all(0 <= k < p for k in k_list):
         raise ConfigInvalid("params.k_list", f"entries must lie in [0, {p}), got {k_list}")
@@ -369,7 +370,7 @@ def _equi_params_from(params: dict, optional: bool = False) -> dict:
     prefix = "params.equi."
     checks = {
         "m": lambda: _param(raw, "m", minimum=0, prefix=prefix),
-        "n_list": lambda: _list_param(raw, "n_list", kind=int, prefix=prefix),
+        "n_list": lambda: _list_param(raw, "n_list", kind=int, prefix=prefix, minimum=1),
         "T": lambda: _param(raw, "T", minimum=0, prefix=prefix),
         "points": lambda: _param(raw, "points", 50, minimum=1, prefix=prefix),
         "n_samples": lambda: _param(raw, "n_samples", 2000, minimum=1, prefix=prefix),
@@ -424,7 +425,7 @@ def _run_vitali(mu, params, seed, cap):
     family = vitali_cover(mu, parts, min_radius, eps=eps, cap=cap)
     union_mass = union_probability(mu, parts)
     masses = family.masses(mu)
-    covered = float(sum(masses))  # family.total_mass(mu), summed in the same order
+    covered = float(sum(masses))  # the family's mass, summed in ball order
     balls = [
         {"radius": n, "word": word_to_str(word, family.alphabet), "mass": fmt_prob(mass)}
         for (word, n), mass in zip(family.balls, masses)

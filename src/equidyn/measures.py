@@ -7,7 +7,7 @@ and a reversed kernel (a cell given its right neighbour). Bernoulli's rows
 all equal its weights, Markov's are (pi, P, its time reversal), and Haar's
 row at cell i is uniform on its size_at(i) digits. A cylinder's probability
 is the first-cell factor times the forward steps, left to right, for many
-int rows at once (`row_probabilities`; `cylinder_probability` is one row).
+int rows at once (`row_probabilities`).
 Finite unions of cylinders get exact Vitali covers by clopen refinement, as
 cylinders over one space nest or are disjoint. One test over per-radius int
 rows (`_nested`) finds which cylinders nest, for the maximal pieces of a
@@ -22,9 +22,9 @@ rightward and leftward from it. So a one-row draw reads its uniforms in the
 order of `random(k)`. `pieces` draws for a list of generators at once, each
 from its own stream in that order, in (group, n) columns, member g given row
 g of one int array of words, if any. Symbols are uint8 (an alphabet has at
-most 256). `sample_batch` and `conditional_batch` write the pieces into int
-rows; `systems.pack_planes` packs them into bit planes as they arrive,
-without an n x |W| array.
+most 256). `sample_batch` writes the pieces into int rows;
+`systems.pack_planes` packs them into bit planes as they arrive, without an
+n x |W| array.
 """
 
 from __future__ import annotations
@@ -129,11 +129,6 @@ class _CylinderMeasure:
     def _laws(self, sided: str, radius: int) -> list[_CellLaw]:
         return [self._law] * window_size(sided, radius)
 
-    def cylinder_probability(self, c: Cylinder) -> float:
-        """A one-row `row_probabilities`."""
-        self._check_cylinder(c)
-        return float(self.row_probabilities(c.sided, c.radius, np.array([c.word], dtype=np.int64))[0])
-
     def row_probabilities(self, sided: str, radius: int, rows: np.ndarray) -> np.ndarray:
         """The probability of the cylinder of each int row on W_radius: the first
         cell's factor times the forward steps, left to right.
@@ -199,10 +194,6 @@ class _CylinderMeasure:
 
     def sample_batch(self, sided: str, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return _rows(self.pieces(sided, radius, n, [rng]), n, window_size(sided, radius))
-
-    def conditional_batch(self, c: Cylinder, radius: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        self._check_cylinder(c)
-        return _rows(self.pieces(c.sided, radius, n, [rng], np.array([c.word])), n, window_size(c.sided, radius))
 
 
 class BernoulliMeasure(_CylinderMeasure):
@@ -467,12 +458,9 @@ class BallFamily:
             raise AlphabetMismatch(f"balls over alphabet {self.alphabet.size}, measure over {mu.alphabet.size}")
 
     def masses(self, mu: CantorMeasure) -> list[float]:
-        """Each ball's `cylinder_probability`, to the bit, in ball order."""
+        """Each ball's mass, its one-row `row_probabilities` to the bit, in ball order."""
         self._check_measure(mu)
         return _masses(mu, self.sided, self.groups).tolist()
-
-    def total_mass(self, mu: CantorMeasure) -> float:
-        return float(sum(self.masses(mu)))
 
 
 def vitali_cover(

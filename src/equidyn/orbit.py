@@ -6,8 +6,8 @@ finite union of cylinders on the dependence window W_rho, held as int64
 rows. One pruned frontier search builds those rows for a block of cells at
 once (`_ball_blocks`: `cap` bounds the nominal W_rho word count of a block
 up front, see `exact_fits`, and memory follows the surviving rows). It
-serves the orbit ball events, the spectral event tables and the exact
-conditional measures mu(B_{m,T}(x) | B_n(x)), one frontier for every n;
+serves the spectral event tables (`_ball_rows`) and the exact conditional
+measures mu(B_{m,T}(x) | B_n(x)), one frontier for every n;
 the Monte Carlo path samples the conditioning ball and counts trace
 agreement instead. Base points are int rows on one block pipeline
 (`_base_block`, then `_block_ratios` or `_block_estimates`): a report's
@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
-    Configuration,
     ball_cylinder,
     count_words,
     window_cells,
@@ -59,18 +58,6 @@ from .systems import (
     window_slice,
     word_codes,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitBallEvent:
-    """Explicit cylinder description of an orbit ball on the window W_rho:
-    `words` holds its words as int64 rows, ascending by `word_codes`."""
-
-    sided: str
-    m: int
-    horizon: int
-    rho: int
-    words: np.ndarray
 
 
 def _nominal_words(system: CantorSystem, m: int, horizon: int) -> int:
@@ -143,16 +130,6 @@ def _ball_rows(system: CantorSystem, m: int, horizon: int, targets: np.ndarray, 
     return rows[order], cell[order]
 
 
-def orbit_ball_event(system: CantorSystem, x: Configuration, m: int, horizon: int,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> OrbitBallEvent:
-    """The orbit ball as the W_rho rows reproducing x's trace."""
-    if isinstance(system, Rotation):
-        raise UnsupportedSystem("rotation orbit balls are arcs, not cylinder events")
-    rho = dependence_radius(system, m, horizon)
-    rows, _ = _ball_rows(system, m, horizon, _windows(system, _trace_row(system, x, m, horizon), rho, m, horizon), cap)
-    return OrbitBallEvent(system_sided(system), m, horizon, rho, rows)
-
-
 def _rotation_ball_mass(n: int) -> Fraction:
     """Arc length of a circle ball of metric radius 1/n."""
     if n < 1:
@@ -165,19 +142,6 @@ def _rotation_ratio(m: int, n: int) -> float:
         raise ValueError("circle resolution needs m >= 1")
     # concentric balls nest, so the intersection is the smaller ball
     return float(_rotation_ball_mass(max(m, n)) / _rotation_ball_mass(n))
-
-
-def density_ratio_exact(
-    system: System,
-    mu: Measure,
-    x,
-    m: int,
-    n: int,
-    horizon: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
-    """mu(B_{m,horizon}(x) intersect B_n(x)) / mu(B_n(x)), computed exactly: a one-n `density_curve`."""
-    return density_curve(system, mu, x, m, [n], horizon, cap=cap)[0][0]
 
 
 def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], horizon: int, exact: bool = True,
@@ -275,20 +239,6 @@ class RatioEstimate:
 
 def _binomial_stderr(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def density_ratio_estimate(
-    system: System,
-    mu: Measure,
-    x,
-    m: int,
-    n: int,
-    horizon: int,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> RatioEstimate:
-    """Sample the conditioning ball and count trace agreement with x: a one-n `density_curve`."""
-    return density_curve(system, mu, x, m, [n], horizon, exact=False, n_samples=n_samples, seeds=[seed])[1][0]
 
 
 def _rotation_estimate(x, m: int, n: int, horizon: int, n_samples: int, seed: int) -> RatioEstimate:

@@ -13,7 +13,7 @@ Two steppers implement the same rules. `step_batch` steps int64 rows; it
 serves the exact route (the orbit-ball frontier search), `column_codes`
 (`lep` and the one-row `lep_certificate`), spectral integration, and
 `_windows` (the traces of a block of base points, or of one point's row from
-`_trace_row`, in one pass), of which `column_trace` is the one-point tuple form.
+`_trace_row`, in one pass).
 `step_planes` steps one-hot bit planes, 64 rows to a uint64 word; it serves
 the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
 the separation test of `sensitivity`. So the exact and the sampled routes
@@ -283,12 +283,6 @@ def _trace_row(system: CantorSystem, x: Configuration, m: int, horizon: int, rad
     return window_slice(system_sided(system), x.radius, need, _checked_row(system, x))
 
 
-def column_trace(system: CantorSystem, x: Configuration, m: int, horizon: int) -> list[tuple[int, ...]]:
-    """Words (T^i x)_{W_m} for i = 0..horizon."""
-    row = _trace_row(system, x, m, horizon)
-    return [tuple(w) for w in _windows(system, row, dependence_radius(system, m, horizon), m, horizon)[0].tolist()]
-
-
 # -- vectorized dynamics -------------------------------------------------------
 
 def step_batch(system: CantorSystem, arr: np.ndarray) -> np.ndarray:
@@ -332,7 +326,7 @@ def window_slice(sided: str, covered_radius: int, m: int, arr: np.ndarray) -> np
 
 
 def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) -> np.ndarray:
-    """Batched column_trace: entry (i, t) is one integer naming (T^t x_i)_{W_m}.
+    """Column traces as codes: entry (i, t) is one integer naming (T^t x_i)_{W_m}.
 
     Row i of `arr` is x_i on W_rho, rho the dependence radius for (m,
     horizon). Equal integers mean equal words (see `word_codes`).

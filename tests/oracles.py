@@ -9,9 +9,13 @@ The Cantor metric, its agreement level and the cylinder relations below
 work on objects, one pair at a time; every command works on words, and the
 tests check the word engines against these definitions.
 `oracle_maximal_cylinders` is the pairwise scan that the word-code nesting
-test replaced. Two helpers are not oracles: `step` is the one-row
-`step_batch` call (or the rotation's angle sum) that tests compare with
-`scalar_step`, and `family` packs (word, n) balls into a row `BallFamily`.
+test replaced. Six helpers are not oracles. Five are one-object calls into
+the library's block paths, for the tests to compare with the oracles: `step`
+is the one-row `step_batch` call (or the rotation's angle sum), `trace_rows`
+one point's `_windows` trace, `ball_rows` its orbit ball by `_ball_rows`,
+`cylinder_mass` the one-row `row_probabilities` and `conditional_rows` the
+one-generator `pieces` draw given a cylinder. `family` packs (word, n) balls
+into a row `BallFamily`.
 
 The batch samplers below draw one n x |W| array from the chain of each
 measure, re-derived from its public parameters, in the stream order of the
@@ -19,8 +23,8 @@ piece generator of `equidyn.measures` (one `random(n)` per cell), so equal
 rows mean equal draws. The cylinder products are the three per-measure
 formulas that the chain's one product replaced. The Vitali cover below is
 the object refinement that the int-row cover replaced: one `Configuration`
-center per ball, one `cylinder_probability` per mass, and coverage read off
-word tuples by `subword`. The base points below are the per-point
+center per ball, one `oracle_cylinder_probability` per mass, and coverage
+read off word tuples by `subword`. The base points below are the per-point
 preparation that the report's int-row block replaced.
 """
 
@@ -42,10 +46,12 @@ from equidyn.core import (
     iter_words,
     subword,
     window_cells,
+    window_size,
     word_to_str,
 )
-from equidyn.measures import BallFamily, BernoulliMeasure, MarkovMeasure, ProductMeasure
+from equidyn.measures import BallFamily, BernoulliMeasure, MarkovMeasure, ProductMeasure, _rows
 from equidyn.errors import EnumerationTooLarge
+from equidyn.orbit import _ball_rows
 from equidyn.rng import substream
 from equidyn.spectral import event_table, root_of_unity
 from equidyn.systems import (
@@ -54,8 +60,9 @@ from equidyn.systems import (
     Rotation,
     Shift,
     _checked_row,
+    _trace_row,
+    _windows,
     cell_sizes,
-    column_trace,
     dependence_radius,
     step_batch,
     step_cost,
@@ -185,6 +192,27 @@ def step(system, x):
     return Configuration(x.alphabet, x.sided, out[0].tolist())
 
 
+def trace_rows(system, x, m, horizon):
+    """x's column trace: `_windows` of x's `_trace_row`, as (horizon + 1, |W_m|) int rows."""
+    rho = dependence_radius(system, m, horizon)
+    return _windows(system, _trace_row(system, x, m, horizon), rho, m, horizon)[0]
+
+
+def ball_rows(system, x, m, horizon, cap=DEFAULT_ENUMERATION_CAP):
+    """x's orbit ball: the W_rho rows that `_ball_rows` finds from x's trace, ascending by word code."""
+    return _ball_rows(system, m, horizon, trace_rows(system, x, m, horizon)[None], cap)[0]
+
+
+def cylinder_mass(mu, c):
+    """The mass of the cylinder c: the one-row `row_probabilities` of its word."""
+    return float(mu.row_probabilities(c.sided, c.radius, np.array([c.word], dtype=np.int64))[0])
+
+
+def conditional_rows(mu, c, radius, n, rng):
+    """n int rows on W_radius drawn from `rng` given the cylinder c: a one-generator `pieces` draw."""
+    return _rows(mu.pieces(c.sided, radius, n, [rng], np.array([c.word])), n, window_size(c.sided, radius))
+
+
 def family(alphabet, sided, balls):
     """The `BallFamily` of (word on W_n, n) balls: per radius, their places and words as int rows."""
     radii = [n for _, n in balls]
@@ -286,7 +314,7 @@ def _scalar_integrate(system, mu, radius, integrand, mode, n_samples, seed, cap)
         for word in iter_words(sizes):
             v = integrand(Configuration(system.alphabet, sided, word))
             if v != 0:
-                acc += v * mu.cylinder_probability(Cylinder(system.alphabet, sided, radius, word))
+                acc += v * oracle_cylinder_probability(mu, Cylinder(system.alphabet, sided, radius, word))
         return acc
     for row in mu.sample_batch(sided, radius, n_samples, substream(seed, 0)):
         acc += integrand(Configuration(system.alphabet, sided, tuple(int(s) for s in row)))
@@ -453,7 +481,7 @@ def oracle_vitali_cover(mu, parts, min_radius):
 
 
 def oracle_ball_masses(mu, balls):
-    return [mu.cylinder_probability(ball_cylinder(center, n)) for center, n in balls]
+    return [oracle_cylinder_probability(mu, ball_cylinder(center, n)) for center, n in balls]
 
 
 def oracle_uncovered_mass(mu, parts, balls, min_radius):
@@ -467,7 +495,7 @@ def oracle_uncovered_mass(mu, parts, balls, min_radius):
         radius = max(piece.radius, min_radius)
         for w in oracle_refine(mu, piece, min_radius):
             if not any(r <= radius and subword(w, piece.sided, radius, r) in ws for r, ws in words.items()):
-                total += mu.cylinder_probability(Cylinder(mu.alphabet, piece.sided, radius, w))
+                total += oracle_cylinder_probability(mu, Cylinder(mu.alphabet, piece.sided, radius, w))
     return total
 
 
@@ -475,7 +503,7 @@ def oracle_uncovered_mass(mu, parts, balls, min_radius):
 
 def oracle_base_points(system, mu, m, ns, horizon, points, seed):
     """Per point i: a `sample_config` from substream(seed, 0, i), its label and
-    `column_trace`, then per n its `ball_cylinder` word and `cylinder_probability`."""
+    `scalar_column_trace`, then per n its `ball_cylinder` word and `oracle_cylinder_probability`."""
     sided = system_sided(system)
     radius = max(max(ns), dependence_radius(system, m, horizon))
     labels, traces, words, masses = [], [], [], []
@@ -483,7 +511,7 @@ def oracle_base_points(system, mu, m, ns, horizon, points, seed):
         x = mu.sample_config(sided, radius, substream(seed, 0, i))
         balls = [ball_cylinder(x, n) for n in ns]
         labels.append(word_to_str(x.symbols, x.alphabet))
-        traces.append([list(w) for w in column_trace(system, x, m, horizon)])
+        traces.append([list(w) for w in scalar_column_trace(system, x, m, horizon)])
         words.append([list(b.word) for b in balls])
-        masses.append([mu.cylinder_probability(b) for b in balls])
+        masses.append([oracle_cylinder_probability(mu, b) for b in balls])
     return labels, traces, words, masses

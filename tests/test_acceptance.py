@@ -25,8 +25,7 @@ from equidyn import (
     Rotation,
     Shift,
     build_eigenfunction,
-    density_ratio_estimate,
-    density_ratio_exact,
+    density_curve,
     dichotomy_report,
     eca_rule,
     identity_rule,
@@ -40,7 +39,7 @@ from equidyn import (
 from equidyn.cli import main as cli_main
 from equidyn.rng import derive_seed, substream
 from equidyn.systems import dependence_radius, system_sided
-from oracles import _scalar_f, compare_cylinders
+from oracles import _scalar_f, compare_cylinders, cylinder_mass
 
 A2 = Alphabet(2)
 ACCEPT_SEED = 20260825
@@ -83,12 +82,12 @@ def test_criterion_1_oracle_equivalence():
             radius = max(3, dependence_radius(system, m, 3))
             x = mu.sample_config(sided, radius, substream(ACCEPT_SEED, 0, idx))
             for n, horizon in itertools.product((1, 2, 3), (1, 2, 3)):
-                exact = density_ratio_exact(system, mu, x, m, n, horizon)
-                est = density_ratio_estimate(
-                    system, mu, x, m, n, horizon,
+                exact = density_curve(system, mu, x, m, [n], horizon)[0][0]
+                est = density_curve(
+                    system, mu, x, m, [n], horizon, exact=False,
                     n_samples=C1_SAMPLES,
-                    seed=derive_seed(ACCEPT_SEED, 1, idx, m, n, horizon),
-                )
+                    seeds=[derive_seed(ACCEPT_SEED, 1, idx, m, n, horizon)],
+                )[1][0]
                 if abs(est.p_hat - exact) > C1_SIGMA * est.stderr:
                     failures.append((system.table and "", m, n, horizon,
                                      exact, est.p_hat, est.stderr))
@@ -112,7 +111,7 @@ def test_criterion_2_shift_closed_form():
         for m in (0, 1, 2):
             for horizon in (0, 1, 2, 3, 4):
                 for n in range(1, m + horizon + 1):
-                    got = density_ratio_exact(sh, mu, x, m, n, horizon)
+                    got = density_curve(sh, mu, x, m, [n], horizon)[0][0]
                     want = 1.0
                     for i in range(n + 1, m + horizon + 1):
                         want *= weights[word[i]]
@@ -132,7 +131,7 @@ def test_criterion_3_isometries_ratio_one():
     x = mu2.sample_config("one", 6, substream(ACCEPT_SEED, 3, 0))
     for m in (0, 1, 2, 3):
         for n in range(max(m, 1), m + 3):
-            ok &= density_ratio_exact(ident, mu2, x, m, n, 6) == 1.0
+            ok &= density_curve(ident, mu2, x, m, [n], 6)[0][0] == 1.0
 
     for sizes in ((2,), (2, 3), (3, 3)):
         od = Odometer(sizes)
@@ -140,7 +139,7 @@ def test_criterion_3_isometries_ratio_one():
         y = haar.sample_config("one", 6, substream(ACCEPT_SEED, 3, 1))
         for m in (0, 1, 2, 3):
             for n in range(max(m, 1), m + 3):
-                ok &= density_ratio_exact(od, haar, y, m, n, 6) == 1.0
+                ok &= density_curve(od, haar, y, m, [n], 6)[0][0] == 1.0
         rep = mu_equicontinuity_report(
             od, haar, m=2, n_list=[2, 3, 4], horizon=8,
             points=20, n_samples=200, seed=derive_seed(ACCEPT_SEED, 3, 2),
@@ -151,7 +150,7 @@ def test_criterion_3_isometries_ratio_one():
     leb = LebesgueMeasure()
     for m in (1, 2, 3):
         for n in range(m, m + 3):
-            ok &= density_ratio_exact(rot, leb, CirclePoint(Fraction(1, 9)), m, n, 6) == 1.0
+            ok &= density_curve(rot, leb, CirclePoint(Fraction(1, 9)), m, [n], 6)[0][0] == 1.0
     rot_rep = mu_equicontinuity_report(
         rot, leb, m=2, n_list=[2, 4], horizon=5,
         points=20, n_samples=200, seed=derive_seed(ACCEPT_SEED, 3, 3),
@@ -321,17 +320,17 @@ def test_criterion_7_measure_vitali_suite():
             sizes = [mu.cell_size(i) for i in range(width)]
             for word in itertools.product(*[range(s) for s in sizes]):
                 c = Cylinder(mu.alphabet, sided, 1, word)
-                base = mu.cylinder_probability(c)
+                base = cylinder_mass(mu, c)
                 if sided == "one":
                     exts = [word + (s,) for s in range(mu.cell_size(2))]
                     total = sum(
-                        mu.cylinder_probability(Cylinder(mu.alphabet, sided, 2, e))
+                        cylinder_mass(mu, Cylinder(mu.alphabet, sided, 2, e))
                         for e in exts
                     )
                 else:
                     total = sum(
-                        mu.cylinder_probability(
-                            Cylinder(mu.alphabet, sided, 2, (a,) + word + (b,))
+                        cylinder_mass(
+                            mu, Cylinder(mu.alphabet, sided, 2, (a,) + word + (b,))
                         )
                         for a in range(mu.alphabet.size)
                         for b in range(mu.alphabet.size)
@@ -341,7 +340,7 @@ def test_criterion_7_measure_vitali_suite():
             part_sizes = [mu.cell_size(i) for i in range(3)] if sided == "one" else \
                 [mu.alphabet.size] * 5
             total = sum(
-                mu.cylinder_probability(Cylinder(mu.alphabet, sided, 2, w))
+                cylinder_mass(mu, Cylinder(mu.alphabet, sided, 2, w))
                 for w in itertools.product(*[range(s) for s in part_sizes])
             )
             ok &= abs(total - 1.0) <= C7_TOL
@@ -359,7 +358,7 @@ def test_criterion_7_measure_vitali_suite():
         for i in range(len(cyls)):
             for j in range(i + 1, len(cyls)):
                 ok &= compare_cylinders(cyls[i], cyls[j]) == "disjoint"
-        leftover = union_probability(mu, parts) - fam.total_mass(mu)
+        leftover = union_probability(mu, parts) - sum(fam.masses(mu))
         ok &= leftover == 0.0
 
     report(7, "measure and Vitali suite", ok)

@@ -270,6 +270,13 @@ SPECTRAL_CFG = {
     "params": {"m": 1, "T": 2, "cert_T": 8},
     "seed": 1,
 }
+# "000" certifies at m 0 to cert_T 2 (p 1), but the event table traces W_0 to T 8, reading W_8
+SHIFT_SPECTRAL_CFG = {
+    "system": {"type": "shift", "alphabet": 2},
+    "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
+    "params": {"m": 0, "T": 8, "cert_T": 2},
+    "seed": 1,
+}
 
 
 def with_field(cfg, path, value):
@@ -337,6 +344,12 @@ FIELD_ERROR_CASES = [
     ("sensitivity", DICHOTOMY_CFG, "params.eps_list", [3], "params.eps_list", "above-2"),
     ("dichotomy", DICHOTOMY_CFG, "params.eps_list", [0], "params.eps_list", "zero"),
     ("dichotomy", DICHOTOMY_CFG, "params.eps_list", [2, 3], "params.eps_list", "above-2"),
+    ("classify", DENSITY_CFG, "params.n_list", [0, 1], "params.n_list", "zero"),
+    ("dichotomy", DICHOTOMY_CFG, "params.equi.n_list", [0], "params.equi.n_list", "zero"),
+    ("lep", LEP_EQUI_CFG, "params.equi.n_list", [0, 2], "params.equi.n_list", "zero"),
+    ("lep", LEP_CFG, "params.m_list", [-1, 1], "params.m_list", "negative"),
+    ("spectral", SPECTRAL_CFG, "params.y", "0", "params.y", "short-to-certify"),
+    ("spectral", SHIFT_SPECTRAL_CFG, "params.y", "000", "params.y", "short-to-trace"),
 ]
 
 

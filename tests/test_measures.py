@@ -19,12 +19,11 @@ from equidyn import (
     ProductMeasure,
     Shift,
     ball_cylinder,
-    density_ratio_exact,
+    density_curve,
     identity_rule,
     maximal_cylinders,
     measure_from_dict,
     measure_to_dict,
-    orbit_ball_event,
     union_probability,
     vitali_cover,
     window_size,
@@ -34,8 +33,11 @@ from equidyn.measures import _kernel_column, uncovered_mass
 from equidyn.rng import substream
 from equidyn.systems import Odometer, check_cells
 from oracles import (
+    ball_rows,
     compare_cylinders,
+    conditional_rows,
     cumulative,
+    cylinder_mass,
     family,
     oracle_ball_masses,
     oracle_cylinder_probability,
@@ -62,11 +64,11 @@ def ball_cylinders(fam):
 class TestBernoulli:
     def test_cylinder_probability(self):
         mu = BernoulliMeasure([0.5, 0.5])
-        assert mu.cylinder_probability(cyl((0, 1, 0))) == pytest.approx(0.125, abs=1e-15)
+        assert cylinder_mass(mu, cyl((0, 1, 0))) == pytest.approx(0.125, abs=1e-15)
 
     def test_biased(self):
         mu = BernoulliMeasure([0.25, 0.75])
-        assert mu.cylinder_probability(cyl((1, 1, 0))) == pytest.approx(
+        assert cylinder_mass(mu, cyl((1, 1, 0))) == pytest.approx(
             0.75 * 0.75 * 0.25, abs=1e-15
         )
 
@@ -77,7 +79,7 @@ class TestBernoulli:
     def test_long_word_stays_finite(self):
         mu = BernoulliMeasure([0.5, 0.5])
         c = cyl((0,) * 200)
-        assert mu.cylinder_probability(c) == pytest.approx(2.0 ** -200, rel=1e-12)
+        assert cylinder_mass(mu, c) == pytest.approx(2.0 ** -200, rel=1e-12)
 
 
 class TestMarkov:
@@ -89,9 +91,9 @@ class TestMarkov:
     def test_cylinder_chain_law(self):
         mu = MarkovMeasure(P_LOPSIDED)
         # pi_0 * P[0,0]
-        assert mu.cylinder_probability(cyl((0, 0))) == pytest.approx(0.6, abs=1e-12)
+        assert cylinder_mass(mu, cyl((0, 0))) == pytest.approx(0.6, abs=1e-12)
         # pi_0 * P[0,1] * P[1,1]
-        assert mu.cylinder_probability(cyl((0, 1, 1))) == pytest.approx(
+        assert cylinder_mass(mu, cyl((0, 1, 1))) == pytest.approx(
             (2 / 3) * 0.1 * 0.8, abs=1e-12
         )
 
@@ -104,8 +106,8 @@ class TestMarkov:
         decompositions: stationarity makes the window position irrelevant."""
         mu = MarkovMeasure(P_LOPSIDED)
         w = (1, 0, 0)
-        two = mu.cylinder_probability(cyl(w, sided="two"))
-        one = mu.cylinder_probability(cyl(w, sided="one"))
+        two = cylinder_mass(mu, cyl(w, sided="two"))
+        one = cylinder_mass(mu, cyl(w, sided="one"))
         assert two == pytest.approx(one, abs=1e-12)
 
 
@@ -119,17 +121,17 @@ class TestProduct:
     def test_cylinder_probability(self):
         mu = ProductMeasure((2, 3))
         c = Cylinder(mu.alphabet, "one", 2, (1, 2, 0))
-        assert mu.cylinder_probability(c) == pytest.approx(1 / 18, abs=1e-15)
+        assert cylinder_mass(mu, c) == pytest.approx(1 / 18, abs=1e-15)
 
     def test_invalid_digit_gets_zero_mass(self):
         mu = ProductMeasure((2, 3))
         c = Cylinder(mu.alphabet, "one", 1, (2, 1))  # 2 is not a valid first digit
-        assert mu.cylinder_probability(c) == 0.0
+        assert cylinder_mass(mu, c) == 0.0
 
     def test_rejects_two_sided(self):
         mu = ProductMeasure((2, 3))
         with pytest.raises(AlphabetMismatch):
-            mu.cylinder_probability(Cylinder(mu.alphabet, "two", 1, (0, 0, 0)))
+            cylinder_mass(mu, Cylinder(mu.alphabet, "two", 1, (0, 0, 0)))
 
 
 @pytest.mark.parametrize("make_mu", [
@@ -146,8 +148,8 @@ def test_kolmogorov_consistency(make_mu, sided):
             exts = [tuple(word) + (s,) for s in range(2)]
         else:
             exts = [(a,) + tuple(word) + (b,) for a in range(2) for b in range(2)]
-        total = sum(mu.cylinder_probability(cyl(e, sided=sided)) for e in exts)
-        assert total == pytest.approx(mu.cylinder_probability(c), abs=1e-10)
+        total = sum(cylinder_mass(mu, cyl(e, sided=sided)) for e in exts)
+        assert total == pytest.approx(cylinder_mass(mu, c), abs=1e-10)
 
 
 @pytest.mark.parametrize("make_mu,sizes", [
@@ -158,7 +160,7 @@ def test_kolmogorov_consistency(make_mu, sided):
 def test_partition_sums_to_one(make_mu, sizes):
     mu = make_mu()
     total = sum(
-        mu.cylinder_probability(Cylinder(mu.alphabet, "one", 2, w))
+        cylinder_mass(mu, Cylinder(mu.alphabet, "one", 2, w))
         for w in itertools.product(*[range(s) for s in sizes])
     )
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -189,14 +191,14 @@ class TestSampling:
         mu = MarkovMeasure(P_LOPSIDED)
         c = cyl((0, 1), sided="one")
         for i in range(20):
-            x = Configuration(mu.alphabet, "one", mu.conditional_batch(c, 4, 1, substream(3, i))[0])
+            x = Configuration(mu.alphabet, "one", conditional_rows(mu, c, 4, 1, substream(3, i))[0])
             assert x.radius == 4 and x.window(1) == (0, 1)
 
     def test_conditional_matches_chain_law(self):
         """Conditional next-symbol frequency tracks P[1, .] after seeing ..1."""
         mu = MarkovMeasure(P_LOPSIDED)
         c = cyl((0, 1), sided="one")
-        batch = mu.conditional_batch(c, 2, 20_000, substream(9, 0))
+        batch = conditional_rows(mu, c, 2, 20_000, substream(9, 0))
         assert set(np.unique(batch[:, 0])) == {0} and set(np.unique(batch[:, 1])) == {1}
         p11 = float((batch[:, 2] == 1).mean())
         sigma = math.sqrt(0.8 * 0.2 / 20_000)
@@ -206,7 +208,7 @@ class TestSampling:
         mu = ProductMeasure((2, 3))
         bad = Cylinder(mu.alphabet, "one", 0, (2,))
         with pytest.raises(NullCylinder):
-            mu.conditional_batch(bad, 2, 1, substream(0, 0))
+            conditional_rows(mu, bad, 2, 1, substream(0, 0))
 
     def test_determinism(self):
         mu = BernoulliMeasure([0.5, 0.5])
@@ -259,21 +261,21 @@ class TestDensityRatio:
         mu = BernoulliMeasure([0.5, 0.5])
         x = Configuration(A2, "one", (0, 1, 1, 0))
         # A = B_0(x) = [0] holds the ball B_2(x)
-        ratio = density_ratio_exact(identity_rule(A2), mu, x, 0, 2, 1)
+        ratio = density_curve(identity_rule(A2), mu, x, 0, [2], 1)[0][0]
         assert ratio == 1.0
 
     def test_partial_overlap(self):
         mu = BernoulliMeasure([0.5, 0.5])
         x = Configuration(A2, "one", (0, 1, 1))
         # A = B_2(x) = [01 1] has mass 1/8; B_1(x) = [01] has mass 1/4
-        ratio = density_ratio_exact(identity_rule(A2), mu, x, 2, 1, 1)
+        ratio = density_curve(identity_rule(A2), mu, x, 2, [1], 1)[0][0]
         assert ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_null_ball(self):
         mu = ProductMeasure((2, 3))
         x = Configuration(mu.alphabet, "one", (2, 0))
         with pytest.raises(NullBall):
-            density_ratio_exact(identity_rule(mu.alphabet), mu, x, 0, 1, 1)
+            density_curve(identity_rule(mu.alphabet), mu, x, 0, [1], 1)
 
 
 class TestVitali:
@@ -281,7 +283,7 @@ class TestVitali:
         mu = BernoulliMeasure([0.5, 0.5])
         parts = [cyl((0, 0)), cyl((0, 1, 1)), cyl((1,))]
         fam = vitali_cover(mu, parts, 2)
-        leftover = union_probability(mu, parts) - fam.total_mass(mu)
+        leftover = union_probability(mu, parts) - sum(fam.masses(mu))
         assert leftover == 0.0
         for _, n in fam.balls:
             assert n >= 2
@@ -305,7 +307,7 @@ class TestVitali:
             for i in range(len(cs)):
                 for j in range(i + 1, len(cs)):
                     assert compare_cylinders(cs[i], cs[j]) == "disjoint"
-            assert union_probability(mu, parts) - fam.total_mass(mu) == 0.0
+            assert union_probability(mu, parts) - sum(fam.masses(mu)) == 0.0
 
 
 # the five-cylinder Markov union that refines to 1856 balls at min_radius 10
@@ -322,14 +324,14 @@ class TestUncoveredMass:
     def test_markov_union_leftover_is_exactly_zero(self, markov_cover):
         mu, fam = markov_cover
         assert len(fam.balls) == 1856
-        assert union_probability(mu, MARKOV_UNION) - fam.total_mass(mu) != 0.0
+        assert union_probability(mu, MARKOV_UNION) - sum(fam.masses(mu)) != 0.0
         assert uncovered_mass(mu, MARKOV_UNION, fam, 10) == 0.0
 
     def test_one_ball_removed_leaves_its_mass(self, markov_cover):
         mu, fam = markov_cover
         drop = 700
         rest = family(fam.alphabet, fam.sided, fam.balls[:drop] + fam.balls[drop + 1:])
-        want = mu.cylinder_probability(ball_cylinders(fam)[drop])
+        want = cylinder_mass(mu, ball_cylinders(fam)[drop])
         assert uncovered_mass(mu, MARKOV_UNION, rest, 10) == want
 
     def test_piece_that_is_a_ball(self):
@@ -339,7 +341,7 @@ class TestUncoveredMass:
         assert uncovered_mass(mu, parts, fam, 2) == 0.0
         rest = family(fam.alphabet, fam.sided, tuple(b for b in fam.balls if b[0] != (0, 1, 1)))
         assert len(rest.balls) == 2
-        assert uncovered_mass(mu, parts, rest, 2) == mu.cylinder_probability(cyl((0, 1, 1)))
+        assert uncovered_mass(mu, parts, rest, 2) == cylinder_mass(mu, cyl((0, 1, 1)))
 
     def test_cover_and_masses_build_no_object_per_ball(self, monkeypatch):
         import equidyn.core as core
@@ -402,7 +404,6 @@ def assert_cover_matches_oracle(mu, parts, min_radius, rng):
     assert fam.balls == tuple((center.symbols, n) for center, n in balls)
     masses = oracle_ball_masses(mu, balls)
     assert fam.masses(mu) == masses
-    assert fam.total_mass(mu) == float(sum(masses))
     assert uncovered_mass(mu, parts, fam, min_radius) == oracle_uncovered_mass(mu, parts, balls, min_radius) == 0.0
     keep = (rng.random(len(balls)) < 0.6).tolist()
     rest = family(fam.alphabet, fam.sided, tuple(b for b, k in zip(fam.balls, keep) if k))
@@ -443,8 +444,8 @@ def test_measure_dict_roundtrip():
     ):
         again = measure_from_dict(measure_to_dict(mu))
         c = Cylinder(mu.alphabet, "one", 1, (0, 1))
-        assert again.cylinder_probability(c) == pytest.approx(
-            mu.cylinder_probability(c), abs=1e-12
+        assert cylinder_mass(again, c) == pytest.approx(
+            cylinder_mass(mu, c), abs=1e-12
         )
 
 
@@ -556,7 +557,7 @@ class TestSampleRows:
             u = rng.random(n)
             for i in range(n):
                 rows[i][j] = invert(reverse[rows[i][j + 1]], u[i])
-        assert mu.conditional_batch(c, radius, n, substream(13, 0)).tolist() == rows
+        assert conditional_rows(mu, c, radius, n, substream(13, 0)).tolist() == rows
 
 
 # -- disjointness check -----------------------------------------------------------
@@ -680,11 +681,11 @@ def test_cylinder_probability_equals_the_per_measure_formulas(mu, sided):
     for radius in range(3 if sided == "one" else 2):
         for word in itertools.product(*[range(s) for s in sizes[: window_size(sided, radius)]]):
             c = Cylinder(mu.alphabet, sided, radius, word)
-            assert mu.cylinder_probability(c) == oracle_cylinder_probability(mu, c)  # bit for bit
+            assert cylinder_mass(mu, c) == oracle_cylinder_probability(mu, c)  # bit for bit
     for i in range(5):  # W_70 words: past 64 factors the product runs in log space
         x = mu.sample_config(sided, 70, substream(61, i))
         c = Cylinder(mu.alphabet, sided, 70, x.symbols)
-        got = mu.cylinder_probability(c)
+        got = cylinder_mass(mu, c)
         assert got > 0.0 and got == oracle_cylinder_probability(mu, c)
 
 
@@ -694,10 +695,10 @@ def oracle_masses(mu, sided, radius, rows):
 
 
 def assert_masses_match_the_oracle(mu, sided, radius, rows):
-    """`row_probabilities` and `cylinder_probability` both read the oracle's masses, bit for bit."""
+    """`row_probabilities` reads the oracle's masses bit for bit, over all rows at once and one row at a time."""
     want = oracle_masses(mu, sided, radius, rows)
     assert mu.row_probabilities(sided, radius, rows).tolist() == want
-    assert [mu.cylinder_probability(Cylinder(mu.alphabet, sided, radius, tuple(w))) for w in rows.tolist()] == want
+    assert [cylinder_mass(mu, Cylinder(mu.alphabet, sided, radius, tuple(w))) for w in rows.tolist()] == want
     return want
 
 
@@ -720,13 +721,12 @@ def test_row_probabilities_past_64_cells():
         assert_masses_match_the_oracle(mu, "one", radius, mu.sample_batch("one", radius, 20, substream(64, radius)))
     # the shift's orbit ball at m = 1 and horizon 70 is x's one word on W_71, 72 cells
     x = mu.sample_config("one", 71, substream(64, 0))
-    event = orbit_ball_event(Shift(A2), x, 1, 70, cap=2**80)
-    assert event.words.tolist() == [list(x.window(71))]
-    rows = event.words
+    rows = ball_rows(Shift(A2), x, 1, 70, cap=2**80)
+    assert rows.tolist() == [list(x.window(71))]
     assert_masses_match_the_oracle(mu, "one", 71, rows)
     for n in (3, 70):
         want = oracle_masses(mu, "one", 71, rows)[0] / oracle_cylinder_probability(mu, ball_cylinder(x, n))
-        assert density_ratio_exact(Shift(A2), mu, x, 1, n, 70, cap=2**80) == want
+        assert density_curve(Shift(A2), mu, x, 1, [n], 70, cap=2**80)[0][0] == want
 
 
 @pytest.mark.parametrize("mu,sided", [(ZERO_STEPS, "one"), (ZERO_STEPS, "two"), (ProductMeasure((2, 3)), "one")],
@@ -755,7 +755,7 @@ def test_bernoulli_is_the_markov_chain_with_equal_rows(w, sided):
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
     for word in itertools.product(range(len(w)), repeat=window_size(sided, 1)):
         d = Cylinder(bern.alphabet, sided, 1, word)
-        assert bern.cylinder_probability(d) == chain.cylinder_probability(d)
+        assert cylinder_mass(bern, d) == cylinder_mass(chain, d)
 
 
 class _NearOne:
@@ -777,4 +777,4 @@ def test_haar_never_draws_outside_a_cell():
     check_cells(od, top)
     assert top.tolist() == [[5, 6, 9, 9, 9, 9]] * 3
     c = Cylinder(mu.alphabet, "one", 0, (5,))
-    assert mu.conditional_batch(c, 5, 3, _NearOne()).tolist() == [[5, 6, 9, 9, 9, 9]] * 3
+    assert conditional_rows(mu, c, 5, 3, _NearOne()).tolist() == [[5, 6, 9, 9, 9, 9]] * 3

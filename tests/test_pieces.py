@@ -15,7 +15,7 @@ from equidyn import (
     NullCylinder,
     Odometer,
     ProductMeasure,
-    density_ratio_estimate,
+    density_curve,
     dependence_radius,
     eca_rule,
     mu_equicontinuity_report,
@@ -30,7 +30,7 @@ from equidyn.rng import substream
 from equidyn.systems import check_cells, pack_planes, step_batch, window_slice
 import equidyn.orbit
 
-from oracles import oracle_conditional_batch, oracle_sample_batch
+from oracles import conditional_rows, oracle_conditional_batch, oracle_sample_batch, scalar_column_trace
 
 ROW_COUNTS = (1, 63, 64, 65, 1000, 2051)
 RADIUS = 4
@@ -80,7 +80,7 @@ class TestPiecesMatchWholeArrays:
         mu = MEASURES[name]
         c = given(mu, sided, inner, seed=n + inner)
         want = oracle_conditional_batch(mu, c, RADIUS, n, substream(n, 2))
-        got = mu.conditional_batch(c, RADIUS, n, substream(n, 2))
+        got = conditional_rows(mu, c, RADIUS, n, substream(n, 2))
         assert got.dtype == np.int64 and np.array_equal(got, want)
         planes = pack_planes(packer(mu), mu.pieces(sided, RADIUS, n, [substream(n, 2)], row(c)), want.shape)
         assert np.array_equal(planes, pack_planes(packer(mu), want))
@@ -94,7 +94,7 @@ def test_conditioned_pieces_pack_like_conditional_batch(name, sided, n, inner):
     c = given(mu, sided, inner, seed=n + inner)
     pieces = list(mu.pieces(sided, RADIUS, n, [substream(n, 3)], row(c)))
     assert all(column.strides[-1] == 0 for _, column in pieces[: len(c.word)])  # the given cells are constant columns
-    rows = mu.conditional_batch(c, RADIUS, n, substream(n, 3))
+    rows = conditional_rows(mu, c, RADIUS, n, substream(n, 3))
     assert np.array_equal(pack_planes(packer(mu), pieces, rows.shape), pack_planes(packer(mu), rows))
 
 
@@ -151,7 +151,7 @@ def int_row_agreement(system, target, rows, m, radius):
 def int_row_density(system, mu, x, m, n, horizon, n_samples, seed):
     radius = max(n, dependence_radius(system, m, horizon))
     rows = oracle_conditional_batch(mu, ball_cylinder(x, n), radius, n_samples, substream(seed, 0))
-    target = equidyn.systems.column_trace(system, x, m, horizon)
+    target = scalar_column_trace(system, x, m, horizon)
     return float(int_row_agreement(system, target, rows, m, radius).mean())
 
 
@@ -184,7 +184,7 @@ def test_density_estimate_matches_int_rows(system, mu, n_samples, n):
     m, horizon = 1, 3
     radius = max(n, dependence_radius(system, m, horizon))
     x = mu.sample_config(system_sided(system), radius, substream(n_samples, n))
-    est = density_ratio_estimate(system, mu, x, m, n, horizon, n_samples=n_samples, seed=n_samples + n)
+    est = density_curve(system, mu, x, m, [n], horizon, exact=False, n_samples=n_samples, seeds=[n_samples + n])[1][0]
     assert est.p_hat == int_row_density(system, mu, x, m, n, horizon, n_samples, seed=n_samples + n)
 
 
@@ -204,9 +204,8 @@ def test_estimators_draw_no_int_batch(monkeypatch):
     points = [mu.sample_config(system_sided(system), 6, substream(1, 0)) for system, mu in ESTIMATOR_CASES]
     for cls in (BernoulliMeasure, MarkovMeasure, ProductMeasure):
         monkeypatch.setattr(cls, "sample_batch", refuse)
-        monkeypatch.setattr(cls, "conditional_batch", refuse)
     for (system, mu), x in zip(ESTIMATOR_CASES, points):
-        density_ratio_estimate(system, mu, x, 1, 2, 3, n_samples=100)
+        density_curve(system, mu, x, 1, [2], 3, exact=False, n_samples=100, seeds=[0])
         mu_sensitivity_estimate(system, mu, 0.5, 4, n_samples=100)
 
 
@@ -230,7 +229,7 @@ def test_sampled_density_rejects_digits_outside_the_odometer():
     system, mu = Odometer((3, 2)), ProductMeasure((2, 3))
     x = Configuration(Alphabet(3), ONE_SIDED, (0,) * 6)
     with pytest.raises(ValueError, match="outside the 2 symbols"):
-        density_ratio_estimate(system, mu, x, 3, 1, 3, n_samples=500)
+        density_curve(system, mu, x, 3, [1], 3, exact=False, n_samples=500, seeds=[0])
 
 
 # -- one trace pass per report ------------------------------------------------------
@@ -263,7 +262,7 @@ def test_density_estimate_memory():
     # planes: 2 symbols x 23 cells x 100,000 bits = 0.6 MB; the int64 batch alone was 18.4 MB
     system = eca_rule(30)
     x = MARKOV.sample_config("two", 11, substream(3, 0))
-    peak = traced_peak(lambda: density_ratio_estimate(system, MARKOV, x, 3, 1, 8, n_samples=100_000, seed=3))
+    peak = traced_peak(lambda: density_curve(system, MARKOV, x, 3, [1], 8, exact=False, n_samples=100_000, seeds=[3]))
     assert peak <= 6e6
 
 

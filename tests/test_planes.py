@@ -14,7 +14,6 @@ from equidyn import (
     Odometer,
     ProductMeasure,
     Shift,
-    column_trace,
     dependence_radius,
     eca_rule,
     mu_sensitivity_estimate,
@@ -169,8 +168,8 @@ def test_pack_bits_roundtrip_and_padding(n):
 def scalar_agreement(system, rows, target, m):
     sided = system_sided(system)
     return np.array([
-        column_trace(system, Configuration(system.alphabet, sided, tuple(int(s) for s in row)),
-                     m, len(target) - 1) == target
+        scalar_column_trace(system, Configuration(system.alphabet, sided, tuple(int(s) for s in row)),
+                            m, len(target) - 1) == target
         for row in rows
     ], dtype=bool)
 
@@ -199,7 +198,7 @@ def test_trace_agreement_matches_scalar_traces(system, m, horizon, n, extra):
     rows[: n // 2, : len(rows[0]) // 2] = rows[0, : len(rows[0]) // 2]
     for base in (0, n // 3, n - 1):
         x = Configuration(system.alphabet, sided, tuple(rows[base].tolist()))
-        target = column_trace(system, x, m, horizon)
+        target = scalar_column_trace(system, x, m, horizon)
         got = trace_agreement_batch(system, [target], pack_planes(system, rows), n, m, radius)
         assert got.dtype == bool and got.shape == (n,)
         assert got[base]

@@ -17,7 +17,6 @@ from equidyn import (
     Rotation,
     Shift,
     UnsupportedSystem,
-    column_trace,
     dependence_radius,
     eca_rule,
     identity_rule,
@@ -29,7 +28,7 @@ from equidyn import (
 )
 from equidyn.rng import substream
 from equidyn.systems import cell_sizes, check_cells, column_codes, pack_planes, step_batch, trace_agreement_batch
-from oracles import circle_distance, scalar_column_trace, scalar_step, step
+from oracles import circle_distance, scalar_column_trace, scalar_step, step, trace_rows
 
 A2 = Alphabet(2)
 
@@ -151,20 +150,20 @@ class TestColumnTrace:
     def test_shift_trace_reads_the_word(self):
         sh = Shift(A2)
         x = Configuration(A2, "one", (0, 1, 1, 0, 1))
-        trace = column_trace(sh, x, 1, 3)
-        assert trace == [(0, 1), (1, 1), (1, 0), (0, 1)]
+        trace = trace_rows(sh, x, 1, 3)
+        assert trace.tolist() == [[0, 1], [1, 1], [1, 0], [0, 1]]
 
     def test_requires_dependence_radius(self):
         sh = Shift(A2)
         x = Configuration(A2, "one", (0, 1, 1))
         with pytest.raises(InsufficientRadius):
-            column_trace(sh, x, 1, 3)
+            trace_rows(sh, x, 1, 3)
 
     def test_odometer_counter(self):
         od = Odometer((2, 2))
         x = Configuration(od.alphabet, "one", (0, 0))
-        trace = column_trace(od, x, 1, 4)
-        assert trace == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)]
+        trace = trace_rows(od, x, 1, 4)
+        assert trace.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]]
 
     @pytest.mark.parametrize("number", [90, 110, 184])
     @pytest.mark.parametrize("m,horizon", [(0, 1), (0, 3), (1, 2)])
@@ -175,10 +174,10 @@ class TestColumnTrace:
         width = 2 * rho + 1
         for word in itertools.product(range(2), repeat=width):
             x = Configuration(A2, "two", word)
-            base = column_trace(rule, x, m, horizon)
+            base = trace_rows(rule, x, m, horizon).tolist()
             # padding with arbitrary outer symbols must not change the trace
             padded = Configuration(A2, "two", (1,) + word + (0,))
-            assert column_trace(rule, padded, m, horizon) == base
+            assert trace_rows(rule, padded, m, horizon).tolist() == base
 
 
 class TestBatch:
@@ -209,7 +208,7 @@ class TestBatch:
         rho = dependence_radius(rule, m, horizon)
         x = Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0))
         assert x.radius == rho
-        trace = column_trace(rule, x, m, horizon)
+        trace = trace_rows(rule, x, m, horizon)
         words = list(itertools.product(range(2), repeat=2 * rho + 1))
         arr = np.array(words, dtype=np.int64)
         agree = trace_agreement_batch(rule, [trace], pack_planes(rule, arr), len(arr), m, rho)
@@ -274,7 +273,8 @@ def assert_one_row_matches_oracle(system, seed):
     for horizon, m in itertools.product(range(4), (0, 1)):
         radius = dependence_radius(system, m, horizon) + 1
         for x in random_configs(system, radius, 4, seed=(seed, horizon, m)):
-            assert column_trace(system, x, m, horizon) == scalar_column_trace(system, x, m, horizon)
+            want = [list(w) for w in scalar_column_trace(system, x, m, horizon)]
+            assert trace_rows(system, x, m, horizon).tolist() == want
             got = want = x
             for _ in range(horizon):
                 got, want = step(system, got), scalar_step(system, want)
@@ -307,7 +307,7 @@ class TestCellRangeCheck:
     def test_column_trace(self):
         for horizon in (0, 2):
             with pytest.raises(ValueError, match="column 0"):
-                column_trace(self.OD, self.BAD, 1, horizon)
+                trace_rows(self.OD, self.BAD, 1, horizon)
 
     @pytest.mark.parametrize("system,bad", [
         (eca_rule(110), [[0, -1, 1]]),
