@@ -11,6 +11,7 @@ The library returns plain dataclasses. One writer, `_plain`, turns the
 results of `classify`, `lep` and `dichotomy` into report JSON by field
 name and rounds the fields named in `PROB_KEYS` with `fmt_prob`. The
 other commands build their rows here and round them as they build them.
+A report's text is `json.dumps(payload, indent=2, sort_keys=True) + "\n"`.
 
 Exit codes: 0 success, 2 invalid config, 3 enumeration over the cap,
 4 domain failure / invariant violation.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -27,6 +29,7 @@ import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
@@ -43,6 +46,7 @@ from .errors import ConfigInvalid, EnumerationTooLarge, EquidynError
 from .measures import (
     LebesgueMeasure,
     ProductMeasure,
+    maximal_cylinders,
     measure_from_dict,
     measure_to_dict,
     uncovered_mass,
@@ -62,6 +66,7 @@ from .spectral import build_eigenfunction, spectral_family
 from .systems import (
     Rotation,
     dependence_radius,
+    row_words,
     system_from_dict,
     system_sided,
     system_to_dict,
@@ -88,6 +93,37 @@ def atomic_write_text(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+@functools.cache
+def _c_encoder(pad: str):
+    """json's C encoder: keys sorted, items separated by a comma, a newline and `pad`."""
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ",\n" + pad,
+                            True, False, True)  # sort_keys, skipkeys, allow_nan
+    return lambda value: "".join(encode(value, 0))
+
+
+def _report_text(value, depth: int = 0) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` to the byte (for string keys), without json's
+    pure-Python indent encoder: the C encoder writes each container of scalars, and each list of dicts
+    of scalars, in one call whose item separator holds the newline and indent. It escapes control
+    characters, so a raw newline is structure, and one `str.replace` indents the dict boundaries."""
+    scalar = (str, int, float, type(None))
+    flat = lambda items: all(isinstance(v, scalar) for v in items)
+    if isinstance(value, scalar) or not value:
+        return json.dumps(value)
+    pad, outer, is_dict = "  " * (depth + 1), "  " * depth, isinstance(value, dict)
+    if flat(value.values() if is_dict else value):
+        text = _c_encoder(pad)(value)
+        return f"{text[0]}\n{pad}{text[1:-1]}\n{outer}{text[-1]}"
+    if not is_dict and all(isinstance(v, dict) and v and flat(v.values()) for v in value):
+        inner = pad + "  "
+        text = _c_encoder(inner)(value)[2:-2].replace("},\n" + inner + "{", f"\n{pad}}},\n{pad}{{\n{inner}")
+        return f"[\n{pad}{{\n{inner}{text}\n{pad}}}\n{outer}]"
+    one = lambda v: _c_encoder(pad)(v) if isinstance(v, scalar) else _report_text(v, depth + 1)
+    body = [f"{encode_basestring_ascii(k)}: {one(v)}" for k, v in sorted(value.items())] if is_dict else map(one, value)
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(body) + f"\n{outer}{brackets[1]}"
 
 
 def _need(d: dict, field: str, prefix: str = "", default=None):
@@ -345,14 +381,9 @@ def _run_sensitivity(system, mu, params, seed, cap):
     eps_list = _eps_list_param(params)
     horizon = _param(params, "T", minimum=1)
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
-    rows = []
-    for idx, eps in enumerate(eps_list):
-        est = mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=derive_seed(seed, idx))
-        rows.append({
-            "eps": float(eps),
-            "p_hat": fmt_prob(est.p_hat),
-            "stderr": fmt_prob(est.stderr),
-        })
+    ests = [mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=derive_seed(seed, idx))
+            for idx, eps in enumerate(eps_list)]
+    rows = [{"eps": e.eps, "p_hat": fmt_prob(e.p_hat), "stderr": fmt_prob(e.stderr)} for e in ests]
     results = {"T": horizon, "n_samples": n_samples, "rows": rows}
     csv_rows = [(r["eps"], r["p_hat"], r["stderr"]) for r in rows]
     return results, ("eps", "p_hat", "stderr"), csv_rows
@@ -422,20 +453,22 @@ def _run_vitali(mu, params, seed, cap):
             raise ConfigInvalid(field, str(exc))
     min_radius = _param(params, "min_radius", minimum=1)
     eps = _param(params, "eps", 0.0, kind=float, minimum=0)
-    family = vitali_cover(mu, parts, min_radius, eps=eps, cap=cap)
-    union_mass = union_probability(mu, parts)
+    pieces = maximal_cylinders(parts)
+    family = vitali_cover(mu, pieces, min_radius, eps=eps, cap=cap)
+    union_mass = union_probability(mu, pieces)
     masses = family.masses(mu)
     covered = float(sum(masses))  # the family's mass, summed in ball order
-    balls = [
-        {"radius": n, "word": word_to_str(word, family.alphabet), "mass": fmt_prob(mass)}
-        for (word, n), mass in zip(family.balls, masses)
-    ]
+    radii, words = [0] * len(masses), [""] * len(masses)  # in ball order, from each radius's rows
+    for n, (at, rows) in family.groups.items():
+        for i, word in zip(at.tolist(), row_words(rows, family.alphabet)):
+            radii[i], words[i] = n, word
+    balls = [{"radius": n, "word": word, "mass": fmt_prob(mass)} for n, word, mass in zip(radii, words, masses)]
     results = {
         "count": len(balls),
         "balls": balls,
         "union_mass": fmt_prob(union_mass),
         "covered_mass": fmt_prob(covered),
-        "leftover": fmt_prob(uncovered_mass(mu, parts, family, min_radius)),
+        "leftover": fmt_prob(uncovered_mass(mu, family, family)),
         "eps": eps,
         "min_radius": min_radius,
     }
@@ -480,8 +513,7 @@ def run_command(command: str, cfg: dict, seed: int, out_path: str) -> str:
         },
         "results": results,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    atomic_write_text(out_path, text)
+    atomic_write_text(out_path, _report_text(payload) + "\n")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -14,9 +14,10 @@ words and cylinders, and the metric itself lives in the tests as an oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import InsufficientRadius
 
@@ -156,26 +157,18 @@ def iter_words(cell_sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def count_words(cell_sizes: Sequence[int]) -> int:
-    total = 1
-    for k in cell_sizes:
-        total *= k
-    return total
+    return math.prod(cell_sizes)
 
 
 # -- word serialization -------------------------------------------------------
 
 def word_to_str(word: Sequence[int], alphabet: Alphabet) -> str:
     """Digits for small alphabets, comma-separated integers otherwise."""
-    if alphabet.size <= 10:
-        return "".join(str(s) for s in word)
-    return ",".join(str(s) for s in word)
+    return ("" if alphabet.size <= 10 else ",").join(str(s) for s in word)
 
 
 def word_from_str(text: str, alphabet: Alphabet) -> tuple[int, ...]:
-    if alphabet.size <= 10:
-        word = tuple(int(ch) for ch in text.strip())
-    else:
-        word = tuple(int(part) for part in text.strip().split(","))
+    word = tuple(int(part) for part in (text.strip() if alphabet.size <= 10 else text.strip().split(",")))
     for s in word:
         if not 0 <= s < alphabet.size:
             raise ValueError(f"symbol {s} outside alphabet of size {alphabet.size}")
@@ -184,13 +177,6 @@ def word_from_str(text: str, alphabet: Alphabet) -> tuple[int, ...]:
 
 # -- the circle ---------------------------------------------------------------
 
-RealLike = Union[int, float, str, Fraction]
-
-
-def _as_fraction(value: RealLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 @dataclass(frozen=True)
 class CirclePoint:
     """Point of R/Z, held as an exact rational so isometries stay exact."""
@@ -198,5 +184,5 @@ class CirclePoint:
     angle: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", _as_fraction(self.angle) % 1)
+        object.__setattr__(self, "angle", Fraction(self.angle) % 1)
 

@@ -401,10 +401,9 @@ def _masses(mu: CantorMeasure, sided: str, groups) -> np.ndarray:
     return out
 
 
-def union_probability(mu: CantorMeasure, parts: Sequence[Cylinder]) -> float:
-    """Exact measure of a finite union of cylinders: the `row_probabilities` of
-    its maximal pieces, added in piece order."""
-    pieces = maximal_cylinders(parts)
+def union_probability(mu: CantorMeasure, pieces: Sequence[Cylinder]) -> float:
+    """Exact measure of the union of pairwise disjoint cylinders, such as the
+    maximal pieces of a union: their `row_probabilities`, added in piece order."""
     if not pieces:
         return 0.0
     return float(sum(_masses(mu, pieces[0].sided, _extensions(mu, pieces, 0)).tolist()))
@@ -465,24 +464,23 @@ class BallFamily:
 
 def vitali_cover(
     mu: CantorMeasure,
-    parts: Sequence[Cylinder],
+    pieces: Sequence[Cylinder],
     min_radius: int,
     eps: float = 0.0,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BallFamily:
-    """Disjoint balls of radius >= min_radius covering a cylinder union exactly.
+    """Disjoint balls of radius >= min_radius covering exactly the union A of
+    pairwise disjoint `pieces`, such as the `maximal_cylinders` of a union.
 
-    Clopen refinement: every maximal piece either already is a ball of large
-    enough radius, or splits into all of its extensions at min_radius, in
-    `iter_words` order; the family holds `_widen`'s rows as they come. The
-    leftover mu(A minus union of balls), see uncovered_mass, is exactly zero,
-    so any eps >= 0 is met.
+    Clopen refinement: every piece either already is a ball of large enough
+    radius, or splits into all of its extensions at min_radius, in
+    `iter_words` order; the family holds `_widen`'s rows as they come, and
+    rejects pieces that meet. mu(A minus the balls) is exactly zero, so any eps >= 0 is met.
     """
     if min_radius < 1:
         raise ValueError("balls need radius >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    pieces = maximal_cylinders(parts)
     total = sum(count_words([mu.cell_size(i) for i in window_cells(c.sided, min_radius)
                              if i not in window_cells(c.sided, c.radius)]) for c in pieces)
     if total > cap:
@@ -490,21 +488,23 @@ def vitali_cover(
     return BallFamily(mu.alphabet, pieces[0].sided if pieces else ONE_SIDED, _extensions(mu, pieces, min_radius))
 
 
-def uncovered_mass(mu: CantorMeasure, parts: Sequence[Cylinder], family: BallFamily, min_radius: int) -> float:
-    """mu(A minus the family's balls) for A a finite union of cylinders.
+def uncovered_mass(mu: CantorMeasure, cover: BallFamily, family: BallFamily) -> float:
+    """mu(A minus the family's balls) for A the union of the balls of `cover`.
 
-    Adds, in row order, the `row_probabilities` of the extensions at
-    min_radius of each maximal piece (a piece that fine is its own) that
-    `_nested` finds in no ball of radius at most theirs: a cover reads
-    exactly 0.0. Exact when no ball is finer than these rows.
+    Adds, in ball order, the masses of the cover's balls that `_nested` finds
+    in no family ball of radius at most theirs: a family reads exactly 0.0
+    against the cover `vitali_cover` makes at its min_radius, or against
+    itself. Exact when no family ball is finer than the cover's balls.
     """
-    family._check_measure(mu)
-    size = mu.alphabet.size
-    rows = _extensions(mu, maximal_cylinders(parts), min_radius)
-    groups = [(n, words) for n, (_, words) in family.groups.items()] + [(n, r) for n, (_, r) in rows.items()]
-    mass = np.zeros(sum(len(at) for at, _ in rows.values()))  # a covered row adds 0.0, which moves no bit
-    for (n, (at, r)), hit in zip(rows.items(), _nested(family.sided, size, groups)[len(family.groups) :]):
-        mass[at[~hit]] = mu.row_probabilities(family.sided, n, r[~hit])
+    for balls in (cover, family):
+        balls._check_measure(mu)
+    if cover.sided != family.sided:
+        raise IncompatibleConfigurations(f"a {cover.sided!r}-sided cover and a {family.sided!r}-sided family")
+    groups = [(n, words) for n, (_, words) in chain(family.groups.items(), cover.groups.items())]
+    hits = _nested(cover.sided, mu.alphabet.size, groups)[len(family.groups) :]
+    mass = np.zeros(sum(len(at) for at, _ in cover.groups.values()))  # a covered ball adds 0.0, which moves no bit
+    for (n, (at, r)), hit in zip(cover.groups.items(), hits):
+        mass[at[~hit]] = mu.row_probabilities(cover.sided, n, r[~hit])
     return reduce(float.__add__, mass.tolist(), 0.0)
 
 

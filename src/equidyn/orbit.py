@@ -31,7 +31,6 @@ from .core import (
     count_words,
     window_cells,
     window_size,
-    word_to_str,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -53,6 +52,7 @@ from .systems import (
     step_batch,
     step_cost,
     pack_planes,
+    row_words,
     system_sided,
     trace_agreement_batch,
     window_slice,
@@ -355,7 +355,7 @@ def mu_equicontinuity_report(
         rngs = [substream(seed, 0, i) for i in range(points)]
         rows = _rows(cantor_mu.pieces(sided, radius, 1, rngs), points, window_size(sided, radius))
         check_cells(system, rows)
-        labels = [word_to_str(x, system.alphabet) for x in rows.tolist()]
+        labels = row_words(rows, system.alphabet)
         # every cell is checked before any block runs
         targets, words, masses = _base_block(system, cantor_mu, rows, radius, m, ns, horizon)
         if use_exact:

@@ -212,16 +212,8 @@ def mu_lep_classify(
     if verdict != "neither":
         from .orbit import mu_equicontinuity_report
 
-        params = {
-            "m": ms[0],
-            "n_list": [1, 2, 3],
-            "horizon": min(horizon, 4),
-            "points": 20,
-            "n_samples": 2000,
-            "delta": 0.05,
-        }
-        if equi_params:
-            params.update(equi_params)
+        params = {"m": ms[0], "n_list": [1, 2, 3], "horizon": min(horizon, 4), "points": 20, "n_samples": 2000,
+                  "delta": 0.05, **(equi_params or {})}
         equi = mu_equicontinuity_report(
             system, mu,
             m=params["m"], n_list=params["n_list"], horizon=params["horizon"],

@@ -42,6 +42,7 @@ from .core import (
     Alphabet,
     Configuration,
     check_sided,
+    count_words,
     iter_words,
     window_cells,
     window_size,
@@ -87,14 +88,8 @@ class CARule:
     @cached_property
     def flat_table(self) -> np.ndarray:
         """Outputs indexed by the neighborhood word read as a base-|A| number (cached, read-only)."""
-        size = self.alphabet.size
-        width = self.neighborhood_size
-        flat = np.zeros(size ** width, dtype=np.int64)
-        for nb, out in self.table.items():
-            code = 0
-            for s in nb:
-                code = code * size + s
-            flat[code] = out
+        flat = np.zeros(self.alphabet.size ** self.neighborhood_size, dtype=np.int64)
+        flat[word_codes(np.array(list(self.table), dtype=np.int64), self.alphabet.size)] = list(self.table.values())
         flat.flags.writeable = False
         return flat
 
@@ -137,10 +132,7 @@ class Odometer:
 
     def window_period(self, m: int) -> int:
         """Cycle length of the digits in W_m: the product of their sizes."""
-        out = 1
-        for i in range(m + 1):
-            out *= self.size_at(i)
-        return out
+        return count_words([self.size_at(i) for i in range(m + 1)])
 
 
 @dataclass(frozen=True)
@@ -150,8 +142,7 @@ class Rotation:
     alpha: Fraction
 
     def __post_init__(self):
-        a = self.alpha if isinstance(self.alpha, Fraction) else Fraction(self.alpha)
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
 
@@ -180,12 +171,7 @@ def eca_rule(number: int) -> CARule:
     """Elementary CA: binary, two-sided, radius 1, Wolfram numbering."""
     if not 0 <= number <= 255:
         raise ValueError(f"Wolfram numbers run 0..255, got {number}")
-    table = {}
-    for l in (0, 1):
-        for c in (0, 1):
-            for r in (0, 1):
-                code = 4 * l + 2 * c + r
-                table[(l, c, r)] = (number >> code) & 1
+    table = {(l, c, r): (number >> (4 * l + 2 * c + r)) & 1 for l, c, r in iter_words([2, 2, 2])}
     return CARule(Alphabet(2), TWO_SIDED, 1, table)
 
 
@@ -193,10 +179,7 @@ def wolfram_number(rule: CARule) -> int:
     """Inverse of eca_rule; defined only for binary two-sided radius-1 rules."""
     if rule.alphabet.size != 2 or rule.sided != TWO_SIDED or rule.radius != 1:
         raise ValueError("Wolfram numbering needs a binary two-sided radius-1 rule")
-    number = 0
-    for (l, c, r), out in rule.table.items():
-        number |= out << (4 * l + 2 * c + r)
-    return number
+    return sum(out << (4 * l + 2 * c + r) for (l, c, r), out in rule.table.items())
 
 
 # -- one-row dynamics ----------------------------------------------------------
@@ -363,6 +346,13 @@ def word_codes(words: np.ndarray, size: int) -> np.ndarray:
         return words @ size ** np.arange(width - 1, -1, -1, dtype=np.int64)
     _, codes = np.unique(words.reshape(-1, width), axis=0, return_inverse=True)
     return codes.reshape(words.shape[:-1])
+
+
+def row_words(rows: np.ndarray, alphabet: Alphabet) -> list[str]:
+    """`word_to_str` of each int row: up to 10 symbols, one pass reads a row's digit bytes as one string."""
+    if alphabet.size > 10:
+        return [word_to_str(word, alphabet) for word in rows.tolist()]
+    return [w.decode() for w in (rows + ord("0")).astype(np.uint8).view(f"S{rows.shape[1]}").ravel().tolist()]
 
 
 # -- bit-sliced dynamics -------------------------------------------------------

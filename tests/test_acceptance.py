@@ -30,6 +30,7 @@ from equidyn import (
     eca_rule,
     identity_rule,
     lep_certificate,
+    maximal_cylinders,
     mu_equicontinuity_report,
     root_of_unity,
     spectral_family,
@@ -353,12 +354,13 @@ def test_criterion_7_measure_vitali_suite():
             r = int(rng.integers(0, 4))
             word = tuple(int(s) for s in rng.integers(0, 2, size=r + 1))
             parts.append(Cylinder(A2, "one", r, word))
-        fam = vitali_cover(mu, parts, min_radius=5)
+        pieces = maximal_cylinders(parts)
+        fam = vitali_cover(mu, pieces, min_radius=5)
         cyls = [Cylinder(fam.alphabet, fam.sided, n, word) for word, n in fam.balls]
         for i in range(len(cyls)):
             for j in range(i + 1, len(cyls)):
                 ok &= compare_cylinders(cyls[i], cyls[j]) == "disjoint"
-        leftover = union_probability(mu, parts) - sum(fam.masses(mu))
+        leftover = union_probability(mu, pieces) - sum(fam.masses(mu))
         ok &= leftover == 0.0
 
     report(7, "measure and Vitali suite", ok)

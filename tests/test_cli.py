@@ -3,20 +3,26 @@
 import copy
 import csv
 import hashlib
+import importlib.util
 import json
 import os
+import random
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import equidyn.cli
 import equidyn.spectral
-from equidyn.cli import fmt_prob, main
-from equidyn.core import Cylinder, word_to_str
+from equidyn.cli import _report_text, fmt_prob, main
+from equidyn.core import Alphabet, Cylinder, word_to_str
 from equidyn.measures import BernoulliMeasure, ProductMeasure, vitali_cover
 from equidyn.orbit import EquicontinuityReport, PointCurve
 from equidyn.periodicity import LepClassification, LepStatistics
+from equidyn.rng import substream
 from equidyn.sensitivity import DichotomyReport, SensitivityEstimate
+from equidyn.systems import row_words
 
 DENSITY_CFG = {
     "system": {"type": "eca", "rule": 90},
@@ -715,10 +721,11 @@ def test_vitali_report_bytes_are_pinned(tmp_path):
     assert digest(out.with_suffix(".csv")) == "171dcf88855b2304548f1767bc42673220e0351d9eee171a6087e0508a1975ed"
 
 
-@pytest.mark.parametrize("weights", [[0.5, 0.5], [1 / 12] * 12], ids=["digits", "commas"])
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.1] * 10, [1 / 11] * 11, [1 / 12] * 12],
+                         ids=["digits", "ten-digits", "commas-11", "commas-12"])
 def test_vitali_report_lists_the_balls_in_ball_order(tmp_path, weights):
-    """Two radius groups whose balls interleave in the report's order, over a
-    digit alphabet and over one whose words are comma-separated."""
+    """Two radius groups whose balls interleave in the report's order, over
+    digit alphabets (up to 10 symbols) and ones whose words are comma-separated."""
     mu = BernoulliMeasure(weights)
     parts = [Cylinder(mu.alphabet, "two", 2, (1, 1, 1, 1, 1)), Cylinder(mu.alphabet, "two", 0, (0,))]
     fam = vitali_cover(mu, parts, 1)
@@ -813,3 +820,85 @@ def test_bench_report_bytes_are_pinned(tmp_path, case):
     assert run([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
     assert (digest(out), digest(out.with_suffix(".csv"))) == (report_sha, csv_sha)
+
+
+@pytest.mark.parametrize("size", [2, 10, 11])
+def test_row_words_are_word_to_str(size):
+    """The ball words of `vitali`: one numpy pass per block of rows up to 10 symbols, commas past that."""
+    rng = substream(91, size)
+    alphabet = Alphabet(size)
+    for width in (1, 2, 5, 23):
+        rows = rng.integers(0, size, (40, width))
+        rows[0] = size - 1  # the largest symbol, a digit 9 at size 10
+        assert row_words(rows, alphabet) == [word_to_str(w, alphabet) for w in rows.tolist()]
+    assert row_words(rows[:0], alphabet) == []
+
+
+# strings the writer must not mistake for structure: its dict boundary, raw
+# newlines, quotes, backslashes, non-ASCII text and control characters
+AWKWARD = ["},\n    {", "},\n      {", "}", "{", "a\nb", "\"", "\\", "caf\u00e9 \u6f22 \U0001f600",
+           "\x00\x01\x1f\x7f", "\r\n\t", ""]
+NUMBERS = [True, False, None, 0, -1, 2 ** 100, -2 ** 70, 0.0, -0.0, 1.5, 1e16, 1e-300, 2.5e-7, float("nan"),
+           float("inf"), float("-inf")]
+
+
+def indent_oracle(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestReportText:
+    """`_report_text` against `json.dumps(..., indent=2, sort_keys=True)` itself."""
+
+    @pytest.mark.parametrize("value", [
+        *AWKWARD, *NUMBERS,
+        {}, [], (), [{}], [[]], [{}, {}], [[], []], {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+        [{"k": v} for v in AWKWARD], {k: v for k, v in zip(AWKWARD, NUMBERS)}, [{"w": w, "n": 1} for w in AWKWARD],
+        [{"a": 1, "b": "x"}, {"c": None}], [{"a": 1}, {}], [{}, {"a": 1}], [{"a": 1}, 2, "s", [3], {"b": [1]}],
+        [1, {"a": 1}], [{"a": 1}, [{"b": 2}]], [{"a": [1]}, {"a": [2]}], [{"a": {"b": 1}}],
+        [[1, 2], [3]], [[[1]], [[2], []]], ((1, 2), (3,)), [(1, {"a": (2, 3)})], {"t": (True, None)},
+        {"a": {"b": [{"x": 1}, {"y": 2}]}, "c": [[{"z": 3}]]}, {"z": 1, "a": 2, "m": {"y": [], "b": {}}},
+        [{"b": 1, "a": 2}, {"a": 3, "b": 4}], NUMBERS, [{"n": n} for n in NUMBERS],
+    ], ids=repr)
+    def test_matches_the_indent_encoder(self, value):
+        assert _report_text(value) == indent_oracle(value)
+
+    def test_random_trees(self):
+        """Seeded random trees of dicts, lists and tuples over the awkward strings and numbers."""
+        rng = random.Random(24)
+
+        def tree(depth):
+            kind = rng.random()
+            if depth == 0 or kind < 0.3:
+                return rng.choice(AWKWARD + NUMBERS)
+            items = [tree(depth - 1) for _ in range(rng.randrange(4))]
+            if kind < 0.55:
+                return {rng.choice(AWKWARD) + str(i): v for i, v in enumerate(items)}
+            if kind < 0.75:  # a list of dicts, flat or not
+                return [{rng.choice(AWKWARD): v for v in items[: rng.randrange(3)]} for _ in items]
+            return items if kind < 0.9 else tuple(items)
+
+        for _ in range(500):
+            value = tree(4)
+            assert _report_text(value) == indent_oracle(value)
+
+
+def bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("workload", ["exact-orbit", "sampled-mc", "spectral-vitali"])
+def test_bench_reports_are_the_indent_encoders_text(tmp_path, workload, seed):
+    """Every command of the benchmark workloads writes `json.dumps(payload, indent=2, sort_keys=True)`
+    and a newline, the payload read back from the report itself."""
+    for inv in bench_workloads()[workload].build(seed):
+        out = tmp_path / f"{inv.stem}.json"
+        assert run([inv.command, "--config", write_cfg(tmp_path, inv.config, f"{inv.stem}.config.json"),
+                    "--out", out]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == indent_oracle(json.loads(text)) + "\n"

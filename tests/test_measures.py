@@ -251,7 +251,7 @@ class TestMaximalCylinders:
     def test_union_probability(self):
         mu = BernoulliMeasure([0.5, 0.5])
         parts = [cyl((0,)), cyl((0, 1)), cyl((1, 1, 0))]
-        assert union_probability(mu, parts) == pytest.approx(0.5 + 0.125, abs=1e-12)
+        assert union_probability(mu, maximal_cylinders(parts)) == pytest.approx(0.5 + 0.125, abs=1e-12)
 
 
 class TestDensityRatio:
@@ -302,46 +302,66 @@ class TestVitali:
                 r = int(rng.integers(0, 4))
                 word = tuple(int(s) for s in rng.integers(0, 2, size=r + 1))
                 parts.append(cyl(word))
-            fam = vitali_cover(mu, parts, min_radius=4)
+            pieces = maximal_cylinders(parts)
+            fam = vitali_cover(mu, pieces, min_radius=4)
             cs = ball_cylinders(fam)
             for i in range(len(cs)):
                 for j in range(i + 1, len(cs)):
                     assert compare_cylinders(cs[i], cs[j]) == "disjoint"
-            assert union_probability(mu, parts) - sum(fam.masses(mu)) == 0.0
+            assert union_probability(mu, pieces) - sum(fam.masses(mu)) == 0.0
 
 
 # the five-cylinder Markov union that refines to 1856 balls at min_radius 10
 MARKOV_UNION = [cyl(w) for w in ((0, 0), (0, 1, 1), (1, 0, 1, 1), (1,), (0, 1, 0, 1, 0))]
+MARKOV_PIECES = maximal_cylinders(MARKOV_UNION)
 
 
 @pytest.fixture(scope="module")
 def markov_cover():
     mu = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
-    return mu, vitali_cover(mu, MARKOV_UNION, 10)
+    return mu, vitali_cover(mu, MARKOV_PIECES, 10)
 
 
 class TestUncoveredMass:
     def test_markov_union_leftover_is_exactly_zero(self, markov_cover):
         mu, fam = markov_cover
-        assert len(fam.balls) == 1856
-        assert union_probability(mu, MARKOV_UNION) - sum(fam.masses(mu)) != 0.0
-        assert uncovered_mass(mu, MARKOV_UNION, fam, 10) == 0.0
+        assert len(MARKOV_PIECES) == 4 and len(fam.balls) == 1856
+        assert union_probability(mu, MARKOV_PIECES) - sum(fam.masses(mu)) != 0.0
+        assert uncovered_mass(mu, fam, fam) == 0.0
 
     def test_one_ball_removed_leaves_its_mass(self, markov_cover):
         mu, fam = markov_cover
         drop = 700
         rest = family(fam.alphabet, fam.sided, fam.balls[:drop] + fam.balls[drop + 1:])
         want = cylinder_mass(mu, ball_cylinders(fam)[drop])
-        assert uncovered_mass(mu, MARKOV_UNION, rest, 10) == want
+        assert uncovered_mass(mu, fam, rest) == want
 
     def test_piece_that_is_a_ball(self):
         mu = BernoulliMeasure([0.25, 0.75])
         parts = [cyl((0, 1, 1)), cyl((1, 0))]
         fam = vitali_cover(mu, parts, 2)
-        assert uncovered_mass(mu, parts, fam, 2) == 0.0
+        assert uncovered_mass(mu, fam, fam) == 0.0
         rest = family(fam.alphabet, fam.sided, tuple(b for b in fam.balls if b[0] != (0, 1, 1)))
         assert len(rest.balls) == 2
-        assert uncovered_mass(mu, parts, rest, 2) == cylinder_mass(mu, cyl((0, 1, 1)))
+        assert uncovered_mass(mu, fam, rest) == cylinder_mass(mu, cyl((0, 1, 1)))
+
+    def test_cover_and_family_over_other_spaces(self):
+        from equidyn import IncompatibleConfigurations
+
+        mu = BernoulliMeasure([0.5, 0.5])
+        one = vitali_cover(mu, [cyl((0, 1))], 1)
+        two = vitali_cover(mu, [Cylinder(A2, "two", 1, (0, 1, 1))], 1)
+        for cover, fam in ((one, two), (two, one)):
+            with pytest.raises(IncompatibleConfigurations, match="-sided cover and a"):
+                uncovered_mass(mu, cover, fam)
+
+    def test_cover_rejects_pieces_that_meet(self):
+        """`vitali_cover` takes the maximal pieces; nested or repeated parts are no pieces."""
+        mu = BernoulliMeasure([0.5, 0.5])
+        for parts, mass in (([cyl((0,)), cyl((0, 1))], 0.5), ([cyl((1, 0)), cyl((1, 0))], 0.25)):
+            with pytest.raises(ValueError, match="are not disjoint"):
+                vitali_cover(mu, parts, 2)
+            assert sum(vitali_cover(mu, maximal_cylinders(parts), 2).masses(mu)) == mass
 
     def test_cover_and_masses_build_no_object_per_ball(self, monkeypatch):
         import equidyn.core as core
@@ -351,11 +371,11 @@ class TestUncoveredMass:
             real = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: made.append(type(self)) or real(self))
         mu = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
-        fam = vitali_cover(mu, MARKOV_UNION, 10)
+        fam = vitali_cover(mu, MARKOV_PIECES, 10)
         assert len(fam.balls) == 1856
         assert made == []
         fam.masses(mu)
-        assert uncovered_mass(mu, MARKOV_UNION, fam, 10) == 0.0
+        assert uncovered_mass(mu, fam, fam) == 0.0
         assert made == []
 
 
@@ -367,18 +387,19 @@ class TestAlphabetMismatch:
     @pytest.mark.parametrize("word", [(2, 1), (0, 1)], ids=["symbol-outside", "symbols-inside"])
     def test_three_symbol_parts_under_a_two_symbol_measure(self, word):
         parts = [cyl(word, alphabet=Alphabet(3))]
-        fam = vitali_cover(self.HALF, [cyl((0,)), cyl((1,))], 2)
-        calls = [lambda: union_probability(self.HALF, parts), lambda: vitali_cover(self.HALF, parts, 2),
-                 lambda: uncovered_mass(self.HALF, parts, fam, 2)]
-        for call in calls:
+        for call in (lambda: union_probability(self.HALF, parts), lambda: vitali_cover(self.HALF, parts, 2)):
             with pytest.raises(AlphabetMismatch, match="cylinder over alphabet 3, measure over 2"):
                 call()
+        fam = vitali_cover(self.HALF, [cyl((0,)), cyl((1,))], 2)
+        cover = vitali_cover(BernoulliMeasure([0.2, 0.3, 0.5]), parts, 2)
+        with pytest.raises(AlphabetMismatch, match="balls over alphabet 3, measure over 2"):
+            uncovered_mass(self.HALF, cover, fam)
 
     def test_two_symbol_family_under_a_three_symbol_measure(self):
         mu = BernoulliMeasure([0.2, 0.3, 0.5])
         fam = vitali_cover(self.HALF, [cyl((0,))], 2)
         with pytest.raises(AlphabetMismatch, match="balls over alphabet 2, measure over 3"):
-            uncovered_mass(mu, [cyl((0, 1), alphabet=Alphabet(3))], fam, 2)
+            uncovered_mass(mu, vitali_cover(mu, [cyl((0, 1), alphabet=Alphabet(3))], 2), fam)
         with pytest.raises(AlphabetMismatch, match="balls over alphabet 2, measure over 3"):
             fam.masses(mu)
 
@@ -399,16 +420,16 @@ def assert_cover_matches_oracle(mu, parts, min_radius, rng):
     """The row cover equals the object refinement in ball order, radii, words
     and masses to the bit; so do the uncovered masses of the cover and of a
     random subfamily."""
-    fam = vitali_cover(mu, parts, min_radius)
+    fam = vitali_cover(mu, maximal_cylinders(parts), min_radius)
     balls = oracle_vitali_cover(mu, parts, min_radius)
     assert fam.balls == tuple((center.symbols, n) for center, n in balls)
     masses = oracle_ball_masses(mu, balls)
     assert fam.masses(mu) == masses
-    assert uncovered_mass(mu, parts, fam, min_radius) == oracle_uncovered_mass(mu, parts, balls, min_radius) == 0.0
+    assert uncovered_mass(mu, fam, fam) == oracle_uncovered_mass(mu, parts, balls, min_radius) == 0.0
     keep = (rng.random(len(balls)) < 0.6).tolist()
     rest = family(fam.alphabet, fam.sided, tuple(b for b, k in zip(fam.balls, keep) if k))
     want = oracle_uncovered_mass(mu, parts, [b for b, k in zip(balls, keep) if k], min_radius)
-    assert uncovered_mass(mu, parts, rest, min_radius) == want
+    assert uncovered_mass(mu, fam, rest) == want
     return want
 
 

@@ -113,15 +113,22 @@ class TestOrbitBallEvent:
                 assert padded <= prev
             prev = padded
 
-    def test_nesting_in_resolution(self):
-        rule = eca_rule(90)
-        x = Configuration(A2, "two", tuple(int(b) for b in "01101"))
-        coarse_rho = dependence_radius(rule, 0, 2)
-        # compare at the common radius 2 via trace agreement
+    @pytest.mark.parametrize("number", [90, 110, 30, 184])
+    def test_nesting_in_resolution(self, number):
+        """Agreement on W_1 up to time 1 fixes cell 0 at time 2 (radius 1), so B_{1,1}(x) lies in B_{0,2}(x).
+
+        Both balls live on W_2 (rho = 1 + 1 = 0 + 2): the rows of `ball_rows(rule, x, 1, 1)` need no widening.
+        """
+        rule = eca_rule(number)
+        strict = 0
         for w in itertools.product(range(2), repeat=5):
-            y = Configuration(A2, "two", w)
-            if scalar_column_trace(rule, y, 1, 1) == scalar_column_trace(rule, x, 1, 1) and coarse_rho <= 2:
-                assert scalar_column_trace(rule, y, 0, 1) == scalar_column_trace(rule, x, 0, 1)
+            x = Configuration(A2, "two", w)
+            fine, coarse = ball_rows(rule, x, 1, 1), ball_rows(rule, x, 0, 2)
+            assert fine.shape[1] == coarse.shape[1] == window_size("two", 2)
+            fine, coarse = set(map(tuple, fine.tolist())), set(map(tuple, coarse.tolist()))
+            assert w in fine and fine <= coarse
+            strict += fine < coarse
+        assert strict > 0
 
     def test_cap_respected(self):
         sh = Shift(A2)
