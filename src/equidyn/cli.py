@@ -148,28 +148,20 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _build_system(cfg: dict):
-    raw = _need(cfg, "system")
+def _built(from_dict, raw, field: str):
+    """`from_dict(raw)`, or ConfigInvalid naming `field` (or its missing key)."""
     try:
-        return system_from_dict(raw)
+        return from_dict(raw)
     except KeyError as exc:
-        raise ConfigInvalid(f"system.{exc.args[0]}", "missing")
+        raise ConfigInvalid(f"{field}.{exc.args[0]}", "missing")
     except (ValueError, TypeError) as exc:
-        raise ConfigInvalid("system", str(exc))
+        raise ConfigInvalid(field, str(exc))
 
 
 def _build_measure(cfg: dict, system=None):
-    raw = cfg.get("measure")
-    if raw is None:
-        if isinstance(system, Rotation):
-            return LebesgueMeasure()
-        raise ConfigInvalid("measure", "missing")
-    try:
-        return measure_from_dict(raw)
-    except KeyError as exc:
-        raise ConfigInvalid(f"measure.{exc.args[0]}", "missing")
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalid("measure", str(exc))
+    if cfg.get("measure") is None and isinstance(system, Rotation):
+        return LebesgueMeasure()
+    return _built(measure_from_dict, _need(cfg, "measure"), "measure")
 
 
 def _number(value, field: str, kind=int, minimum=None):
@@ -489,7 +481,7 @@ def run_command(command: str, cfg: dict, seed: int, out_path: str) -> str:
         results, header, rows = _run_vitali(mu, params, seed, cap)
         resolved_system = cfg.get("system")
     else:
-        system = _build_system(cfg)
+        system = _built(system_from_dict, _need(cfg, "system"), "system")
         mu = _build_measure(cfg, system)
         runner = {
             "density": _run_density,

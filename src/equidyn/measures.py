@@ -82,13 +82,22 @@ def _kernel_column(cum: np.ndarray, prev: np.ndarray, u: np.ndarray) -> np.ndarr
     """Next symbols after `prev` (in its dtype), inverting the cumulative kernel rows `cum` at `u`.
 
     Rows of `cum` are nondecreasing, so counting u >= cum[prev, j] over
-    j < |A| - 1 is the inverse CDF capped at the last symbol. A `prev`
-    constant along its last axis gathers its thresholds once per group.
+    j < |A| - 1 is the inverse CDF capped at the last symbol. Up to 5 symbols,
+    each count is compare-and-select, OR_a (prev == a) & (u >= cum[a, j]) on
+    byte masks made once, with no float threshold per row; past that (|A|
+    compares cost more than a gather), and for a `prev` constant along its last
+    axis or rows all alike (Bernoulli, Haar), it gathers thresholds cum[prev, j].
     """
-    prev = prev[..., :1] if prev.strides[-1] == 0 else prev
-    out = (u >= cum[:, 0].take(prev)).astype(prev.dtype)
+    rows = cum.tolist()
+    prev = prev[..., :1] if prev.strides[-1] == 0 or rows.count(rows[0]) == len(rows) else prev
+    if prev.shape[-1] < u.shape[-1] or len(rows) > 5:
+        column = lambda j: u >= cum[:, j].take(prev)
+    else:
+        masks = [prev == a for a in range(len(rows))]
+        column = lambda j: reduce(np.bitwise_or, [m & (u >= row[j]) for m, row in zip(masks, rows)])
+    out = column(0).astype(prev.dtype)
     for j in range(1, cum.shape[1] - 1):
-        out += u >= cum[:, j].take(prev)
+        out += column(j)
     return out
 
 

@@ -56,10 +56,6 @@ class PeriodCertificate:
                 f"for (p={self.p}, q={self.q})"
             )
 
-    @property
-    def kind(self) -> str:
-        return "LP" if self.q == 0 else "LEP"
-
 
 def detect_eventual_periods(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, q, certified) for every row of a (rows x T+1) matrix of trace codes.
@@ -214,12 +210,7 @@ def mu_lep_classify(
 
         params = {"m": ms[0], "n_list": [1, 2, 3], "horizon": min(horizon, 4), "points": 20, "n_samples": 2000,
                   "delta": 0.05, **(equi_params or {})}
-        equi = mu_equicontinuity_report(
-            system, mu,
-            m=params["m"], n_list=params["n_list"], horizon=params["horizon"],
-            points=params["points"], n_samples=params["n_samples"],
-            delta=params["delta"], seed=derive_seed(seed, 1), cap=cap,
-        )
+        equi = mu_equicontinuity_report(system, mu, **params, seed=derive_seed(seed, 1), cap=cap)
     return LepClassification(
         m_list=tuple(ms), eps=eps, verdict=verdict, per_m=per_m, equicontinuity=equi
     )

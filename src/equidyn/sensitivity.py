@@ -8,7 +8,6 @@ explicit witness window, which keeps the finite-radius computation exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -17,7 +16,8 @@ import numpy as np
 
 from .core import DEFAULT_ENUMERATION_CAP, window_size
 from .measures import Measure
-from .orbit import EquicontinuityReport, mu_equicontinuity_report, _require_cantor_measure, _require_lebesgue
+from .orbit import (EquicontinuityReport, _binomial_stderr, _require_cantor_measure, _require_lebesgue,
+                    mu_equicontinuity_report)
 from .rng import derive_seed, substream
 from .systems import (
     Rotation,
@@ -106,9 +106,8 @@ def mu_sensitivity_estimate(
             if (separated == everyone).all():
                 break
         p_hat = float(unpack_bits(separated, n_samples).mean())
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
     return SensitivityEstimate(
-        eps=float(eps), horizon=horizon, p_hat=p_hat, stderr=stderr,
+        eps=float(eps), horizon=horizon, p_hat=p_hat, stderr=_binomial_stderr(p_hat, n_samples),
         n_samples=n_samples, seed=seed,
     )
 
@@ -159,17 +158,8 @@ def dichotomy_report(
         )
         for idx, eps in enumerate(eps_list)
     )
-    equi = mu_equicontinuity_report(
-        system, mu,
-        m=equi_params["m"],
-        n_list=equi_params["n_list"],
-        horizon=equi_params["horizon"],
-        points=equi_params.get("points", 50),
-        n_samples=equi_params.get("n_samples", n_samples),
-        delta=equi_params.get("delta", 0.05),
-        seed=derive_seed(seed, 1),
-        cap=cap,
-    )
+    equi = mu_equicontinuity_report(system, mu, **{"n_samples": n_samples, **equi_params},
+                                    seed=derive_seed(seed, 1), cap=cap)
     fires = any(e.p_hat >= 1.0 - delta_s for e in estimates)
     if fires and equi.fraction <= delta_e:
         verdict = "mu-sensitive"

@@ -14,9 +14,11 @@ serves the exact route (the orbit-ball frontier search), `column_codes`
 (`lep` and the one-row `lep_certificate`), spectral integration, and
 `_windows` (the traces of a block of base points, or of one point's row from
 `_trace_row`, in one pass).
-`step_planes` steps one-hot bit planes, 64 rows to a uint64 word; it serves
-the Monte Carlo route: `trace_agreement_batch` (sampled density ratios) and
-the separation test of `sensitivity`. So the exact and the sampled routes
+`step_planes` steps one-hot bit planes, 64 rows to a uint64 word, by each
+output's sum of products over its neighbourhoods, factored by prefix: one AND
+per node of the prefix tree, none for a subtree that holds every suffix. It
+serves the Monte Carlo route: `trace_agreement_batch` (sampled density
+ratios) and the separation test of `sensitivity`. So the exact and the sampled routes
 share no stepper; the scalar per-rule loops live in the tests as oracles.
 
 `pack_planes` packs the pieces a measure draws (see `measures`) as they
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
 from typing import Union
 
 import numpy as np
@@ -402,20 +405,38 @@ def pack_planes(system: CantorSystem, rows, shape: tuple[int, ...] | None = None
     return planes.reshape(len(symbols), cells, -1)
 
 
+def _spell(planes: np.ndarray, dst: np.ndarray, words: list, k: int, spare: np.ndarray) -> None:
+    """Set `dst` (cells x words) to the rows whose cells k, k + 1, .. past each offset spell one
+    of `words` (sorted tuples of one length): OR over first symbols a of plane a at offset k,
+    ANDed with the rows spelling a's suffixes unless they are every suffix. The first a's rows
+    are built in `dst`, a later one's in `spare` at depth 0 and in a new buffer below."""
+    for i, (a, group) in enumerate(groupby(words, lambda w: w[0])):
+        rest, cell = [w[1:] for w in group], planes[a, k : k + len(dst)]
+        if len(rest) < len(planes) ** len(rest[0]):
+            sub = dst if not i else spare if k == 0 else np.empty_like(dst)
+            _spell(planes, sub, rest, k + 1, spare)
+            cell = np.bitwise_and(sub, cell, out=sub)
+        np.bitwise_or(dst, cell, out=dst) if i else np.copyto(dst, cell)
+
+
 def step_planes(system: CantorSystem, planes: np.ndarray) -> np.ndarray:
-    """`step_batch` on bit planes: the same rows, 64 to a word."""
+    """`step_batch` on bit planes: the same rows, 64 to a word. A rule's output plane b
+    is the sum of products over the neighbourhoods mapping to b, factored by prefix
+    (`_spell`); the one with the most neighbourhoods, a spare buffer until then, is
+    every row XOR the others, as the planes are one-hot with clear padding."""
     if isinstance(system, CARule):
-        width = system.neighborhood_size
-        cells = planes.shape[1] - width + 1
+        cells = planes.shape[1] - system.neighborhood_size + 1
         if cells < 1:
             raise InsufficientRadius("batch window narrower than one neighborhood")
         out = np.zeros_like(planes[:, :cells])
-        # output plane b: OR over neighborhoods w with f(w) = b of AND_k (plane w_k at offset k)
-        for nb, b in system.table.items():
-            term = planes[nb[0], :cells].copy()
-            for k in range(1, width):
-                term &= planes[nb[k], k : k + cells]
-            out[b] |= term
+        words = [sorted(nb for nb, b in system.table.items() if b == s) for s in range(len(out))]
+        top = max(range(len(out)), key=lambda b: len(words[b]))
+        others = [b for b in range(len(out)) if b != top]
+        for b in others:
+            _spell(planes, out[b], words[b], 0, out[top])
+        np.bitwise_or.reduce(planes[:, :cells], axis=0, out=out[top])
+        for b in others:
+            out[top] ^= out[b]
         return out
     if isinstance(system, Odometer):
         out = planes.copy()
@@ -497,11 +518,8 @@ def system_to_dict(system: System) -> dict:
     if isinstance(system, Shift):  # a Shift is a CARule too
         return {"type": "shift", "alphabet": system.alphabet.size}
     if isinstance(system, CARule):
-        w = wolfram_number(system) if (
-            system.alphabet.size == 2 and system.sided == TWO_SIDED and system.radius == 1
-        ) else None
-        if w is not None:
-            return {"type": "eca", "rule": w}
+        if system.alphabet.size == 2 and system.sided == TWO_SIDED and system.radius == 1:
+            return {"type": "eca", "rule": wolfram_number(system)}
         return {
             "type": "ca",
             "alphabet": system.alphabet.size,

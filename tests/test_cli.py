@@ -790,19 +790,52 @@ def test_classify_report_bytes_are_pinned(tmp_path, route):
     assert all(c["exact"] == (route == "exact") for c in json.loads(out.read_text())["results"]["curves"])
 
 
-# the exact-orbit and sampled-mc `density` configs and the spectral-vitali
-# `spectral_sampled` config of bench/workloads.py at seed 3
+MARKOV_CFG = {"type": "markov", "P": [[0.7, 0.3], [0.4, 0.6]]}
+SAMPLED_CLASSIFY = {
+    "system": {"type": "eca", "rule": 110}, "measure": MARKOV_CFG,
+    "params": {"m": 2, "n_list": [1, 2, 3], "T": 3, "points": 100, "n_samples": 10_000}, "seed": 3, "cap": 1024}
+SAMPLED_DENSITY = {
+    "system": {"type": "eca", "rule": 30}, "measure": MARKOV_CFG,
+    "params": {"m": 3, "n_list": [1, 2, 3, 4, 5, 6], "T": 8, "n_samples": 100_000}, "seed": 3, "cap": 1024}
+SAMPLED_SENSITIVITY = {
+    "system": {"type": "eca", "rule": 184}, "measure": MARKOV_CFG,
+    "params": {"eps_list": [1, 0.5, 0.25, 0.125], "T": 32, "n_samples": 20_000}, "seed": 3}
+
+# configs of bench/workloads.py: the exact-orbit `density` and `dichotomy`, the
+# sampled-mc `density`, `lep` and `sensitivity` and the spectral-vitali
+# `spectral_sampled` at seed 3, and the sampled-mc `classify`, `density` and
+# `sensitivity` at seed 11
 BENCH_REPORT_CASES = {
     "density-exact": ("density", {
         "system": {"type": "eca", "rule": 90}, "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
         "params": {"m": 2, "n_list": [1, 2, 3, 4, 5, 6, 7], "T": 5, "n_samples": 10_000}, "seed": 3},
         "1578a2aa30f7d70471de8887e3c4a191e8da6b7df6865a6a47e05767df29133a",
         "c9d518fd56080fdd610b2cc191691a9540ad379b364d559d2ebd765bd58b8d00"),
-    "density-sampled": ("density", {
-        "system": {"type": "eca", "rule": 30}, "measure": {"type": "markov", "P": [[0.7, 0.3], [0.4, 0.6]]},
-        "params": {"m": 3, "n_list": [1, 2, 3, 4, 5, 6], "T": 8, "n_samples": 100_000}, "seed": 3, "cap": 1024},
+    "density-sampled": ("density", SAMPLED_DENSITY,
         "2d384f6f06f1463bf567502d28ba18ca87047b5f0aa062557a284f75db32e405",
         "ce34808264a94bec177f9c662712eaeb097fcbb3a30991eb26db1007c4846c14"),
+    "dichotomy-exact": ("dichotomy", {
+        "system": {"type": "eca", "rule": 110}, "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
+        "params": {"eps_list": [1, 0.5], "T": 16, "equi": {"m": 2, "n_list": [1, 2, 3], "T": 3}}, "seed": 3},
+        "d3179f08f9b2450c57a376b60a4488c5f6f5887fd40bca3c9b19b2745e3dc290",
+        "d84bb2a3ae5fabd052fbb4eba2cac484971738c35e768d7e51adb485416000e8"),
+    "lep-sampled": ("lep", {
+        "system": {"type": "eca", "rule": 110}, "measure": MARKOV_CFG,
+        "params": {"m_list": [1, 2, 3], "T": 16, "n_samples": 1000}, "seed": 3},
+        "80a62b264d9be2dc496f0f022fc1763020ef17b020d74de6930113a847b3c83f",
+        "14fcc42d80c095584da2ed54d82d68f0dc578d57d42c854e0508c1d3ddda4855"),
+    "sensitivity-sampled": ("sensitivity", SAMPLED_SENSITIVITY,
+        "3e9bb44ff61ba44e3739024f1c0ec62162ba557d3d6b5b830b27ad7b8958cf82",
+        "ce3de80087b85d61d8881756e46efba522c4dbc56c7624405bc9fdd634b85d1f"),
+    "classify-sampled-seed-11": ("classify", {**SAMPLED_CLASSIFY, "seed": 11},
+        "a4f54a8fe41e65cb23eec58b0976393b3728b0461228e34a27c057ad4c6c7a2d",
+        "d2ab008cf2db8d49106eae8d58cb4e175b61d66324c8c128dec9eb09f66d3339"),
+    "density-sampled-seed-11": ("density", {**SAMPLED_DENSITY, "seed": 11},
+        "69bb265b949abe9fe4803204c728f21ecabd2b7a2585fe0548d245dbc3344cfd",
+        "ab592f4838a727102df97f85a12f2a085624fb9fc5f12eb62f6795a9b625ebc2"),
+    "sensitivity-sampled-seed-11": ("sensitivity", {**SAMPLED_SENSITIVITY, "seed": 11},
+        "cc74cedc5ec49a9be78f0a642918b998aa8843d84c2c58be12dbc912194d7a21",
+        "9c9ad7306419ff5397c05165966734e9bfad9e370565bd189a28e875c7d413cf"),
     "spectral-sampled": ("spectral", {
         "system": {"type": "odometer", "sizes": [2]}, "measure": {"type": "haar", "sizes": [2]},
         "params": {"m": 3, "T": 3, "y": "0000000000", "cert_T": 64, "mode": "sampled", "n_samples": 1000},
@@ -814,7 +847,7 @@ BENCH_REPORT_CASES = {
 
 @pytest.mark.parametrize("case", BENCH_REPORT_CASES)
 def test_bench_report_bytes_are_pinned(tmp_path, case):
-    """The density and sampled spectral report and CSV bytes of the benchmark configs."""
+    """The report and CSV bytes of benchmark configs, the sampled ones at two seeds."""
     command, cfg, report_sha, csv_sha = BENCH_REPORT_CASES[case]
     out = tmp_path / f"{command}.json"
     assert run([command, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0

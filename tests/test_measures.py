@@ -654,6 +654,25 @@ def kernel_2d(cum, prev, u, size):
     return np.minimum((u[:, None] >= cum[prev]).sum(axis=1), size - 1)
 
 
+def _markov_kernel(size, seed):
+    """A random `size`-symbol chain's forward kernel, a third of its entries zero (so its
+    cumulative rows repeat entries) and every row with some mass."""
+    P = np.random.default_rng(seed).random((size, size)) * (np.random.default_rng(seed + 1).random((size, size)) > 0.33)
+    P[:, 0] += 0.01
+    return MarkovMeasure(P / P.sum(axis=1, keepdims=True))._law.cum_forward
+
+
+# (name, cumulative kernel rows): identical rows (Bernoulli, Haar, the first
+# cell), Markov chains on both sides of the select/gather switch at 5 symbols
+KERNEL_LAWS = [
+    ("bernoulli [0.5, 0, 0.5]", BernoulliMeasure([0.5, 0.0, 0.5])._law.cum_forward),
+    ("bernoulli first cell", BernoulliMeasure([0.5, 0.0, 0.5])._law.cum_first[None]),
+    *((f"haar (6, 7, 10) at size {s}", ProductMeasure((6, 7, 10))._laws_by_size[s].cum_forward) for s in (6, 7, 10)),
+    ("markov lopsided", MarkovMeasure(P_LOPSIDED)._law.cum_reverse),
+    *((f"markov {k} symbols", _markov_kernel(k, k)) for k in (3, 5, 6, 16)),
+]
+
+
 class TestKernelColumn:
     @pytest.mark.parametrize("P", [
         P_LOPSIDED,
@@ -680,6 +699,30 @@ class TestKernelColumn:
         prev = np.array([0, 0, 1, 2])
         u = np.array([0.5, 0.75, 0.1, 0.6])
         assert _kernel_column(mu._law.cum_forward, prev, u).tolist() == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("law", KERNEL_LAWS, ids=lambda law: law[0])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("layout", ["row", "groups", "constant"])
+    def test_every_law_and_layout_matches_the_two_dimensional_sum(self, law, dtype, layout):
+        """Compare-and-select and gather alike, on one row, on (group, n) columns, and on a
+        `prev` constant along each group's rows at stride zero. Every symbol meets a uniform
+        on each cumulative entry, one just below it, and 0.0, then random ones."""
+        _, cum = law
+        size, symbols = cum.shape[1], np.arange(len(cum), dtype=dtype)
+        rng = np.random.default_rng(size)
+        ties = np.unique(cum)
+        hits = np.concatenate([ties, np.nextafter(ties, 0.0), [0.0]])
+        u = np.concatenate([np.tile(hits, len(cum)), rng.random(600)])
+        prev = np.concatenate([np.repeat(symbols, len(hits)), rng.integers(0, len(cum), 600)]).astype(dtype)
+        if layout == "groups":
+            u, prev = np.stack([u, u[::-1]]), np.stack([prev, prev[::-1]])
+        if layout == "constant":  # group g holds symbol g in every row, and meets every uniform
+            u = np.tile(u, (len(cum), 1))
+            prev = np.ndarray(u.shape, dtype, buffer=symbols, strides=(symbols.itemsize, 0))
+        got = _kernel_column(cum, prev, u)
+        assert got.dtype == dtype
+        want = kernel_2d(cum, np.broadcast_to(prev, u.shape).ravel(), u.ravel(), size).reshape(u.shape)
+        assert np.array_equal(got, want)
 
     def test_uniform_past_a_short_last_entry_takes_the_last_symbol(self):
         cum = np.array([[0.4, 0.9], [0.2, 0.9]])  # rounding can leave the total below 1

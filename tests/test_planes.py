@@ -1,6 +1,7 @@
 """The bit-sliced engine against the int64 `step_batch` and the scalar traces."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ def random_rule(alphabet, sided, radius, seed):
     return CARule(alphabet, sided, radius, table)
 
 
+def rule_from(alphabet, sided, radius, f):
+    """The rule whose table maps each neighbourhood nb to f(nb)."""
+    width = radius + 1 if sided == ONE_SIDED else 2 * radius + 1
+    return CARule(alphabet, sided, radius, {nb: f(nb) for nb in itertools.product(range(alphabet.size), repeat=width)})
+
+
 def random_rows(system, n, cells, seed):
     sizes = cell_sizes(system, range(cells))
     return np.random.default_rng(seed).integers(0, sizes, size=(n, cells))
@@ -86,6 +93,14 @@ SYSTEMS = {
     "binary one-sided radius 2": random_rule(Alphabet(2), ONE_SIDED, 2, seed=9),
     "shift_as_ca": shift_as_ca(A3),
     "Shift": Shift(Alphabet(2)),
+    # the prefix-factored stepper: a many-symbol table, one output symbol,
+    # and outer cells that no output reads
+    "four-symbol two-sided": random_rule(Alphabet(4), TWO_SIDED, 1, seed=11),
+    "constant 0": rule_from(A3, TWO_SIDED, 1, lambda nb: 0),
+    "constant 2": rule_from(A3, TWO_SIDED, 1, lambda nb: 2),
+    "binary constant 1": rule_from(Alphabet(2), ONE_SIDED, 2, lambda nb: 1),
+    "ignores its left cell": rule_from(A3, TWO_SIDED, 1, lambda nb: (nb[1] * nb[2] + 1) % 3),
+    "ignores its right cell": rule_from(A3, TWO_SIDED, 1, lambda nb: (nb[0] + 2 * nb[1]) % 3),
     "Odometer((2,3))": Odometer((2, 3)),
     "Odometer((3,))": Odometer((3,)),
 }
@@ -96,6 +111,28 @@ SYSTEMS = {
 def test_other_systems_step_like_step_batch(name, n):
     system = SYSTEMS[name]
     assert_steps_like_step_batch(system, random_rows(system, n, 11, seed=n), steps=4)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_two_sided_radius_2_steps_like_step_batch(n):
+    """A five-cell neighbourhood: the prefix tree is five levels deep."""
+    rule = random_rule(Alphabet(2), TWO_SIDED, 2, seed=10)
+    assert_steps_like_step_batch(rule, random_rows(rule, n, 19, seed=n), steps=4)
+
+
+def test_step_planes_peaks_below_twice_its_output():
+    """One sensitivity-shaped step (20,000 rows, 83 cells) holds at most one
+    plane of temporaries beside its output."""
+    for number in (184, 110, 30):
+        rule = eca_rule(number)
+        planes = pack_planes(rule, random_rows(rule, 20_000, 83, seed=number))
+        tracemalloc.start()
+        try:
+            out = step_planes(rule, planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes, (number, peak, out.nbytes)
 
 
 def test_odometer_carries_through_every_digit():
