@@ -66,7 +66,7 @@ from .sensitivity import (
     DichotomyReport,
     SensitivityEstimate,
     dichotomy_report,
-    mu_sensitivity_estimate,
+    mu_sensitivity_curve,
     separation_window,
 )
 from .spectral import (

@@ -61,7 +61,7 @@ from .orbit import (
 )
 from .periodicity import mu_lep_classify
 from .rng import derive_seed, substream
-from .sensitivity import dichotomy_report, mu_sensitivity_estimate
+from .sensitivity import dichotomy_report, mu_sensitivity_curve
 from .spectral import build_eigenfunction, spectral_family
 from .systems import (
     Rotation,
@@ -373,8 +373,7 @@ def _run_sensitivity(system, mu, params, seed, cap):
     eps_list = _eps_list_param(params)
     horizon = _param(params, "T", minimum=1)
     n_samples = _param(params, "n_samples", default=DEFAULT_SAMPLES, minimum=1)
-    ests = [mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=derive_seed(seed, idx))
-            for idx, eps in enumerate(eps_list)]
+    ests = mu_sensitivity_curve(system, mu, eps_list, horizon, n_samples=n_samples, seed=derive_seed(seed, 0))
     rows = [{"eps": e.eps, "p_hat": fmt_prob(e.p_hat), "stderr": fmt_prob(e.stderr)} for e in ests]
     results = {"T": horizon, "n_samples": n_samples, "rows": rows}
     csv_rows = [(r["eps"], r["p_hat"], r["stderr"]) for r in rows]

@@ -6,11 +6,15 @@ preperiod (T - q >= 2p). Detection returns the smallest p admitting any
 valid q, then the smallest q for that p. A certificate only ever claims
 periodicity at the certified (resolution, horizon) scale.
 
-`lep_statistics` certifies the points in blocks of `_BLOCK`: block b is one
-`sample_batch` from substream(seed, 0, b), one batched column trace and one
-vectorized period search. So memory follows the block rather than the
-sample count. The block size is part of the stream layout: changing it
-changes which points are drawn.
+`lep_statistics` draws one set of points for a whole m grid: a trace at m
+is a slice of the trace at any m' > m, and a certificate at m' holds for
+that slice. It certifies the points in blocks of `_BLOCK`: block b is one
+`sample_batch` from substream(seed, 0, b) on the largest m's dependence
+window, one batched column trace at that m and, per m, one vectorized
+period search on its slice. So memory follows the block rather than the
+sample count. `mu_lep_classify` hands it derive_seed(seed, 0), the `seed`
+of every `per_m` entry. The block size is part of the stream layout:
+changing it changes which points are drawn.
 """
 
 from __future__ import annotations
@@ -26,11 +30,15 @@ from .measures import CantorMeasure
 from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
+    check_cells,
     check_measure_alphabet,
     column_codes,
     dependence_radius,
     system_sided,
+    window_slice,
+    word_codes,
     _trace_row,
+    _windows,
 )
 
 # Points drawn and certified per vectorized pass in lep_statistics; its
@@ -110,53 +118,45 @@ class LepStatistics:
 def lep_statistics(
     system: CantorSystem,
     mu: CantorMeasure,
-    m: int,
+    m_list: Sequence[int],
     eps: float = 0.05,
     n_samples: int = 1000,
     horizon: int = 16,
     seed: int = 0,
-) -> LepStatistics:
-    """Sample points from mu and certify each; report fraction and quantiles.
-
-    The (p, q) bounds are the empirical 1-eps quantiles over the certified
-    subsample, each coordinate on its own.
-    """
+) -> tuple[LepStatistics, ...]:
+    """Sample points from mu once and certify each at every m (see the module docstring); one result per
+    m, ascending. The (p, q) bounds are the empirical 1-eps quantiles over the certified subsample, each
+    coordinate on its own."""
+    ms = sorted(set(int(m) for m in m_list))
+    if not ms or ms[0] < 0:
+        raise ValueError("m_list entries must be >= 0")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    sided = system_sided(system)
-    radius = dependence_radius(system, m, horizon)
+    sided, top = system_sided(system), ms[-1]
+    radius = dependence_radius(system, top, horizon)
     check_measure_alphabet(system, mu)
-    p_counts = np.zeros(horizon // 2 + 1, dtype=np.int64)
-    q_counts = np.zeros(horizon + 1, dtype=np.int64)
+    counts = np.zeros((len(ms), 2, horizon + 1), dtype=np.int64)  # per m: how many certified with each p, each q
     for b, start in enumerate(range(0, n_samples, _BLOCK)):
         rows = mu.sample_batch(sided, radius, min(_BLOCK, n_samples - start), substream(seed, 0, b))
-        codes = column_codes(system, rows, m, horizon)
-        p, q, found = detect_eventual_periods(codes)
-        p_counts += np.bincount(p[found], minlength=len(p_counts))
-        q_counts += np.bincount(q[found], minlength=len(q_counts))
-    certified = int(p_counts.sum())
-    fraction = certified / n_samples
-    lp_fraction = int(q_counts[0]) / n_samples
-    if certified:
+        check_cells(system, rows)
+        windows = _windows(system, rows, radius, top, horizon)
+        flat = windows.reshape(-1, windows.shape[-1])  # one row per (point, time)
+        for i, m in enumerate(ms):
+            codes = word_codes(window_slice(sided, top, m, flat), system.alphabet.size).reshape(len(rows), -1)
+            p, q, found = detect_eventual_periods(codes)
+            counts[i] += [np.bincount(v[found], minlength=horizon + 1) for v in (p, q)]
+    out = []
+    for m, (p_counts, q_counts) in zip(ms, counts):
+        certified = int(p_counts.sum())
         k = math.ceil((1.0 - eps) * certified)
         # the k-th smallest value is the first whose running count reaches k
-        p_q = int(np.searchsorted(np.cumsum(p_counts), k))
-        q_q = int(np.searchsorted(np.cumsum(q_counts), k))
-    else:
-        p_q = q_q = None
-    return LepStatistics(
-        m=m,
-        eps=eps,
-        horizon=horizon,
-        n_samples=n_samples,
-        seed=seed,
-        certified_fraction=fraction,
-        lp_fraction=lp_fraction,
-        p_quantile=p_q,
-        q_quantile=q_q,
-    )
+        p_q, q_q = (int(np.searchsorted(np.cumsum(c), k)) for c in (p_counts, q_counts)) if certified else (None, None)
+        out.append(LepStatistics(m=m, eps=eps, horizon=horizon, n_samples=n_samples, seed=seed,
+                                 certified_fraction=certified / n_samples, lp_fraction=int(q_counts[0]) / n_samples,
+                                 p_quantile=p_q, q_quantile=q_q))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -187,17 +187,9 @@ def mu_lep_classify(
     resolution; mu-LEP needs a 1-eps certified fraction of any preperiod.
     Either positive verdict attaches a density-ratio cross-check report.
     """
-    ms = sorted(set(int(m) for m in m_list))
-    if not ms or ms[0] < 0:
-        raise ValueError("m_list entries must be >= 0")
-    per_m = tuple(
-        lep_statistics(
-            system, mu, m,
-            eps=eps, n_samples=n_samples, horizon=horizon,
-            seed=derive_seed(seed, 0, idx),
-        )
-        for idx, m in enumerate(ms)
-    )
+    per_m = lep_statistics(system, mu, m_list, eps=eps, n_samples=n_samples, horizon=horizon,
+                           seed=derive_seed(seed, 0))
+    ms = [s.m for s in per_m]
     if all(s.lp_fraction >= 1.0 - eps for s in per_m):
         verdict = "mu-LP"
     elif all(s.certified_fraction >= 1.0 - eps for s in per_m):

@@ -4,6 +4,10 @@ A pair (x, y) is eps-separated by horizon T when some iterate 1 <= n <= T
 has d(T^n x, T^n y) >= eps. Since the attainable distance values are
 2 > 3/2 > 1 > 1/2 > ..., the test "d >= eps" reduces to disagreement on an
 explicit witness window, which keeps the finite-radius computation exact.
+
+A pair separated on W_w is separated on every wider window, so one draw
+serves a whole eps grid: `sensitivity` draws once, from derive_seed(seed,
+0); `dichotomy_report` draws once per eps, from derive_seed(seed, 0, idx).
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 
 from .core import DEFAULT_ENUMERATION_CAP, window_size
 from .measures import Measure
-from .orbit import (EquicontinuityReport, _binomial_stderr, _require_cantor_measure, _require_lebesgue,
-                    mu_equicontinuity_report)
+from .orbit import (_BLOCK_ROWS, EquicontinuityReport, _binomial_stderr, _require_cantor_measure,
+                    _require_lebesgue, mu_equicontinuity_report)
 from .rng import derive_seed, substream
 from .systems import (
     Rotation,
@@ -64,52 +68,59 @@ class SensitivityEstimate:
     seed: int
 
 
-def mu_sensitivity_estimate(
+def mu_sensitivity_curve(
     system: System,
     mu: Measure,
-    eps: EpsLike,
+    eps_list: Sequence[EpsLike],
     horizon: int,
     n_samples: int = 10_000,
     seed: int = 0,
-) -> SensitivityEstimate:
-    """Sample independent pairs from mu and count eps-separation by the horizon."""
+) -> tuple[SensitivityEstimate, ...]:
+    """One estimate per eps of `eps_list`, in its order, from one draw of pairs: x from substream(seed, 0),
+    y from substream(seed, 1), both continued by each block of at most `_BLOCK_ROWS` pairs. A block is
+    drawn on the widest witness window and stepped once; each step ORs each eps's window of the
+    difference into its separated bits, until every eps has separated every pair."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if not eps_list:
+        raise ValueError("need at least one eps")
+    rx, ry = substream(seed, 0), substream(seed, 1)
     if isinstance(system, Rotation):
         _require_lebesgue(mu)
-        ax = substream(seed, 0).random(n_samples)
-        ay = substream(seed, 1).random(n_samples)
-        gap = np.abs(ax - ay)
-        dist = np.minimum(gap, 1.0 - gap)
-        p_hat = float((dist >= float(eps)).mean())
+        cuts = np.array([float(eps) for eps in eps_list])[:, None]
+
+        def separated(n: int) -> np.ndarray:
+            gap = np.abs(rx.random(n) - ry.random(n))
+            return (np.minimum(gap, 1.0 - gap) >= cuts).sum(axis=1)
     else:
         cantor_mu = _require_cantor_measure(mu)
         check_measure_alphabet(system, cantor_mu)
-        sided = system_sided(system)
-        w = separation_window(eps)
-        cost = step_cost(system)
-        radius = w + cost * horizon
-        shape = (n_samples, window_size(sided, radius))
-        px = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, [substream(seed, 0)]), shape)
-        py = pack_planes(system, cantor_mu.pieces(sided, radius, n_samples, [substream(seed, 1)]), shape)
-        everyone = pack_bits(np.ones(n_samples, dtype=bool))  # padding bits clear
-        separated = np.zeros_like(everyone)
-        cur = radius
-        for _ in range(horizon):
-            px = step_planes(system, px)
-            py = step_planes(system, py)
-            cur -= cost
-            diff = window_slice(sided, cur, w, px) ^ window_slice(sided, cur, w, py)
-            separated |= np.bitwise_or.reduce(diff.reshape(-1, diff.shape[-1]), axis=0)
-            if (separated == everyone).all():
-                break
-        p_hat = float(unpack_bits(separated, n_samples).mean())
-    return SensitivityEstimate(
-        eps=float(eps), horizon=horizon, p_hat=p_hat, stderr=_binomial_stderr(p_hat, n_samples),
-        n_samples=n_samples, seed=seed,
-    )
+        sided, cost, windows = system_sided(system), step_cost(system), [separation_window(e) for e in eps_list]
+        wide = max(windows)
+        radius = wide + cost * horizon
+
+        def separated(n: int) -> np.ndarray:
+            shape = (n, window_size(sided, radius))
+            px = pack_planes(system, cantor_mu.pieces(sided, radius, n, [rx]), shape)
+            py = pack_planes(system, cantor_mu.pieces(sided, radius, n, [ry]), shape)
+            everyone = pack_bits(np.ones(n, dtype=bool))  # padding bits clear
+            bits = np.zeros((len(windows), len(everyone)), dtype=np.uint64)
+            for t in range(1, horizon + 1):
+                px, cur = step_planes(system, px), radius - cost * t  # x's old planes are freed before y steps
+                py = step_planes(system, py)
+                diff = window_slice(sided, cur, wide, px) ^ window_slice(sided, cur, wide, py)
+                for k, w in enumerate(windows):
+                    bits[k] |= np.bitwise_or.reduce(window_slice(sided, wide, w, diff).reshape(-1, len(everyone)))
+                if (bits == everyone).all():
+                    break
+            return unpack_bits(bits, n).sum(axis=1)
+
+    counts = sum(separated(min(_BLOCK_ROWS, n_samples - lo)) for lo in range(0, n_samples, _BLOCK_ROWS))
+    p_hats = [int(c) / n_samples for c in counts]
+    return tuple(SensitivityEstimate(float(eps), horizon, p, _binomial_stderr(p, n_samples), n_samples, seed)
+                 for eps, p in zip(eps_list, p_hats))
 
 
 @dataclass(frozen=True)
@@ -152,10 +163,7 @@ def dichotomy_report(
     if not eps_list:
         raise ValueError("need at least one eps")
     estimates = tuple(
-        mu_sensitivity_estimate(
-            system, mu, eps, horizon,
-            n_samples=n_samples, seed=derive_seed(seed, 0, idx),
-        )
+        mu_sensitivity_curve(system, mu, [eps], horizon, n_samples=n_samples, seed=derive_seed(seed, 0, idx))[0]
         for idx, eps in enumerate(eps_list)
     )
     equi = mu_equicontinuity_report(system, mu, **{"n_samples": n_samples, **equi_params},

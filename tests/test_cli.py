@@ -822,11 +822,11 @@ BENCH_REPORT_CASES = {
     "lep-sampled": ("lep", {
         "system": {"type": "eca", "rule": 110}, "measure": MARKOV_CFG,
         "params": {"m_list": [1, 2, 3], "T": 16, "n_samples": 1000}, "seed": 3},
-        "80a62b264d9be2dc496f0f022fc1763020ef17b020d74de6930113a847b3c83f",
-        "14fcc42d80c095584da2ed54d82d68f0dc578d57d42c854e0508c1d3ddda4855"),
+        "b3c9e61b231fe07fde9bdaf93c0c755c97a93ff183171ddfdf94cde1f594a229",
+        "ceefa7b57d24fe8d42ede9cba6969ccd1a7eee997145b35a1a8c8dd02a1c27a2"),
     "sensitivity-sampled": ("sensitivity", SAMPLED_SENSITIVITY,
-        "3e9bb44ff61ba44e3739024f1c0ec62162ba557d3d6b5b830b27ad7b8958cf82",
-        "ce3de80087b85d61d8881756e46efba522c4dbc56c7624405bc9fdd634b85d1f"),
+        "ad61c98cbca3004ff18fdab6b064492131d77b0281ed4f9d4b5bbf5940f0fd86",
+        "90b74d9e6a10cd351b37d0ada773c87e4d0aa186f91358798d82b95eca13ecef"),
     "classify-sampled-seed-11": ("classify", {**SAMPLED_CLASSIFY, "seed": 11},
         "a4f54a8fe41e65cb23eec58b0976393b3728b0461228e34a27c057ad4c6c7a2d",
         "d2ab008cf2db8d49106eae8d58cb4e175b61d66324c8c128dec9eb09f66d3339"),
@@ -834,8 +834,8 @@ BENCH_REPORT_CASES = {
         "69bb265b949abe9fe4803204c728f21ecabd2b7a2585fe0548d245dbc3344cfd",
         "ab592f4838a727102df97f85a12f2a085624fb9fc5f12eb62f6795a9b625ebc2"),
     "sensitivity-sampled-seed-11": ("sensitivity", {**SAMPLED_SENSITIVITY, "seed": 11},
-        "cc74cedc5ec49a9be78f0a642918b998aa8843d84c2c58be12dbc912194d7a21",
-        "9c9ad7306419ff5397c05165966734e9bfad9e370565bd189a28e875c7d413cf"),
+        "a683b492af48da993505b198a23b7cf0566b33a666abb87be09f7572f9d0c574",
+        "aa839ce52709825bcb34a8fb06f7b74653c84fd3249f3373399f8cab2adaffe0"),
     "spectral-sampled": ("spectral", {
         "system": {"type": "odometer", "sizes": [2]}, "measure": {"type": "haar", "sizes": [2]},
         "params": {"m": 3, "T": 3, "y": "0000000000", "cert_T": 64, "mode": "sampled", "n_samples": 1000},

@@ -193,8 +193,8 @@ def test_shift_random_points_rarely_certify_at_fine_resolution():
 class TestLepStatistics:
     def test_odometer_all_certified(self):
         od = Odometer((2, 3))
-        stats = lep_statistics(
-            od, ProductMeasure((2, 3)), m=1, eps=0.05, n_samples=64,
+        stats, = lep_statistics(
+            od, ProductMeasure((2, 3)), m_list=[1], eps=0.05, n_samples=64,
             horizon=16, seed=5,
         )
         assert stats.certified_fraction == 1.0
@@ -203,8 +203,8 @@ class TestLepStatistics:
 
     def test_nothing_certified_gives_empty_quantiles(self):
         sh = Shift(A2)
-        stats = lep_statistics(
-            sh, BernoulliMeasure([0.5, 0.5]), m=12, eps=0.05, n_samples=30,
+        stats, = lep_statistics(
+            sh, BernoulliMeasure([0.5, 0.5]), m_list=[12], eps=0.05, n_samples=30,
             horizon=24, seed=2,
         )
         assert stats.certified_fraction < 1.0
@@ -267,15 +267,18 @@ def scalar_period(trace):
     return None
 
 
-def scalar_lep_statistics(system, mu, m, eps, n_samples, horizon, seed):
+def scalar_lep_statistics(system, mu, m, eps, n_samples, horizon, seed, radius=None):
     """Oracle: draw block b of _BLOCK points with oracle_sample_batch from
-    substream(seed, 0, b), then certify point by point through
-    scalar_column_trace and scalar_period."""
-    sided, radius = system_sided(system), dependence_radius(system, m, horizon)
+    substream(seed, 0, b) on W_radius (by default the dependence window at m),
+    cut each to the dependence window at m, then certify point by point
+    through scalar_column_trace and scalar_period."""
+    sided, rho = system_sided(system), dependence_radius(system, m, horizon)
+    radius = rho if radius is None else radius
     certs = []
     for b, start in enumerate(range(0, n_samples, _BLOCK)):
         for row in oracle_sample_batch(mu, sided, radius, min(_BLOCK, n_samples - start), substream(seed, 0, b)):
-            x = Configuration(mu.alphabet, sided, tuple(int(s) for s in row))
+            drawn = Configuration(mu.alphabet, sided, tuple(int(s) for s in row))
+            x = Configuration(mu.alphabet, sided, drawn.window(rho))
             cert = scalar_period(scalar_column_trace(system, x, m, horizon))
             if cert is not None:
                 certs.append(cert)
@@ -333,7 +336,7 @@ MARKOV = MarkovMeasure([[0.7, 0.3], [0.4, 0.6]])
 
 
 def assert_matches_oracle(system, mu, m, n_samples, horizon, seed, eps=0.1):
-    got = lep_statistics(system, mu, m, eps=eps, n_samples=n_samples, horizon=horizon, seed=seed)
+    got, = lep_statistics(system, mu, [m], eps=eps, n_samples=n_samples, horizon=horizon, seed=seed)
     assert got == scalar_lep_statistics(system, mu, m, eps, n_samples, horizon, seed)
     return got
 
@@ -375,8 +378,36 @@ def test_block_boundary_matches_oracle(rule):
     assert got.certified_fraction > 0
 
 
+@pytest.mark.parametrize(
+    "system, mu, horizon",
+    [
+        (Shift(A2), MARKOV, 8),
+        (Odometer((2, 3)), ProductMeasure((2, 3)), 16),
+        (identity_rule(A2, "two", 1), MARKOV, 6),
+        (eca_rule(110), MARKOV, 12),
+        (eca_rule(184), BERNOULLI, 12),
+    ],
+    ids=["shift-markov", "odometer-haar", "identity2-markov", "eca110-markov", "eca184-bernoulli"],
+)
+def test_m_grid_matches_oracle_on_one_draw(system, mu, horizon):
+    """Every m of the grid reads the points drawn on the largest m's window, cut to its own."""
+    got = lep_statistics(system, mu, [3, 0, 1, 3], eps=0.1, n_samples=_BLOCK + 40, horizon=horizon, seed=8)
+    radius = dependence_radius(system, 3, horizon)
+    assert got == tuple(scalar_lep_statistics(system, mu, m, 0.1, _BLOCK + 40, horizon, 8, radius) for m in (0, 1, 3))
+
+
+@pytest.mark.parametrize("rule", [110, 184])
+def test_certified_fraction_is_nonincreasing_in_m(rule):
+    # a certificate at m' holds for the slice at m < m'; lp_fraction carries no such order
+    for seed in range(20):
+        stats = lep_statistics(eca_rule(rule), MARKOV, [0, 1, 2, 3], n_samples=200, horizon=12, seed=seed)
+        fractions = [s.certified_fraction for s in stats]
+        assert [s.m for s in stats] == [0, 1, 2, 3] and {s.seed for s in stats} == {seed}
+        assert fractions == sorted(fractions, reverse=True)
+
+
 def test_report_types_unchanged():
-    stats = lep_statistics(eca_rule(110), MARKOV, 2, n_samples=300, horizon=16, seed=3)
+    stats, = lep_statistics(eca_rule(110), MARKOV, [2], n_samples=300, horizon=16, seed=3)
     assert type(stats.certified_fraction) is float and type(stats.lp_fraction) is float
     assert type(stats.p_quantile) is int and type(stats.q_quantile) is int
     want = scalar_lep_statistics(eca_rule(110), MARKOV, 2, 0.05, 300, 16, 3)
@@ -390,11 +421,11 @@ def test_incompatible_inputs_rejected():
     from equidyn import Rotation, UnsupportedSystem
 
     with pytest.raises(UnsupportedSystem):
-        lep_statistics(Rotation(Fraction(1, 3)), BERNOULLI, 1, n_samples=4, horizon=4)
+        lep_statistics(Rotation(Fraction(1, 3)), BERNOULLI, [1], n_samples=4, horizon=4)
     with pytest.raises(ValueError):
-        lep_statistics(eca_rule(110), BernoulliMeasure([0.2, 0.3, 0.5]), 1, n_samples=4, horizon=4)
+        lep_statistics(eca_rule(110), BernoulliMeasure([0.2, 0.3, 0.5]), [1], n_samples=4, horizon=4)
     with pytest.raises(ValueError):  # digit 2 does not exist at coordinate 0
-        lep_statistics(Odometer((2, 3)), BernoulliMeasure([0.2, 0.3, 0.5]), 1, n_samples=4, horizon=4)
+        lep_statistics(Odometer((2, 3)), BernoulliMeasure([0.2, 0.3, 0.5]), [1], n_samples=4, horizon=4)
 
 
 def test_certificate_checks_its_point_like_column_trace():
@@ -411,7 +442,7 @@ def test_memory_follows_the_block_not_the_sample_count():
         tracemalloc.start()
         try:
             lep_statistics(
-                Shift(A2), BernoulliMeasure([0.5, 0.5]), 0, n_samples=n_samples, horizon=128, seed=1
+                Shift(A2), BernoulliMeasure([0.5, 0.5]), [0], n_samples=n_samples, horizon=128, seed=1
             )
             return tracemalloc.get_traced_memory()[1]
         finally:

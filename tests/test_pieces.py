@@ -19,7 +19,7 @@ from equidyn import (
     dependence_radius,
     eca_rule,
     mu_equicontinuity_report,
-    mu_sensitivity_estimate,
+    mu_sensitivity_curve,
     separation_window,
     shift_as_ca,
     step_cost,
@@ -192,7 +192,7 @@ def test_density_estimate_matches_int_rows(system, mu, n_samples, n):
 @pytest.mark.parametrize("n_samples", (65, 2051))
 @pytest.mark.parametrize("eps,horizon", [(1, 6), (0.25, 9)])
 def test_sensitivity_estimate_matches_int_rows(system, mu, n_samples, eps, horizon):
-    est = mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n_samples, seed=n_samples)
+    est = mu_sensitivity_curve(system, mu, [eps], horizon, n_samples=n_samples, seed=n_samples)[0]
     assert est.p_hat == int_row_sensitivity(system, mu, eps, horizon, n_samples, seed=n_samples)
 
 
@@ -206,7 +206,7 @@ def test_estimators_draw_no_int_batch(monkeypatch):
         monkeypatch.setattr(cls, "sample_batch", refuse)
     for (system, mu), x in zip(ESTIMATOR_CASES, points):
         density_curve(system, mu, x, 1, [2], 3, exact=False, n_samples=100, seeds=[0])
-        mu_sensitivity_estimate(system, mu, 0.5, 4, n_samples=100)
+        mu_sensitivity_curve(system, mu, [0.5], 4, n_samples=100)
 
 
 # -- cell checks on pieces ------------------------------------------------------
@@ -268,5 +268,20 @@ def test_density_estimate_memory():
 
 def test_sensitivity_estimate_memory():
     # two batches of 20,000 pairs on 83 cells: 0.8 MB of planes, 26.6 MB of int64 rows
-    peak = traced_peak(lambda: mu_sensitivity_estimate(eca_rule(184), MARKOV, 0.125, 32, n_samples=20_000, seed=3))
+    peak = traced_peak(lambda: mu_sensitivity_curve(eca_rule(184), MARKOV, [0.125], 32, n_samples=20_000, seed=3))
     assert peak <= 4e6
+
+
+def test_sensitivity_memory_follows_the_block_not_the_pair_count():
+    # 80,000 and 320,000 pairs both run full blocks of _BLOCK_ROWS pairs, so the two peaks agree
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            mu_sensitivity_curve(eca_rule(184), MARKOV, [1, 0.125], 16, n_samples=n_samples, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert 80_000 > equidyn.orbit._BLOCK_ROWS
+    mu_sensitivity_curve(eca_rule(184), MARKOV, [1, 0.125], 16, n_samples=1000, seed=3)  # warm caches
+    assert peak(320_000) <= 1.2 * peak(80_000)

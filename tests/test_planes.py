@@ -17,7 +17,7 @@ from equidyn import (
     Shift,
     dependence_radius,
     eca_rule,
-    mu_sensitivity_estimate,
+    mu_sensitivity_curve,
     separation_window,
     shift_as_ca,
     step_cost,
@@ -273,26 +273,45 @@ SENSITIVITY_CASES = [
 ]
 
 
-def scalar_sensitivity(system, mu, eps, horizon, n, seed):
+def scalar_sensitivity_curve(system, mu, eps_list, horizon, n, seed, block):
+    """Pair i's x and y are row i of the blocks of `block` rows drawn from the continued substream(seed, 0)
+    and substream(seed, 1) on the widest witness window; it is eps-separated when its W_w words at times
+    1..horizon differ, w = separation_window(eps)."""
     sided = system_sided(system)
-    radius = separation_window(eps) + step_cost(system) * horizon
-    bx = mu.sample_batch(sided, radius, n, substream(seed, 0))
-    by = mu.sample_batch(sided, radius, n, substream(seed, 1))
+    windows = [separation_window(eps) for eps in eps_list]
+    radius = max(windows) + step_cost(system) * horizon
+    rx, ry = substream(seed, 0), substream(seed, 1)
+    sizes = [min(block, n - lo) for lo in range(0, n, block)]
+    bx = np.concatenate([mu.sample_batch(sided, radius, k, rx) for k in sizes])
+    by = np.concatenate([mu.sample_batch(sided, radius, k, ry) for k in sizes])
 
-    def trace(row):
-        """The row's W_w words at times 1..horizon: a pair is separated when they differ."""
+    def trace(row, w):
         x = Configuration(system.alphabet, sided, tuple(int(s) for s in row))
-        return scalar_column_trace(system, x, separation_window(eps), horizon)[1:]
+        return scalar_column_trace(system, x, w, horizon)[1:]
 
-    hits = [trace(x) != trace(y) for x, y in zip(bx, by)]
-    return float(np.mean(hits))
+    return [float(np.mean([trace(x, w) != trace(y, w) for x, y in zip(bx, by)])) for w in windows]
+
+
+def scalar_sensitivity(system, mu, eps, horizon, n, seed):
+    return scalar_sensitivity_curve(system, mu, [eps], horizon, n, seed, block=n)[0]
 
 
 @pytest.mark.parametrize("system,mu,eps,horizon", SENSITIVITY_CASES)
 @pytest.mark.parametrize("n", (65, 1000))
 def test_sensitivity_matches_pairwise_tests(system, mu, eps, horizon, n):
-    est = mu_sensitivity_estimate(system, mu, eps, horizon, n_samples=n, seed=n + horizon)
+    est = mu_sensitivity_curve(system, mu, [eps], horizon, n_samples=n, seed=n + horizon)[0]
     assert est.p_hat == scalar_sensitivity(system, mu, eps, horizon, n, seed=n + horizon)
+
+
+@pytest.mark.parametrize("system,mu", [(eca_rule(184), MARKOV), (eca_rule(110), BernoulliMeasure([0.3, 0.7])),
+                                       (Odometer((2, 3)), ProductMeasure((2, 3)))])
+@pytest.mark.parametrize("block", (64, 100, 1 << 16))
+def test_eps_grid_matches_pairwise_tests_block_by_block(system, mu, block, monkeypatch):
+    monkeypatch.setattr(equidyn.sensitivity, "_BLOCK_ROWS", block)
+    eps_list = [0.5, 2, 0.25, 1]
+    curve = mu_sensitivity_curve(system, mu, eps_list, 7, n_samples=230, seed=block)
+    assert [e.eps for e in curve] == eps_list
+    assert [e.p_hat for e in curve] == scalar_sensitivity_curve(system, mu, eps_list, 7, 230, block, block)
 
 
 @pytest.mark.parametrize("n", (65, 1000))
@@ -303,7 +322,7 @@ def test_every_pair_separating_stops_the_loop(n, monkeypatch):
     system, eps, horizon = eca_rule(184), 0.125, 12
     calls = []
     monkeypatch.setattr(equidyn.sensitivity, "step_planes", lambda *a: calls.append(1) or step_planes(*a))
-    est = mu_sensitivity_estimate(system, BernoulliMeasure([0.5, 0.5]), eps, horizon, n_samples=n, seed=5)
+    est = mu_sensitivity_curve(system, BernoulliMeasure([0.5, 0.5]), [eps], horizon, n_samples=n, seed=5)[0]
     assert est.p_hat == 1.0
     assert est.p_hat == scalar_sensitivity(system, BernoulliMeasure([0.5, 0.5]), eps, horizon, n, seed=5)
     assert len(calls) == 2  # x and y stepped once
@@ -315,4 +334,4 @@ def test_every_pair_separating_stops_the_loop(n, monkeypatch):
 ])
 def test_sensitivity_rejects_an_alphabet_mismatch(system, mu):
     with pytest.raises(ValueError, match="alphabet"):
-        mu_sensitivity_estimate(system, mu, 1, 4, n_samples=10)
+        mu_sensitivity_curve(system, mu, [1], 4, n_samples=10)
