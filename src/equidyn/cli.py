@@ -482,14 +482,8 @@ def run_command(command: str, cfg: dict, seed: int, out_path: str) -> str:
     else:
         system = _built(system_from_dict, _need(cfg, "system"), "system")
         mu = _build_measure(cfg, system)
-        runner = {
-            "density": _run_density,
-            "classify": _run_classify,
-            "lep": _run_lep,
-            "spectral": _run_spectral,
-            "sensitivity": _run_sensitivity,
-            "dichotomy": _run_dichotomy,
-        }[command]
+        runner = {"density": _run_density, "classify": _run_classify, "lep": _run_lep, "spectral": _run_spectral,
+                  "sensitivity": _run_sensitivity, "dichotomy": _run_dichotomy}[command]
         results, header, rows = runner(system, mu, params, seed, cap)
         resolved_system = system_to_dict(system)
 

@@ -147,8 +147,9 @@ def _rotation_ratio(m: int, n: int) -> float:
 def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], horizon: int, exact: bool = True,
                   n_samples: int = 0, seeds: Sequence[int] = (), cap: int = DEFAULT_ENUMERATION_CAP):
     """x's density ratios at each n of `ns`: the exact ratio (None unless
-    `exact`) per n, and the estimates from n_samples draws, one per seed of
-    `seeds` (one seed per n, or none).
+    `exact`) per n, and the estimates from n_samples draws, given one seed per
+    n of `seeds` (or none). On configuration spaces every n <= m reads one
+    draw at m, from the seed of the largest n <= m (see `_block_estimates`).
 
     x is a one-point block of the report's pipeline: one `_base_block`, then
     one `_block_ratios` frontier for every n and one `_block_estimates` call.
@@ -172,13 +173,16 @@ def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], hor
         ratios = _block_ratios(system, cantor_mu, words, masses, targets, m, ns, horizon, cap)[0]
     if not seeds:
         return ratios, []
-    return ratios, _block_estimates(system, cantor_mu, words, targets, m, ns, horizon, n_samples, [seeds])[0]
+    return ratios, _block_estimates(system, cantor_mu, words, masses, targets, m, ns, horizon, n_samples,
+                                    lambda c, j: seeds[j])[0]
 
 
 def _base_block(system, mu, rows, radius, m, ns, horizon):
     """Traces (points, T + 1, |W_m|) of base points held as checked int rows on W_radius, and per n
-    their ball words on W_n and masses; NullBall names the first null ball in (point, n) order."""
+    their ball words on W_n and masses; NullBall names the first null ball in (point, n) order.
+    ValueError if mu can draw a symbol that a cell of W_radius does not hold, before any draw needs it."""
     sided = system_sided(system)
+    check_cells(system, np.array([[mu.cell_size(i) - 1 for i in window_cells(sided, radius)]]))
     words = [window_slice(sided, radius, n, rows) for n in ns]
     masses = np.array([mu.row_probabilities(sided, n, w) for n, w in zip(ns, words)])
     null = np.argwhere(masses.T == 0.0)
@@ -256,27 +260,39 @@ def _rotation_estimate(x, m: int, n: int, horizon: int, n_samples: int, seed: in
     return RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon)
 
 
-def _block_estimates(system, mu, words, targets, m, ns, horizon, n_samples, seeds) -> list[list[RatioEstimate]]:
-    """Each cell's estimate at every n of `ns` (its ball words per n, x's trace, seed seeds[c][j] at ns[j]).
+def _block_estimates(system, mu, words, masses, targets, m, ns, horizon, n_samples, seed_of):
+    """Each cell's estimates at every n of `ns` (its ball words and masses per n, x's trace), one list per cell.
 
-    Each (cell, n) draws n_samples rows from its own `substream(seed, 0)`; at each n, blocks of at most
-    `_BLOCK_ROWS` rows are packed, stepped and checked against their own traces together.
+    E = B_{m,T}(x) fixes x's W_m word, so E lies in B_m(x) and, for n <= m, mu(E | B_n) = mu(B_m) / mu(B_n) *
+    mu(E | B_m) exactly: a cell draws once at m, reading the seed of the largest n <= m in `ns`, and each n < m
+    scales that estimate and stderr by the mass ratio (a null W_m ball reads 0, with no draw). Each n > m draws
+    on its own. Cell c's draw for ns[j] reads n_samples rows from `substream(seed_of(c, j), 0)`, in blocks of at
+    most `_BLOCK_ROWS` rows packed, stepped and checked against their own traces together.
     """
-    sided = system_sided(system)
+    sided, rho = system_sided(system), dependence_radius(system, m, horizon)
+    at_m = max((j for j, n in enumerate(ns) if n <= m), key=lambda j: ns[j], default=None)
+    mass_m = mu.row_probabilities(sided, m, targets[:, 0]).tolist()  # the trace's first word is x's W_m word
+    draws = {j: (n, words[j], masses[j]) if n > m else (m, targets[:, 0], mass_m)
+             for j, n in enumerate(ns) if n > m or j == at_m}
     block = max(1, _BLOCK_ROWS // n_samples)
+    seeds, hits = {}, {}
+    for j, (n, given, mass) in draws.items():
+        radius, live = max(n, rho), np.flatnonzero(mass)
+        seeds[j], hits[j] = [seed_of(c, j) for c in range(len(targets))], np.zeros(len(targets), dtype=np.int64)
+        for lo in range(0, len(live), block):
+            cells = live[lo : lo + block]
+            pieces = mu.pieces(sided, radius, n_samples, [substream(seeds[j][c], 0) for c in cells], given[cells])
+            planes = pack_planes(system, pieces, (len(cells), n_samples, window_size(sided, radius)))
+            agree = trace_agreement_batch(system, targets[cells], planes, n_samples, m, radius)
+            hits[j][cells] = agree.reshape(len(cells), n_samples).sum(axis=1)
+            del planes, agree  # freed before the next block draws, so memory follows one block
     out = [[] for _ in targets]  # out[c]: cell c's estimates, in `ns` order
     for j, n in enumerate(ns):
-        radius = max(n, dependence_radius(system, m, horizon))
-        for lo in range(0, len(targets), block):
-            cells = range(lo, min(len(targets), lo + block))
-            rngs = [substream(seeds[c][j], 0) for c in cells]
-            pieces = mu.pieces(sided, radius, n_samples, rngs, words[j][lo : cells.stop])
-            planes = pack_planes(system, pieces, (len(cells), n_samples, window_size(sided, radius)))
-            agree = trace_agreement_batch(system, targets[lo : cells.stop], planes, n_samples, m, radius)
-            for c, count in zip(cells, agree.reshape(len(cells), n_samples).sum(axis=1).tolist()):
-                p_hat, seed = count / n_samples, seeds[c][j]
-                out[c].append(RatioEstimate(p_hat, _binomial_stderr(p_hat, n_samples), n_samples, seed, m, n, horizon))
-            del planes, agree  # freed before the next block draws, so memory follows one block
+        k = j if n > m else at_m
+        for c, count in enumerate(hits[k].tolist()):
+            p_hat, f = count / n_samples, 1.0 if n >= m else mass_m[c] / masses[j][c]
+            out[c].append(RatioEstimate(p_hat * f, _binomial_stderr(p_hat, n_samples) * f, n_samples, seeds[k][c],
+                                        m, n, horizon))
     return out
 
 
@@ -321,10 +337,11 @@ def mu_equicontinuity_report(
 
     A point counts as equicontinuous at this scale when its ratio at the
     largest n reaches 1 - delta. Exact enumeration is used whenever the
-    dependence window fits under the cap; otherwise each (point, n) cell is
-    estimated with its own derived seed, so no cell's draws depend on another's.
+    dependence window fits under the cap; otherwise point i draws once at m, from
+    derive_seed(seed, 1, i, j) for the largest n_list[j] <= m, for every n <= m
+    (`_block_estimates`), and once at each n > m, from derive_seed(seed, 1, i, j).
     Either way the points run in blocks: one `_ball_blocks` frontier per block
-    for every n (exact), or at each n one packed, stepped and checked batch
+    for every n (exact), or at each drawn n one packed, stepped and checked batch
     per block of at most `_BLOCK_ROWS` sampled rows, so memory follows the
     block, not the point count. One `pieces` pass draws every base point
     (point i reads what a one-row `sample_config` from substream(seed, 0, i) reads).
@@ -345,8 +362,7 @@ def mu_equicontinuity_report(
         angles = (mu.sample_point(substream(seed, 0, i)).angle for i in range(points))
         curves = [PointCurve(point=str(float(a)), ratios=ratios, exact=True, stderrs=None) for a in angles]
     else:
-        cantor_mu = _require_cantor_measure(mu)
-        sided = system_sided(system)
+        cantor_mu, sided = _require_cantor_measure(mu), system_sided(system)
         radius = max(max(ns), dependence_radius(system, m, horizon))
         use_exact = exact_fits(system, m, horizon, cap)
         if not use_exact and n_samples < 1:
@@ -354,7 +370,6 @@ def mu_equicontinuity_report(
         check_measure_alphabet(system, cantor_mu)
         rngs = [substream(seed, 0, i) for i in range(points)]
         rows = _rows(cantor_mu.pieces(sided, radius, 1, rngs), points, window_size(sided, radius))
-        check_cells(system, rows)
         labels = row_words(rows, system.alphabet)
         # every cell is checked before any block runs
         targets, words, masses = _base_block(system, cantor_mu, rows, radius, m, ns, horizon)
@@ -362,23 +377,13 @@ def mu_equicontinuity_report(
             ratios = _block_ratios(system, cantor_mu, words, masses, targets, m, ns, horizon, cap)
             curves = [PointCurve(label, tuple(row), True, None) for label, row in zip(labels, ratios)]
         else:
-            seeds = [[derive_seed(seed, 1, i, j) for j in range(len(ns))] for i in range(points)]
-            estimates = _block_estimates(system, cantor_mu, words, targets, m, ns, horizon, n_samples, seeds)
+            estimates = _block_estimates(system, cantor_mu, words, masses, targets, m, ns, horizon, n_samples,
+                                         lambda i, j: derive_seed(seed, 1, i, j))
             curves = [PointCurve(label, tuple(e.p_hat for e in row), False, tuple(e.stderr for e in row))
                       for label, row in zip(labels, estimates)]
 
     hits = sum(1 for c in curves if c.ratios[-1] >= 1.0 - delta)
-    return EquicontinuityReport(
-        m=m,
-        n_list=tuple(ns),
-        horizon=horizon,
-        points=points,
-        n_samples=n_samples,
-        delta=delta,
-        seed=seed,
-        curves=tuple(curves),
-        fraction=hits / points,
-    )
+    return EquicontinuityReport(m, tuple(ns), horizon, points, n_samples, delta, seed, tuple(curves), hits / points)
 
 
 def _require_lebesgue(mu: Measure) -> LebesgueMeasure:

@@ -774,8 +774,8 @@ BENCH_CLASSIFY_CASES = {
     "sampled": ({"system": {"type": "eca", "rule": 110}, "measure": {"type": "markov", "P": [[0.7, 0.3], [0.4, 0.6]]},
                  "params": {"m": 2, "n_list": [1, 2, 3], "T": 3, "points": 100, "n_samples": 10_000},
                  "seed": 3, "cap": 1024},
-                "c98019c189718cb7a6375060bb64180835ef4d023f358dd69c0e00e1a5536043",
-                "8274eb07c15919f02a04dcef15316a8125f06bc514fbd4cb7f60d3342bb81f8b"),
+                "a2c2474f65915f54a86d1dcaac2ff0b2332329a8cd5cf69296de6b17dfddee29",
+                "cb7a392309fcc837a9e39eb70f92a3071bb7ca04f82d5d5e5b3469053643b2cf"),
 }
 
 
@@ -809,11 +809,11 @@ BENCH_REPORT_CASES = {
     "density-exact": ("density", {
         "system": {"type": "eca", "rule": 90}, "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
         "params": {"m": 2, "n_list": [1, 2, 3, 4, 5, 6, 7], "T": 5, "n_samples": 10_000}, "seed": 3},
-        "1578a2aa30f7d70471de8887e3c4a191e8da6b7df6865a6a47e05767df29133a",
-        "c9d518fd56080fdd610b2cc191691a9540ad379b364d559d2ebd765bd58b8d00"),
+        "97d97ade3830721bce72e82fcccd3b9754b01384c1ef45e0ad9dec16ea2b6621",
+        "6c63d671c29b0381a70cf66799ac0ef680dd96b3819ab364ed67019ca05556e5"),
     "density-sampled": ("density", SAMPLED_DENSITY,
-        "2d384f6f06f1463bf567502d28ba18ca87047b5f0aa062557a284f75db32e405",
-        "ce34808264a94bec177f9c662712eaeb097fcbb3a30991eb26db1007c4846c14"),
+        "40fb759885eb5cfa0ccf651d94bb5d98bf42ba3a5e47af5583342372ed4a6a33",
+        "fb073a99894c2da2a56049df90df399574b2238ca2a266e5aee8666299069744"),
     "dichotomy-exact": ("dichotomy", {
         "system": {"type": "eca", "rule": 110}, "measure": {"type": "bernoulli", "weights": [0.5, 0.5]},
         "params": {"eps_list": [1, 0.5], "T": 16, "equi": {"m": 2, "n_list": [1, 2, 3], "T": 3}}, "seed": 3},
@@ -828,11 +828,11 @@ BENCH_REPORT_CASES = {
         "ad61c98cbca3004ff18fdab6b064492131d77b0281ed4f9d4b5bbf5940f0fd86",
         "90b74d9e6a10cd351b37d0ada773c87e4d0aa186f91358798d82b95eca13ecef"),
     "classify-sampled-seed-11": ("classify", {**SAMPLED_CLASSIFY, "seed": 11},
-        "a4f54a8fe41e65cb23eec58b0976393b3728b0461228e34a27c057ad4c6c7a2d",
-        "d2ab008cf2db8d49106eae8d58cb4e175b61d66324c8c128dec9eb09f66d3339"),
+        "958b3c58ef1e0a925ea0983006be46034f82e1335677030d6624dc092a8cf4fa",
+        "141fb9b90ed5d13f48c7e194e34f602cd26b4c11c180d864891436236c1f6f1d"),
     "density-sampled-seed-11": ("density", {**SAMPLED_DENSITY, "seed": 11},
-        "69bb265b949abe9fe4803204c728f21ecabd2b7a2585fe0548d245dbc3344cfd",
-        "ab592f4838a727102df97f85a12f2a085624fb9fc5f12eb62f6795a9b625ebc2"),
+        "5fdc2db5f0d21fe7160a4a46437e14128e438fc5f178fc03e7c4866e5fcc9013",
+        "fa695dd6e18b505f55e2858d1adea50829d364f7b575c5a1fe68b5f3f03faaf6"),
     "sensitivity-sampled-seed-11": ("sensitivity", {**SAMPLED_SENSITIVITY, "seed": 11},
         "a683b492af48da993505b198a23b7cf0566b33a666abb87be09f7572f9d0c574",
         "aa839ce52709825bcb34a8fb06f7b74653c84fd3249f3373399f8cab2adaffe0"),

@@ -3,8 +3,10 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from equidyn import (
@@ -226,9 +228,15 @@ class TestEstimate:
         assert abs(est.p_hat - 0.5) <= 4 * est.stderr
 
 
+def ball_mass(mu, x, n):
+    """mu(B_n(x)), the mass `_base_block` weighs x's W_n word with."""
+    return mu.row_probabilities(x.sided, n, np.array([x.window(n)]))[0]
+
+
 class TestDensityCurve:
     """One point at every n: one trace and one base block, and each n's numbers
-    those of its own one-n call."""
+    those of its own one-n call, or at n < m (configuration spaces) the one-n
+    call at m times the exact mass ratio mu(B_m(x)) / mu(B_n(x))."""
 
     CASES = [
         (eca_rule(90), HALF, Configuration(A2, "two", (0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0)), 2, 5),
@@ -246,8 +254,14 @@ class TestDensityCurve:
         ratios, ests = equidyn.orbit.density_curve(system, mu, x, m, ns, horizon, True, 300, seeds)
         assert (blocks, rows) == (([], []) if isinstance(system, Rotation) else ([1], [1]))
         assert ratios == [density_curve(system, mu, x, m, [n], horizon)[0][0] for n in ns]
-        assert ests == [density_curve(system, mu, x, m, [n], horizon, exact=False, n_samples=300, seeds=[s])[1][0]
-                        for n, s in zip(ns, seeds)]
+        one_n = lambda n, s: density_curve(system, mu, x, m, [n], horizon, exact=False, n_samples=300, seeds=[s])[1][0]
+        want = [one_n(n, s) for n, s in zip(ns, seeds)]
+        if not isinstance(system, Rotation):  # n < m reads the draw at m, from m's seed
+            at_m = want[ns.index(m)]
+            for j in range(ns.index(m)):
+                f = ball_mass(mu, x, m) / ball_mass(mu, x, ns[j])
+                want[j] = replace(at_m, p_hat=at_m.p_hat * f, stderr=at_m.stderr * f, n=ns[j])
+        assert ests == want
         assert equidyn.orbit.density_curve(system, mu, x, m, ns, horizon, False) == ([None] * 7, [])
 
     @pytest.mark.parametrize("system, mu, x, m, horizon", CASES, ids=["eca", "shift", "rotation"])
@@ -592,6 +606,114 @@ def test_sampled_curve_memory_follows_one_n():
             tracemalloc.stop()
 
     assert peak([1, 2, 3, 4, 5, 6]) <= 1.1 * peak([6])
+
+
+# -- the exact centre factor at n <= m --------------------------------------------------
+#
+# E = B_{m,T}(x) fixes x's W_m word, so E lies in B_m(x) and, for n <= m,
+# mu(E | B_n) = mu(B_m) / mu(B_n) * mu(E | B_m). A sampled curve draws once at m,
+# from the seed of the largest n <= m in the grid, and scales that estimate.
+
+HAAR23 = ProductMeasure((2, 3))
+FACTOR_CASES = {
+    "eca110-bernoulli": (eca_rule(110), HALF),
+    "eca110-markov": (eca_rule(110), MARKOV),
+    "eca184-bernoulli": (eca_rule(184), HALF),
+    "eca184-markov": (eca_rule(184), MARKOV),
+    "odometer-haar": (Odometer((2, 3)), HAAR23),
+    "odometer-bernoulli": (Odometer((2,)), HALF),
+    "odometer-markov": (Odometer((2,)), MARKOV),
+}
+
+
+def count_draws(monkeypatch, mu):
+    """The `pieces` calls on mu from here on, one list of generators each."""
+    calls, pieces = [], mu.pieces
+    monkeypatch.setattr(mu, "pieces", lambda *a: calls.append(a[3]) or pieces(*a))
+    return calls
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES)
+@pytest.mark.parametrize("m, ns", [(2, [1, 2, 3]), (2, [1, 3]), (3, [1, 2, 3, 4]), (3, [1, 2, 5]), (3, [1, 2])],
+                         ids=["m2-in", "m2-out", "m3-in", "m3-out", "m3-out-none-above"])
+def test_n_below_m_is_the_draw_at_m_times_the_mass_ratio(monkeypatch, case, m, ns):
+    system, mu = FACTOR_CASES[case]
+    horizon, n_samples = 2, 500
+    x = mu.sample_config(system_sided(system), max(max(ns), dependence_radius(system, m, horizon)),
+                         substream(31, m, len(ns)))
+    seeds = [derive_seed(17, m, j) for j in range(len(ns))]
+    one_n = lambda n, s: density_curve(system, mu, x, m, [n], horizon, exact=False, n_samples=n_samples,
+                                       seeds=[s])[1][0]
+    draws = count_draws(monkeypatch, mu)
+    ests = density_curve(system, mu, x, m, ns, horizon, exact=False, n_samples=n_samples, seeds=seeds)[1]
+    above = [n for n in ns if n > m]
+    assert len(draws) == len(above) + 1 and all(len(rngs) == 1 for rngs in draws)  # one draw per n > m, one at m
+    at = max(j for j, n in enumerate(ns) if n <= m)  # the largest n <= m lends its seed to the draw at m
+    at_m = one_n(m, seeds[at])
+    for j, (n, est) in enumerate(zip(ns, ests)):
+        if n >= m:
+            assert est == one_n(n, seeds[j]), n
+        else:
+            f = ball_mass(mu, x, m) / ball_mass(mu, x, n)
+            assert (est.p_hat, est.stderr) == (at_m.p_hat * f, at_m.stderr * f), n  # bit for bit
+            assert (est.seed, est.n, est.n_samples) == (seeds[at], n, n_samples)
+
+
+@pytest.mark.parametrize("case", ["eca110-markov", "eca184-bernoulli", "odometer-haar"])
+def test_report_cells_are_their_points_curves(monkeypatch, case):
+    """A sampled report's point i is its own `density_curve` on the whole grid, read
+    from derive_seed(seed, 1, i, j) at ns[j]; its draws are one per n > m and one at m,
+    three cells to a block."""
+    system, mu = FACTOR_CASES[case]
+    m, ns, horizon, points, n_samples, seed = 2, [1, 3], 2, 5, 64, 8
+    monkeypatch.setattr(equidyn.orbit, "_BLOCK_ROWS", 3 * n_samples)
+    draws = count_draws(monkeypatch, mu)
+    report = mu_equicontinuity_report(system, mu, m, ns, horizon, points=points, n_samples=n_samples, seed=seed,
+                                      cap=1)
+    assert [len(rngs) for rngs in draws] == [points] + [3, 2] * 2  # base points, then at m and at n 3
+    monkeypatch.undo()
+    radius = max(max(ns), dependence_radius(system, m, horizon))
+    for i, curve in enumerate(report.curves):
+        x = mu.sample_config(system_sided(system), radius, substream(seed, 0, i))
+        ests = density_curve(system, mu, x, m, ns, horizon, exact=False, n_samples=n_samples,
+                             seeds=[derive_seed(seed, 1, i, j) for j in range(len(ns))])[1]
+        assert (curve.ratios, curve.stderrs) == (tuple(e.p_hat for e in ests), tuple(e.stderr for e in ests)), i
+
+
+C1_MARKOV = MarkovMeasure([[0.9, 0.1], [0.2, 0.8]])
+
+
+@pytest.mark.parametrize("rule", [204, 170, 90, 184])
+@pytest.mark.parametrize("mu", [HALF, C1_MARKOV], ids=["bernoulli", "markov"])
+def test_factored_estimates_are_within_4_sigma_of_the_exact_ratio(rule, mu):
+    """m 2, n 1-2, T 1-3: the estimate at n 1 is the draw at m scaled by the mass
+    ratio f, whose standard deviation is f sqrt(q (1 - q) / N), q the exact ratio at m."""
+    system, m, ns, n_samples = eca_rule(rule), 2, [1, 2], 10_000
+    for horizon in (1, 2, 3):
+        x = mu.sample_config("two", dependence_radius(system, m, horizon), substream(41, rule, horizon))
+        seeds = [derive_seed(43, rule, horizon, j) for j in range(len(ns))]
+        exact, ests = density_curve(system, mu, x, m, ns, horizon, True, n_samples, seeds)
+        q = exact[1]
+        for n, ratio, est in zip(ns, exact, ests):
+            f = ball_mass(mu, x, m) / ball_mass(mu, x, n)
+            assert ratio == pytest.approx(f * q, rel=1e-12), (rule, horizon, n)  # the identity, on the exact route
+            sigma = f * math.sqrt(q * (1.0 - q) / n_samples)
+            assert abs(est.p_hat - ratio) <= 4 * sigma + 1e-12, (rule, horizon, n, est, ratio)
+
+
+def test_a_null_ball_at_m_reads_zero_with_no_draw(monkeypatch):
+    """x's W_1 word is charged, its W_2 word holds symbol 1, which mu never draws:
+    E lies in a null ball, so n 1 reads 0, as a draw at n 1 would (no drawn row
+    matches x's W_2 word), with no draw and no NullCylinder."""
+    mu = BernoulliMeasure([0.5, 0.0, 0.5])
+    for system, x in [(identity_rule(A3, "two", 1), Configuration(A3, "two", (0, 2, 0, 1, 2, 0, 2, 0, 2, 0, 0))),
+                      (seeded_one_sided_ca3(), Configuration(A3, "one", (0, 2, 1, 0, 2, 0, 0, 2)))]:
+        draws = count_draws(monkeypatch, mu)
+        (exact,), (est,) = density_curve(system, mu, x, 2, [1], 3, True, 200, [5])
+        assert (exact, est.p_hat, est.stderr, draws) == (0.0, 0.0, 0.0, [])
+        with pytest.raises(NullBall, match="radius 1/2 has measure zero"):
+            density_curve(system, mu, x, 2, [1, 2], 3, True, 200, [5, 6])
+        monkeypatch.undo()
 
 
 # -- base points as one block ---------------------------------------------------------
