@@ -17,8 +17,9 @@ class InsufficientRadius(EquidynError):
     """A computation needs symbols outside the valid window of a configuration."""
 
 
-class AlphabetMismatch(EquidynError):
-    """A measure was applied to a cylinder or configuration over the wrong space."""
+class AlphabetMismatch(EquidynError, ValueError):
+    """A measure met a cylinder, configuration or system over another space (alphabet or side);
+    for a system, `systems.check_measure` raises it before the first draw, on every seed."""
 
 
 class NullCylinder(EquidynError):

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
-    ball_cylinder,
     count_words,
     window_cells,
     window_size,
@@ -46,8 +45,7 @@ from .systems import (
     _trace_row,
     _windows,
     cell_sizes,
-    check_cells,
-    check_measure_alphabet,
+    check_measure,
     dependence_radius,
     step_batch,
     step_cost,
@@ -163,9 +161,8 @@ def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], hor
         return ([_rotation_ratio(m, n) if exact else None for n in ns],
                 [_rotation_estimate(x, m, n, horizon, n_samples, s) for n, s in zip(ns, seeds)])
     cantor_mu = _require_cantor_measure(mu)
-    for n in ns:  # each ball lies in mu's space before x is traced
-        cantor_mu._check_cylinder(ball_cylinder(x, n))
     radius = max(max(ns), dependence_radius(system, m, horizon))
+    check_measure(system, cantor_mu, radius)
     row = _trace_row(system, x, m, horizon, radius)
     targets, words, masses = _base_block(system, cantor_mu, row, radius, m, ns, horizon)
     ratios = [None] * len(ns)
@@ -180,9 +177,8 @@ def density_curve(system: System, mu: Measure, x, m: int, ns: Sequence[int], hor
 def _base_block(system, mu, rows, radius, m, ns, horizon):
     """Traces (points, T + 1, |W_m|) of base points held as checked int rows on W_radius, and per n
     their ball words on W_n and masses; NullBall names the first null ball in (point, n) order.
-    ValueError if mu can draw a symbol that a cell of W_radius does not hold, before any draw needs it."""
+    Its callers have run `check_measure` at W_radius, the widest window they draw on."""
     sided = system_sided(system)
-    check_cells(system, np.array([[mu.cell_size(i) - 1 for i in window_cells(sided, radius)]]))
     words = [window_slice(sided, radius, n, rows) for n in ns]
     masses = np.array([mu.row_probabilities(sided, n, w) for n, w in zip(ns, words)])
     null = np.argwhere(masses.T == 0.0)
@@ -267,7 +263,8 @@ def _block_estimates(system, mu, words, masses, targets, m, ns, horizon, n_sampl
     mu(E | B_m) exactly: a cell draws once at m, reading the seed of the largest n <= m in `ns`, and each n < m
     scales that estimate and stderr by the mass ratio (a null W_m ball reads 0, with no draw). Each n > m draws
     on its own. Cell c's draw for ns[j] reads n_samples rows from `substream(seed_of(c, j), 0)`, in blocks of at
-    most `_BLOCK_ROWS` rows packed, stepped and checked against their own traces together.
+    most `_BLOCK_ROWS` rows packed, stepped and checked against their own traces together; a draw conditioned
+    at or past rho is not made, as every row would hit.
     """
     sided, rho = system_sided(system), dependence_radius(system, m, horizon)
     at_m = max((j for j, n in enumerate(ns) if n <= m), key=lambda j: ns[j], default=None)
@@ -279,6 +276,9 @@ def _block_estimates(system, mu, words, masses, targets, m, ns, horizon, n_sampl
     for j, (n, given, mass) in draws.items():
         radius, live = max(n, rho), np.flatnonzero(mass)
         seeds[j], hits[j] = [seed_of(c, j) for c in range(len(targets))], np.zeros(len(targets), dtype=np.int64)
+        if n >= rho:  # the ball fixes W_rho, where every row is x's own word (see `_block_ratios`)
+            hits[j][live] = n_samples
+            continue
         for lo in range(0, len(live), block):
             cells = live[lo : lo + block]
             pieces = mu.pieces(sided, radius, n_samples, [substream(seeds[j][c], 0) for c in cells], given[cells])
@@ -367,11 +367,10 @@ def mu_equicontinuity_report(
         use_exact = exact_fits(system, m, horizon, cap)
         if not use_exact and n_samples < 1:
             raise ValueError("need at least one sample")
-        check_measure_alphabet(system, cantor_mu)
+        check_measure(system, cantor_mu, radius)
         rngs = [substream(seed, 0, i) for i in range(points)]
         rows = _rows(cantor_mu.pieces(sided, radius, 1, rngs), points, window_size(sided, radius))
         labels = row_words(rows, system.alphabet)
-        # every cell is checked before any block runs
         targets, words, masses = _base_block(system, cantor_mu, rows, radius, m, ns, horizon)
         if use_exact:
             ratios = _block_ratios(system, cantor_mu, words, masses, targets, m, ns, horizon, cap)

@@ -14,7 +14,8 @@ window, one batched column trace at that m and, per m, one vectorized
 period search on its slice. So memory follows the block rather than the
 sample count. `mu_lep_classify` hands it derive_seed(seed, 0), the `seed`
 of every `per_m` entry. The block size is part of the stream layout:
-changing it changes which points are drawn.
+changing it changes which points are drawn. The (system, measure) pair is
+checked on that window before block 0 (`systems.check_measure`), not per row.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .measures import CantorMeasure
 from .rng import derive_seed, substream
 from .systems import (
     CantorSystem,
-    check_cells,
-    check_measure_alphabet,
-    column_codes,
+    check_measure,
     dependence_radius,
     system_sided,
     window_slice,
@@ -95,7 +94,8 @@ def lep_certificate(
     system: CantorSystem, x: Configuration, m: int, horizon: int
 ) -> Optional[PeriodCertificate]:
     """Certify eventual periodicity of x's column trace at resolution m."""
-    codes = column_codes(system, _trace_row(system, x, m, horizon), m, horizon)
+    rho = dependence_radius(system, m, horizon)
+    codes = word_codes(_windows(system, _trace_row(system, x, m, horizon), rho, m, horizon), system.alphabet.size)
     p, q, found = detect_eventual_periods(codes)
     return PeriodCertificate(p=int(p[0]), q=int(q[0]), horizon=horizon, m=m) if found[0] else None
 
@@ -136,11 +136,10 @@ def lep_statistics(
         raise ValueError("need at least one sample")
     sided, top = system_sided(system), ms[-1]
     radius = dependence_radius(system, top, horizon)
-    check_measure_alphabet(system, mu)
+    check_measure(system, mu, radius)
     counts = np.zeros((len(ms), 2, horizon + 1), dtype=np.int64)  # per m: how many certified with each p, each q
     for b, start in enumerate(range(0, n_samples, _BLOCK)):
         rows = mu.sample_batch(sided, radius, min(_BLOCK, n_samples - start), substream(seed, 0, b))
-        check_cells(system, rows)
         windows = _windows(system, rows, radius, top, horizon)
         flat = windows.reshape(-1, windows.shape[-1])  # one row per (point, time)
         for i, m in enumerate(ms):

@@ -26,7 +26,7 @@ from .rng import derive_seed, substream
 from .systems import (
     Rotation,
     System,
-    check_measure_alphabet,
+    check_measure,
     pack_bits,
     pack_planes,
     step_cost,
@@ -96,10 +96,10 @@ def mu_sensitivity_curve(
             return (np.minimum(gap, 1.0 - gap) >= cuts).sum(axis=1)
     else:
         cantor_mu = _require_cantor_measure(mu)
-        check_measure_alphabet(system, cantor_mu)
         sided, cost, windows = system_sided(system), step_cost(system), [separation_window(e) for e in eps_list]
         wide = max(windows)
         radius = wide + cost * horizon
+        check_measure(system, cantor_mu, radius)
 
         def separated(n: int) -> np.ndarray:
             shape = (n, window_size(sided, radius))

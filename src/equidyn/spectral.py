@@ -44,7 +44,7 @@ from .core import (
     iter_words,
     window_cells,
 )
-from .errors import AlphabetMismatch, EnumerationTooLarge, OverlappingBalls
+from .errors import EnumerationTooLarge, OverlappingBalls
 from .measures import CantorMeasure
 from .orbit import _ball_rows
 from .periodicity import lep_certificate
@@ -54,7 +54,7 @@ from .systems import (
     _trace_row,
     _windows,
     cell_sizes,
-    check_cells,
+    check_measure,
     dependence_radius,
     step_batch,
     step_cost,
@@ -165,8 +165,7 @@ def _orbit_indices(system, mu, radius, table, stepped, mode, n_samples, seed, ca
     index in a ball (no integral here sees the rest), so memory follows the
     block plus those words.
     """
-    if mu.alphabet != system.alphabet:
-        raise AlphabetMismatch(f"measure over alphabet {mu.alphabet.size}, system over {system.alphabet.size}")
+    check_measure(system, mu, radius)
     sided, cost = system_sided(system), step_cost(system)
 
     def index(rows: np.ndarray) -> list[np.ndarray]:
@@ -177,7 +176,6 @@ def _orbit_indices(system, mu, radius, table, stepped, mode, n_samples, seed, ca
 
     if mode == "sampled":
         rows = mu.sample_batch(sided, radius, n_samples, substream(seed, 0))
-        check_cells(system, rows)
         return index(rows), None
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")

@@ -10,10 +10,9 @@ radius, since the first R + 1 digits of the successor depend only on the
 first R + 1 digits of the argument. Rotations act on exact circle points.
 
 Two steppers implement the same rules. `step_batch` steps int64 rows; it
-serves the exact route (the orbit-ball frontier search), `column_codes`
-(`lep` and the one-row `lep_certificate`), spectral integration, and
-`_windows` (the traces of a block of base points, or of one point's row from
-`_trace_row`, in one pass).
+serves the exact route (the orbit-ball frontier search), spectral
+integration, and `_windows` (the traces of a block of base points or of
+`lep`'s points, or of one point's row from `_trace_row`, in one pass).
 `step_planes` steps one-hot bit planes, 64 rows to a uint64 word, by each
 output's sum of products over its neighbourhoods, factored by prefix: one AND
 per node of the prefix tree, none for a subtree that holds every suffix. It
@@ -22,11 +21,11 @@ ratios) and the separation test of `sensitivity`. So the exact and the sampled r
 share no stepper; the scalar per-rule loops live in the tests as oracles.
 
 `pack_planes` packs the pieces a measure draws (see `measures`) as they
-arrive, checking each against its cell: every piece is one column of all
-rows, whatever the measure, and a constant column (one symbol at stride
-zero) is checked once and set as one full plane. So the Monte Carlo route
-holds the planes (|A| * cells * n / 8 bytes) and one column, never an int
-batch.
+arrive: every piece is one column of all rows, whatever the measure, and a
+constant column (one symbol at stride zero) is set as one full plane. So the
+Monte Carlo route holds the planes (|A| * cells * n / 8 bytes) and one
+column, never an int batch. Drawn rows are not checked: a (system, measure)
+pair is, before its first draw (`check_measure`), so on every seed or none.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .core import (
     word_from_str,
     word_to_str,
 )
-from .errors import InsufficientRadius, UnsupportedSystem
+from .errors import AlphabetMismatch, InsufficientRadius, UnsupportedSystem
 
 
 @dataclass(frozen=True)
@@ -230,12 +229,13 @@ def cell_sizes(system: CantorSystem, cells) -> list[int]:
     return [system.alphabet.size for _ in cells]
 
 
-def check_measure_alphabet(system: CantorSystem, mu) -> None:
-    """ValueError unless the measure `mu` draws symbols of the system's alphabet."""
+def check_measure(system: CantorSystem, mu, radius: int) -> None:
+    """Before the first draw on W_radius: AlphabetMismatch unless the Cantor measure `mu` lives on the
+    system's alphabet and side, ValueError if a cell of W_radius lacks a symbol below mu's `cell_size`."""
     if mu.alphabet != system.alphabet:
-        raise ValueError(
-            f"measure over alphabet {mu.alphabet.size}, system over {system.alphabet.size}"
-        )
+        raise AlphabetMismatch(f"measure over alphabet {mu.alphabet.size}, system over {system.alphabet.size}")
+    sided = mu._check_sided(system_sided(system))
+    check_cells(system, np.array([[mu.cell_size(i) - 1 for i in window_cells(sided, radius)]]))
 
 
 def check_cells(system: CantorSystem, arr: np.ndarray, first: int = 0) -> None:
@@ -311,20 +311,6 @@ def window_slice(sided: str, covered_radius: int, m: int, arr: np.ndarray) -> np
     return arr[:, mid - m : mid + m + 1]
 
 
-def column_codes(system: CantorSystem, arr: np.ndarray, m: int, horizon: int) -> np.ndarray:
-    """Column traces as codes: entry (i, t) is one integer naming (T^t x_i)_{W_m}.
-
-    Row i of `arr` is x_i on W_rho, rho the dependence radius for (m,
-    horizon). Equal integers mean equal words (see `word_codes`).
-    """
-    radius = dependence_radius(system, m, horizon)
-    cells = window_cells(system_sided(system), radius)
-    if arr.shape[1] != len(cells):
-        raise InsufficientRadius(f"rows have {arr.shape[1]} cells, W_{radius} has {len(cells)}")
-    check_cells(system, arr)
-    return word_codes(_windows(system, arr, radius, m, horizon), system.alphabet.size)
-
-
 def _windows(system: CantorSystem, arr: np.ndarray, radius: int, m: int, horizon: int) -> np.ndarray:
     """(rows, horizon + 1, |W_m|) array: entry (i, t) is (T^t x_i)_{W_m}, row i of
     `arr` being x_i on W_radius, radius at least the dependence radius."""
@@ -396,11 +382,9 @@ def pack_planes(system: CantorSystem, rows, shape: tuple[int, ...] | None = None
     mask = pack_bits(np.ones(n, dtype=bool))
     for j, column in rows:
         column = column.reshape(g, n)
-        if n and column.strides[-1] == 0:  # one symbol per group: check it once, set its plane
-            check_cells(system, column[:, :1], j)
+        if n and column.strides[-1] == 0:  # one symbol per group: set its plane
             planes[column[:, 0], j, np.arange(g)] = mask
         else:
-            check_cells(system, column.reshape(-1, 1), j)
             octets[:, j, :, : -(-n // 8)] = np.packbits(column == symbols, axis=-1, bitorder="little")
     return planes.reshape(len(symbols), cells, -1)
 

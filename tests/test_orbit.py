@@ -646,8 +646,9 @@ def test_n_below_m_is_the_draw_at_m_times_the_mass_ratio(monkeypatch, case, m, n
                                        seeds=[s])[1][0]
     draws = count_draws(monkeypatch, mu)
     ests = density_curve(system, mu, x, m, ns, horizon, exact=False, n_samples=n_samples, seeds=seeds)[1]
-    above = [n for n in ns if n > m]
-    assert len(draws) == len(above) + 1 and all(len(rngs) == 1 for rngs in draws)  # one draw per n > m, one at m
+    rho = dependence_radius(system, m, horizon)  # a ball at or past rho fixes the trace: no draw
+    drawn = sum(m < n < rho for n in ns) + (m < rho)  # one draw per n > m, one at m
+    assert len(draws) == drawn and all(len(rngs) == 1 for rngs in draws)
     at = max(j for j, n in enumerate(ns) if n <= m)  # the largest n <= m lends its seed to the draw at m
     at_m = one_n(m, seeds[at])
     for j, (n, est) in enumerate(zip(ns, ests)):
@@ -663,14 +664,15 @@ def test_n_below_m_is_the_draw_at_m_times_the_mass_ratio(monkeypatch, case, m, n
 def test_report_cells_are_their_points_curves(monkeypatch, case):
     """A sampled report's point i is its own `density_curve` on the whole grid, read
     from derive_seed(seed, 1, i, j) at ns[j]; its draws are one per n > m and one at m,
-    three cells to a block."""
+    three cells to a block, none at or past rho."""
     system, mu = FACTOR_CASES[case]
     m, ns, horizon, points, n_samples, seed = 2, [1, 3], 2, 5, 64, 8
     monkeypatch.setattr(equidyn.orbit, "_BLOCK_ROWS", 3 * n_samples)
     draws = count_draws(monkeypatch, mu)
     report = mu_equicontinuity_report(system, mu, m, ns, horizon, points=points, n_samples=n_samples, seed=seed,
                                       cap=1)
-    assert [len(rngs) for rngs in draws] == [points] + [3, 2] * 2  # base points, then at m and at n 3
+    drawn = sum(n < dependence_radius(system, m, horizon) for n in (m, 3))
+    assert [len(rngs) for rngs in draws] == [points] + [3, 2] * drawn  # base points, then at m and at n 3
     monkeypatch.undo()
     radius = max(max(ns), dependence_radius(system, m, horizon))
     for i, curve in enumerate(report.curves):
@@ -714,6 +716,30 @@ def test_a_null_ball_at_m_reads_zero_with_no_draw(monkeypatch):
         with pytest.raises(NullBall, match="radius 1/2 has measure zero"):
             density_curve(system, mu, x, 2, [1, 2], 3, True, 200, [5, 6])
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("system,mu,m,ns,horizon", [
+    (eca_rule(110), MARKOV, 1, [2, 3], 2),  # rho 3: n 2 draws, n 3 does not
+    (Odometer((2, 3)), HAAR23, 2, [1, 2, 3], 2),  # rho = m: nothing draws
+    (Odometer((2,)), MARKOV, 2, [1, 3], 4),  # m not in the grid
+], ids=["eca110", "odometer-haar", "odometer-markov"])
+def test_no_draw_at_or_past_rho(monkeypatch, system, mu, m, ns, horizon):
+    """A ball at or past rho fixes x's whole dependence window, so every row it could draw
+    reproduces x's trace: p_hat 1 (times the centre factor below m) and stderr 0, as a draw
+    reads, with no `pieces` call."""
+    rho, n_samples = dependence_radius(system, m, horizon), 300
+    x = mu.sample_config(system_sided(system), max(max(ns), rho), substream(5, m))
+    seeds = [derive_seed(7, j) for j in range(len(ns))]
+    draws = count_draws(monkeypatch, mu)
+    ests = density_curve(system, mu, x, m, ns, horizon, exact=False, n_samples=n_samples, seeds=seeds)[1]
+    assert len(draws) == sum(m < n < rho for n in ns) + (ns[0] <= m < rho)  # n > m below rho, and the one at m
+    at = max((j for j, n in enumerate(ns) if n <= m), default=None)
+    for j, (n, est) in enumerate(zip(ns, ests)):
+        if max(n, m) < rho:
+            continue
+        f = 1.0 if n >= m else ball_mass(mu, x, m) / ball_mass(mu, x, n)
+        seed = seeds[j] if n > m else seeds[at]
+        assert est == equidyn.orbit.RatioEstimate(f, 0.0, n_samples, seed, m, n, horizon), n
 
 
 # -- base points as one block ---------------------------------------------------------

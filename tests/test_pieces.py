@@ -209,18 +209,12 @@ def test_estimators_draw_no_int_batch(monkeypatch):
         mu_sensitivity_curve(system, mu, [0.5], 4, n_samples=100)
 
 
-# -- cell checks on pieces ------------------------------------------------------
+# -- cell checks ----------------------------------------------------------------
 
-def test_packer_checks_each_piece_against_its_cells():
-    system = Odometer((2, 3))
-    good = np.zeros(70, dtype=np.int64)
-    bad = good.copy()
-    bad[66] = 2  # cell 0 holds two digits
-    pack_planes(system, [(1, good + 2), (0, good)], (70, 2))
-    with pytest.raises(ValueError, match="column 0"):
-        pack_planes(system, [(1, good + 2), (0, bad)], (70, 2))
+def test_check_cells_names_the_window_column():
+    # column j of the rows is window column first + j
     with pytest.raises(ValueError, match="symbol 3 in column 3"):
-        check_cells(system, np.array([[0, 3]]), first=2)
+        check_cells(Odometer((2, 3)), np.array([[0, 3]]), first=2)
 
 
 def test_sampled_density_rejects_digits_outside_the_odometer():

@@ -141,17 +141,8 @@ def test_odometer_carries_through_every_digit():
     assert_steps_like_step_batch(system, rows, steps=7)
 
 
-@pytest.mark.parametrize("system,bad", [
-    (eca_rule(110), [[0, 2, 1]]),
-    (eca_rule(110), [[0, -1, 1]]),
-    (random_rule(A3, TWO_SIDED, 1, seed=7), [[0, 3, 1]]),
-    (Odometer((2, 3)), [[2, 0, 0]]),  # digit 0 has two values
-])
-def test_packer_rejects_symbols_outside_the_cells(system, bad):
-    with pytest.raises(ValueError):
-        pack_planes(system, np.array(bad))
-
-
+# the packer trusts its rows: a (system, measure) pair is checked before the first draw,
+# and check_cells is the one check of rows, whichever row or column holds the bad symbol
 BAD_SYMBOLS = {
     "negative": (eca_rule(110), 1, -1),
     "past the alphabet": (random_rule(A3, TWO_SIDED, 1, seed=7), 2, 3),
@@ -161,24 +152,22 @@ BAD_SYMBOLS = {
 }
 
 
-def raised(fn, *args):
-    """The message of the ValueError that fn(*args) raises."""
-    with pytest.raises(ValueError) as err:
-        fn(*args)
-    return str(err.value)
-
-
 @pytest.mark.parametrize("case", BAD_SYMBOLS)
 @pytest.mark.parametrize("n", (1, 63, 64, 65))
 @pytest.mark.parametrize("row", ("first", "last"))
-def test_packer_rejects_what_check_cells_rejects(case, n, row):
+def test_check_cells_names_a_bad_symbol_in_any_row(case, n, row):
     system, col, bad = BAD_SYMBOLS[case]
+    want = (f"symbol {bad} in column {col} outside the {cell_sizes(system, [col])[0]} symbols "
+            f"of that cell of the {type(system).__name__}")
     rows = np.zeros((n, 5), dtype=np.int64)
     rows[0 if row == "first" else n - 1, col] = bad
-    want = raised(check_cells, system, rows)
-    assert raised(pack_planes, system, rows) == want
-    # a constant column of the bad symbol is refused the same way
-    assert raised(pack_planes, system, [(col, np.broadcast_to(np.int64(bad), (n,)))], (n, 5)) == want
+    with pytest.raises(ValueError) as err:
+        check_cells(system, rows)
+    assert str(err.value) == want
+    # the bad column alone, placed at its window column, is refused the same way
+    with pytest.raises(ValueError) as err:
+        check_cells(system, rows[:, col:col + 1], first=col)
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize("system", [eca_rule(110), random_rule(A3, ONE_SIDED, 1, seed=8), Odometer((2, 3))], ids=repr)

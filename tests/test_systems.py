@@ -27,7 +27,8 @@ from equidyn import (
     wolfram_number,
 )
 from equidyn.rng import substream
-from equidyn.systems import cell_sizes, check_cells, column_codes, pack_planes, step_batch, trace_agreement_batch
+from equidyn.systems import (_windows, cell_sizes, check_cells, pack_planes, step_batch, trace_agreement_batch,
+                             word_codes)
 from oracles import circle_distance, scalar_column_trace, scalar_step, step, trace_rows
 
 A2 = Alphabet(2)
@@ -219,11 +220,13 @@ class TestBatch:
 
 
 class TestColumnCodes:
-    """Codes at times s and t of one row agree exactly when the W_m words do."""
+    """Word codes of the column traces (`lep`'s and `lep_certificate`'s): codes at times s and t
+    of one row agree exactly when the W_m words do."""
 
     def assert_codes_name_words(self, system, rows, m, horizon):
         sided = "one" if not isinstance(system, CARule) else system.sided
-        codes = column_codes(system, np.array(rows, dtype=np.int64), m, horizon)
+        rho = dependence_radius(system, m, horizon)
+        codes = word_codes(_windows(system, np.array(rows, dtype=np.int64), rho, m, horizon), system.alphabet.size)
         assert codes.shape == (len(rows), horizon + 1)
         for row, code in zip(rows, codes):
             trace = scalar_column_trace(system, Configuration(system.alphabet, sided, row), m, horizon)
@@ -245,12 +248,6 @@ class TestColumnCodes:
         # W_70 has 71 cells; these rows differ between times only in the top cells
         rows = [[0] * 70 + [1] + [0] * 4, [0] * 74 + [1], [1, 0] * 37 + [1]]
         self.assert_codes_name_words(Shift(A2), rows, 70, 4)
-
-    def test_rejects_symbols_outside_the_cells(self):
-        with pytest.raises(ValueError):
-            column_codes(Odometer((2, 3)), np.array([[2, 0]]), 1, 2)
-        with pytest.raises(InsufficientRadius):
-            column_codes(Shift(A2), np.array([[0, 1]]), 0, 2)
 
 
 # -- the one-row step and trace against the scalar oracles -------------------------
